@@ -6,12 +6,19 @@ and photo sets, with the kernel taken as a product of per-layer Gaussian
 kernels so that several network layers are matched jointly.  The biased
 V-statistic form is used: same-index terms are kept in all three double sums.
 
+It is evaluated on the pooled batch z = [sketches; photos] with one signed
+weight per row, w_i = +1/n_s for a sketch and -1/n_p for a photo.  With the
+joint kernel J = exp(-sum_l D_l / (2 sigma_l^2)), D_l the layer's pooled
+squared-distance matrix, the loss is MMD = w^T J w and its gradient on
+layer l is -(2 / sigma_l^2) w_i sum_j w_j J_ij (z_i - z_j).
+
 Summation order is fixed (numpy reductions over contiguous arrays) so that
 repeated evaluation of the same inputs is bit-reproducible.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -56,6 +63,19 @@ def gaussian_kernel_matrix(x: np.ndarray, y: np.ndarray, bandwidth: float) -> np
     return np.exp(-_sq_dists(np.asarray(x, float), np.asarray(y, float)) / (2.0 * bandwidth**2))
 
 
+@functools.lru_cache(maxsize=64)
+def _upper_pairs(n: int) -> np.ndarray:
+    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    mask.flags.writeable = False
+    return mask
+
+
+def _median_sigma(d2: np.ndarray) -> float:
+    """sigma with sigma^2 = median over unordered pairs of a squared-distance matrix."""
+    med = float(np.median(d2[_upper_pairs(d2.shape[0])]))
+    return float(np.sqrt(max(med, MIN_BANDWIDTH_SQ)))
+
+
 def median_bandwidth(features: np.ndarray) -> float:
     """Bandwidth sigma with sigma^2 = median pairwise squared distance.
 
@@ -66,10 +86,7 @@ def median_bandwidth(features: np.ndarray) -> float:
     n = features.shape[0]
     if n < 2:
         raise LossInputError(f"median bandwidth needs at least 2 vectors, got {n}")
-    d2 = _sq_dists(features, features)
-    iu = np.triu_indices(n, k=1)
-    med = float(np.median(d2[iu]))
-    return float(np.sqrt(max(med, MIN_BANDWIDTH_SQ)))
+    return _median_sigma(_sq_dists(features, features))
 
 
 # ---------------------------------------------------------------------------
@@ -129,29 +146,19 @@ def _check_layer_lists(
     return s, p
 
 
-def resolve_bandwidths(
-    sketch_layers: Sequence[np.ndarray],
-    photo_layers: Sequence[np.ndarray],
-    spec: JmmdSpec,
-) -> list[float]:
-    """Per-layer bandwidths, by median heuristic on the pooled batch unless given."""
-    s, p = _check_layer_lists(sketch_layers, photo_layers)
+def resolve_bandwidths(pooled_sq_dists: Sequence[np.ndarray], spec: JmmdSpec) -> list[float]:
+    """Per-layer bandwidths, by median heuristic on the pooled batch unless given.
+
+    Takes each layer's squared-distance matrix over the pooled sketch+photo
+    batch, so the heuristic reuses the distances the kernel is built from.
+    """
     if isinstance(spec.bandwidths, str):
-        return [median_bandwidth(np.vstack([a, b])) for a, b in zip(s, p)]
-    if len(spec.bandwidths) != len(s):
+        return [_median_sigma(d2) for d2 in pooled_sq_dists]
+    if len(spec.bandwidths) != len(pooled_sq_dists):
         raise LossInputError(
-            f"got {len(spec.bandwidths)} bandwidths for {len(s)} layers"
+            f"got {len(spec.bandwidths)} bandwidths for {len(pooled_sq_dists)} layers"
         )
     return [float(b) for b in spec.bandwidths]
-
-
-def _joint_kernel(
-    xs: list[np.ndarray], ys: list[np.ndarray], bandwidths: Sequence[float]
-) -> np.ndarray:
-    joint = gaussian_kernel_matrix(xs[0], ys[0], bandwidths[0])
-    for a, b, bw in zip(xs[1:], ys[1:], bandwidths[1:]):
-        joint = joint * gaussian_kernel_matrix(a, b, bw)
-    return joint
 
 
 def jmmd(
@@ -164,12 +171,7 @@ def jmmd(
     mean(J_ss) + mean(J_pp) - 2 mean(J_sp) where J is the elementwise product
     of per-layer Gaussian kernel matrices.  Same-index terms are included.
     """
-    s, p = _check_layer_lists(sketch_layers, photo_layers)
-    bws = resolve_bandwidths(s, p, spec)
-    j_ss = _joint_kernel(s, s, bws)
-    j_pp = _joint_kernel(p, p, bws)
-    j_sp = _joint_kernel(s, p, bws)
-    return float(j_ss.mean() + j_pp.mean() - 2.0 * j_sp.mean())
+    return jmmd_with_grad(sketch_layers, photo_layers, spec)[0]
 
 
 def jmmd_with_grad(
@@ -183,44 +185,25 @@ def jmmd_with_grad(
     median heuristic.
     """
     s, p = _check_layer_lists(sketch_layers, photo_layers)
-    bws = resolve_bandwidths(s, p, spec)
     n_s, n_p = s[0].shape[0], p[0].shape[0]
-    j_ss = _joint_kernel(s, s, bws)
-    j_pp = _joint_kernel(p, p, bws)
-    j_sp = _joint_kernel(s, p, bws)
-    value = float(j_ss.mean() + j_pp.mean() - 2.0 * j_sp.mean())
-
-    d_s = [np.zeros_like(a) for a in s]
-    d_p = [np.zeros_like(b) for b in p]
-    for l, bw in enumerate(bws):
-        inv = 1.0 / bw**2
-        # d k(z_i, z_j)/d z_i = -J_ij (z_i - z_j) / sigma^2 applied per term
-        # self term of the sketch set: factor 2 from symmetry of the double sum
-        w_ss = j_ss * inv
-        d_s[l] += (2.0 / n_s**2) * (-(s[l] * w_ss.sum(axis=1)[:, None] - w_ss @ s[l]))
-        w_pp = j_pp * inv
-        d_p[l] += (2.0 / n_p**2) * (-(p[l] * w_pp.sum(axis=1)[:, None] - w_pp @ p[l]))
-        w_sp = j_sp * inv
-        d_s[l] += (-2.0 / (n_s * n_p)) * (-(s[l] * w_sp.sum(axis=1)[:, None] - w_sp @ p[l]))
-        d_p[l] += (-2.0 / (n_s * n_p)) * (
-            -(p[l] * w_sp.sum(axis=0)[:, None] - w_sp.T @ s[l])
-        )
+    zs = [np.vstack([a, b]) for a, b in zip(s, p)]
+    d2s = [_sq_dists(z, z) for z in zs]
+    bws = resolve_bandwidths(d2s, spec)
+    exponent = sum(d2 / (2.0 * bw**2) for d2, bw in zip(d2s, bws))
+    joint = np.exp(-exponent)
+    w = np.concatenate([np.full(n_s, 1.0 / n_s), np.full(n_p, -1.0 / n_p)])
+    jw = joint @ w
+    value = float(w @ jw)
+    d_s, d_p = [], []
+    for z, bw in zip(zs, bws):
+        g = (-2.0 / bw**2) * w[:, None] * (z * jw[:, None] - joint @ (w[:, None] * z))
+        d_s.append(g[:n_s])
+        d_p.append(g[n_s:])
     return value, d_s, d_p
 
 
 # ---------------------------------------------------------------------------
 # metric-learning and classification losses
-
-
-def _pairwise_dist(emb: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.maximum(_sq_dists(emb, emb), 1e-24))
-
-
-def _triplet_masks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    same = labels[:, None] == labels[None, :]
-    pos = same & ~np.eye(labels.size, dtype=bool)
-    neg = ~same
-    return pos, neg
 
 
 def triplet_loss(
@@ -231,62 +214,67 @@ def triplet_loss(
     Every sample with at least one positive and one negative acts as an
     anchor; its hardest positive and hardest negative form the triplet.
     """
-    return _triplet_core(embeddings, labels, margin, want_grad=False)[0]
+    return triplet_loss_grad(embeddings, labels, margin)[0]
 
 
 def triplet_loss_grad(
     embeddings: np.ndarray, labels: np.ndarray, margin: float = 0.3
 ) -> tuple[float, np.ndarray]:
-    """Loss and its (sub)gradient w.r.t. the embeddings."""
-    return _triplet_core(embeddings, labels, margin, want_grad=True)
+    """Loss and its (sub)gradient w.r.t. the embeddings.
 
-
-def _triplet_core(embeddings, labels, margin, want_grad):
+    Ties pick the lowest index.  Hinges are summed, and gradient rows
+    accumulated, sequentially in anchor order, so the result equals that of
+    a per-anchor loop to the bit.
+    """
     emb = np.atleast_2d(np.asarray(embeddings, np.float64))
     labels = np.asarray(labels)
     if emb.shape[0] != labels.size:
         raise LossInputError("one label per embedding required")
     if np.unique(labels).size < 2:
         raise LossInputError("triplet loss needs at least 2 identities in the batch")
-    pos, neg = _triplet_masks(labels)
+    same = labels[:, None] == labels[None, :]
+    pos = same & ~np.eye(labels.size, dtype=bool)
+    neg = ~same
     anchors = np.flatnonzero(pos.any(axis=1) & neg.any(axis=1))
     if anchors.size == 0:
         raise LossInputError("no anchor has both a positive and a negative")
-    dist = _pairwise_dist(emb)
-    grad = np.zeros_like(emb)
-    total = 0.0
-    for a in anchors:
-        p_idx = np.flatnonzero(pos[a])
-        n_idx = np.flatnonzero(neg[a])
-        hp = p_idx[np.argmax(dist[a, p_idx])]
-        hn = n_idx[np.argmin(dist[a, n_idx])]
-        hinge = dist[a, hp] - dist[a, hn] + margin
-        if hinge > 0:
-            total += hinge
-            if want_grad:
-                u_p = (emb[a] - emb[hp]) / max(dist[a, hp], 1e-12)
-                u_n = (emb[a] - emb[hn]) / max(dist[a, hn], 1e-12)
-                grad[a] += u_p - u_n
-                grad[hp] -= u_p
-                grad[hn] += u_n
-    loss = total / anchors.size
-    return loss, grad / anchors.size
+    dist = np.sqrt(np.maximum(_sq_dists(emb, emb), 1e-24))[anchors]
+    pos_d = np.where(pos[anchors], dist, -np.inf)
+    neg_d = np.where(neg[anchors], dist, np.inf)
+    hp = pos_d.argmax(axis=1)
+    hn = neg_d.argmin(axis=1)
+    k = np.arange(anchors.size)
+    d_p = pos_d[k, hp]
+    d_n = neg_d[k, hn]
+    hinge = d_p - d_n + margin
+    active = hinge > 0
+    total = float(np.cumsum(hinge[active])[-1]) if active.any() else 0.0
+    a, hp, hn = anchors[active], hp[active], hn[active]
+    u_p = (emb[a] - emb[hp]) / np.maximum(d_p[active], 1e-12)[:, None]
+    u_n = (emb[a] - emb[hn]) / np.maximum(d_n[active], 1e-12)[:, None]
+    # one scatter over the interleaved (a, hp, hn) rows, flattened to scalar
+    # entries: each entry then accumulates in the loop order a, hp, hn, a, ...
+    dim = emb.shape[1]
+    rows = np.stack([a, hp, hn], axis=1)
+    grad = np.zeros(emb.size)
+    np.add.at(
+        grad,
+        (rows[..., None] * dim + np.arange(dim)).ravel(),
+        np.stack([u_p - u_n, -u_p, u_n], axis=1).ravel(),
+    )
+    return total / anchors.size, grad.reshape(emb.shape) / anchors.size
 
 
 def id_loss(
     probs: np.ndarray, labels: np.ndarray, smoothing: float = 0.1
 ) -> float:
     """Label-smoothed cross-entropy over already-normalized probabilities."""
-    return _id_core(probs, labels, smoothing, want_grad=False)[0]
+    return id_loss_grad(probs, labels, smoothing)[0]
 
 
 def id_loss_grad(
     probs: np.ndarray, labels: np.ndarray, smoothing: float = 0.1
 ) -> tuple[float, np.ndarray]:
-    return _id_core(probs, labels, smoothing, want_grad=True)
-
-
-def _id_core(probs, labels, smoothing, want_grad):
     p = np.atleast_2d(np.asarray(probs, np.float64))
     labels = np.asarray(labels, dtype=np.int64)
     n, c = p.shape
@@ -300,8 +288,6 @@ def _id_core(probs, labels, smoothing, want_grad):
     q[np.arange(n), labels] += 1.0 - smoothing
     safe = np.clip(p, 1e-300, None)
     loss = float(-(q * np.log(safe)).sum() / n)
-    if not want_grad:
-        return loss, None
     return loss, -(q / safe) / n
 
 
@@ -361,8 +347,7 @@ def i2tce_loss(
     temperature: float = 0.07,
 ) -> float:
     """Cross-entropy of cosine-similarity logits against the label prototype."""
-    probs = softmax(cosine_logits(embeddings, prototypes, temperature))
-    return id_loss(probs, labels, smoothing=0.0)
+    return i2tce_loss_grad(embeddings, prototypes, labels, temperature)[0]
 
 
 def i2tce_loss_grad(

@@ -15,6 +15,7 @@ import numpy as np
 
 from .data import TaskDataset, features_of, labels_of
 from .encoder import EncoderState, embed
+from .losses import _sq_dists
 
 logger = logging.getLogger(__name__)
 
@@ -76,12 +77,6 @@ def _rank_gallery(distances: np.ndarray) -> np.ndarray:
     )
 
 
-def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aa = np.sum(a * a, axis=1)[:, None]
-    bb = np.sum(b * b, axis=1)[None, :]
-    return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
-
-
 def ranking_metrics(
     query_emb: np.ndarray,
     query_ids: np.ndarray,
@@ -95,7 +90,7 @@ def ranking_metrics(
         gn = gallery_emb / np.linalg.norm(gallery_emb, axis=1, keepdims=True)
         distances = 1.0 - qn @ gn.T
     else:
-        distances = np.sqrt(_pairwise_sq(query_emb, gallery_emb))
+        distances = np.sqrt(_sq_dists(query_emb, gallery_emb))
     order = _rank_gallery(distances)
     aps = []
     first_hit = []

@@ -152,6 +152,10 @@ class ExperimentConfig:
             raise ValueError("config needs at least one task")
         if self.pk_p < 2 or self.pk_k < 1:
             raise ValueError("PK sampling needs at least 2 identities and 1 instance")
+        if not (np.isfinite(self.triplet_margin) and self.triplet_margin >= 0):
+            raise ValueError(f"triplet_margin must be finite and >= 0, got {self.triplet_margin}")
+        if not 0.0 <= self.label_smoothing < 1.0:
+            raise ValueError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
 
 
 @dataclass
@@ -173,6 +177,11 @@ def _derived_seed(master_seed: int, *tags: int) -> int:
     return int(np.random.SeedSequence((master_seed, *tags)).generate_state(1)[0])
 
 
+def _require_finite(term: str, value: float, *grads: np.ndarray) -> None:
+    if not (np.isfinite(value) and all(np.isfinite(g).all() for g in grads)):
+        raise FloatingPointError(f"non-finite {term}")
+
+
 def batch_gradients(
     state: EncoderState,
     batch: list[Sample],
@@ -187,7 +196,8 @@ def batch_gradients(
     The alignment term acts between the batch's sketch rows and photo rows
     on the configured layer set; a batch missing one modality skips it (and
     with it the cross-modal part of the triplet term) with a warning, and
-    alpha = 0 skips its evaluation outright.
+    alpha = 0 skips its evaluation outright.  A non-finite loss term or
+    gradient raises FloatingPointError naming the term.
     """
     feats = features_of(batch)
     stack = forward(state, feats, task_id)
@@ -197,12 +207,15 @@ def batch_gradients(
     temperature = state.config.temperature
 
     l_id, d_probs = id_loss_grad(stack.probs, rows, smoothing)
+    _require_finite("l_id", l_id, d_probs)
     l_i2tce, d_emb_i2, d_protos_i2 = i2tce_loss_grad(stack.embedding, protos, rows, temperature)
+    _require_finite("l_i2tce", l_i2tce, d_emb_i2, d_protos_i2)
     try:
         l_tri, d_emb_tri = triplet_loss_grad(stack.embedding, identities, margin)
     except LossInputError as e:
         logger.warning("skipping triplet term: %s", e)
         l_tri, d_emb_tri = 0.0, np.zeros_like(stack.embedding)
+    _require_finite("l_tri", l_tri, d_emb_tri)
 
     n_hidden = len(state.config.hidden_dims)
     emb_idx = n_hidden
@@ -218,6 +231,7 @@ def batch_gradients(
         s_layers = [stack.layers[i][sketch_rows] for i in layer_set]
         p_layers = [stack.layers[i][photo_rows] for i in layer_set]
         l_jmmd, d_s, d_p = jmmd_with_grad(s_layers, p_layers, jmmd_spec)
+        _require_finite("l_jmmd", l_jmmd, *d_s, *d_p)
         for li, idx in enumerate(layer_set):
             buf = d_layers[idx]
             if buf is None:
@@ -271,9 +285,10 @@ def train_task(
 
     With replay active, odd epochs (1-based) run on new-task PK batches and
     even epochs on bank batches under the originating task's head.  The
-    halfway callback fires once half the budget is complete.
+    halfway callback fires once half the budget is complete.  A non-finite
+    loss or gradient raises FloatingPointError naming the task, the 1-based
+    epoch and the loss term.
     """
-    id_map = exp.id_maps[task.task_id]
     replay_tasks = exp.banks.task_ids() if use_replay else []
     replay_counter = 0
     epoch_losses: list[float] = []
@@ -282,44 +297,33 @@ def train_task(
         halfway_callback()
     for epoch in range(epochs):
         lr = lr_at(epoch, config.schedule)
-        is_replay = use_replay and (epoch + 1) % 2 == 0
-        losses = []
-        if is_replay:
-            replay_task = replay_tasks[replay_counter % len(replay_tasks)]
+        if use_replay and (epoch + 1) % 2 == 0:
+            head = replay_tasks[replay_counter % len(replay_tasks)]
             replay_counter += 1
-            for batch in replay_epoch_batches(
-                exp.banks, config.pk_p, config.pk_k, rng, task_id=replay_task
-            ):
-                breakdown, grads = batch_gradients(
-                    exp.encoder,
-                    batch,
-                    replay_task,
-                    exp.id_maps[replay_task],
-                    config.jmmd,
-                    config.triplet_margin,
-                    config.label_smoothing,
-                )
-                _apply_step(
-                    exp,
-                    grads,
-                    replay_task,
-                    lr,
-                    update_shared=not config.freeze_shared_on_replay,
-                )
-                losses.append(breakdown.l_sim)
+            batches = replay_epoch_batches(exp.banks, config.pk_p, config.pk_k, rng, task_id=head)
+            update_shared = not config.freeze_shared_on_replay
+            where = f"task {task.task_id} (replaying task {head})"
         else:
-            for batch in pk_epoch_batches(task.train, config.pk_p, config.pk_k, rng):
+            head = task.task_id
+            batches = pk_epoch_batches(task.train, config.pk_p, config.pk_k, rng)
+            update_shared = True
+            where = f"task {task.task_id}"
+        losses = []
+        for batch in batches:
+            try:
                 breakdown, grads = batch_gradients(
                     exp.encoder,
                     batch,
-                    task.task_id,
-                    id_map,
+                    head,
+                    exp.id_maps[head],
                     config.jmmd,
                     config.triplet_margin,
                     config.label_smoothing,
                 )
-                _apply_step(exp, grads, task.task_id, lr)
-                losses.append(breakdown.l_sim)
+            except FloatingPointError as e:
+                raise FloatingPointError(f"{where}, epoch {epoch + 1}: {e}") from e
+            _apply_step(exp, grads, head, lr, update_shared=update_shared)
+            losses.append(breakdown.l_sim)
         epoch_losses.append(float(np.mean(losses)))
         if epoch + 1 == halfway and halfway_callback is not None:
             halfway_callback()

@@ -138,6 +138,13 @@ class TestRun:
         assert code == 2
         assert "tasks" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("train", [{"triplet_margin": -5}, {"label_smoothing": 1.0}])
+    def test_bad_train_section_exit_2(self, tmp_path, capsys, train):
+        config = write_config(tmp_path / "config.json", train=train)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "runs")]) == 2
+        assert next(iter(train)) in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_unknown_arm_exit_2(self, tmp_path):
         config = write_config(tmp_path / "config.json", arms=["bogus"])
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "runs")]) == 2

@@ -7,6 +7,7 @@ from xmcl.losses import (
     JmmdSpec,
     LossBreakdown,
     LossInputError,
+    _sq_dists,
     cosine_logits,
     cosine_logits_backward,
     default_layer_set,
@@ -19,6 +20,7 @@ from xmcl.losses import (
     jmmd,
     jmmd_with_grad,
     median_bandwidth,
+    resolve_bandwidths,
     sim_loss,
     softmax,
     softmax_backward,
@@ -85,6 +87,64 @@ def triplet_oracle(emb, labels, margin):
         hn = min(d[a, j] for j in neg)
         losses.append(max(0.0, hp - hn + margin))
     return sum(losses) / len(losses)
+
+
+def triplet_loop_reference(emb, labels, margin):
+    """Per-anchor loop form of the batch-hard triplet loss and its gradient."""
+    emb = np.asarray(emb, np.float64)
+    labels = np.asarray(labels)
+    same = labels[:, None] == labels[None, :]
+    pos = same & ~np.eye(labels.size, dtype=bool)
+    neg = ~same
+    anchors = np.flatnonzero(pos.any(axis=1) & neg.any(axis=1))
+    dist = np.sqrt(np.maximum(_sq_dists(emb, emb), 1e-24))
+    grad = np.zeros_like(emb)
+    total = 0.0
+    for a in anchors:
+        p_idx = np.flatnonzero(pos[a])
+        n_idx = np.flatnonzero(neg[a])
+        hp = p_idx[np.argmax(dist[a, p_idx])]
+        hn = n_idx[np.argmin(dist[a, n_idx])]
+        hinge = dist[a, hp] - dist[a, hn] + margin
+        if hinge > 0:
+            total += hinge
+            u_p = (emb[a] - emb[hp]) / max(dist[a, hp], 1e-12)
+            u_n = (emb[a] - emb[hn]) / max(dist[a, hn], 1e-12)
+            grad[a] += u_p - u_n
+            grad[hp] -= u_p
+            grad[hn] += u_n
+    return total / anchors.size, grad / anchors.size
+
+
+def jmmd_block_reference(sketch_layers, photo_layers, bandwidths=None):
+    """Three-block form: separate J_ss, J_pp, J_sp kernels and gradient terms.
+
+    bandwidths=None takes the median heuristic over each pooled layer.
+    """
+    s = [np.atleast_2d(np.asarray(a, np.float64)) for a in sketch_layers]
+    p = [np.atleast_2d(np.asarray(b, np.float64)) for b in photo_layers]
+    if bandwidths is None:
+        bandwidths = [median_bandwidth(np.vstack([a, b])) for a, b in zip(s, p)]
+
+    def joint(xs, ys):
+        k = gaussian_kernel_matrix(xs[0], ys[0], bandwidths[0])
+        for a, b, bw in zip(xs[1:], ys[1:], bandwidths[1:]):
+            k = k * gaussian_kernel_matrix(a, b, bw)
+        return k
+
+    n_s, n_p = s[0].shape[0], p[0].shape[0]
+    j_ss, j_pp, j_sp = joint(s, s), joint(p, p), joint(s, p)
+    value = float(j_ss.mean() + j_pp.mean() - 2.0 * j_sp.mean())
+    d_s, d_p = [], []
+    for l, bw in enumerate(bandwidths):
+        w_ss, w_pp, w_sp = j_ss / bw**2, j_pp / bw**2, j_sp / bw**2
+        g_s = (2.0 / n_s**2) * (-(s[l] * w_ss.sum(axis=1)[:, None] - w_ss @ s[l]))
+        g_s += (-2.0 / (n_s * n_p)) * (-(s[l] * w_sp.sum(axis=1)[:, None] - w_sp @ p[l]))
+        g_p = (2.0 / n_p**2) * (-(p[l] * w_pp.sum(axis=1)[:, None] - w_pp @ p[l]))
+        g_p += (-2.0 / (n_s * n_p)) * (-(p[l] * w_sp.sum(axis=0)[:, None] - w_sp.T @ s[l]))
+        d_s.append(g_s)
+        d_p.append(g_p)
+    return value, d_s, d_p
 
 
 class TestGaussianKernel:
@@ -266,6 +326,40 @@ class TestJmmdGrad:
         assert np.all(np.isfinite(d_s[0]))
         assert np.all(np.isfinite(d_p[0]))
 
+    @pytest.mark.parametrize("median", [True, False])
+    def test_matches_block_reference(self, median):
+        rng = np.random.default_rng(20 if median else 21)
+        sizes = [(1, 1), (1, 7), (9, 1), (3, 11), (32, 32), (24, 40)]
+        sizes += [tuple(int(v) for v in rng.integers(1, 30, size=2)) for _ in range(44)]
+        worst = 0.0
+        for n_s, n_p in sizes:
+            dims = [int(rng.integers(2, 60)) for _ in range(3)]
+            s = [rng.normal(size=(n_s, d)) for d in dims]
+            p = [rng.normal(loc=0.5, size=(n_p, d)) for d in dims]
+            bws = None if median else [float(rng.uniform(0.5, 6.0)) for _ in dims]
+            spec = JmmdSpec() if median else JmmdSpec(bandwidths=bws)
+            value, d_s, d_p = jmmd_with_grad(s, p, spec)
+            ref_value, ref_s, ref_p = jmmd_block_reference(s, p, bws)
+            worst = max(worst, abs(value - ref_value))
+            for got, want in zip(d_s + d_p, ref_s + ref_p):
+                assert got.shape == want.shape
+                worst = max(worst, float(np.max(np.abs(got - want))))
+            assert jmmd(s, p, spec) == value
+        assert worst <= 1e-12
+
+    def test_median_bandwidths_equal_pooled_heuristic(self):
+        rng = np.random.default_rng(22)
+        s = [rng.normal(size=(5, d)) for d in (3, 4)]
+        p = [rng.normal(size=(2, d)) for d in (3, 4)]
+        d2s = [_sq_dists(z, z) for z in (np.vstack([a, b]) for a, b in zip(s, p))]
+        got = resolve_bandwidths(d2s, JmmdSpec())
+        assert got == [median_bandwidth(np.vstack([a, b])) for a, b in zip(s, p)]
+
+    def test_bandwidth_count_mismatch_rejected(self):
+        s = [np.ones((2, 3))] * 2
+        with pytest.raises(LossInputError):
+            jmmd_with_grad(s, s, JmmdSpec(bandwidths=[1.0]))
+
 
 class TestTripletLoss:
     def test_satisfied_margin_is_zero(self):
@@ -302,6 +396,49 @@ class TestTripletLoss:
         labels = np.array([0, 0, 1, 1, 2, 2, 0, 1])
         _, grad = triplet_loss_grad(emb, labels, margin=0.3)
         fd_matches(grad, lambda x: triplet_loss(x, labels, margin=0.3), emb)
+
+    def test_bit_identical_to_loop_reference(self):
+        rng = np.random.default_rng(23)
+        cases = 0
+        for trial in range(240):
+            p = int(rng.integers(2, 17))
+            k = 1 if trial % 10 == 0 else int(rng.integers(2, 5))
+            labels = np.repeat(rng.permutation(100)[:p], k)
+            if trial % 3 == 0:
+                labels = np.append(labels, 1000)  # a label with a single sample
+            labels = labels[rng.permutation(labels.size)]
+            emb = rng.normal(size=(labels.size, int(rng.integers(2, 9))))
+            if trial % 2 == 0:
+                emb = np.round(emb)  # many tied distances
+            margin = float(rng.choice([0.0, 0.3, 2.0]))
+            try:
+                got_loss, got_grad = triplet_loss_grad(emb, labels, margin)
+            except LossInputError:
+                continue  # e.g. k = 1: no anchor has a positive
+            want_loss, want_grad = triplet_loop_reference(emb, labels, margin)
+            assert got_loss == want_loss
+            assert np.array_equal(got_grad, want_grad)
+            assert triplet_loss(emb, labels, margin) == got_loss
+            cases += 1
+        assert cases >= 200
+
+    def test_single_sample_label_is_not_an_anchor(self):
+        # the lone label-9 sample has no positive; it only serves as a negative
+        emb = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 1.0], [3.0, 1.0], [0.1, 0.0]])
+        labels = np.array([0, 0, 1, 1, 9])
+        loss, grad = triplet_loss_grad(emb, labels, margin=0.3)
+        want_loss, want_grad = triplet_loop_reference(emb, labels, 0.3)
+        assert loss == want_loss > 0
+        assert np.array_equal(grad, want_grad)
+        assert np.any(grad[4] != 0)
+
+    def test_no_active_hinge_gives_zero_gradient(self):
+        emb = np.array([[0.0, 0.0], [0.0, 0.1], [5.0, 0.0], [5.0, 0.1]])
+        labels = np.array([0, 0, 1, 1])
+        loss, grad = triplet_loss_grad(emb, labels, margin=0.3)
+        assert loss == 0.0
+        assert np.array_equal(grad, np.zeros_like(emb))
+        assert triplet_loop_reference(emb, labels, 0.3)[0] == 0.0
 
 
 class TestIdLoss:

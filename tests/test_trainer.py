@@ -87,6 +87,22 @@ class TestLrSchedule:
             Schedule(warmup_epochs=100, epochs_first_task=60, epochs_later_tasks=30)
 
 
+class TestExperimentConfig:
+    @pytest.mark.parametrize("margin", [-5.0, -1e-9, float("nan"), float("inf")])
+    def test_bad_triplet_margin_rejected(self, margin):
+        with pytest.raises(ValueError, match="triplet_margin"):
+            ExperimentConfig(tasks=mini_specs(1), triplet_margin=margin)
+
+    @pytest.mark.parametrize("smoothing", [1.0, 1.5, -0.1, float("nan")])
+    def test_bad_label_smoothing_rejected(self, smoothing):
+        with pytest.raises(ValueError, match="label_smoothing"):
+            ExperimentConfig(tasks=mini_specs(1), label_smoothing=smoothing)
+
+    def test_boundary_values_accepted(self):
+        cfg = ExperimentConfig(tasks=mini_specs(1), triplet_margin=0.0, label_smoothing=0.0)
+        assert cfg.triplet_margin == 0.0 and cfg.label_smoothing == 0.0
+
+
 class TestAdam:
     def test_first_step_direction(self):
         adam = Adam(Schedule())
@@ -131,6 +147,51 @@ class TestBatchGradients:
             breakdown, _ = batch_gradients(state, photos, 0, id_map, JmmdSpec(alpha=5.0))
         assert breakdown.l_jmmd == 0.0
         assert any("lacks one modality" in r.message for r in caplog.records)
+
+
+    def test_nan_feature_names_the_term(self):
+        from xmcl.data import generate_synthetic_task, identity_index_map
+        from xmcl.encoder import EncoderConfig, init_encoder, register_task_head
+
+        task = generate_synthetic_task(mini_specs(1)[0])
+        state = init_encoder(EncoderConfig(input_dim=16, hidden_dims=(8,), embedding_dim=6, seed=0))
+        register_task_head(state, 0, 12, seed=1)
+        batch = task.train[:12]
+        batch[3].features[5] = np.nan
+        with pytest.raises(FloatingPointError, match="^non-finite l_id$"):
+            batch_gradients(state, batch, 0, identity_index_map(task.train), JmmdSpec())
+
+
+class TestNonFiniteFailsFast:
+    def test_nan_training_feature_stops_the_run(self, monkeypatch):
+        import xmcl.trainer as trainer
+
+        real = trainer.generate_synthetic_task
+
+        def poisoned(spec):
+            task = real(spec)
+            task.train[0].features[3] = np.nan
+            return task
+
+        monkeypatch.setattr(trainer, "generate_synthetic_task", poisoned)
+        with pytest.raises(FloatingPointError, match=r"^task 0, epoch \d+: non-finite l_id$"):
+            run_sequence(mini_config(num_tasks=1), master_seed=0)
+
+    def test_nan_in_bank_names_the_replayed_task(self):
+        from xmcl.data import generate_synthetic_task, identity_index_map
+        from xmcl.encoder import register_task_head
+        from xmcl.trainer import train_task
+
+        _, exp = run_sequence(mini_config(num_tasks=1, mpm=True), master_seed=2)
+        for entry in exp.banks.sketch.values():
+            entry.sample.features[0] = np.nan
+        task1 = generate_synthetic_task(mini_specs(2)[1])
+        register_task_head(exp.encoder, 1, len(task1.train_identities), seed=9)
+        exp.id_maps[1] = identity_index_map(task1.train)
+        with pytest.raises(
+            FloatingPointError, match=r"^task 1 \(replaying task 0\), epoch 2: non-finite l_id$"
+        ):
+            train_task(exp, task1, mini_config(), 2, np.random.default_rng(5), use_replay=True)
 
 
 class TestRunSequence:
