@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Filling the replay banks from a trained task and drawing replay batches."""
+"""Filling the replay banks from a trained task and drawing one replay epoch."""
 
 import numpy as np
 
@@ -11,7 +11,7 @@ from xmcl import (
     ingest_task,
     init_encoder,
     register_task_head,
-    replay_batch,
+    replay_epoch_batches,
     score_task,
 )
 
@@ -41,11 +41,14 @@ print(f"identity {one}: stored sketch unc = {banks.sketch[one].uncertainty:.3f} 
       "(the minimum over everything offered for that slot)")
 
 print()
-print("=== replay batches ===")
-batch = replay_batch(banks, p=4, k=4, rng=0)
-print(f"P=4, K=4 -> {len(batch)} samples, identities {sorted({s.identity for s in batch})}")
-modalities = [s.modality for s in batch[:4]]
+print("=== one replay epoch ===")
+epoch = replay_epoch_batches(banks, p=4, k=4, rng=0)
+for batch in epoch:
+    print(f"{len(batch)} samples, identities {sorted({s.identity for s in batch})}")
+print(f"P=4, K=4 over {len(banks.identities())} banked identities -> {len(epoch)} batches")
+modalities = [s.modality for s in epoch[0][:4]]
 print(f"one identity's K samples tile its stored pair: {modalities}")
 
-again = replay_batch(banks, p=4, k=4, rng=0)
-print("same seed -> same batch:", [s.identity for s in batch] == [s.identity for s in again])
+again = replay_epoch_batches(banks, p=4, k=4, rng=0)
+print("same seed -> same epoch:",
+      [s.identity for b in epoch for s in b] == [s.identity for b in again for s in b])

@@ -2,14 +2,22 @@
 """Driving the CLI end to end: gen-data, run with two arms, then report.
 
 Everything lands in a throwaway directory; rerunning reproduces every file
-byte for byte.
+byte for byte.  The script exits with the first failing step's exit code.
 """
 
 import json
+import sys
 import tempfile
 from pathlib import Path
 
 from xmcl.cli import main
+
+
+def step(*argv: str) -> None:
+    code = main(list(argv))
+    if code != 0:
+        sys.exit(code)
+
 
 work = Path(tempfile.mkdtemp(prefix="xmcl-demo-"))
 print(f"working in {work}\n")
@@ -28,7 +36,7 @@ spec = {
     "seed": 0,
 }
 (work / "task0.spec.json").write_text(json.dumps(spec))
-main(["gen-data", "--spec", str(work / "task0.spec.json"), "--out", str(work / "task0.jsonl")])
+step("gen-data", "--spec", str(work / "task0.spec.json"), "--out", str(work / "task0.jsonl"))
 
 config = {
     "tasks": [
@@ -53,13 +61,13 @@ config = {
 
 # 2. run both arms across two seeds
 print()
-main(["run", "--config", str(work / "config.json"), "--out", str(work / "runs")])
+step("run", "--config", str(work / "config.json"), "--out", str(work / "runs"))
 
 # 3. score a few probability vectors through the same conformal rule
 (work / "pi.jsonl").write_text("[0.6,0.3,0.1]\n[0.9,0.05,0.05]\n")
 print()
-main(["score", "--input", str(work / "pi.jsonl")])
+step("score", "--input", str(work / "pi.jsonl"))
 
 # 4. summarize medians over seeds per arm
 print()
-main(["report", str(work / "runs")])
+step("report", str(work / "runs"))

@@ -5,7 +5,6 @@ from .banks import (
     ReplayBanks,
     ingest_task,
     load_banks,
-    replay_batch,
     replay_epoch_batches,
     save_banks,
     score_task,
@@ -28,7 +27,6 @@ from .data import (
     generate_synthetic_task,
     load_task,
     pk_epoch_batches,
-    pk_sample,
     save_task,
 )
 from .encoder import (

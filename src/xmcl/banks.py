@@ -98,38 +98,6 @@ def ingest_task(
     return banks
 
 
-def replay_batch(
-    banks: ReplayBanks,
-    p: int,
-    k: int,
-    rng: np.random.Generator | int,
-    task_id: int | None = None,
-) -> list[Sample]:
-    """P identities, K stored samples each, cycling sketch/photo entries.
-
-    Identities come without replacement (all of them when fewer than P
-    exist); each identity's 1 or 2 stored samples are tiled up to K.
-    """
-    if banks.is_empty():
-        raise RuntimeError("both banks are empty; nothing to replay")
-    rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
-    ids = banks.identities(task_id)
-    if not ids:
-        raise RuntimeError(f"banks hold no identities for task {task_id}")
-    take = min(p, len(ids))
-    chosen = rng.choice(len(ids), size=take, replace=False)
-    batch: list[Sample] = []
-    for i in chosen:
-        identity = ids[int(i)]
-        pool = []
-        if identity in banks.sketch:
-            pool.append(banks.sketch[identity].sample)
-        if identity in banks.photo:
-            pool.append(banks.photo[identity].sample)
-        batch.extend(pool[j % len(pool)] for j in range(k))
-    return batch
-
-
 def replay_epoch_batches(
     banks: ReplayBanks,
     p: int,

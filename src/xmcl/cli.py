@@ -18,6 +18,9 @@ import dataclasses
 import json
 import os
 import sys
+import types
+import typing
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -30,82 +33,118 @@ from .trainer import ExperimentConfig, Schedule, report_to_csv, run_sequence
 
 ARMS = ("full", "no_mpm", "alpha_zero", "no_aux")
 
+# config-file sections that are one dataclass each
+_SECTIONS = {"schedule": Schedule, "cp": CpConfig, "jmmd": JmmdSpec}
+# every other ExperimentConfig field, keyed by its config-file key
+_FLAT_KEYS = {
+    "encoder.hidden_dims": "hidden_dims",
+    "encoder.embedding_dim": "embedding_dim",
+    "encoder.temperature": "temperature",
+    "pk.p": "pk_p",
+    "pk.k": "pk_k",
+    "mpm": "mpm",
+    "train.triplet_margin": "triplet_margin",
+    "train.label_smoothing": "label_smoothing",
+    "train.freeze_shared_on_replay": "freeze_shared_on_replay",
+    "eval.use_cosine": "use_cosine_eval",
+    "eval.swap_direction": "swap_eval_direction",
+}
+_GROUPS = {key.split(".")[0] for key in _FLAT_KEYS if "." in key}
+
 
 class ConfigError(ValueError):
     """Bad or missing configuration; maps to exit code 2."""
 
 
-def _require(payload: dict, key: str):
-    if key not in payload:
-        raise ConfigError(f"missing config key: {key!r}")
-    return payload[key]
+@dataclasses.dataclass(frozen=True)
+class RunSettings:
+    """Which arms and master seeds ``xmcl run`` trains; its flags override these."""
+
+    arms: tuple[str, ...] = ("full",)
+    seed: int = 0
+    seeds: int = 1
+    reverse_order: bool = False
+
+    def __post_init__(self) -> None:
+        for arm in self.arms:
+            if arm not in ARMS:
+                raise ConfigError(f"unknown arm {arm!r}; choose from {ARMS}")
+        if self.seeds < 1:
+            raise ConfigError(f"seeds must be >= 1, got {self.seeds}")
 
 
-def _build_dataclass(cls, payload: dict, what: str):
+def _typed(value, hint, what: str):
+    """value if its JSON type matches the annotation hint (lists become tuples)."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        for option in args:
+            try:
+                return _typed(value, option, what)
+            except ConfigError:
+                pass
+    elif origin in (tuple, Sequence):
+        if isinstance(value, list):
+            return tuple(_typed(v, args[0], what) for v in value)
+    elif isinstance(value, (int, float) if hint is float else hint) and (
+        hint is bool or not isinstance(value, bool)
+    ):
+        return float(value) if hint is float else value
+    raise ConfigError(f"{what} must be {getattr(hint, '__name__', hint)}, got {value!r}")
+
+
+def _build(cls, payload, where: str, rename: dict[str, str] | None = None, **given):
+    """cls from one config-file object, with defaults from cls's own fields.
+
+    An omitted key keeps the field's default; an unknown key or a value of
+    the wrong JSON type is a ConfigError naming the key.  rename maps file
+    keys to field names; given supplies fields that are already built.
+    """
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{where} must be an object, got {payload!r}")
+    hints = typing.get_type_hints(cls)
+    rename = rename or {f.name: f.name for f in dataclasses.fields(cls)}
+    kwargs = dict(given)
+    for key, value in payload.items():
+        if key not in rename:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+        kwargs[rename[key]] = _typed(value, hints[rename[key]], f"key {key!r} in {where}")
     try:
-        return cls(**payload)
-    except TypeError as e:
-        raise ConfigError(f"bad {what} section: {e}") from e
+        return cls(**kwargs)
     except ValueError as e:
-        raise ConfigError(f"bad {what} section: {e}") from e
+        raise ConfigError(f"bad {where}: {e}") from e
 
 
-def parse_experiment_config(payload: dict) -> tuple[ExperimentConfig, dict]:
+def _task(entry, where: str) -> SynthSpec | str:
+    if isinstance(entry, dict) and "path" in entry:
+        if extra := sorted(set(entry) - {"path"}):
+            raise ConfigError(f"unknown key(s) {extra} in {where}: a path entry takes only 'path'")
+        return _typed(entry["path"], str, f"key 'path' in {where}")
+    return _build(SynthSpec, entry, where)
+
+
+def parse_experiment_config(payload: dict) -> tuple[ExperimentConfig, RunSettings]:
     """Translate a config-file dict into an ExperimentConfig plus run settings."""
-    tasks: list[SynthSpec | str] = []
-    for i, entry in enumerate(_require(payload, "tasks")):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"tasks[{i}] must be an object")
-        if "path" in entry:
-            tasks.append(str(entry["path"]))
-        else:
-            tasks.append(_build_dataclass(SynthSpec, entry, f"tasks[{i}]"))
-    if not tasks:
-        raise ConfigError("config key 'tasks' must name at least one task")
-
-    schedule = _build_dataclass(Schedule, payload.get("schedule", {}), "schedule")
-    cp = _build_dataclass(CpConfig, payload.get("cp", {}), "cp")
-    jmmd_payload = dict(payload.get("jmmd", {}))
-    if "layer_set" in jmmd_payload and jmmd_payload["layer_set"] is not None:
-        jmmd_payload["layer_set"] = tuple(jmmd_payload["layer_set"])
-    jmmd = _build_dataclass(JmmdSpec, jmmd_payload, "jmmd")
-
-    encoder = payload.get("encoder", {})
-    pk = payload.get("pk", {})
-    train = payload.get("train", {})
-    eval_opts = payload.get("eval", {})
-    try:
-        config = ExperimentConfig(
-            tasks=tasks,
-            schedule=schedule,
-            cp=cp,
-            jmmd=jmmd,
-            hidden_dims=tuple(encoder.get("hidden_dims", (128, 128))),
-            embedding_dim=int(encoder.get("embedding_dim", 64)),
-            temperature=float(encoder.get("temperature", 0.07)),
-            pk_p=int(pk.get("p", 16)),
-            pk_k=int(pk.get("k", 4)),
-            mpm=bool(payload.get("mpm", True)),
-            triplet_margin=float(train.get("triplet_margin", 0.3)),
-            label_smoothing=float(train.get("label_smoothing", 0.1)),
-            use_cosine_eval=bool(eval_opts.get("use_cosine", False)),
-            swap_eval_direction=bool(eval_opts.get("swap_direction", False)),
-            freeze_shared_on_replay=bool(train.get("freeze_shared_on_replay", False)),
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-
-    arms = payload.get("arms", ["full"])
-    for arm in arms:
-        if arm not in ARMS:
-            raise ConfigError(f"unknown arm {arm!r}; choose from {ARMS}")
-    settings = {
-        "arms": list(arms),
-        "seed": int(payload.get("seed", 0)),
-        "seeds": int(payload.get("seeds", 1)),
-        "reverse_order": bool(payload.get("reverse_order", False)),
+    if not isinstance(payload, dict):
+        raise ConfigError("a config file must hold a JSON object")
+    entries = payload.get("tasks")
+    if not isinstance(entries, list) or not entries:
+        raise ConfigError("config key 'tasks' must list at least one task")
+    tasks = [_task(entry, f"tasks[{i}]") for i, entry in enumerate(entries)]
+    sections = {
+        name: _build(cls, payload.get(name, {}), name) for name, cls in _SECTIONS.items()
     }
-    return config, settings
+    flat, run = {}, {}
+    for key, value in payload.items():
+        if key in _GROUPS:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{key} must be an object, got {value!r}")
+            flat.update({f"{key}.{k}": v for k, v in value.items()})
+        elif key in _FLAT_KEYS:
+            flat[key] = value
+        elif key not in ("tasks", *_SECTIONS):
+            run[key] = value
+    config = _build(ExperimentConfig, flat, "config file", _FLAT_KEYS, tasks=tasks, **sections)
+    return config, _build(RunSettings, run, "config file")
 
 
 def arm_config(base: ExperimentConfig, arm: str) -> ExperimentConfig:
@@ -130,7 +169,7 @@ def arm_config(base: ExperimentConfig, arm: str) -> ExperimentConfig:
 
 def cmd_gen_data(args) -> int:
     payload = json.loads(Path(args.spec).read_text())
-    spec = _build_dataclass(SynthSpec, payload, "task spec")
+    spec = _build(SynthSpec, payload, "task spec")
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     dataset = generate_synthetic_task(spec)
@@ -146,20 +185,15 @@ def cmd_gen_data(args) -> int:
 
 def cmd_run(args) -> int:
     config, settings = parse_experiment_config(json.loads(Path(args.config).read_text()))
-    arms = args.arm or settings["arms"]
-    for arm in arms:
-        if arm not in ARMS:
-            raise ConfigError(f"unknown arm {arm!r}; choose from {ARMS}")
-    seed = settings["seed"] if args.seed is None else args.seed
-    seeds = settings["seeds"] if args.seeds is None else args.seeds
-    reverse = settings["reverse_order"] or args.reverse_order
-    if reverse:
+    flags = dict(arms=args.arm, seed=args.seed, seeds=args.seeds, reverse_order=args.reverse_order)
+    settings = dataclasses.replace(settings, **{k: v for k, v in flags.items() if v is not None})
+    if settings.reverse_order:
         config = dataclasses.replace(config, tasks=list(reversed(config.tasks)))
     out_root = Path(args.out)
-    for arm in arms:
+    for arm in settings.arms:
         cfg = arm_config(config, arm)
-        for i in range(seeds):
-            master = seed + i
+        for i in range(settings.seeds):
+            master = settings.seed + i
             report, exp = run_sequence(cfg, master)
             report["arm"] = arm
             run_dir = out_root / arm / f"seed_{master}"
@@ -327,11 +361,6 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _env_int(name: str) -> int | None:
-    value = os.environ.get(name)
-    return int(value) if value else None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xmcl",
@@ -343,24 +372,27 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen-data", help="render a synthetic task spec to a task file")
     g.add_argument("--spec", required=True, help="JSON file with SynthSpec fields")
     g.add_argument("--out", required=True, help="output task file (JSONL)")
-    g.add_argument("--seed", type=int, default=_env_int("XMCL_SEED"))
+    g.add_argument("--seed", type=int, default=os.getenv("XMCL_SEED") or None)
     g.set_defaults(func=cmd_gen_data)
 
     r = sub.add_parser("run", help="run every configured arm x seed")
     r.add_argument("--config", required=True, help="experiment config (JSON)")
     r.add_argument("--out", default=os.environ.get("XMCL_OUT", "runs"), help="output directory")
-    r.add_argument("--seed", type=int, default=_env_int("XMCL_SEED"), help="master seed")
-    r.add_argument("--seeds", type=int, default=_env_int("XMCL_SEEDS"), help="seed count")
-    r.add_argument("--reverse-order", action="store_true", help="train tasks in reverse")
+    # environment strings go through type=int only when this subcommand runs
+    r.add_argument("--seed", type=int, default=os.getenv("XMCL_SEED") or None, help="master seed")
+    r.add_argument("--seeds", type=int, default=os.getenv("XMCL_SEEDS") or None, help="seed count")
+    r.add_argument(
+        "--reverse-order", action="store_true", default=None, help="train tasks in reverse"
+    )
     r.add_argument("--arm", action="append", choices=ARMS, help="restrict arms (repeatable)")
     r.set_defaults(func=cmd_run)
 
     s = sub.add_parser("score", help="conformal-score probability vectors")
     s.add_argument("--input", required=True, help="JSONL: one probability vector per line")
     s.add_argument("--out", help="output JSONL (default: stdout)")
-    s.add_argument("--lam", type=float, default=0.3)
-    s.add_argument("--k-reg", type=int, default=10)
-    s.add_argument("--tau", type=float, default=5.0)
+    s.add_argument("--lam", type=float, default=CpConfig.lam)
+    s.add_argument("--k-reg", type=int, default=CpConfig.k_reg)
+    s.add_argument("--tau", type=float, default=CpConfig.tau)
     s.set_defaults(func=cmd_score)
 
     p = sub.add_parser("report", help="summarize a run directory")

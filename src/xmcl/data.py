@@ -269,25 +269,6 @@ def _draw_k(pool: list[Sample], k: int, rng: np.random.Generator) -> list[Sample
     return [pool[int(i)] for i in idx]
 
 
-def pk_sample(
-    train: list[Sample], p: int, k: int, rng: np.random.Generator | int
-) -> list[Sample]:
-    """One batch of P distinct identities with K samples each.
-
-    Identities with fewer than K samples are upsampled with replacement.
-    """
-    rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
-    groups = _by_identity(train)
-    ids = list(groups)
-    if len(ids) < p:
-        raise ValueError(f"need at least {p} identities, train split has {len(ids)}")
-    chosen = rng.choice(len(ids), size=p, replace=False)
-    batch: list[Sample] = []
-    for i in chosen:
-        batch.extend(_draw_k(groups[ids[int(i)]], k, rng))
-    return batch
-
-
 def pk_epoch_batches(
     train: list[Sample], p: int, k: int, rng: np.random.Generator | int
 ) -> list[list[Sample]]:

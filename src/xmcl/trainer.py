@@ -135,9 +135,9 @@ class ExperimentConfig:
     schedule: Schedule = Schedule()
     cp: CpConfig = CpConfig()
     jmmd: JmmdSpec = field(default_factory=JmmdSpec)
-    hidden_dims: tuple[int, ...] = (128, 128)
-    embedding_dim: int = 64
-    temperature: float = 0.07
+    hidden_dims: tuple[int, ...] = EncoderConfig.hidden_dims
+    embedding_dim: int = EncoderConfig.embedding_dim
+    temperature: float = EncoderConfig.temperature
     pk_p: int = 16
     pk_k: int = 4
     mpm: bool = True

@@ -8,7 +8,7 @@ from xmcl.banks import (
     ReplayBanks,
     ingest_task,
     load_banks,
-    replay_batch,
+    replay_epoch_batches,
     save_banks,
     score_task,
     update_bank,
@@ -90,7 +90,7 @@ class TestUpdateBank:
 class TestReplayBatch:
     def test_tiling_single_identity(self):
         banks = mk_banks((1, "sketch", 2.0), (1, "photo", 2.5))
-        batch = replay_batch(banks, p=1, k=4, rng=0)
+        (batch,) = replay_epoch_batches(banks, p=1, k=4, rng=0)
         assert len(batch) == 4
         assert {s.modality for s in batch} == {"sketch", "photo"}
         stored = {banks.sketch[1].sample.features.tobytes(), banks.photo[1].sample.features.tobytes()}
@@ -99,39 +99,42 @@ class TestReplayBatch:
     def test_pk_shape(self):
         entries = [(i, m, 2.0) for i in range(20) for m in ("sketch", "photo")]
         banks = mk_banks(*entries)
-        batch = replay_batch(banks, p=16, k=4, rng=1)
-        assert len(batch) == 64
-        assert len({s.identity for s in batch}) == 16
+        batches = replay_epoch_batches(banks, p=16, k=4, rng=1)
+        assert len(batches[0]) == 64
+        assert len({s.identity for s in batches[0]}) == 16
+        # every banked identity is replayed, each in exactly one batch
+        chunks = [{s.identity for s in batch} for batch in batches]
+        assert sorted(i for chunk in chunks for i in chunk) == list(range(20))
 
     def test_deterministic_per_seed(self):
         entries = [(i, "sketch", 2.0) for i in range(10)]
         banks = mk_banks(*entries)
-        a = replay_batch(banks, p=4, k=2, rng=7)
-        b = replay_batch(banks, p=4, k=2, rng=7)
+        a = sum(replay_epoch_batches(banks, p=4, k=2, rng=7), [])
+        b = sum(replay_epoch_batches(banks, p=4, k=2, rng=7), [])
         assert [s.identity for s in a] == [s.identity for s in b]
 
     def test_purity_only_bank_samples(self):
         entries = [(i, m, 2.0) for i in range(6) for m in ("sketch", "photo")]
         banks = mk_banks(*entries)
         stored = {e.sample.features.tobytes() for e in (*banks.sketch.values(), *banks.photo.values())}
-        batch = replay_batch(banks, p=6, k=5, rng=3)
-        assert {s.features.tobytes() for s in batch} <= stored
+        batches = replay_epoch_batches(banks, p=4, k=5, rng=3)
+        assert {s.features.tobytes() for batch in batches for s in batch} <= stored
 
     def test_fewer_identities_than_p(self):
         banks = mk_banks((0, "sketch", 2.0), (1, "sketch", 2.0))
-        batch = replay_batch(banks, p=16, k=2, rng=0)
+        (batch,) = replay_epoch_batches(banks, p=16, k=2, rng=0)
         assert len(batch) == 4
 
     def test_empty_banks_rejected(self):
         with pytest.raises(RuntimeError):
-            replay_batch(ReplayBanks(), p=4, k=2, rng=0)
+            replay_epoch_batches(ReplayBanks(), p=4, k=2, rng=0)
 
     def test_task_filter(self):
         banks = ReplayBanks()
         update_bank(banks, mk_sample(1), 2.0, task_id=0)
         update_bank(banks, mk_sample(2), 2.0, task_id=1)
-        batch = replay_batch(banks, p=4, k=1, rng=0, task_id=0)
-        assert {s.identity for s in batch} == {1}
+        batches = replay_epoch_batches(banks, p=4, k=1, rng=0, task_id=0)
+        assert {s.identity for batch in batches for s in batch} == {1}
 
 
 class TestScoreTask:

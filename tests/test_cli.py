@@ -1,11 +1,16 @@
+import dataclasses
+import importlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from xmcl.cli import main
-from xmcl.data import load_task
+from xmcl import standard_two_task_config
+from xmcl.cli import _FLAT_KEYS, _SECTIONS, RunSettings, main, parse_experiment_config
+from xmcl.data import SynthSpec, load_task
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -65,6 +70,26 @@ SPEC_PAYLOAD = {
     "num_test_ids": 3,
     "seed": 5,
 }
+
+
+# config overrides that xmcl run must reject, and the key its error names
+BAD_CONFIGS = [
+    ({"tasks": [{"task_idd": 0}]}, "task_idd"),
+    ({"schedule": {"epochs_frist_task": 3}}, "epochs_frist_task"),
+    ({"cp": {"lamda": 0.3}}, "lamda"),
+    ({"jmmd": {"alhpa": 1.0}}, "alhpa"),
+    ({"encoder": {"hidden_dim": [4]}}, "encoder.hidden_dim"),
+    ({"pk": {"p": 4, "kk": 2}}, "pk.kk"),
+    ({"train": {"triplet_marign": 0.9}}, "train.triplet_marign"),
+    ({"eval": {"use_cosin": True}}, "eval.use_cosin"),
+    ({"colour": "red"}, "colour"),
+    ({"mpm": "false"}, "mpm"),
+    ({"pk": {"p": 2.9, "k": 2}}, "pk.p"),
+    ({"encoder": {"hidden_dims": 5}}, "encoder.hidden_dims"),
+    ({"tasks": [{"path": "task.jsonl", "modality_gap": 1.0}]}, "modality_gap"),
+    ({"seeds": 0}, "seeds"),
+    ({"seed": True}, "seed"),
+]
 
 
 class TestGenData:
@@ -148,6 +173,71 @@ class TestRun:
     def test_unknown_arm_exit_2(self, tmp_path):
         config = write_config(tmp_path / "config.json", arms=["bogus"])
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "runs")]) == 2
+
+    @pytest.mark.parametrize("overrides, key", BAD_CONFIGS, ids=[k for _, k in BAD_CONFIGS])
+    def test_bad_config_exit_2(self, tmp_path, capsys, overrides, key):
+        config = write_config(tmp_path / "config.json", **overrides)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "runs")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("seeds_flag, env", [(["--seeds", "0"], None), ([], "0")])
+    def test_zero_seeds_exit_2(self, tmp_path, capsys, monkeypatch, seeds_flag, env):
+        if env is not None:
+            monkeypatch.setenv("XMCL_SEEDS", env)
+        config = write_config(tmp_path / "config.json")
+        argv = ["run", "--config", str(config), "--out", str(tmp_path / "runs"), *seeds_flag]
+        assert main(argv) == 2
+        assert "seeds" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_bad_seed_env_fails_only_the_run(self, tmp_path, monkeypatch):
+        out = TestReport().run_once(tmp_path, arms=("full",))
+        monkeypatch.setenv("XMCL_SEEDS", "abc")
+        assert main(["report", str(out)]) == 0
+        config = tmp_path / "config.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(config), "--out", str(tmp_path / "runs2")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "runs2").exists()
+
+
+def readme_config_block() -> dict:
+    text = (ROOT / "README.md").read_text()
+    block = text.split("### Config format", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    return json.loads(block)
+
+
+class TestConfigDefaults:
+    def test_readme_block_shows_the_code_defaults(self):
+        block = readme_config_block()
+        assert SynthSpec(**block["tasks"][0]) == SynthSpec()
+        config, settings = parse_experiment_config(block)
+        defaults, default_settings = parse_experiment_config({"tasks": [{}]})
+        assert dataclasses.replace(config, tasks=defaults.tasks) == defaults
+        assert settings == default_settings
+        # and it lists every settable key
+        assert set(block["tasks"][0]) == {f.name for f in dataclasses.fields(SynthSpec)}
+        listed = set()
+        for key, value in block.items():
+            listed |= {f"{key}.{sub}" for sub in value} if isinstance(value, dict) else {key}
+        sections = {f"{n}.{f.name}" for n, c in _SECTIONS.items() for f in dataclasses.fields(c)}
+        run_keys = {f.name for f in dataclasses.fields(RunSettings)}
+        assert listed == {"tasks", *sections, *_FLAT_KEYS, *run_keys}
+
+    def test_integer_fills_float_field(self):
+        config, _ = parse_experiment_config({"tasks": [{"modality_gap": 1}], "cp": {"tau": 4}})
+        for value in (config.tasks[0].modality_gap, config.cp.tau):
+            assert isinstance(value, float)
+        assert (config.tasks[0].modality_gap, config.cp.tau) == (1.0, 4.0)
+
+    def test_bench_payloads_parse_back(self, monkeypatch):
+        # the benchmark writes its configs in the file format through config_payload
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        for config in (standard_two_task_config(), workloads.wide_three_task_config()):
+            payload = json.loads(json.dumps(workloads.config_payload(config)))
+            assert parse_experiment_config(payload)[0] == config
 
 
 class TestScore:

@@ -14,7 +14,6 @@ from xmcl.data import (
     labels_of,
     load_task,
     pk_epoch_batches,
-    pk_sample,
     save_task,
 )
 
@@ -193,28 +192,29 @@ class TestPkSampling:
         return samples
 
     def test_shape_16x4(self):
-        batch = pk_sample(self.make_train(), p=16, k=4, rng=0)
-        assert len(batch) == 64
-        assert len({s.identity for s in batch}) == 16
+        batches = pk_epoch_batches(self.make_train(), p=16, k=4, rng=0)
+        for batch in batches:
+            assert len(batch) == 64
+            assert len({s.identity for s in batch}) == 16
 
     def test_upsample_single_sample_identity(self):
         samples = [Sample(0, "sketch", np.zeros(2), "train")]
         samples += [Sample(1, "photo", np.array([1.0, 1.0]), "train") for _ in range(4)]
-        batch = pk_sample(samples, p=2, k=4, rng=1)
+        (batch,) = pk_epoch_batches(samples, p=2, k=4, rng=1)
         zero = [s for s in batch if s.identity == 0]
         assert len(zero) == 4
         assert all(s is samples[0] for s in zero)
 
     def test_deterministic_per_seed(self):
         train = self.make_train()
-        a = pk_sample(train, 8, 4, rng=42)
-        b = pk_sample(train, 8, 4, rng=42)
+        a = sum(pk_epoch_batches(train, 8, 4, rng=42), [])
+        b = sum(pk_epoch_batches(train, 8, 4, rng=42), [])
         assert [s.identity for s in a] == [s.identity for s in b]
         assert [s.features.tobytes() for s in a] == [s.features.tobytes() for s in b]
 
     def test_too_few_identities_rejected(self):
         with pytest.raises(ValueError):
-            pk_sample(self.make_train(num_ids=5), p=16, k=4, rng=0)
+            pk_epoch_batches(self.make_train(num_ids=5), p=16, k=4, rng=0)
 
     def test_epoch_covers_every_identity_before_repeating(self):
         train = self.make_train(num_ids=21)
