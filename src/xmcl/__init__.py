@@ -18,6 +18,7 @@ from .conformal import (
     cp_scores,
     prediction_set,
     rank_and_cumulate,
+    uncertainties,
     uncertainty,
 )
 from .data import (

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .conformal import CpConfig, uncertainty
+from .conformal import CpConfig, uncertainties
 from .data import Sample, TaskDataset, features_of
 from .encoder import EncoderState, forward
 
@@ -66,10 +66,7 @@ def score_task(
     if not task.train:
         return []
     stack = forward(state, features_of(task.train), task.task_id)
-    return [
-        (sample, uncertainty(stack.probs[i], cp_config))
-        for i, sample in enumerate(task.train)
-    ]
+    return list(zip(task.train, uncertainties(stack.probs, cp_config).tolist()))
 
 
 def update_bank(

@@ -156,6 +156,12 @@ class ExperimentConfig:
             raise ValueError(f"triplet_margin must be finite and >= 0, got {self.triplet_margin}")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
+        top = len(self.hidden_dims) + 1
+        outside = [i for i in self.jmmd.layer_set or () if not 0 <= i <= top]
+        if outside:
+            raise ValueError(
+                f"jmmd.layer_set indices {outside} outside the activation stack [0, {top}]"
+            )
 
 
 @dataclass
@@ -351,6 +357,11 @@ def _resolve_tasks(config: ExperimentConfig, master_seed: int) -> list[TaskDatas
     return tasks
 
 
+def _epoch_budget(config: ExperimentConfig, pos: int) -> int:
+    schedule = config.schedule
+    return schedule.epochs_first_task if pos == 0 else schedule.epochs_later_tasks
+
+
 def run_sequence(config: ExperimentConfig, master_seed: int) -> tuple[dict, ExperimentState]:
     """Train all tasks in order, evaluating every task at each grid point.
 
@@ -359,6 +370,12 @@ def run_sequence(config: ExperimentConfig, master_seed: int) -> tuple[dict, Expe
     report dict plus the final experiment state (encoder, banks, history).
     """
     tasks = _resolve_tasks(config, master_seed)
+    for pos, task in enumerate(tasks):
+        if _epoch_budget(config, pos) > 0 and len(task.train_identities) < config.pk_p:
+            raise ValueError(
+                f"pk_p={config.pk_p} needs at least {config.pk_p} train identities, "
+                f"task {task.task_id} has {len(task.train_identities)}"
+            )
     enc_config = EncoderConfig(
         input_dim=tasks[0].feature_dim,
         hidden_dims=config.hidden_dims,
@@ -405,11 +422,7 @@ def run_sequence(config: ExperimentConfig, master_seed: int) -> tuple[dict, Expe
             exp.encoder, task.task_id, len(task.train_identities), head_seed
         )
         exp.id_maps[task.task_id] = identity_index_map(task.train)
-        epochs = (
-            config.schedule.epochs_first_task
-            if pos == 0
-            else config.schedule.epochs_later_tasks
-        )
+        epochs = _epoch_budget(config, pos)
         rng = _stream(master_seed, _TAG_BATCHES, task.task_id)
         use_replay = config.mpm and pos > 0 and not exp.banks.is_empty()
         if epochs > 0:

@@ -164,6 +164,19 @@ class TestScoreTask:
         for _, unc in scored:
             assert 1.0 <= unc <= min(c, 26) + 1.0
 
+    def test_matches_per_sample_prediction_set(self):
+        from xmcl.conformal import prediction_set
+        from xmcl.data import features_of
+        from xmcl.encoder import forward
+
+        task, state = self.make_task_and_state()
+        probs = forward(state, features_of(task.train), 0).probs
+        for config in (CpConfig(), CpConfig(lam=0.05, k_reg=2, tau=0.6)):
+            scored = score_task(state, task, config)
+            assert [s for s, _ in scored] == task.train
+            assert [u for _, u in scored] == [prediction_set(p, config).unc for p in probs]
+            assert all(type(u) is float for _, u in scored)
+
     def test_duplicate_samples_identical_uncertainty(self):
         task, state = self.make_task_and_state()
         task.train.append(task.train[0])

@@ -89,6 +89,7 @@ BAD_CONFIGS = [
     ({"tasks": [{"path": "task.jsonl", "modality_gap": 1.0}]}, "modality_gap"),
     ({"seeds": 0}, "seeds"),
     ({"seed": True}, "seed"),
+    ({"jmmd": {"layer_set": [99]}}, "layer_set"),
 ]
 
 
@@ -179,6 +180,21 @@ class TestRun:
         config = write_config(tmp_path / "config.json", **overrides)
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "runs")]) == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_pk_p_above_a_later_task_exit_2_before_training(self, tmp_path, capsys, monkeypatch):
+        import xmcl.trainer
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the config was checked")
+
+        monkeypatch.setattr(xmcl.trainer, "train_task", no_training)
+        config = write_config(tmp_path / "config.json")
+        payload = json.loads(config.read_text())
+        payload["tasks"][1]["num_train_ids"] = 3
+        config.write_text(json.dumps(payload))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "runs")]) == 2
+        assert "pk_p=4" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("seeds_flag, env", [(["--seeds", "0"], None), ([], "0")])

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from xmcl.conformal import (
+    _ROW_BLOCK,
     CpConfig,
     SimplexError,
     cp_score,
     cp_scores,
     prediction_set,
     rank_and_cumulate,
+    uncertainties,
     uncertainty,
 )
 
@@ -189,6 +191,70 @@ class TestUncertainty:
             cfg = CpConfig(tau=float(rng.uniform(0.5, 6.0)))
             *_, unc = oracle_prediction_set(pi.tolist(), cfg)
             assert np.isclose(uncertainty(pi, cfg), unc)
+
+
+class TestUncertainties:
+    """The batched pass against per-row prediction_set and the loop oracle."""
+
+    def check(self, probs, config):
+        got = uncertainties(probs, config)
+        assert np.array_equal(got, [prediction_set(row, config).unc for row in probs])
+        assert np.array_equal(got, [oracle_prediction_set(row.tolist(), config)[4] for row in probs])
+
+    def test_random_rows_and_configs(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            c = int(rng.integers(2, 60))
+            probs = np.array([random_simplex(rng, c) for _ in range(int(rng.integers(1, 30)))])
+            config = CpConfig(lam=float(rng.uniform(0, 1)), k_reg=int(rng.integers(1, 20)),
+                              tau=float(rng.uniform(0.2, 6.0)))
+            self.check(probs, config)
+
+    def test_tied_probabilities(self):
+        rng = np.random.default_rng(42)
+        raw = rng.integers(1, 4, size=(50, 12)).astype(float)
+        self.check(raw / raw.sum(axis=1, keepdims=True), CpConfig(lam=0.3, k_reg=3, tau=1.5))
+        self.check(np.full((3, 100), 0.01), CpConfig())
+        # a score equal to tau is in the set
+        self.check(np.array([[0.5, 0.25, 0.25]]), CpConfig(tau=0.75))
+        assert uncertainties(np.array([[0.5, 0.25, 0.25]]), CpConfig(tau=0.75))[0] == 2.25
+
+    def test_empty_sets(self):
+        rng = np.random.default_rng(43)
+        probs = np.array([random_simplex(rng, 8) for _ in range(20)])
+        config = CpConfig(tau=float(probs.max(axis=1).min()) / 2)
+        assert not uncertainties(probs, config).any()
+        self.check(probs, config)
+
+    @pytest.mark.parametrize(
+        "config", [CpConfig(lam=0.0), CpConfig(k_reg=7), CpConfig(k_reg=50, tau=0.9)],
+        ids=["lam_0", "k_reg_eq_C", "k_reg_gt_C"],
+    )
+    def test_penalty_edges(self, config):
+        rng = np.random.default_rng(44)
+        self.check(np.array([random_simplex(rng, 7) for _ in range(30)]), config)
+
+    def test_one_class(self):
+        self.check(np.ones((4, 1)), CpConfig())
+        assert np.array_equal(uncertainties(np.ones((4, 1))), np.ones(4))
+
+    def test_rows_across_blocks(self):
+        rng = np.random.default_rng(45)
+        n = 2 * _ROW_BLOCK + 3
+        self.check(np.array([random_simplex(rng, 25) for _ in range(n)]), CpConfig(tau=2.0))
+
+    def test_no_rows(self):
+        assert uncertainties(np.empty((0, 5))).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "probs",
+        [np.full(3, 1 / 3), np.empty((2, 0)), np.array([[0.5, 0.5], [1.2, -0.2]]),
+         np.array([[0.5, 0.5], [0.5, 0.4]]), np.array([[0.5, 0.5], [np.nan, 1.0]])],
+        ids=["one_d", "no_classes", "negative", "bad_sum", "nan"],
+    )
+    def test_rejects_non_distributions(self, probs):
+        with pytest.raises(SimplexError):
+            uncertainties(probs)
 
 
 class TestCpConfig:

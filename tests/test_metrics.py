@@ -1,9 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from xmcl.data import SynthSpec, generate_synthetic_task
 from xmcl.encoder import EncoderConfig, init_encoder
+from xmcl.losses import _sq_dists
 from xmcl.metrics import (
+    _PAIR_BLOCK,
+    CMC_KS,
     MetricsRecord,
     aggregate,
     average_precision,
@@ -35,6 +40,39 @@ def brute_force_metrics(q_emb, q_ids, g_emb, g_ids):
     return sum(aps) / len(aps), cmc
 
 
+def fraction_ap(rel):
+    """AP summed in exact rationals, rounded once."""
+    acc, hits = Fraction(0), 0
+    for position, flag in enumerate(rel, start=1):
+        if flag:
+            hits += 1
+            acc += Fraction(hits, position)
+    return float(acc / hits)
+
+
+def lexsort_fraction_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=False):
+    """Per-row lexsort ranking with Fraction AP: the sort-based reference."""
+    if use_cosine:
+        qn = q_emb / np.linalg.norm(q_emb, axis=1, keepdims=True)
+        gn = g_emb / np.linalg.norm(g_emb, axis=1, keepdims=True)
+        distances = 1.0 - qn @ gn.T
+    else:
+        distances = np.sqrt(_sq_dists(q_emb, g_emb))
+    n_g = distances.shape[1]
+    aps, first_hit = [], []
+    for q, row in enumerate(distances):
+        rel = g_ids[np.lexsort((np.arange(n_g), row))] == q_ids[q]
+        if rel.any():
+            aps.append(fraction_ap(rel))
+            first_hit.append(int(np.flatnonzero(rel)[0]) + 1)
+    first = np.array(first_hit)
+    return float(np.mean(aps)), {k: float((first <= k).mean()) for k in CMC_KS}, len(aps)
+
+
+# ties: coarse integer embeddings; wide: Q != G with G in the hundreds
+REFERENCE_CASES = ["ties", "ties_cosine", "continuous", "cosine", "no_relevant", "single_relevant", "wide"]
+
+
 class TestAveragePrecision:
     def test_relevant_first_only(self):
         assert average_precision([1, 0, 0]) == 1.0
@@ -49,6 +87,21 @@ class TestAveragePrecision:
     def test_no_relevant_rejected(self):
         with pytest.raises(ValueError):
             average_precision([0, 0, 0])
+
+    def test_exact_where_float_summation_drifts(self):
+        rng = np.random.default_rng(4)
+        rel = rng.random(5000) < 0.3
+        positions = np.flatnonzero(rel) + 1
+        naive = sum(j / p for j, p in enumerate(positions, start=1)) / positions.size
+        assert naive != fraction_ap(rel)
+        assert average_precision(rel) == fraction_ap(rel)
+
+    def test_matches_fraction_reference(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            rel = rng.random(int(rng.integers(1, 400))) < rng.uniform(0.01, 1.0)
+            rel[int(rng.integers(0, rel.size))] = True
+            assert average_precision(rel) == fraction_ap(rel)
 
 
 class TestRankingMetrics:
@@ -67,6 +120,52 @@ class TestRankingMetrics:
             assert abs(m - bm) < 1e-12
             for k in (1, 5, 10):
                 assert abs(cmc[k] - bcmc[k]) < 1e-12
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_matches_lexsort_fraction_reference(self, case):
+        rng = np.random.default_rng(REFERENCE_CASES.index(case))
+        for _ in range(40):
+            n_q = int(rng.integers(1, 40))
+            n_g = int(rng.integers(1, 120)) if case != "wide" else int(rng.integers(300, 700))
+            dim = int(rng.integers(1, 6))
+            if case == "single_relevant":
+                g_ids = rng.permutation(n_g)
+            else:
+                g_ids = rng.integers(0, max(1, n_g // 3), size=n_g)
+            q_ids = g_ids[rng.integers(0, n_g, size=n_q)]
+            if case == "no_relevant":
+                q_ids = np.concatenate([q_ids, [-1, -2]])
+            if case.startswith("ties"):
+                # a coarse integer grid forces many equal distances
+                q_emb = rng.integers(-1, 2, size=(q_ids.size, dim)).astype(float)
+                g_emb = rng.integers(-1, 2, size=(n_g, dim)).astype(float)
+                q_emb[~q_emb.any(axis=1), 0] = 1.0
+                g_emb[~g_emb.any(axis=1), 0] = 1.0
+            else:
+                q_emb = rng.normal(size=(q_ids.size, dim))
+                g_emb = rng.normal(size=(n_g, dim))
+            cosine = case.endswith("cosine")
+            got = ranking_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=cosine)
+            assert got == lexsort_fraction_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=cosine)
+
+    def test_pairs_span_several_blocks(self):
+        rng = np.random.default_rng(9)
+        g_ids = np.repeat(np.arange(10), 30)
+        q_ids = np.repeat(np.arange(10), 11)
+        assert (q_ids[:, None] == g_ids[None]).sum() > 2 * _PAIR_BLOCK
+        q_emb = rng.integers(0, 3, size=(q_ids.size, 2)).astype(float)
+        g_emb = rng.integers(0, 3, size=(g_ids.size, 2)).astype(float)
+        got = ranking_metrics(q_emb, q_ids, g_emb, g_ids)
+        assert got == lexsort_fraction_metrics(q_emb, q_ids, g_emb, g_ids)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("cosine", [False, True])
+    def test_non_finite_distance_rejected(self, bad, cosine):
+        q_emb = np.ones((3, 2))
+        q_emb[1, 0] = bad
+        g_emb = np.eye(2)
+        with pytest.raises(ValueError, match="non-finite"), np.errstate(invalid="ignore"):
+            ranking_metrics(q_emb, np.array([0, 1, 0]), g_emb, np.array([0, 1]), use_cosine=cosine)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)

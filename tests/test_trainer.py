@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -101,6 +102,18 @@ class TestExperimentConfig:
     def test_boundary_values_accepted(self):
         cfg = ExperimentConfig(tasks=mini_specs(1), triplet_margin=0.0, label_smoothing=0.0)
         assert cfg.triplet_margin == 0.0 and cfg.label_smoothing == 0.0
+
+    @pytest.mark.parametrize("layer_set", [(99,), (-1,), (0, 4)])
+    def test_layer_set_outside_the_stack_rejected(self, layer_set):
+        # hidden (16, 16): stack indices 0-1 hidden, 2 embedding, 3 softmax
+        with pytest.raises(ValueError, match="layer_set"):
+            ExperimentConfig(
+                tasks=mini_specs(1), hidden_dims=(16, 16), jmmd=JmmdSpec(layer_set=layer_set)
+            )
+
+    def test_layer_set_edges_accepted(self):
+        cfg = ExperimentConfig(tasks=mini_specs(1), hidden_dims=(16, 16), jmmd=JmmdSpec(layer_set=(0, 3)))
+        assert cfg.jmmd.layer_set == (0, 3)
 
 
 class TestAdam:
@@ -213,6 +226,26 @@ class TestRunSequence:
         )
         report, _ = run_sequence(mini_config(schedule=sched), master_seed=0)
         assert [s["step"] for s in report["steps"]] == [1]
+
+    def test_pk_p_above_a_later_task_fails_before_training(self, monkeypatch):
+        import xmcl.trainer as trainer
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the config was checked")
+
+        monkeypatch.setattr(trainer, "train_task", no_training)
+        specs = mini_specs(2)
+        specs[1] = dataclasses.replace(specs[1], num_train_ids=3)
+        config = dataclasses.replace(mini_config(), tasks=specs)
+        with pytest.raises(ValueError, match=r"pk_p=4 .* task 1 has 3"):
+            run_sequence(config, master_seed=0)
+
+    def test_pk_p_ignores_tasks_that_do_not_train(self):
+        specs = mini_specs(2)
+        specs[1] = dataclasses.replace(specs[1], num_train_ids=3)
+        sched = dataclasses.replace(MINI_SCHED, epochs_later_tasks=0)
+        report, _ = run_sequence(dataclasses.replace(mini_config(schedule=sched), tasks=specs), 0)
+        assert [s["step"] for s in report["steps"]] == [1, 2, 3]
 
     def test_single_task_run_warns(self):
         report, _ = run_sequence(mini_config(num_tasks=1), master_seed=0)
