@@ -44,11 +44,11 @@ print()
 print("=== one replay epoch ===")
 epoch = replay_epoch_batches(banks, p=4, k=4, rng=0)
 for batch in epoch:
-    print(f"{len(batch)} samples, identities {sorted({s.identity for s in batch})}")
+    print(f"{len(batch)} samples, identities {sorted(set(batch.ids.tolist()))}")
 print(f"P=4, K=4 over {len(banks.identities())} banked identities -> {len(epoch)} batches")
-modalities = [s.modality for s in epoch[0][:4]]
+modalities = ["sketch" if s else "photo" for s in epoch[0].is_sketch[:4]]
 print(f"one identity's K samples tile its stored pair: {modalities}")
 
 again = replay_epoch_batches(banks, p=4, k=4, rng=0)
 print("same seed -> same epoch:",
-      [s.identity for b in epoch for s in b] == [s.identity for b in again for s in b])
+      all(np.array_equal(a.features, b.features) for a, b in zip(epoch, again)))

@@ -23,6 +23,7 @@ from .conformal import (
 )
 from .data import (
     Sample,
+    Split,
     SynthSpec,
     TaskDataset,
     generate_synthetic_task,

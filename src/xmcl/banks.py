@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .conformal import CpConfig, uncertainties
-from .data import Sample, TaskDataset, features_of
+from .data import MODALITIES, Sample, Split, TaskDataset
 from .encoder import EncoderState, forward
 
 logger = logging.getLogger(__name__)
@@ -60,13 +60,22 @@ class ReplayBanks:
 def score_task(
     state: EncoderState, task: TaskDataset, cp_config: CpConfig = CpConfig()
 ) -> list[tuple[Sample, float]]:
-    """Conformal uncertainty of every training sample under the task head."""
+    """Conformal uncertainty of every training sample under the task head.
+
+    Each returned sample's features are a view of its row in the split.
+    """
     if task.task_id not in state.heads:
         raise RuntimeError(f"task {task.task_id} has no registered head")
-    if not task.train:
+    train = task.train
+    if not train:
         return []
-    stack = forward(state, features_of(task.train), task.task_id)
-    return list(zip(task.train, uncertainties(stack.probs, cp_config).tolist()))
+    stack = forward(state, train.features, task.task_id)
+    columns = zip(train.ids.tolist(), train.is_sketch.tolist(), train.features)
+    samples = [
+        Sample(identity, MODALITIES[0] if sketch else MODALITIES[1], feats)
+        for identity, sketch, feats in columns
+    ]
+    return list(zip(samples, uncertainties(stack.probs, cp_config).tolist()))
 
 
 def update_bank(
@@ -101,12 +110,12 @@ def replay_epoch_batches(
     k: int,
     rng: np.random.Generator | int,
     task_id: int | None = None,
-) -> list[list[Sample]]:
+) -> list[Split]:
     """Batches covering every banked identity once, mirroring a PK epoch.
 
     Identities are shuffled and chunked into groups of P (one smaller final
     group when they do not divide evenly; all of them when fewer than P
-    exist), each identity contributing K samples tiled from its stored
+    exist), each identity contributing K rows tiled from its stored
     sketch/photo pair.
     """
     if banks.is_empty():
@@ -115,20 +124,26 @@ def replay_epoch_batches(
     ids = banks.identities(task_id)
     if not ids:
         raise RuntimeError(f"banks hold no identities for task {task_id}")
-    order = [ids[int(i)] for i in rng.permutation(len(ids))]
-    chunks = [order[i : i + p] for i in range(0, len(order), p)] or [order]
-    batches = []
-    for chunk in chunks:
-        batch: list[Sample] = []
-        for identity in chunk:
-            pool = []
-            if identity in banks.sketch:
-                pool.append(banks.sketch[identity].sample)
-            if identity in banks.photo:
-                pool.append(banks.photo[identity].sample)
-            batch.extend(pool[j % len(pool)] for j in range(k))
-        batches.append(batch)
-    return batches
+    perm = rng.permutation(len(ids))
+    # every identity's pool (its sketch, then its photo) as consecutive rows
+    pooled: list[Sample] = []
+    starts, sizes = [], []
+    for identity in ids:
+        pool = [bank[identity].sample for bank in (banks.sketch, banks.photo) if identity in bank]
+        starts.append(len(pooled))
+        sizes.append(len(pool))
+        pooled.extend(pool)
+    stored = Split(
+        np.stack([s.features for s in pooled]),
+        np.array([s.identity for s in pooled], dtype=np.int64),
+        np.array([s.modality == MODALITIES[0] for s in pooled]),
+    )
+    starts, sizes = np.array(starts), np.array(sizes)
+    tile = np.arange(k)
+    return [
+        stored[(starts[chunk, None] + tile % sizes[chunk, None]).ravel()]
+        for chunk in (perm[i : i + p] for i in range(0, perm.size, p))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +173,6 @@ def load_banks(path: str | Path) -> ReplayBanks:
             identity=int(row["id"]),
             modality=row["modality"],
             features=np.asarray(row["features"], dtype=np.float64),
-            split="train",
         )
         entry = BankEntry(sample=sample, uncertainty=float(row["uncertainty"]), task_id=int(row["task"]))
         bank = banks.sketch if sample.modality == "sketch" else banks.photo

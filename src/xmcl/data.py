@@ -9,12 +9,16 @@ side, so gap 0 with zero noise makes both modalities coincide exactly.
 
 Identity labels are offset by a large per-task stride, keeping identity
 spaces of different tasks disjoint by construction.
+
+Each split is held as arrays (``Split``): one feature row, identity and
+modality flag per sample, in sample order.  The PK sampler returns index
+arrays into a split, so a batch is one fancy-indexing gather.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,48 +47,79 @@ class DatasetValidationError(ValueError):
 
 @dataclass
 class Sample:
+    """One stored training sample; replay banks hold these."""
+
     identity: int
     modality: str
     features: np.ndarray
-    split: str
+
+
+@dataclass
+class Split:
+    """Samples as arrays: features (N, D) float64, ids (N,) int64, is_sketch (N,) bool.
+
+    Indexing with a slice or an index array gives the split of those rows.
+    """
+
+    features: np.ndarray
+    ids: np.ndarray
+    is_sketch: np.ndarray
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def __getitem__(self, rows) -> "Split":
+        return Split(self.features[rows], self.ids[rows], self.is_sketch[rows])
+
+    def identities(self) -> np.ndarray:
+        """The distinct identities, ascending: row i of the task's head is the i-th."""
+        return np.unique(self.ids)
+
+
+def _split_of(ids: list[int], is_sketch: list[bool], features: list, dim: int) -> Split:
+    feats = np.array(features, dtype=np.float64) if features else np.empty((0, dim))
+    return Split(feats, np.array(ids, dtype=np.int64), np.array(is_sketch, dtype=bool))
 
 
 @dataclass
 class TaskDataset:
     task_id: int
-    train: list[Sample]
-    query: list[Sample]
-    gallery: list[Sample]
+    train: Split
+    query: Split
+    gallery: Split
 
     @property
     def train_identities(self) -> set[int]:
-        return {s.identity for s in self.train}
+        return set(self.train.ids.tolist())
 
     @property
     def test_identities(self) -> set[int]:
-        return {s.identity for s in self.query} | {s.identity for s in self.gallery}
+        return set(self.query.ids.tolist()) | set(self.gallery.ids.tolist())
 
     @property
     def feature_dim(self) -> int:
-        return int(self.all_samples()[0].features.shape[0])
+        return int(self.train.features.shape[1])
 
-    def all_samples(self) -> list[Sample]:
-        return [*self.train, *self.query, *self.gallery]
+    def splits(self) -> tuple[tuple[str, Split], ...]:
+        return (("train", self.train), ("query", self.query), ("gallery", self.gallery))
 
     def validate(self) -> "TaskDataset":
-        samples = self.all_samples()
-        if not samples:
+        splits = [s for _, s in self.splits()]
+        if not any(len(s) for s in splits):
             raise DatasetValidationError("empty-task: task has no samples")
-        dims = {s.features.shape for s in samples}
+        dims = {s.features.shape[1:] for s in splits}
         if len(dims) != 1 or len(next(iter(dims))) != 1:
             raise DatasetValidationError(f"feature-dim-constant: found dims {sorted(dims)}")
+        if any(not len(s) == len(s.features) == s.is_sketch.size for s in splits):
+            raise DatasetValidationError(
+                "split-rows-agree: features, ids and modality flags differ in length"
+            )
         overlap = self.train_identities & self.test_identities
         if overlap:
             raise DatasetValidationError(
                 f"train-test-disjoint: identities {sorted(overlap)[:5]} appear in both splits"
             )
-        gallery_ids = {s.identity for s in self.gallery}
-        missing = {s.identity for s in self.query} - gallery_ids
+        missing = set(self.query.ids.tolist()) - set(self.gallery.ids.tolist())
         if missing:
             raise DatasetValidationError(
                 f"query-covered-by-gallery: identities {sorted(missing)[:5]} have no gallery sample"
@@ -161,56 +196,71 @@ def _modality_transforms(spec: SynthSpec):
 
 
 def generate_synthetic_task(spec: SynthSpec) -> TaskDataset:
-    """Render a full task; deterministic in (spec, seed), fixed RNG order."""
+    """Render a full task; deterministic in (spec, seed), fixed RNG order.
+
+    Per identity, in identity order: its sketches' noise, then its photos'.
+    A train or auxiliary identity's rows go to train (sketches first), a
+    test identity's sketches to query and its photos to gallery.
+    """
     (a_p, b_p), (a_s, b_s) = _modality_transforms(spec)
     rng = np.random.default_rng(spec.seed)
     n_train, n_test, n_aux = spec.num_train_ids, spec.num_test_ids, spec.num_aux_ids
     n_total = n_train + n_test + n_aux
+    n_sk, n_ph, dim = spec.sketches_per_id, spec.photos_per_id, spec.feature_dim
     latents = rng.normal(size=(n_total, spec.latent_dim))
 
-    train: list[Sample] = []
-    query: list[Sample] = []
-    gallery: list[Sample] = []
+    train = np.empty((n_train + n_aux, n_sk + n_ph, dim))
+    query = np.empty((n_test, n_sk, dim))
+    gallery = np.empty((n_test, n_ph, dim))
     for k in range(n_total):
-        identity = spec.task_id * ID_STRIDE + k
-        is_test = n_train <= k < n_train + n_test
+        if n_train <= k < n_train + n_test:
+            sketches, photos = query[k - n_train], gallery[k - n_train]
+        else:
+            rows = train[k if k < n_train else k - n_test]
+            sketches, photos = rows[:n_sk], rows[n_sk:]
         z = latents[k]
-        for _ in range(spec.sketches_per_id):
-            noise = spec.noise_sigma * rng.normal(size=spec.feature_dim)
-            feats = a_s @ z + b_s + noise
-            split = "query" if is_test else "train"
-            (query if is_test else train).append(Sample(identity, "sketch", feats, split))
-        for _ in range(spec.photos_per_id):
-            noise = spec.noise_sigma * rng.normal(size=spec.feature_dim)
-            feats = a_p @ z + b_p + noise
-            split = "gallery" if is_test else "train"
-            (gallery if is_test else train).append(Sample(identity, "photo", feats, split))
-    return TaskDataset(task_id=spec.task_id, train=train, query=query, gallery=gallery).validate()
+        sketches[:] = a_s @ z + b_s + spec.noise_sigma * rng.normal(size=(n_sk, dim))
+        photos[:] = a_p @ z + b_p + spec.noise_sigma * rng.normal(size=(n_ph, dim))
+
+    def split(feats: np.ndarray, ids: np.ndarray, sketch: np.ndarray) -> Split:
+        # feats is (identities, rows per identity, dim); sketch flags one identity's rows
+        return Split(feats.reshape(-1, dim), np.repeat(ids, len(sketch)), np.tile(sketch, ids.size))
+
+    base = spec.task_id * ID_STRIDE
+    fit_ids = base + np.r_[0:n_train, n_train + n_test : n_total]
+    test_ids = base + np.arange(n_train, n_train + n_test)
+    sketch = np.arange(n_sk + n_ph) < n_sk
+    return TaskDataset(
+        spec.task_id,
+        train=split(train, fit_ids, sketch),
+        query=split(query, test_ids, sketch[:n_sk]),
+        gallery=split(gallery, test_ids, sketch[n_sk:]),
+    ).validate()
 
 
 # ---------------------------------------------------------------------------
 # task files: one JSON object per line, floats at 17 significant digits
 
 
-def _format_row(task_id: int, s: Sample) -> str:
-    feats = ",".join(format(float(v), ".17g") for v in s.features)
-    return (
-        f'{{"task":{task_id},"id":{s.identity},"modality":"{s.modality}",'
-        f'"split":"{s.split}","features":[{feats}]}}'
-    )
-
-
 def save_task(dataset: TaskDataset, path: str | Path) -> None:
-    lines = [_format_row(dataset.task_id, s) for s in dataset.all_samples()]
+    lines = []
+    for split, rows in dataset.splits():
+        columns = zip(rows.ids.tolist(), rows.is_sketch.tolist(), rows.features.tolist())
+        for identity, sketch, feats in columns:
+            modality = MODALITIES[0] if sketch else MODALITIES[1]
+            text = ",".join(format(v, ".17g") for v in feats)
+            lines.append(
+                f'{{"task":{dataset.task_id},"id":{identity},"modality":"{modality}",'
+                f'"split":"{split}","features":[{text}]}}'
+            )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_task(path: str | Path) -> TaskDataset:
     """Parse and validate a task file; parse errors carry the line number."""
-    train: list[Sample] = []
-    query: list[Sample] = []
-    gallery: list[Sample] = []
+    rows: dict[str, tuple[list, list, list]] = {split: ([], [], []) for split in SPLITS}
     task_ids = set()
+    dims = set()
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
@@ -236,12 +286,19 @@ def load_task(path: str | Path) -> TaskDataset:
         if features.ndim != 1 or features.size == 0:
             raise TaskFileError(lineno, "features must be a non-empty flat list")
         task_ids.add(task)
-        sample = Sample(identity, modality, features, split)
-        {"train": train, "query": query, "gallery": gallery}[split].append(sample)
+        dims.add(features.shape)
+        ids, sketch, feats = rows[split]
+        ids.append(identity)
+        sketch.append(modality == "sketch")
+        feats.append(features)
     if not task_ids:
         raise DatasetValidationError("empty-task: file contains no samples")
     if len(task_ids) != 1:
         raise DatasetValidationError(f"single-task-file: found task ids {sorted(task_ids)}")
+    if len(dims) != 1:
+        raise DatasetValidationError(f"feature-dim-constant: found dims {sorted(dims)}")
+    (dim,) = dims.pop()
+    train, query, gallery = (_split_of(*rows[split], dim) for split in SPLITS)
     return TaskDataset(task_id=task_ids.pop(), train=train, query=query, gallery=gallery).validate()
 
 
@@ -249,57 +306,30 @@ def load_task(path: str | Path) -> TaskDataset:
 # PK batch sampling
 
 
-def identity_index_map(samples: list[Sample]) -> dict[int, int]:
-    """Global identity -> dense row index, sorted ascending for determinism."""
-    return {identity: i for i, identity in enumerate(sorted({s.identity for s in samples}))}
-
-
-def _by_identity(samples: list[Sample]) -> dict[int, list[Sample]]:
-    groups: dict[int, list[Sample]] = {}
-    for s in samples:
-        groups.setdefault(s.identity, []).append(s)
-    return {i: groups[i] for i in sorted(groups)}
-
-
-def _draw_k(pool: list[Sample], k: int, rng: np.random.Generator) -> list[Sample]:
-    if len(pool) >= k:
-        idx = rng.choice(len(pool), size=k, replace=False)
-    else:
-        idx = rng.choice(len(pool), size=k, replace=True)
-    return [pool[int(i)] for i in idx]
-
-
 def pk_epoch_batches(
-    train: list[Sample], p: int, k: int, rng: np.random.Generator | int
-) -> list[list[Sample]]:
-    """Batches covering every identity once before any identity repeats.
+    train: Split, p: int, k: int, rng: np.random.Generator | int
+) -> list[np.ndarray]:
+    """Index batches into ``train`` covering every identity once before any repeats.
 
     Identities are shuffled and chunked into groups of P; a short final
-    chunk is padded with identities drawn from the earlier chunks.
+    chunk is padded with identities drawn from the earlier chunks.  Each
+    identity then contributes K draws from its own rows, taken in split
+    order: without replacement, or with it when it has fewer than K rows.
     """
     rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
-    groups = _by_identity(train)
-    ids = list(groups)
-    if len(ids) < p:
-        raise ValueError(f"need at least {p} identities, train split has {len(ids)}")
-    order = [ids[int(i)] for i in rng.permutation(len(ids))]
-    chunks = [order[i : i + p] for i in range(0, len(order), p)]
-    if len(chunks[-1]) < p:
-        seen = order[: len(order) - len(chunks[-1])]
-        pad = rng.choice(len(seen), size=p - len(chunks[-1]), replace=False)
-        chunks[-1] = chunks[-1] + [seen[int(i)] for i in pad]
+    order = np.argsort(train.ids, kind="stable")
+    _, starts, counts = np.unique(train.ids[order], return_index=True, return_counts=True)
+    if starts.size < p:
+        raise ValueError(f"need at least {p} identities, train split has {starts.size}")
+    sizes = counts.tolist()
+    perm = rng.permutation(starts.size)
+    chunks = [perm[i : i + p] for i in range(0, perm.size, p)]
+    if chunks[-1].size < p:
+        seen = perm[: perm.size - chunks[-1].size]
+        pad = rng.choice(seen.size, size=p - chunks[-1].size, replace=False)
+        chunks[-1] = np.concatenate([chunks[-1], seen[pad]])
     batches = []
     for chunk in chunks:
-        batch: list[Sample] = []
-        for identity in chunk:
-            batch.extend(_draw_k(groups[identity], k, rng))
-        batches.append(batch)
+        draws = [rng.choice(sizes[g], size=k, replace=sizes[g] < k) for g in chunk.tolist()]
+        batches.append(order[(starts[chunk, None] + np.stack(draws)).ravel()])
     return batches
-
-
-def features_of(samples: list[Sample]) -> np.ndarray:
-    return np.stack([s.features for s in samples])
-
-
-def labels_of(samples: list[Sample]) -> np.ndarray:
-    return np.array([s.identity for s in samples], dtype=np.int64)

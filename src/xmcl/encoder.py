@@ -113,10 +113,26 @@ class StackGradients:
 
 @dataclass
 class ParameterGradients:
+    """Gradients of one batch; d_weights and d_biases are views into shared."""
+
+    shared: np.ndarray
     d_weights: list[np.ndarray]
     d_biases: list[np.ndarray]
     d_prototypes: np.ndarray
     task_id: int
+
+
+def shared_views(
+    state: EncoderState, flat: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-parameter views of a flat vector laid out as all weights, then all biases."""
+    views = []
+    offset = 0
+    for param in (*state.weights, *state.biases):
+        views.append(flat[offset : offset + param.size].reshape(param.shape))
+        offset += param.size
+    n = len(state.weights)
+    return views[:n], views[n:]
 
 
 def _uniform_init(rng: np.random.Generator, fan_in: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -212,13 +228,14 @@ def backward(state: EncoderState, stack: ActivationStack, grads: StackGradients)
     if grads.d_layers[n_hidden] is not None:
         d_emb = d_emb + grads.d_layers[n_hidden]
 
-    d_weights = [np.zeros_like(w) for w in state.weights]
-    d_biases = [np.zeros_like(b) for b in state.biases]
+    # every entry of the flat buffer is written below
+    shared = np.empty(sum(p.size for p in (*state.weights, *state.biases)))
+    d_weights, d_biases = shared_views(state, shared)
 
     # linear embedding layer
     inp = stack.layers[n_hidden - 1] if n_hidden >= 1 else stack.inputs
-    d_weights[n_hidden] = inp.T @ d_emb
-    d_biases[n_hidden] = d_emb.sum(axis=0)
+    np.matmul(inp.T, d_emb, out=d_weights[n_hidden])
+    np.sum(d_emb, axis=0, out=d_biases[n_hidden])
     d_h = d_emb @ state.weights[n_hidden].T
 
     for l in range(n_hidden - 1, -1, -1):
@@ -226,12 +243,17 @@ def backward(state: EncoderState, stack: ActivationStack, grads: StackGradients)
             d_h = d_h + grads.d_layers[l]
         d_pre = d_h * (1.0 - stack.layers[l] ** 2)
         inp = stack.layers[l - 1] if l >= 1 else stack.inputs
-        d_weights[l] = inp.T @ d_pre
-        d_biases[l] = d_pre.sum(axis=0)
-        d_h = d_pre @ state.weights[l].T
+        np.matmul(inp.T, d_pre, out=d_weights[l])
+        np.sum(d_pre, axis=0, out=d_biases[l])
+        if l:  # no gradient w.r.t. the inputs
+            d_h = d_pre @ state.weights[l].T
 
     return ParameterGradients(
-        d_weights=d_weights, d_biases=d_biases, d_prototypes=d_protos, task_id=stack.task_id
+        shared=shared,
+        d_weights=d_weights,
+        d_biases=d_biases,
+        d_prototypes=d_protos,
+        task_id=stack.task_id,
     )
 
 

@@ -12,6 +12,10 @@ joint kernel J = exp(-sum_l D_l / (2 sigma_l^2)), D_l the layer's pooled
 squared-distance matrix, the loss is MMD = w^T J w and its gradient on
 layer l is -(2 / sigma_l^2) w_i sum_j w_j J_ij (z_i - z_j).
 
+The prototype cross-entropy is the identity CE of the cosine-similarity
+softmax without smoothing; its gradient form takes those probabilities
+from the encoder's forward pass instead of computing them again.
+
 Summation order is fixed (numpy reductions over contiguous arrays) so that
 repeated evaluation of the same inputs is bit-reproducible.
 """
@@ -71,9 +75,19 @@ def _upper_pairs(n: int) -> np.ndarray:
 
 
 def _median_sigma(d2: np.ndarray) -> float:
-    """sigma with sigma^2 = median over unordered pairs of a squared-distance matrix."""
-    med = float(np.median(d2[_upper_pairs(d2.shape[0])]))
-    return float(np.sqrt(max(med, MIN_BANDWIDTH_SQ)))
+    """sigma with sigma^2 = median over unordered pairs of a squared-distance matrix.
+
+    The median is taken by partition: the middle value, or (a + b) / 2 of
+    the two middle values, which is how np.median forms it too.
+    """
+    pairs = d2[_upper_pairs(d2.shape[0])]
+    mid = pairs.size // 2
+    if pairs.size % 2:
+        med = np.partition(pairs, mid)[mid]
+    else:
+        lo, hi = np.partition(pairs, (mid - 1, mid))[mid - 1 : mid + 1]
+        med = (lo + hi) / 2
+    return float(np.sqrt(max(float(med), MIN_BANDWIDTH_SQ)))
 
 
 def median_bandwidth(features: np.ndarray) -> float:
@@ -347,17 +361,22 @@ def i2tce_loss(
     temperature: float = 0.07,
 ) -> float:
     """Cross-entropy of cosine-similarity logits against the label prototype."""
-    return i2tce_loss_grad(embeddings, prototypes, labels, temperature)[0]
+    probs = softmax(cosine_logits(embeddings, prototypes, temperature))
+    return i2tce_loss_grad(probs, embeddings, prototypes, labels, temperature)[0]
 
 
 def i2tce_loss_grad(
+    probs: np.ndarray,
     embeddings: np.ndarray,
     prototypes: np.ndarray,
     labels: np.ndarray,
     temperature: float = 0.07,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss and gradients w.r.t. embeddings and prototype rows."""
-    probs = softmax(cosine_logits(embeddings, prototypes, temperature))
+    """Loss and gradients w.r.t. embeddings and prototype rows.
+
+    probs must be softmax(cosine_logits(embeddings, prototypes,
+    temperature)): the encoder's forward pass has already computed them.
+    """
     loss, d_probs = id_loss_grad(probs, labels, smoothing=0.0)
     d_logits = softmax_backward(probs, d_probs)
     d_e, d_p = cosine_logits_backward(embeddings, prototypes, d_logits, temperature)

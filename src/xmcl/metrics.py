@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TaskDataset, features_of, labels_of
+from .data import TaskDataset
 from .encoder import EncoderState, embed
 from .losses import _sq_dists
 
@@ -155,14 +155,12 @@ def evaluate(
     gallery = task.query if swap_direction else task.gallery
     if not queries or not gallery:
         raise ValueError(f"task {task.task_id} has an empty test split")
-    query_ids = labels_of(queries)
-    gallery_ids = labels_of(gallery)
-    missing = set(query_ids.tolist()) - set(gallery_ids.tolist())
+    missing = set(queries.ids.tolist()) - set(gallery.ids.tolist())
     if missing:
         raise ValueError(f"query identities {sorted(missing)[:5]} absent from gallery")
-    q_emb = embed(state, features_of(queries))
-    g_emb = embed(state, features_of(gallery))
-    m, cmc, n = ranking_metrics(q_emb, query_ids, g_emb, gallery_ids, use_cosine=use_cosine)
+    q_emb = embed(state, queries.features)
+    g_emb = embed(state, gallery.features)
+    m, cmc, n = ranking_metrics(q_emb, queries.ids, g_emb, gallery.ids, use_cosine=use_cosine)
     return MetricsRecord(
         task_id=task.task_id,
         step=step,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,12 +23,10 @@ import numpy as np
 from .banks import ReplayBanks, ingest_task, replay_epoch_batches
 from .conformal import CpConfig
 from .data import (
-    Sample,
+    Split,
     SynthSpec,
     TaskDataset,
-    features_of,
     generate_synthetic_task,
-    identity_index_map,
     load_task,
     pk_epoch_batches,
 )
@@ -41,6 +40,7 @@ from .encoder import (
     forward,
     init_encoder,
     register_task_head,
+    shared_views,
 )
 from .losses import (
     JmmdSpec,
@@ -102,7 +102,13 @@ def lr_at(epoch: int, schedule: Schedule) -> float:
 
 
 class Adam:
-    """Per-parameter moment estimates keyed by (kind, index)."""
+    """Moment estimates and step counts per key.
+
+    The trainer keys all shared weights and biases, flattened into one
+    vector, as "shared" (they always step together) and each task head as
+    ("p", task_id).  Every operation is elementwise, so one call over the
+    flat vector equals one call per parameter to the bit.
+    """
 
     def __init__(self, schedule: Schedule):
         self.b1, self.b2, self.eps = schedule.beta1, schedule.beta2, schedule.eps
@@ -111,20 +117,26 @@ class Adam:
         self.t: dict = {}
 
     def delta(self, key, grad: np.ndarray, lr: float) -> np.ndarray:
-        m = self.m.get(key)
-        if m is None:
-            m = np.zeros_like(grad)
-            self.v[key] = np.zeros_like(grad)
+        if key not in self.t:
+            self.m[key] = np.zeros(np.shape(grad))
+            self.v[key] = np.zeros(np.shape(grad))
             self.t[key] = 0
-        v = self.v[key]
+        m, v = self.m[key], self.v[key]
         self.t[key] += 1
         t = self.t[key]
-        m = self.b1 * m + (1 - self.b1) * grad
-        v = self.b2 * v + (1 - self.b2) * grad * grad
-        self.m[key], self.v[key] = m, v
-        m_hat = m / (1 - self.b1**t)
-        v_hat = v / (1 - self.b2**t)
-        return -lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        # in place, in the operation order of
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;  -lr m_hat / (sqrt(v_hat) + eps)
+        m *= self.b1
+        m += (1 - self.b1) * grad
+        v *= self.b2
+        v += (1 - self.b2) * grad * grad
+        step = m / (1 - self.b1**t)
+        step *= -lr
+        denom = v / (1 - self.b2**t)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        return step
 
 
 @dataclass
@@ -162,6 +174,13 @@ class ExperimentConfig:
             raise ValueError(
                 f"jmmd.layer_set indices {outside} outside the activation stack [0, {top}]"
             )
+        if not isinstance(self.jmmd.bandwidths, str):
+            layers = self.jmmd.layer_set or default_layer_set(len(self.hidden_dims))
+            if len(self.jmmd.bandwidths) != len(layers):
+                raise ValueError(
+                    f"jmmd.bandwidths has {len(self.jmmd.bandwidths)} values "
+                    f"for the {len(layers)} layers {list(layers)}"
+                )
 
 
 @dataclass
@@ -169,7 +188,7 @@ class ExperimentState:
     encoder: EncoderState
     adam: Adam
     banks: ReplayBanks
-    id_maps: dict[int, dict[int, int]]
+    head_ids: dict[int, np.ndarray]
     history: list[MetricsRecord] = field(default_factory=list)
     loss_history: dict[int, list[float]] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
@@ -183,45 +202,59 @@ def _derived_seed(master_seed: int, *tags: int) -> int:
     return int(np.random.SeedSequence((master_seed, *tags)).generate_state(1)[0])
 
 
-def _require_finite(term: str, value: float, *grads: np.ndarray) -> None:
-    if not (np.isfinite(value) and all(np.isfinite(g).all() for g in grads)):
-        raise FloatingPointError(f"non-finite {term}")
+def _require_finite(terms, grads: ParameterGradients) -> None:
+    """One check over the loss values and the final parameter gradients.
+
+    Only when it fails are the (name, value, gradients) terms checked, in
+    evaluation order, to name the first non-finite one.
+    """
+    if (
+        all(math.isfinite(value) for _, value, _ in terms)
+        and np.isfinite(grads.shared).all()
+        and np.isfinite(grads.d_prototypes).all()
+    ):
+        return
+    for term, value, term_grads in terms:
+        if not (math.isfinite(value) and all(np.isfinite(g).all() for g in term_grads)):
+            raise FloatingPointError(f"non-finite {term}")
+    raise FloatingPointError("non-finite parameter gradient")
 
 
 def batch_gradients(
     state: EncoderState,
-    batch: list[Sample],
+    batch: Split,
     task_id: int,
-    id_map: dict[int, int],
+    head_ids: np.ndarray,
     jmmd_spec: JmmdSpec,
     margin: float = 0.3,
     smoothing: float = 0.1,
 ) -> tuple[LossBreakdown, ParameterGradients]:
     """Combined loss value and parameter gradients for one batch.
 
-    The alignment term acts between the batch's sketch rows and photo rows
-    on the configured layer set; a batch missing one modality skips it (and
-    with it the cross-modal part of the triplet term) with a warning, and
-    alpha = 0 skips its evaluation outright.  A non-finite loss term or
-    gradient raises FloatingPointError naming the term.
+    head_ids are the task head's identities, ascending (row i of the head
+    is identity i).  The alignment term acts between the batch's sketch
+    rows and photo rows on the configured layer set; a batch missing one
+    modality skips it (and with it the cross-modal part of the triplet
+    term) with a warning, and alpha = 0 skips its evaluation outright.  A
+    non-finite loss term or gradient raises FloatingPointError naming the
+    term.
     """
-    feats = features_of(batch)
-    stack = forward(state, feats, task_id)
-    rows = np.array([id_map[s.identity] for s in batch], dtype=np.int64)
-    identities = np.array([s.identity for s in batch], dtype=np.int64)
+    stack = forward(state, batch.features, task_id)
+    rows = np.searchsorted(head_ids, batch.ids)
+    if not np.array_equal(head_ids[np.minimum(rows, head_ids.size - 1)], batch.ids):
+        raise KeyError(f"batch holds identities outside task {task_id}'s head")
     protos = state.head(task_id)
     temperature = state.config.temperature
 
     l_id, d_probs = id_loss_grad(stack.probs, rows, smoothing)
-    _require_finite("l_id", l_id, d_probs)
-    l_i2tce, d_emb_i2, d_protos_i2 = i2tce_loss_grad(stack.embedding, protos, rows, temperature)
-    _require_finite("l_i2tce", l_i2tce, d_emb_i2, d_protos_i2)
+    l_i2tce, d_emb_i2, d_protos_i2 = i2tce_loss_grad(
+        stack.probs, stack.embedding, protos, rows, temperature
+    )
     try:
-        l_tri, d_emb_tri = triplet_loss_grad(stack.embedding, identities, margin)
+        l_tri, d_emb_tri = triplet_loss_grad(stack.embedding, batch.ids, margin)
     except LossInputError as e:
         logger.warning("skipping triplet term: %s", e)
         l_tri, d_emb_tri = 0.0, np.zeros_like(stack.embedding)
-    _require_finite("l_tri", l_tri, d_emb_tri)
 
     n_hidden = len(state.config.hidden_dims)
     emb_idx = n_hidden
@@ -229,15 +262,15 @@ def batch_gradients(
     d_layers[-1] = d_probs
     d_layers[emb_idx] = d_emb_tri + d_emb_i2
 
-    sketch_rows = np.array([i for i, s in enumerate(batch) if s.modality == "sketch"])
-    photo_rows = np.array([i for i, s in enumerate(batch) if s.modality == "photo"])
-    l_jmmd = 0.0
+    sketch_rows = np.flatnonzero(batch.is_sketch)
+    photo_rows = np.flatnonzero(~batch.is_sketch)
+    l_jmmd, d_jmmd = 0.0, []
     if sketch_rows.size and photo_rows.size and jmmd_spec.alpha > 0:
         layer_set = jmmd_spec.layer_set or default_layer_set(n_hidden)
         s_layers = [stack.layers[i][sketch_rows] for i in layer_set]
         p_layers = [stack.layers[i][photo_rows] for i in layer_set]
         l_jmmd, d_s, d_p = jmmd_with_grad(s_layers, p_layers, jmmd_spec)
-        _require_finite("l_jmmd", l_jmmd, *d_s, *d_p)
+        d_jmmd = [*d_s, *d_p]
         for li, idx in enumerate(layer_set):
             buf = d_layers[idx]
             if buf is None:
@@ -253,28 +286,30 @@ def batch_gradients(
 
     grads = backward(state, stack, StackGradients(d_layers=d_layers))
     grads.d_prototypes = grads.d_prototypes + d_protos_i2
+    _require_finite(
+        (
+            ("l_id", l_id, (d_probs,)),
+            ("l_i2tce", l_i2tce, (d_emb_i2, d_protos_i2)),
+            ("l_tri", l_tri, (d_emb_tri,)),
+            ("l_jmmd", l_jmmd, d_jmmd),
+        ),
+        grads,
+    )
     breakdown = sim_loss(l_id, l_tri, l_i2tce, l_jmmd, alpha=jmmd_spec.alpha)
     return breakdown, grads
 
 
 def _apply_step(
     exp: ExperimentState,
-    grads,
+    grads: ParameterGradients,
     task_id: int,
     lr: float,
     update_shared: bool = True,
 ) -> None:
-    adam = exp.adam
-    w_deltas = None
-    b_deltas = None
+    w_deltas = b_deltas = None
     if update_shared:
-        w_deltas = [
-            adam.delta(("w", l), g, lr) for l, g in enumerate(grads.d_weights)
-        ]
-        b_deltas = [
-            adam.delta(("b", l), g, lr) for l, g in enumerate(grads.d_biases)
-        ]
-    p_delta = adam.delta(("p", task_id), grads.d_prototypes, lr)
+        w_deltas, b_deltas = shared_views(exp.encoder, exp.adam.delta("shared", grads.shared, lr))
+    p_delta = exp.adam.delta(("p", task_id), grads.d_prototypes, lr)
     apply_deltas(exp.encoder, w_deltas, b_deltas, p_delta, task_id)
 
 
@@ -311,7 +346,10 @@ def train_task(
             where = f"task {task.task_id} (replaying task {head})"
         else:
             head = task.task_id
-            batches = pk_epoch_batches(task.train, config.pk_p, config.pk_k, rng)
+            batches = [
+                task.train[rows]
+                for rows in pk_epoch_batches(task.train, config.pk_p, config.pk_k, rng)
+            ]
             update_shared = True
             where = f"task {task.task_id}"
         losses = []
@@ -321,7 +359,7 @@ def train_task(
                     exp.encoder,
                     batch,
                     head,
-                    exp.id_maps[head],
+                    exp.head_ids[head],
                     config.jmmd,
                     config.triplet_margin,
                     config.label_smoothing,
@@ -387,7 +425,7 @@ def run_sequence(config: ExperimentConfig, master_seed: int) -> tuple[dict, Expe
         encoder=init_encoder(enc_config),
         adam=Adam(config.schedule),
         banks=ReplayBanks(),
-        id_maps={},
+        head_ids={},
     )
     if len(tasks) == 1:
         exp.warnings.append("single-task config: no continual-learning step will run")
@@ -421,7 +459,7 @@ def run_sequence(config: ExperimentConfig, master_seed: int) -> tuple[dict, Expe
         register_task_head(
             exp.encoder, task.task_id, len(task.train_identities), head_seed
         )
-        exp.id_maps[task.task_id] = identity_index_map(task.train)
+        exp.head_ids[task.task_id] = task.train.identities()
         epochs = _epoch_budget(config, pos)
         rng = _stream(master_seed, _TAG_BATCHES, task.task_id)
         use_replay = config.mpm and pos > 0 and not exp.banks.is_empty()

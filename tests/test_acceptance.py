@@ -16,10 +16,11 @@ import pytest
 from xmcl.banks import ReplayBanks, update_bank
 from xmcl.cli import main as cli_main
 from xmcl.conformal import CpConfig, cp_scores, prediction_set
-from xmcl.data import Sample
+from xmcl.data import Sample, Split
 from xmcl.encoder import EncoderConfig, forward, init_encoder, register_task_head
 from xmcl.losses import (
     JmmdSpec,
+    cosine_logits,
     i2tce_loss,
     i2tce_loss_grad,
     id_loss,
@@ -159,7 +160,7 @@ def test_criterion_02_gradient_suite():
         pe = rng.normal(size=(5, 4))
         protos = rng.normal(size=(6, 4))
         py = rng.integers(0, 6, size=5)
-        _, d_e, d_pr = i2tce_loss_grad(pe, protos, py, 0.3)
+        _, d_e, d_pr = i2tce_loss_grad(softmax(cosine_logits(pe, protos, 0.3)), pe, protos, py, 0.3)
         fd_check(f"i2tce_e[{seed}]", d_e, lambda x: i2tce_loss(x, protos, py, 0.3), pe)
         fd_check(f"i2tce_p[{seed}]", d_pr, lambda x: i2tce_loss(pe, x, py, 0.3), protos)
 
@@ -168,16 +169,17 @@ def test_criterion_02_gradient_suite():
             EncoderConfig(input_dim=6, hidden_dims=(7, 6), embedding_dim=5, seed=seed)
         )
         register_task_head(state, 0, 3, seed=seed + 1)
-        batch = [
-            Sample(int(i % 3), "sketch" if i % 2 == 0 else "photo", rng.normal(size=6), "train")
-            for i in range(8)
-        ]
-        id_map = {0: 0, 1: 1, 2: 2}
+        batch = Split(
+            np.array([rng.normal(size=6) for _ in range(8)]),
+            np.arange(8) % 3,
+            np.arange(8) % 2 == 0,
+        )
+        head_ids = np.arange(3)
         jspec = JmmdSpec(bandwidths=[1.0, 1.2, 0.9], alpha=2.0)
-        _, grads = batch_gradients(state, batch, 0, id_map, jspec)
+        _, grads = batch_gradients(state, batch, 0, head_ids, jspec)
 
         def loss_at(mutated_state):
-            breakdown, _ = batch_gradients(mutated_state, batch, 0, id_map, jspec)
+            breakdown, _ = batch_gradients(mutated_state, batch, 0, head_ids, jspec)
             return breakdown.l_sim
 
         def check_param(name, analytic, kind, index):
@@ -254,7 +256,7 @@ def test_criterion_04_bank_min_retention():
         identity = int(rng.integers(0, 50))
         modality = "sketch" if rng.random() < 0.5 else "photo"
         unc = float(rng.uniform(1.0, 27.0))
-        update_bank(banks, Sample(identity, modality, np.array([0.0]), "train"), unc, 0)
+        update_bank(banks, Sample(identity, modality, np.array([0.0])), unc, 0)
         shadow.setdefault((modality, identity), []).append(unc)
         capacity_ok &= len(banks.sketch) <= 50 and len(banks.photo) <= 50
     mismatches = [

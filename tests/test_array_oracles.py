@@ -1,0 +1,261 @@
+"""The array-backed data path against the list-of-Sample code it replaced.
+
+The oracles below are the earlier implementations, kept verbatim in
+substance: synthetic generation one sample at a time, task files written
+from Sample lists, and the PK and replay samplers over Sample lists.  The
+array versions must give the same samples in the same order, draw the same
+random numbers, and write the same bytes.
+"""
+
+from typing import NamedTuple
+
+import numpy as np
+import pytest
+
+from xmcl.banks import ReplayBanks, replay_epoch_batches, update_bank
+from xmcl.data import (
+    ID_STRIDE,
+    Sample,
+    Split,
+    SynthSpec,
+    _modality_transforms,
+    generate_synthetic_task,
+    load_task,
+    pk_epoch_batches,
+    save_task,
+)
+
+# ---------------------------------------------------------------------------
+# oracles
+
+
+class Row(NamedTuple):
+    """A sample of a task split as the list-of-samples data model held it."""
+
+    identity: int
+    modality: str
+    features: np.ndarray
+    split: str
+
+
+def generate_oracle(spec: SynthSpec) -> dict[str, list[Row]]:
+    (a_p, b_p), (a_s, b_s) = _modality_transforms(spec)
+    rng = np.random.default_rng(spec.seed)
+    n_train, n_test, n_aux = spec.num_train_ids, spec.num_test_ids, spec.num_aux_ids
+    n_total = n_train + n_test + n_aux
+    latents = rng.normal(size=(n_total, spec.latent_dim))
+    splits: dict[str, list[Row]] = {"train": [], "query": [], "gallery": []}
+    for k in range(n_total):
+        identity = spec.task_id * ID_STRIDE + k
+        is_test = n_train <= k < n_train + n_test
+        z = latents[k]
+        for _ in range(spec.sketches_per_id):
+            noise = spec.noise_sigma * rng.normal(size=spec.feature_dim)
+            split = "query" if is_test else "train"
+            splits[split].append(Row(identity, "sketch", a_s @ z + b_s + noise, split))
+        for _ in range(spec.photos_per_id):
+            noise = spec.noise_sigma * rng.normal(size=spec.feature_dim)
+            split = "gallery" if is_test else "train"
+            splits[split].append(Row(identity, "photo", a_p @ z + b_p + noise, split))
+    return splits
+
+
+def save_oracle(task_id: int, samples: list[Row]) -> bytes:
+    lines = []
+    for s in samples:
+        feats = ",".join(format(float(v), ".17g") for v in s.features)
+        lines.append(
+            f'{{"task":{task_id},"id":{s.identity},"modality":"{s.modality}",'
+            f'"split":"{s.split}","features":[{feats}]}}'
+        )
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def pk_oracle(train: list[Sample], p: int, k: int, rng: np.random.Generator) -> list[list[Sample]]:
+    groups: dict[int, list[Sample]] = {}
+    for s in train:
+        groups.setdefault(s.identity, []).append(s)
+    groups = {i: groups[i] for i in sorted(groups)}
+    ids = list(groups)
+    if len(ids) < p:
+        raise ValueError(f"need at least {p} identities, train split has {len(ids)}")
+    order = [ids[int(i)] for i in rng.permutation(len(ids))]
+    chunks = [order[i : i + p] for i in range(0, len(order), p)]
+    if len(chunks[-1]) < p:
+        seen = order[: len(order) - len(chunks[-1])]
+        pad = rng.choice(len(seen), size=p - len(chunks[-1]), replace=False)
+        chunks[-1] = chunks[-1] + [seen[int(i)] for i in pad]
+    batches = []
+    for chunk in chunks:
+        batch: list[Sample] = []
+        for identity in chunk:
+            pool = groups[identity]
+            idx = rng.choice(len(pool), size=k, replace=len(pool) < k)
+            batch.extend(pool[int(i)] for i in idx)
+        batches.append(batch)
+    return batches
+
+
+def replay_oracle(banks: ReplayBanks, p: int, k: int, rng: np.random.Generator, task_id=None):
+    ids = banks.identities(task_id)
+    order = [ids[int(i)] for i in rng.permutation(len(ids))]
+    chunks = [order[i : i + p] for i in range(0, len(order), p)] or [order]
+    batches = []
+    for chunk in chunks:
+        batch: list[Sample] = []
+        for identity in chunk:
+            pool = []
+            if identity in banks.sketch:
+                pool.append(banks.sketch[identity].sample)
+            if identity in banks.photo:
+                pool.append(banks.photo[identity].sample)
+            batch.extend(pool[j % len(pool)] for j in range(k))
+        batches.append(batch)
+    return batches
+
+
+def rows_of(samples: list[Sample]) -> list[tuple]:
+    return [(s.identity, s.modality == "sketch", s.features.tobytes()) for s in samples]
+
+
+def rows_of_split(split: Split) -> list[tuple]:
+    return [
+        (i, sketch, f.tobytes())
+        for i, sketch, f in zip(split.ids.tolist(), split.is_sketch.tolist(), split.features)
+    ]
+
+
+def split_of(samples: list[Sample]) -> Split:
+    return Split(
+        np.array([s.features for s in samples]),
+        np.array([s.identity for s in samples], dtype=np.int64),
+        np.array([s.modality == "sketch" for s in samples]),
+    )
+
+
+# ---------------------------------------------------------------------------
+# synthetic tasks and task files
+
+SPECS = [
+    SynthSpec(task_id=0, latent_dim=4, feature_dim=8, num_train_ids=10, num_test_ids=5,
+              sketches_per_id=2, photos_per_id=3, modality_gap=0.4, noise_sigma=0.05, seed=7),
+    SynthSpec(task_id=2, latent_dim=16, feature_dim=64, num_train_ids=50, num_test_ids=20,
+              modality_gap=1.45, task_shift=1.57, noise_sigma=0.2, seed=123456789),
+    SynthSpec(task_id=1, latent_dim=3, feature_dim=5, num_train_ids=4, num_test_ids=3,
+              num_aux_ids=5, sketches_per_id=1, photos_per_id=4, seed=3),
+    SynthSpec(task_id=0, latent_dim=4, feature_dim=8, num_train_ids=4, num_test_ids=2,
+              modality_gap=0.0, noise_sigma=0.0, seed=3),
+]
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_synthetic_features_equal_per_sample_generation(spec):
+    task = generate_synthetic_task(spec)
+    oracle = generate_oracle(spec)
+    for name, split in task.splits():
+        expected = oracle[name]
+        assert split.ids.tolist() == [s.identity for s in expected]
+        assert split.is_sketch.tolist() == [s.modality == "sketch" for s in expected]
+        assert np.array_equal(split.features, np.array([s.features for s in expected]))
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_save_task_bytes_equal_sample_rows(spec, tmp_path):
+    task = generate_synthetic_task(spec)
+    oracle = generate_oracle(spec)
+    expected = save_oracle(spec.task_id, [*oracle["train"], *oracle["query"], *oracle["gallery"]])
+    path = tmp_path / "task.jsonl"
+    save_task(task, path)
+    assert path.read_bytes() == expected
+    again = tmp_path / "again.jsonl"
+    save_task(load_task(path), again)
+    assert again.read_bytes() == expected
+
+
+# ---------------------------------------------------------------------------
+# PK epochs
+
+
+def random_train(rng: np.random.Generator, num_ids: int, k: int) -> list[Sample]:
+    """Identities with 1..k+2 rows each (some below k), rows shuffled across identities."""
+    samples = []
+    for identity in rng.choice(10_000, size=num_ids, replace=False).tolist():
+        for _ in range(int(rng.integers(1, k + 3))):
+            modality = "sketch" if rng.random() < 0.5 else "photo"
+            samples.append(Sample(identity, modality, rng.normal(size=3)))
+    return [samples[i] for i in rng.permutation(len(samples))]
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_pk_index_batches_equal_sample_batches(block):
+    for seed in range(block * 60, block * 60 + 60):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(2, 7))
+        k = int(rng.integers(1, 5))
+        # seed % 3 == 0: p divides the identity count; otherwise the last chunk pads
+        num_ids = p * int(rng.integers(1, 4)) + (0 if seed % 3 == 0 else int(rng.integers(1, p)))
+        samples = random_train(rng, num_ids, k)
+        train = split_of(samples)
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = pk_oracle(samples, p, k, a)
+        got = pk_epoch_batches(train, p, k, b)
+        assert len(got) == len(expected)
+        for rows, batch in zip(got, expected):
+            assert rows.dtype == np.int64
+            assert rows_of_split(train[rows]) == rows_of(batch)
+        assert a.random() == b.random()
+
+
+def test_pk_covers_the_replace_path_and_even_chunks():
+    # an identity with fewer rows than k draws with replacement
+    samples = [Sample(5, "sketch", np.zeros(2))]
+    samples += [Sample(i, "photo", np.full(2, float(j))) for i in (1, 9) for j in range(4)]
+    for seed in range(20):
+        expected = pk_oracle(samples, 3, 4, np.random.default_rng(seed))
+        got = pk_epoch_batches(split_of(samples), 3, 4, np.random.default_rng(seed))
+        assert [rows_of_split(split_of(samples)[r]) for r in got] == [rows_of(b) for b in expected]
+        assert len(got) == 1
+
+
+# ---------------------------------------------------------------------------
+# replay epochs
+
+
+def random_banks(rng: np.random.Generator) -> ReplayBanks:
+    """Entries of two tasks; some identities hold only a sketch or only a photo."""
+    banks = ReplayBanks()
+    for identity in rng.choice(1000, size=int(rng.integers(1, 30)), replace=False).tolist():
+        task_id = int(rng.integers(0, 2))
+        kinds = [("sketch",), ("photo",), ("sketch", "photo")][int(rng.integers(0, 3))]
+        for modality in kinds:
+            sample = Sample(identity, modality, rng.normal(size=4))
+            update_bank(banks, sample, float(rng.uniform(1, 20)), task_id)
+    return banks
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_replay_array_batches_equal_sample_batches(block):
+    for seed in range(block * 60, block * 60 + 60):
+        rng = np.random.default_rng(seed)
+        banks = random_banks(rng)
+        # p above, equal to, dividing and not dividing the banked identity count
+        p = int(rng.integers(1, 12))
+        k = int(rng.integers(1, 6))
+        task_id = [None, *banks.task_ids()][int(rng.integers(0, len(banks.task_ids()) + 1))]
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = replay_oracle(banks, p, k, a, task_id)
+        got = replay_epoch_batches(banks, p, k, b, task_id=task_id)
+        assert [rows_of_split(batch) for batch in got] == [rows_of(batch) for batch in expected]
+        assert a.random() == b.random()
+
+
+def test_replay_p_dividing_evenly_and_fewer_identities_than_p():
+    rng = np.random.default_rng(0)
+    banks = ReplayBanks()
+    for identity in range(8):
+        update_bank(banks, Sample(identity, "sketch", rng.normal(size=2)), 2.0, 0)
+    for p, count in ((4, 2), (8, 1), (20, 1)):
+        expected = replay_oracle(banks, p, 3, np.random.default_rng(p))
+        got = replay_epoch_batches(banks, p, 3, np.random.default_rng(p))
+        assert len(got) == count
+        assert [rows_of_split(batch) for batch in got] == [rows_of(batch) for batch in expected]

@@ -19,7 +19,7 @@ from xmcl.encoder import EncoderConfig, init_encoder, register_task_head
 
 
 def mk_sample(identity, modality="sketch", value=0.0):
-    return Sample(identity, modality, np.array([value, value]), "train")
+    return Sample(identity, modality, np.array([value, value]))
 
 
 def mk_banks(*entries):
@@ -92,33 +92,33 @@ class TestReplayBatch:
         banks = mk_banks((1, "sketch", 2.0), (1, "photo", 2.5))
         (batch,) = replay_epoch_batches(banks, p=1, k=4, rng=0)
         assert len(batch) == 4
-        assert {s.modality for s in batch} == {"sketch", "photo"}
+        assert set(batch.is_sketch.tolist()) == {True, False}
         stored = {banks.sketch[1].sample.features.tobytes(), banks.photo[1].sample.features.tobytes()}
-        assert {s.features.tobytes() for s in batch} <= stored
+        assert {f.tobytes() for f in batch.features} <= stored
 
     def test_pk_shape(self):
         entries = [(i, m, 2.0) for i in range(20) for m in ("sketch", "photo")]
         banks = mk_banks(*entries)
         batches = replay_epoch_batches(banks, p=16, k=4, rng=1)
         assert len(batches[0]) == 64
-        assert len({s.identity for s in batches[0]}) == 16
+        assert len(set(batches[0].ids.tolist())) == 16
         # every banked identity is replayed, each in exactly one batch
-        chunks = [{s.identity for s in batch} for batch in batches]
+        chunks = [set(batch.ids.tolist()) for batch in batches]
         assert sorted(i for chunk in chunks for i in chunk) == list(range(20))
 
     def test_deterministic_per_seed(self):
         entries = [(i, "sketch", 2.0) for i in range(10)]
         banks = mk_banks(*entries)
-        a = sum(replay_epoch_batches(banks, p=4, k=2, rng=7), [])
-        b = sum(replay_epoch_batches(banks, p=4, k=2, rng=7), [])
-        assert [s.identity for s in a] == [s.identity for s in b]
+        a = replay_epoch_batches(banks, p=4, k=2, rng=7)
+        b = replay_epoch_batches(banks, p=4, k=2, rng=7)
+        assert [x.ids.tolist() for x in a] == [y.ids.tolist() for y in b]
 
     def test_purity_only_bank_samples(self):
         entries = [(i, m, 2.0) for i in range(6) for m in ("sketch", "photo")]
         banks = mk_banks(*entries)
         stored = {e.sample.features.tobytes() for e in (*banks.sketch.values(), *banks.photo.values())}
         batches = replay_epoch_batches(banks, p=4, k=5, rng=3)
-        assert {s.features.tobytes() for batch in batches for s in batch} <= stored
+        assert {f.tobytes() for batch in batches for f in batch.features} <= stored
 
     def test_fewer_identities_than_p(self):
         banks = mk_banks((0, "sketch", 2.0), (1, "sketch", 2.0))
@@ -134,7 +134,7 @@ class TestReplayBatch:
         update_bank(banks, mk_sample(1), 2.0, task_id=0)
         update_bank(banks, mk_sample(2), 2.0, task_id=1)
         batches = replay_epoch_batches(banks, p=4, k=1, rng=0, task_id=0)
-        assert {s.identity for batch in batches for s in batch} == {1}
+        assert {i for batch in batches for i in batch.ids.tolist()} == {1}
 
 
 class TestScoreTask:
@@ -166,26 +166,29 @@ class TestScoreTask:
 
     def test_matches_per_sample_prediction_set(self):
         from xmcl.conformal import prediction_set
-        from xmcl.data import features_of
         from xmcl.encoder import forward
 
         task, state = self.make_task_and_state()
-        probs = forward(state, features_of(task.train), 0).probs
+        probs = forward(state, task.train.features, 0).probs
+        rows = [
+            (i, "sketch" if sketch else "photo", f.tobytes())
+            for i, sketch, f in zip(task.train.ids.tolist(), task.train.is_sketch, task.train.features)
+        ]
         for config in (CpConfig(), CpConfig(lam=0.05, k_reg=2, tau=0.6)):
             scored = score_task(state, task, config)
-            assert [s for s, _ in scored] == task.train
+            assert [(s.identity, s.modality, s.features.tobytes()) for s, _ in scored] == rows
             assert [u for _, u in scored] == [prediction_set(p, config).unc for p in probs]
             assert all(type(u) is float for _, u in scored)
 
     def test_duplicate_samples_identical_uncertainty(self):
         task, state = self.make_task_and_state()
-        task.train.append(task.train[0])
+        task.train = task.train[np.r_[0 : len(task.train), 0]]
         scored = score_task(state, task)
         assert scored[0][1] == scored[-1][1]
 
     def test_empty_split_empty_list(self):
         task, state = self.make_task_and_state()
-        task.train.clear()
+        task.train = task.train[:0]
         assert score_task(state, task) == []
 
     def test_unregistered_task_rejected(self):

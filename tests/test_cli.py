@@ -90,6 +90,7 @@ BAD_CONFIGS = [
     ({"seeds": 0}, "seeds"),
     ({"seed": True}, "seed"),
     ({"jmmd": {"layer_set": [99]}}, "layer_set"),
+    ({"jmmd": {"bandwidths": [1.0, 2.0]}}, "jmmd.bandwidths"),
 ]
 
 

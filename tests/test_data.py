@@ -3,15 +3,11 @@ import pytest
 
 from xmcl.data import (
     DatasetValidationError,
-    Sample,
+    Split,
     SynthSpec,
     SynthSpecError,
-    TaskDataset,
     TaskFileError,
-    features_of,
     generate_synthetic_task,
-    identity_index_map,
-    labels_of,
     load_task,
     pk_epoch_batches,
     save_task,
@@ -35,8 +31,8 @@ class TestGeneration:
     def test_deterministic(self):
         a = generate_synthetic_task(SMALL)
         b = generate_synthetic_task(SMALL)
-        for sa, sb in zip(a.all_samples(), b.all_samples()):
-            assert sa.identity == sb.identity
+        for (_, sa), (_, sb) in zip(a.splits(), b.splits()):
+            assert sa.ids.tolist() == sb.ids.tolist()
             assert sa.features.tobytes() == sb.features.tobytes()
 
     def test_counts_and_disjointness(self):
@@ -61,8 +57,8 @@ class TestGeneration:
         )
         ds = generate_synthetic_task(spec)
         for identity in ds.test_identities:
-            sketches = [s.features for s in ds.query if s.identity == identity]
-            photos = [s.features for s in ds.gallery if s.identity == identity]
+            sketches = ds.query.features[ds.query.ids == identity]
+            photos = ds.gallery.features[ds.gallery.ids == identity]
             np.testing.assert_allclose(sketches[0], photos[0], atol=1e-12)
 
     def test_cross_task_identity_disjointness(self):
@@ -98,7 +94,7 @@ class TestGeneration:
                 seed=7,
             )
         )
-        assert not np.allclose(base.train[0].features, shifted.train[0].features)
+        assert not np.allclose(base.train.features[0], shifted.train.features[0])
 
     def test_aux_identities_stay_out_of_eval(self):
         spec = SynthSpec(
@@ -129,10 +125,10 @@ class TestTaskFiles:
         loaded = load_task(path)
         assert loaded.task_id == ds.task_id
         assert len(loaded.train) == len(ds.train)
-        for sa, sb in zip(ds.all_samples(), loaded.all_samples()):
-            assert sa.identity == sb.identity
-            assert sa.modality == sb.modality
-            assert sa.split == sb.split
+        for (name_a, sa), (name_b, sb) in zip(ds.splits(), loaded.splits()):
+            assert name_a == name_b
+            assert sa.ids.tolist() == sb.ids.tolist()
+            assert sa.is_sketch.tolist() == sb.is_sketch.tolist()
             assert sa.features.tobytes() == sb.features.tobytes()
 
     def test_save_is_byte_deterministic(self, tmp_path):
@@ -182,35 +178,36 @@ class TestTaskFiles:
             load_task(path)
 
 
+def make_split(rows: list[tuple[int, bool, np.ndarray]]) -> Split:
+    ids, sketch, feats = zip(*rows)
+    return Split(np.array(feats, dtype=float), np.array(ids, dtype=np.int64), np.array(sketch))
+
+
 class TestPkSampling:
     def make_train(self, num_ids=20, per_id=6):
-        samples = []
-        for i in range(num_ids):
-            for j in range(per_id):
-                modality = "sketch" if j % 2 == 0 else "photo"
-                samples.append(Sample(i, modality, np.array([float(i), float(j)]), "train"))
-        return samples
+        return make_split(
+            [(i, j % 2 == 0, np.array([float(i), float(j)])) for i in range(num_ids) for j in range(per_id)]
+        )
 
     def test_shape_16x4(self):
-        batches = pk_epoch_batches(self.make_train(), p=16, k=4, rng=0)
+        train = self.make_train()
+        batches = pk_epoch_batches(train, p=16, k=4, rng=0)
         for batch in batches:
-            assert len(batch) == 64
-            assert len({s.identity for s in batch}) == 16
+            assert batch.shape == (64,)
+            assert len(set(train.ids[batch].tolist())) == 16
 
     def test_upsample_single_sample_identity(self):
-        samples = [Sample(0, "sketch", np.zeros(2), "train")]
-        samples += [Sample(1, "photo", np.array([1.0, 1.0]), "train") for _ in range(4)]
-        (batch,) = pk_epoch_batches(samples, p=2, k=4, rng=1)
-        zero = [s for s in batch if s.identity == 0]
-        assert len(zero) == 4
-        assert all(s is samples[0] for s in zero)
+        train = make_split([(0, True, np.zeros(2))] + [(1, False, np.ones(2))] * 4)
+        (batch,) = pk_epoch_batches(train, p=2, k=4, rng=1)
+        zero = batch[train.ids[batch] == 0]
+        assert zero.tolist() == [0, 0, 0, 0]
 
     def test_deterministic_per_seed(self):
         train = self.make_train()
-        a = sum(pk_epoch_batches(train, 8, 4, rng=42), [])
-        b = sum(pk_epoch_batches(train, 8, 4, rng=42), [])
-        assert [s.identity for s in a] == [s.identity for s in b]
-        assert [s.features.tobytes() for s in a] == [s.features.tobytes() for s in b]
+        a = np.concatenate(pk_epoch_batches(train, 8, 4, rng=42))
+        b = np.concatenate(pk_epoch_batches(train, 8, 4, rng=42))
+        assert a.tolist() == b.tolist()
+        assert train.features[a].tobytes() == train.features[b].tobytes()
 
     def test_too_few_identities_rejected(self):
         with pytest.raises(ValueError):
@@ -223,7 +220,7 @@ class TestPkSampling:
         counts: dict[int, int] = {}
         chunk_ids = []
         for batch in batches:
-            ids = sorted({s.identity for s in batch})
+            ids = sorted(set(train.ids[batch].tolist()))
             chunk_ids.append(ids)
             for i in ids:
                 counts[i] = counts.get(i, 0) + 1
@@ -236,9 +233,11 @@ class TestPkSampling:
         assert all(i in chunk_ids[-1] for i in repeated)
 
     def test_helpers(self):
-        train = self.make_train(num_ids=3, per_id=2)
-        assert identity_index_map(train) == {0: 0, 1: 1, 2: 2}
-        feats = features_of(train)
-        assert feats.shape == (6, 2)
-        labels = labels_of(train)
-        assert labels.tolist() == [0, 0, 1, 1, 2, 2]
+        train = make_split([(i, j == 0, np.array([float(i), float(j)])) for i in (7, 3, 5) for j in range(2)])
+        assert len(train) == 6
+        assert train.identities().tolist() == [3, 5, 7]
+        rows = train[np.array([4, 1])]
+        assert rows.ids.tolist() == [5, 7]
+        assert rows.is_sketch.tolist() == [True, False]
+        assert rows.features.tolist() == [[5.0, 0.0], [7.0, 1.0]]
+        assert train[:2].ids.tolist() == [7, 7]

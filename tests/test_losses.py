@@ -206,6 +206,24 @@ class TestMedianBandwidth:
         with pytest.raises(LossInputError):
             median_bandwidth(np.ones((1, 3)))
 
+    def test_partition_median_equals_np_median_to_the_bit(self):
+        # n vectors give n(n-1)/2 pairs: odd for n = 2, 3, 6, 7, ..., even for n = 4, 5, 8, ...
+        rng = np.random.default_rng(41)
+        for n in range(2, 40):
+            for scale, decimals in ((1.0, None), (1e-7, None), (3.0, 0), ("mixed", None)):
+                if scale == "mixed":
+                    # a tight cluster and far points: the two middle pairs differ in scale
+                    spread = np.where(np.arange(n) < n // 2, 1e-4, 10.0)
+                    feats = rng.normal(size=(n, 3)) * spread[:, None]
+                else:
+                    feats = rng.normal(size=(n, 3)) * scale
+                if decimals is not None:
+                    feats = np.round(feats, decimals)  # many tied distances
+                d2 = _sq_dists(feats, feats)
+                pairs = d2[np.triu_indices(n, k=1)]
+                expected = float(np.sqrt(max(float(np.median(pairs)), 1e-12)))
+                assert median_bandwidth(feats) == expected
+
 
 class TestJmmd:
     def test_identical_distributions_zero(self):
@@ -528,7 +546,8 @@ class TestI2tce:
         emb = rng.normal(size=(5, 4))
         protos = rng.normal(size=(6, 4))
         labels = rng.integers(0, 6, size=5)
-        _, d_e, d_p = i2tce_loss_grad(emb, protos, labels, temperature=0.3)
+        probs = softmax(cosine_logits(emb, protos, temperature=0.3))
+        _, d_e, d_p = i2tce_loss_grad(probs, emb, protos, labels, temperature=0.3)
         fd_matches(d_e, lambda x: i2tce_loss(x, protos, labels, temperature=0.3), emb)
         fd_matches(d_p, lambda x: i2tce_loss(emb, x, labels, temperature=0.3), protos)
 

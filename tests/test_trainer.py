@@ -115,6 +115,24 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(tasks=mini_specs(1), hidden_dims=(16, 16), jmmd=JmmdSpec(layer_set=(0, 3)))
         assert cfg.jmmd.layer_set == (0, 3)
 
+    @pytest.mark.parametrize(
+        "jmmd",
+        [
+            JmmdSpec(bandwidths=(1.0, 2.0)),
+            JmmdSpec(bandwidths=(1.0, 2.0, 3.0, 4.0)),
+            JmmdSpec(layer_set=(0, 1), bandwidths=(1.0, 2.0, 3.0)),
+            JmmdSpec(bandwidths=(1.0,), alpha=0.0),
+        ],
+    )
+    def test_bandwidth_count_mismatch_rejected(self, jmmd):
+        # the default layer set of hidden (16, 16) has three layers
+        with pytest.raises(ValueError, match="jmmd.bandwidths"):
+            ExperimentConfig(tasks=mini_specs(1), hidden_dims=(16, 16), jmmd=jmmd)
+
+    def test_bandwidth_count_matching_the_layer_set_accepted(self):
+        for jmmd in (JmmdSpec(bandwidths=(1.0, 2.0, 3.0)), JmmdSpec(layer_set=(2,), bandwidths=(0.5,))):
+            assert ExperimentConfig(tasks=mini_specs(1), hidden_dims=(16, 16), jmmd=jmmd).jmmd == jmmd
+
 
 class TestAdam:
     def test_first_step_direction(self):
@@ -131,48 +149,83 @@ class TestAdam:
         assert adam.t[("w", 0)] == 2
         assert adam.t[("p", 1)] == 1
 
+    def test_one_flat_update_equals_per_parameter_updates(self):
+        # the trainer steps all shared parameters as one vector; elementwise
+        # ops make that equal to the per-parameter formula to the bit
+        rng = np.random.default_rng(3)
+        shapes = [(5, 4), (4,), (4, 3), (3,)]
+        adam = Adam(Schedule())
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        for t in range(1, 8):
+            grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+            lr = float(rng.uniform(1e-4, 1e-1))
+            flat = adam.delta("shared", np.concatenate([g.ravel() for g in grads]), lr)
+            expected = []
+            for i, g in enumerate(grads):
+                m[i] = b1 * m[i] + (1 - b1) * g
+                v[i] = b2 * v[i] + (1 - b2) * g * g
+                m_hat = m[i] / (1 - b1**t)
+                v_hat = v[i] / (1 - b2**t)
+                expected.append((-lr * m_hat / (np.sqrt(v_hat) + eps)).ravel())
+            assert np.array_equal(flat, np.concatenate(expected))
+
 
 class TestBatchGradients:
     def test_alpha_zero_sim_equals_reid(self):
-        from xmcl.data import generate_synthetic_task, identity_index_map
+        from xmcl.data import generate_synthetic_task
         from xmcl.encoder import EncoderConfig, init_encoder, register_task_head
 
         task = generate_synthetic_task(mini_specs(1)[0])
         state = init_encoder(EncoderConfig(input_dim=16, hidden_dims=(8,), embedding_dim=6, seed=0))
         register_task_head(state, 0, 12, seed=1)
-        id_map = identity_index_map(task.train)
         breakdown, _ = batch_gradients(
-            state, task.train[:12], 0, id_map, JmmdSpec(alpha=0.0)
+            state, task.train[:12], 0, task.train.identities(), JmmdSpec(alpha=0.0)
         )
         assert breakdown.l_sim == breakdown.l_reid
         assert breakdown.l_jmmd == 0.0
 
     def test_single_modality_batch_skips_alignment(self, caplog):
-        from xmcl.data import generate_synthetic_task, identity_index_map
+        from xmcl.data import generate_synthetic_task
         from xmcl.encoder import EncoderConfig, init_encoder, register_task_head
 
         task = generate_synthetic_task(mini_specs(1)[0])
         state = init_encoder(EncoderConfig(input_dim=16, hidden_dims=(8,), embedding_dim=6, seed=0))
         register_task_head(state, 0, 12, seed=1)
-        id_map = identity_index_map(task.train)
-        photos = [s for s in task.train if s.modality == "photo"][:8]
+        photos = task.train[np.flatnonzero(~task.train.is_sketch)[:8]]
         with caplog.at_level("WARNING"):
-            breakdown, _ = batch_gradients(state, photos, 0, id_map, JmmdSpec(alpha=5.0))
+            breakdown, _ = batch_gradients(
+                state, photos, 0, task.train.identities(), JmmdSpec(alpha=5.0)
+            )
         assert breakdown.l_jmmd == 0.0
         assert any("lacks one modality" in r.message for r in caplog.records)
 
+    def test_identity_outside_the_head_rejected(self):
+        from xmcl.data import generate_synthetic_task
+        from xmcl.encoder import EncoderConfig, init_encoder, register_task_head
+
+        task = generate_synthetic_task(mini_specs(1)[0])
+        state = init_encoder(EncoderConfig(input_dim=16, hidden_dims=(8,), embedding_dim=6, seed=0))
+        register_task_head(state, 0, 11, seed=1)
+        ids = task.train.identities()
+        # identity 0 below the head's first row; identity 11 past its last
+        for head_ids, rows in ((ids[1:], slice(0, 12)), (ids[:-1], slice(-12, None))):
+            with pytest.raises(KeyError, match="outside task 0's head"):
+                batch_gradients(state, task.train[rows], 0, head_ids, JmmdSpec())
+
 
     def test_nan_feature_names_the_term(self):
-        from xmcl.data import generate_synthetic_task, identity_index_map
+        from xmcl.data import generate_synthetic_task
         from xmcl.encoder import EncoderConfig, init_encoder, register_task_head
 
         task = generate_synthetic_task(mini_specs(1)[0])
         state = init_encoder(EncoderConfig(input_dim=16, hidden_dims=(8,), embedding_dim=6, seed=0))
         register_task_head(state, 0, 12, seed=1)
         batch = task.train[:12]
-        batch[3].features[5] = np.nan
+        batch.features[3, 5] = np.nan
         with pytest.raises(FloatingPointError, match="^non-finite l_id$"):
-            batch_gradients(state, batch, 0, identity_index_map(task.train), JmmdSpec())
+            batch_gradients(state, batch, 0, task.train.identities(), JmmdSpec())
 
 
 class TestNonFiniteFailsFast:
@@ -183,7 +236,7 @@ class TestNonFiniteFailsFast:
 
         def poisoned(spec):
             task = real(spec)
-            task.train[0].features[3] = np.nan
+            task.train.features[0, 3] = np.nan
             return task
 
         monkeypatch.setattr(trainer, "generate_synthetic_task", poisoned)
@@ -191,7 +244,7 @@ class TestNonFiniteFailsFast:
             run_sequence(mini_config(num_tasks=1), master_seed=0)
 
     def test_nan_in_bank_names_the_replayed_task(self):
-        from xmcl.data import generate_synthetic_task, identity_index_map
+        from xmcl.data import generate_synthetic_task
         from xmcl.encoder import register_task_head
         from xmcl.trainer import train_task
 
@@ -200,11 +253,84 @@ class TestNonFiniteFailsFast:
             entry.sample.features[0] = np.nan
         task1 = generate_synthetic_task(mini_specs(2)[1])
         register_task_head(exp.encoder, 1, len(task1.train_identities), seed=9)
-        exp.id_maps[1] = identity_index_map(task1.train)
+        exp.head_ids[1] = task1.train.identities()
         with pytest.raises(
             FloatingPointError, match=r"^task 1 \(replaying task 0\), epoch 2: non-finite l_id$"
         ):
             train_task(exp, task1, mini_config(), 2, np.random.default_rng(5), use_replay=True)
+
+
+def poisoned_loss(real, part, from_call):
+    """real with its value (part 0) or first gradient (part 1) set to NaN from a call on."""
+    calls = []
+
+    def loss(*args, **kwargs):
+        calls.append(None)
+        out = list(real(*args, **kwargs))
+        if len(calls) >= from_call:
+            if part == 0:
+                out[0] = float("nan")
+            else:
+                grad = out[1][0] if isinstance(out[1], list) else out[1]
+                grad[...] = np.nan
+        return tuple(out)
+
+    return loss
+
+
+class TestNonFiniteTermNamed:
+    TERMS = {
+        "l_id": "id_loss_grad",
+        "l_i2tce": "i2tce_loss_grad",
+        "l_tri": "triplet_loss_grad",
+        "l_jmmd": "jmmd_with_grad",
+    }
+
+    @pytest.mark.parametrize("part", [0, 1], ids=["value", "gradient"])
+    @pytest.mark.parametrize("term", list(TERMS))
+    def test_new_task_epoch(self, monkeypatch, term, part):
+        import xmcl.trainer as trainer
+
+        name = self.TERMS[term]
+        monkeypatch.setattr(trainer, name, poisoned_loss(getattr(trainer, name), part, 1))
+        with pytest.raises(FloatingPointError, match=rf"^task 0, epoch 1: non-finite {term}$"):
+            run_sequence(mini_config(num_tasks=1), master_seed=0)
+
+    @pytest.mark.parametrize("part", [0, 1], ids=["value", "gradient"])
+    @pytest.mark.parametrize("term", list(TERMS))
+    def test_replay_epoch(self, monkeypatch, term, part):
+        import xmcl.trainer as trainer
+        from xmcl.data import generate_synthetic_task
+        from xmcl.encoder import register_task_head
+
+        _, exp = run_sequence(mini_config(num_tasks=1, mpm=True), master_seed=2)
+        task1 = generate_synthetic_task(mini_specs(2)[1])
+        register_task_head(exp.encoder, 1, len(task1.train_identities), seed=9)
+        exp.head_ids[1] = task1.train.identities()
+        # epoch 1 trains 12 identities in P=4 batches; call 4 is the first replay batch
+        name = self.TERMS[term]
+        monkeypatch.setattr(trainer, name, poisoned_loss(getattr(trainer, name), part, 4))
+        with pytest.raises(
+            FloatingPointError, match=rf"^task 1 \(replaying task 0\), epoch 2: non-finite {term}$"
+        ):
+            trainer.train_task(exp, task1, mini_config(), 2, np.random.default_rng(5), use_replay=True)
+
+
+    def test_parameter_gradient_named_when_every_term_is_finite(self, monkeypatch):
+        import xmcl.trainer as trainer
+
+        real = trainer.backward
+
+        def overflowing(*args, **kwargs):
+            grads = real(*args, **kwargs)
+            grads.shared[0] = np.inf
+            return grads
+
+        monkeypatch.setattr(trainer, "backward", overflowing)
+        with pytest.raises(
+            FloatingPointError, match=r"^task 0, epoch 1: non-finite parameter gradient$"
+        ):
+            run_sequence(mini_config(num_tasks=1), master_seed=0)
 
 
 class TestRunSequence:
@@ -323,7 +449,7 @@ class TestRunSequence:
         import copy
         import dataclasses
 
-        from xmcl.data import generate_synthetic_task, identity_index_map
+        from xmcl.data import generate_synthetic_task
         from xmcl.encoder import register_task_head
         from xmcl.trainer import train_task
 
@@ -331,7 +457,7 @@ class TestRunSequence:
         _, exp = run_sequence(mini_config(num_tasks=1, mpm=True), master_seed=2)
         task1 = generate_synthetic_task(mini_specs(2)[1])
         register_task_head(exp.encoder, 1, len(task1.train_identities), seed=9)
-        exp.id_maps[1] = identity_index_map(task1.train)
+        exp.head_ids[1] = task1.train.identities()
 
         def run(epochs, freeze):
             e = copy.deepcopy(exp)
