@@ -8,20 +8,24 @@ feature clouds are pulled together.
 
 import numpy as np
 
-from xmcl import JmmdSpec, gaussian_kernel, jmmd, median_bandwidth, sim_loss
+from xmcl import JmmdSpec, LossBreakdown, jmmd
 from xmcl.losses import id_loss, softmax, triplet_loss
 
 rng = np.random.default_rng(0)
 
-print("=== Gaussian kernel ===")
+print("=== Gaussian kernel, seen through the alignment distance ===")
+# one sketch x against one photo y: distance = k(x,x) + k(y,y) - 2 k(x,y) = 2 - 2 k(x,y)
 x, y = rng.normal(size=(2, 4))
-sigma = 1.0
-print(f"k(x, x)      = {gaussian_kernel(x, x, sigma):.6f}   (always 1)")
-print(f"k(x, y)      = {gaussian_kernel(x, y, sigma):.6f}")
-print(f"k(y, x)      = {gaussian_kernel(y, x, sigma):.6f}   (symmetric)")
+unit = JmmdSpec(bandwidths=[1.0])
+print(f"distance(x, x) = {jmmd([x[None]], [x[None]], unit):.6f}   (identical sets)")
+print(f"distance(x, y) = {jmmd([x[None]], [y[None]], unit):.6f}   -> k(x, y) = "
+      f"{1 - jmmd([x[None]], [y[None]], unit) / 2:.6f}")
+print(f"distance(y, x) = {jmmd([y[None]], [x[None]], unit):.6f}   (symmetric)")
 
-pool = rng.normal(size=(12, 4))
-print(f"median bandwidth of a 12-vector pool: {median_bandwidth(pool):.4f}")
+sketches, photos = rng.normal(size=(6, 4)), rng.normal(loc=0.5, size=(6, 4))
+print("distance between two 6-vector clouds,")
+print(f"  bandwidth from the median heuristic (default): {jmmd([sketches], [photos]):.5f}")
+print(f"  fixed bandwidth 1.0:                            {jmmd([sketches], [photos], unit):.5f}")
 
 print()
 print("=== Multi-layer alignment distance ===")
@@ -41,7 +45,7 @@ labels = np.array([0, 0, 1, 1])
 l_tri = triplet_loss(emb, labels, margin=0.3)
 probs = softmax(np.array([[4.0, 0.0], [3.0, 0.5], [0.0, 4.0], [0.2, 3.0]]))
 l_id = id_loss(probs, labels, smoothing=0.1)
-breakdown = sim_loss(l_id=l_id, l_tri=l_tri, l_i2tce=0.12, l_jmmd=0.05, alpha=5.0)
+breakdown = LossBreakdown(l_id=l_id, l_tri=l_tri, l_i2tce=0.12, l_jmmd=0.05, alpha=5.0)
 print(f"l_id={breakdown.l_id:.4f}  l_tri={breakdown.l_tri:.4f}  l_i2tce={breakdown.l_i2tce:.4f}")
 print(f"l_reid = sum of the three = {breakdown.l_reid:.4f}")
 print(f"l_sim  = l_reid + alpha * l_jmmd = {breakdown.l_sim:.4f}  (alpha={breakdown.alpha})")

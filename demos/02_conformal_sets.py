@@ -2,22 +2,23 @@
 """Conformal prediction sets and the uncertainty score, step by step.
 
 Shows how the rank-penalized score is assembled for a small probability
-vector, how the threshold carves out the prediction set, and why the set
+vector, how raising the threshold grows the prediction set, and why the set
 size saturates for diffuse distributions (the probability spread then does
 the discriminating).
 """
 
 import numpy as np
 
-from xmcl import CpConfig, prediction_set, rank_and_cumulate, uncertainty
-from xmcl.conformal import cp_scores
+from xmcl import CpConfig, prediction_set
 
 pi = np.array([0.6, 0.3, 0.1])
 print("pi =", pi)
-ranks, rho = rank_and_cumulate(pi)
-print("descending-probability ranks:", ranks)
-print("cumulative mass above each identity:", rho)
-print("scores (rho + pi + penalty):", cp_scores(pi))
+print("score of the identity at rank j: mass ranked at or above it + lam * max(0, j - k_reg)")
+print("here 0.6, 0.9 and 1.0 (no penalty below rank k_reg = 10); raising tau admits each in turn:")
+for tau in (0.5, 0.6, 0.9, 1.0):
+    ps = prediction_set(pi, CpConfig(tau=tau))
+    print(f"  tau={tau:.1f} -> members={ps.members.tolist()}  unc={ps.unc:.2f}")
+print()
 
 ps = prediction_set(pi)
 print(f"members={ps.members.tolist()}  size={ps.size}  conf={ps.conf:.2f}  unc={ps.unc:.2f}")
@@ -51,6 +52,6 @@ for name, v in [
     ("near-one-hot", np.array([0.96, 0.02, 0.01, 0.01])),
     ("uniform     ", np.full(4, 0.25)),
 ]:
-    print(f"  {name} C=4  -> unc={uncertainty(v):.3f}")
+    print(f"  {name} C=4  -> unc={prediction_set(v).unc:.3f}")
 print()
 print("Lower uncertainty wins a replay-bank slot; exact ties keep the incumbent.")

@@ -4,7 +4,6 @@ from .banks import (
     BankEntry,
     ReplayBanks,
     ingest_task,
-    load_banks,
     replay_epoch_batches,
     save_banks,
     score_task,
@@ -14,12 +13,8 @@ from .conformal import (
     CpConfig,
     PredictionSet,
     calibrate_tau,
-    cp_score,
-    cp_scores,
     prediction_set,
-    rank_and_cumulate,
     uncertainties,
-    uncertainty,
 )
 from .data import (
     Sample,
@@ -41,23 +36,18 @@ from .encoder import (
     embed,
     forward,
     init_encoder,
-    load_state,
     register_task_head,
-    save_state,
 )
 from .losses import (
     JmmdSpec,
     LossBreakdown,
-    gaussian_kernel,
     i2tce_loss,
     id_loss,
     jmmd,
     jmmd_with_grad,
-    median_bandwidth,
-    sim_loss,
     triplet_loss,
 )
-from .metrics import MetricsRecord, aggregate, average_precision, evaluate
+from .metrics import MetricsRecord, aggregate, evaluate
 from .schemes import (
     high_gap_single_task_config,
     standard_schedule,

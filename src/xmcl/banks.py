@@ -13,7 +13,6 @@ stale as the encoder keeps training.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -161,20 +160,3 @@ def save_banks(banks: ReplayBanks, path: str | Path) -> None:
                 f'"uncertainty":{format(e.uncertainty, ".17g")},"features":[{feats}]}}'
             )
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-
-
-def load_banks(path: str | Path) -> ReplayBanks:
-    banks = ReplayBanks()
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        if not raw.strip():
-            continue
-        row = json.loads(raw)
-        sample = Sample(
-            identity=int(row["id"]),
-            modality=row["modality"],
-            features=np.asarray(row["features"], dtype=np.float64),
-        )
-        entry = BankEntry(sample=sample, uncertainty=float(row["uncertainty"]), task_id=int(row["task"]))
-        bank = banks.sketch if sample.modality == "sketch" else banks.photo
-        bank[sample.identity] = entry
-    return banks

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .banks import save_banks
-from .conformal import CpConfig, SimplexError, prediction_set
+from .conformal import CpConfig, prediction_set
 from .data import SynthSpec, TaskFileError, generate_synthetic_task, save_task
 from .losses import JmmdSpec
 from .trainer import ExperimentConfig, Schedule, report_to_csv, run_sequence
@@ -221,10 +221,11 @@ def cmd_score(args) -> int:
             row = json.loads(raw)
         except json.JSONDecodeError as e:
             raise TaskFileError(lineno, f"invalid JSON ({e.msg})") from e
-        pi = row["pi"] if isinstance(row, dict) else row
         try:
-            ps = prediction_set(np.asarray(pi, dtype=np.float64), config)
-        except SimplexError as e:
+            ps = prediction_set(row["pi"] if isinstance(row, dict) else row, config)
+        except KeyError as e:
+            raise TaskFileError(lineno, 'object row has no "pi" field') from e
+        except (TypeError, ValueError) as e:
             raise TaskFileError(lineno, str(e)) from e
         out_lines.append(
             json.dumps(

@@ -15,7 +15,7 @@ matrix in one sorted pass, with the same bits as ``prediction_set`` per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,18 +54,16 @@ class CpConfig:
 class PredictionSet:
     """Prediction set for one sample.
 
-    members holds identity indices (0-based), sorted ascending; scores holds
-    the per-member score in the same order.  conf is the spread between the
-    largest and smallest member probability, unc = size + conf.  An empty set
-    (possible only when tau is below the top-1 score) has conf = unc = 0.
+    members holds identity indices (0-based), sorted ascending.  conf is the
+    spread between the largest and smallest member probability, unc = size +
+    conf.  An empty set (possible only when tau is below the top-1 score)
+    has conf = unc = 0.
     """
 
     members: np.ndarray
-    scores: np.ndarray
     size: int
     conf: float
     unc: float
-    member_probs: np.ndarray = field(repr=False, kw_only=True)
 
 
 def _validate_simplex(pi: np.ndarray, ndim: int = 1) -> np.ndarray:
@@ -84,76 +82,36 @@ def _validate_simplex(pi: np.ndarray, ndim: int = 1) -> np.ndarray:
     return pi
 
 
-def rank_and_cumulate(pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Descending-probability ranks and exclusive cumulative probabilities.
+def _ranked_scores(pi: np.ndarray, config: CpConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Identities by descending probability (ties by index) and their scores.
 
-    Returns (o, rho) where o[y] is the 1-based rank of identity y (ties broken
-    by ascending identity index) and rho[y] is the summed probability of all
-    strictly higher-ranked identities.
+    Along the last axis, the score at 1-based rank j is the mass ranked at or
+    above it plus lam * max(0, j - k_reg).  cumsum adds sequentially, so that
+    has the bits of (mass strictly above) + pi_y + penalty.
     """
-    pi = _validate_simplex(pi)
-    c = pi.size
-    # lexsort's last key is primary: sort by -pi, ties fall back to index order
-    order = np.lexsort((np.arange(c), -pi))
-    ranks = np.empty(c, dtype=np.int64)
-    ranks[order] = np.arange(1, c + 1)
-    cum = np.concatenate(([0.0], np.cumsum(pi[order])[:-1]))
-    rho = np.empty(c, dtype=np.float64)
-    rho[order] = cum
-    return ranks, rho
-
-
-def cp_scores(pi: np.ndarray, config: CpConfig = CpConfig()) -> np.ndarray:
-    """Score of every identity: rho_y + pi_y + lam * max(0, o_y - k_reg)."""
-    pi = _validate_simplex(pi)
-    ranks, rho = rank_and_cumulate(pi)
-    penalty = config.lam * np.maximum(0, ranks - config.k_reg)
-    return rho + pi + penalty
-
-
-def cp_score(pi: np.ndarray, y: int, config: CpConfig = CpConfig()) -> float:
-    """Score of a single identity y (0-based index into pi)."""
-    scores = cp_scores(pi, config)
-    if not 0 <= y < scores.size:
-        raise IndexError(f"identity {y} out of range for {scores.size} classes")
-    return float(scores[y])
+    order = np.argsort(-pi, axis=-1, kind="stable")
+    penalty = config.lam * np.maximum(0, np.arange(1, pi.shape[-1] + 1) - config.k_reg)
+    return order, np.cumsum(np.take_along_axis(pi, order, axis=-1), axis=-1) + penalty
 
 
 def prediction_set(pi: np.ndarray, config: CpConfig = CpConfig()) -> PredictionSet:
     """All identities whose score is at most tau, with conf and unc attached."""
     pi = _validate_simplex(pi)
-    scores = cp_scores(pi, config)
-    members = np.flatnonzero(scores <= config.tau)
-    if members.size == 0:
-        return PredictionSet(
-            members=members,
-            scores=np.empty(0, dtype=np.float64),
-            size=0,
-            conf=0.0,
-            unc=0.0,
-            member_probs=np.empty(0, dtype=np.float64),
-        )
-    member_probs = pi[members]
-    conf = float(member_probs.max() - member_probs.min())
+    order, scores = _ranked_scores(pi, config)
+    members = np.sort(order[scores <= config.tau])
     size = int(members.size)
-    return PredictionSet(
-        members=members,
-        scores=scores[members],
-        size=size,
-        conf=conf,
-        unc=size + conf,
-        member_probs=member_probs,
-    )
+    conf = float(pi[members].max() - pi[members].min()) if size else 0.0
+    return PredictionSet(members=members, size=size, conf=conf, unc=size + conf)
 
 
 def uncertainties(probs: np.ndarray, config: CpConfig = CpConfig()) -> np.ndarray:
     """prediction_set(row, config).unc for every row of an (N, C) matrix.
 
     Each row is sorted descending; the score of its j-th identity is then
-    cumsum_j + lam * max(0, j - k_reg), which is what cp_scores computes as
-    rho + pi.  The set is the prefix of scores <= tau, so its conf is the
-    first minus the last sorted probability in it, and an empty set gives 0.
-    Rows go through in blocks of _ROW_BLOCK.
+    cumsum_j + lam * max(0, j - k_reg), the same sum prediction_set takes
+    along its ranking.  The set is the prefix of scores <= tau, so its conf
+    is the first minus the last sorted probability in it, and an empty set
+    gives 0.  Rows go through in blocks of _ROW_BLOCK.
     """
     probs = _validate_simplex(probs, ndim=2)
     n, c = probs.shape
@@ -168,11 +126,6 @@ def uncertainties(probs: np.ndarray, config: CpConfig = CpConfig()) -> np.ndarra
         conf = ranked[rows, 0] - ranked[rows, size[rows] - 1]
         unc[start + rows] = size[rows] + conf
     return unc
-
-
-def uncertainty(pi: np.ndarray, config: CpConfig = CpConfig()) -> float:
-    """Set size plus probability spread; lower marks a more trustworthy sample."""
-    return float(uncertainties(_validate_simplex(pi)[None], config)[0])
 
 
 def calibrate_tau(
@@ -190,14 +143,15 @@ def calibrate_tau(
     """
     if not 0.0 < coverage < 1.0:
         raise ValueError(f"coverage must be in (0, 1), got {coverage}")
-    cal_probs = np.atleast_2d(np.asarray(cal_probs, dtype=np.float64))
+    cal_probs = _validate_simplex(np.atleast_2d(cal_probs), ndim=2)
     cal_labels = np.asarray(cal_labels, dtype=np.int64)
-    n = cal_probs.shape[0]
+    n, c = cal_probs.shape
     if cal_labels.shape != (n,) or n == 0:
         raise ValueError("need one label per calibration row")
-    scores = np.array(
-        [cp_scores(cal_probs[i], config)[cal_labels[i]] for i in range(n)]
-    )
+    if cal_labels.min() < 0 or cal_labels.max() >= c:
+        raise ValueError(f"labels must be in [0, {c}), got {cal_labels.min()}..{cal_labels.max()}")
+    order, scores = _ranked_scores(cal_probs, config)
+    scores = scores[order == cal_labels[:, None]]
     rank = min(n, int(np.ceil((n + 1) * coverage)))
     tau = float(np.sort(scores)[rank - 1])
     return CpConfig(lam=config.lam, k_reg=config.k_reg, tau=max(tau, np.finfo(float).tiny))

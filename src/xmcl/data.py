@@ -272,13 +272,15 @@ def load_task(path: str | Path) -> TaskDataset:
         if not isinstance(row, dict):
             raise TaskFileError(lineno, "row is not an object")
         try:
-            task = int(row["task"])
-            identity = int(row["id"])
+            task, identity = row["task"], row["id"]
             modality = row["modality"]
             split = row["split"]
             features = np.asarray(row["features"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as e:
             raise TaskFileError(lineno, f"missing or malformed field ({e})") from e
+        for key, value in (("task", task), ("id", identity)):
+            if type(value) is not int:  # bool is an int subclass, and int() would truncate
+                raise TaskFileError(lineno, f"{key} must be an integer, got {value!r}")
         if modality not in MODALITIES:
             raise TaskFileError(lineno, f"unknown modality {modality!r}")
         if split not in SPLITS:

@@ -13,9 +13,7 @@ activation stacks captured earlier.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -278,59 +276,3 @@ def apply_deltas(
         state.heads[task_id] = state.heads[task_id] + proto_deltas
     state.version += 1
     return state
-
-
-# ---------------------------------------------------------------------------
-# serialization: single JSON file, bit-exact round trip
-
-
-def state_to_dict(state: EncoderState) -> dict:
-    return {
-        "format": "xmcl-encoder-v1",
-        "config": {
-            "input_dim": state.config.input_dim,
-            "hidden_dims": list(state.config.hidden_dims),
-            "embedding_dim": state.config.embedding_dim,
-            "seed": state.config.seed,
-            "temperature": state.config.temperature,
-        },
-        "weights": [w.tolist() for w in state.weights],
-        "biases": [b.tolist() for b in state.biases],
-        "heads": {str(t): h.tolist() for t, h in sorted(state.heads.items())},
-        "active_task": state.active_task,
-        "version": state.version,
-    }
-
-
-def state_from_dict(payload: dict) -> EncoderState:
-    if payload.get("format") != "xmcl-encoder-v1":
-        raise ConfigurationError(f"unknown state format {payload.get('format')!r}")
-    cfg = payload["config"]
-    config = EncoderConfig(
-        input_dim=cfg["input_dim"],
-        hidden_dims=tuple(cfg["hidden_dims"]),
-        embedding_dim=cfg["embedding_dim"],
-        seed=cfg["seed"],
-        temperature=cfg["temperature"],
-    )
-    state = EncoderState(
-        config=config,
-        weights=[np.array(w, dtype=np.float64) for w in payload["weights"]],
-        biases=[np.array(b, dtype=np.float64) for b in payload["biases"]],
-        heads={int(t): np.array(h, dtype=np.float64) for t, h in payload["heads"].items()},
-        active_task=payload["active_task"],
-        version=payload["version"],
-    )
-    dims = config.layer_dims
-    for l, w in enumerate(state.weights):
-        if w.shape != (dims[l], dims[l + 1]):
-            raise ConfigurationError(f"weight {l} has shape {w.shape}, expected {(dims[l], dims[l+1])}")
-    return state
-
-
-def save_state(state: EncoderState, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(state_to_dict(state), sort_keys=True))
-
-
-def load_state(path: str | Path) -> EncoderState:
-    return state_from_dict(json.loads(Path(path).read_text()))

@@ -40,31 +40,12 @@ class LossInputError(ValueError):
 # kernels and bandwidths
 
 
-def gaussian_kernel(x: np.ndarray, y: np.ndarray, bandwidth: float) -> float:
-    """exp(-||x-y||^2 / (2 sigma^2)); symmetric, in (0, 1]."""
-    if bandwidth <= 0:
-        raise LossInputError(f"bandwidth must be positive, got {bandwidth}")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise LossInputError(f"kernel arguments differ in shape: {x.shape} vs {y.shape}")
-    d2 = float(np.sum((x - y) ** 2))
-    return float(np.exp(-d2 / (2.0 * bandwidth**2)))
-
-
 def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, clipped at zero."""
     xx = np.sum(x * x, axis=1)[:, None]
     yy = np.sum(y * y, axis=1)[None, :]
     d2 = xx + yy - 2.0 * (x @ y.T)
     return np.maximum(d2, 0.0)
-
-
-def gaussian_kernel_matrix(x: np.ndarray, y: np.ndarray, bandwidth: float) -> np.ndarray:
-    """Kernel matrix K[i, j] = exp(-||x_i - y_j||^2 / (2 sigma^2))."""
-    if bandwidth <= 0:
-        raise LossInputError(f"bandwidth must be positive, got {bandwidth}")
-    return np.exp(-_sq_dists(np.asarray(x, float), np.asarray(y, float)) / (2.0 * bandwidth**2))
 
 
 @functools.lru_cache(maxsize=64)
@@ -88,19 +69,6 @@ def _median_sigma(d2: np.ndarray) -> float:
         lo, hi = np.partition(pairs, (mid - 1, mid))[mid - 1 : mid + 1]
         med = (lo + hi) / 2
     return float(np.sqrt(max(float(med), MIN_BANDWIDTH_SQ)))
-
-
-def median_bandwidth(features: np.ndarray) -> float:
-    """Bandwidth sigma with sigma^2 = median pairwise squared distance.
-
-    The median runs over all unordered pairs of the pooled batch and is
-    clamped below by 1e-12 so degenerate batches stay usable.
-    """
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    n = features.shape[0]
-    if n < 2:
-        raise LossInputError(f"median bandwidth needs at least 2 vectors, got {n}")
-    return _median_sigma(_sq_dists(features, features))
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +372,3 @@ class LossBreakdown:
     @property
     def l_sim(self) -> float:
         return self.l_reid + self.alpha * self.l_jmmd
-
-
-def sim_loss(
-    l_id: float, l_tri: float, l_i2tce: float, l_jmmd: float, alpha: float = 5.0
-) -> LossBreakdown:
-    """Compose the full objective from its parts."""
-    if alpha < 0:
-        raise LossInputError(f"alpha must be non-negative, got {alpha}")
-    return LossBreakdown(l_id=l_id, l_tri=l_tri, l_i2tce=l_i2tce, l_jmmd=l_jmmd, alpha=alpha)

@@ -67,16 +67,6 @@ def _ap_from_positions(positions: list[int]) -> float:
     return numerator / (common * len(positions))
 
 
-def average_precision(relevance: np.ndarray) -> float:
-    """Mean over relevant positions r of (relevant in top-r) / r."""
-    rel = np.asarray(relevance, dtype=bool)
-    if rel.ndim != 1 or rel.size == 0:
-        raise ValueError("relevance must be a non-empty flat array")
-    if not rel.any():
-        raise ValueError("query has no relevant gallery item")
-    return _ap_from_positions((np.flatnonzero(rel) + 1).tolist())
-
-
 def _relevant_positions(
     distances: np.ndarray, query_ids: np.ndarray, gallery_ids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -50,7 +50,6 @@ from .losses import (
     i2tce_loss_grad,
     id_loss_grad,
     jmmd_with_grad,
-    sim_loss,
     triplet_loss_grad,
 )
 from .metrics import MetricsRecord, aggregate, evaluate
@@ -295,8 +294,7 @@ def batch_gradients(
         ),
         grads,
     )
-    breakdown = sim_loss(l_id, l_tri, l_i2tce, l_jmmd, alpha=jmmd_spec.alpha)
-    return breakdown, grads
+    return LossBreakdown(l_id, l_tri, l_i2tce, l_jmmd, jmmd_spec.alpha), grads
 
 
 def _apply_step(

@@ -15,7 +15,7 @@ import pytest
 
 from xmcl.banks import ReplayBanks, update_bank
 from xmcl.cli import main as cli_main
-from xmcl.conformal import CpConfig, cp_scores, prediction_set
+from xmcl.conformal import CpConfig, prediction_set
 from xmcl.data import Sample, Split
 from xmcl.encoder import EncoderConfig, forward, init_encoder, register_task_head
 from xmcl.losses import (
@@ -31,10 +31,11 @@ from xmcl.losses import (
     triplet_loss,
     triplet_loss_grad,
 )
-from xmcl.metrics import average_precision, ranking_metrics
+from xmcl.metrics import _ap_from_positions, ranking_metrics
 from xmcl.schemes import high_gap_single_task_config, standard_two_task_config
 from xmcl.trainer import ExperimentConfig, batch_gradients, run_sequence
 
+from test_conformal import oracle_prediction_set
 from test_losses import jmmd_oracle
 from test_metrics import brute_force_metrics
 
@@ -231,7 +232,7 @@ def test_criterion_03_conformal_exactness():
         x = rng.exponential(size=c)
         pi = x / x.sum()
         cfg = CpConfig(tau=float(rng.uniform(0.3, 6.0)))
-        scores = cp_scores(pi, cfg)
+        _, scores, *_ = oracle_prediction_set(pi.tolist(), cfg)
         members = set(prediction_set(pi, cfg).members.tolist())
         for y in range(c):
             if (y in members) != (scores[y] <= cfg.tau):
@@ -273,7 +274,8 @@ def test_criterion_04_bank_min_retention():
 
 
 def test_criterion_05_retrieval_metric_oracle():
-    hand_ok = average_precision([0, 1]) == 0.5 and average_precision([1, 0, 1]) == 5 / 6
+    # relevance [0, 1] puts the one hit at position 2; [1, 0, 1] puts them at 1 and 3
+    hand_ok = _ap_from_positions([2]) == 0.5 and _ap_from_positions([1, 3]) == 5 / 6
     rng = np.random.default_rng(105)
     worst = 0.0
     for _ in range(100):

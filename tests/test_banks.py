@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,12 @@ from xmcl.banks import (
     BankEntry,
     ReplayBanks,
     ingest_task,
-    load_banks,
     replay_epoch_batches,
     save_banks,
     score_task,
     update_bank,
 )
-from xmcl.conformal import CpConfig
+from xmcl.conformal import CpConfig, uncertainties
 from xmcl.data import Sample, SynthSpec, generate_synthetic_task
 from xmcl.encoder import EncoderConfig, init_encoder, register_task_head
 
@@ -200,12 +201,17 @@ class TestScoreTask:
     def test_cleaner_samples_score_lower(self):
         # prototype-aligned embeddings produce near-one-hot probabilities,
         # which must score strictly lower than a uniform distribution
-        from xmcl.conformal import uncertainty
-
         sharp = np.zeros(30)
         sharp[0] = 0.97
         sharp[1:] = 0.03 / 29
-        assert uncertainty(sharp) < uncertainty(np.full(30, 1 / 30))
+        unc_sharp, unc_uniform = uncertainties(np.stack([sharp, np.full(30, 1 / 30)]))
+        assert unc_sharp < unc_uniform
+
+
+def read_banks_file(path):
+    """banks.jsonl parsed with json: {(modality, identity): row}."""
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    return {(row["modality"], row["id"]): row for row in rows}
 
 
 class TestSerialization:
@@ -214,11 +220,14 @@ class TestSerialization:
         banks = mk_banks(*entries)
         path = tmp_path / "banks.jsonl"
         save_banks(banks, path)
-        loaded = load_banks(path)
-        assert set(loaded.sketch) == set(banks.sketch)
-        for i in banks.sketch:
-            assert loaded.sketch[i].uncertainty == banks.sketch[i].uncertainty
-            assert loaded.sketch[i].sample.features.tobytes() == banks.sketch[i].sample.features.tobytes()
+        loaded = read_banks_file(path)
+        assert set(loaded) == {(m, i) for m in ("sketch", "photo") for i in range(5)}
+        for modality, bank in (("sketch", banks.sketch), ("photo", banks.photo)):
+            for i, entry in bank.items():
+                row = loaded[modality, i]
+                assert row["task"] == entry.task_id
+                assert row["uncertainty"] == entry.uncertainty
+                assert np.array(row["features"]).tobytes() == entry.sample.features.tobytes()
 
     def test_ingest_then_save(self, tmp_path):
         spec = SynthSpec(
@@ -235,4 +244,4 @@ class TestSerialization:
         assert len(banks.photo) == 5
         path = tmp_path / "banks.jsonl"
         save_banks(banks, path)
-        assert load_banks(path).identities() == banks.identities()
+        assert sorted({i for _, i in read_banks_file(path)}) == banks.identities()

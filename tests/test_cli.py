@@ -291,6 +291,19 @@ class TestScore:
         assert main(["score", "--input", str(inp)]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [('{"p": [0.5, 0.5]}', 'no "pi" field'), ('["a", "b"]', "could not convert"),
+         ('{"pi": {"a": 1}}', "float")],
+        ids=["missing_pi", "non_numeric", "object_pi"],
+    )
+    def test_malformed_row_exit_2_names_line(self, tmp_path, capsys, row, message):
+        inp = tmp_path / "pi.jsonl"
+        inp.write_text("[0.5, 0.5]\n" + row + "\n")
+        assert main(["score", "--input", str(inp)]) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and message in err
+
 
 class TestReport:
     def run_once(self, tmp_path, arms=("full", "no_mpm")):

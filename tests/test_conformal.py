@@ -5,12 +5,10 @@ from xmcl.conformal import (
     _ROW_BLOCK,
     CpConfig,
     SimplexError,
-    cp_score,
-    cp_scores,
+    _ranked_scores,
+    calibrate_tau,
     prediction_set,
-    rank_and_cumulate,
     uncertainties,
-    uncertainty,
 )
 
 
@@ -38,29 +36,54 @@ def random_simplex(rng, c):
     return x / x.sum()
 
 
+def ranks_and_rho(pi):
+    """1-based rank and exclusive cumulative mass of every identity, from _ranked_scores."""
+    pi = np.asarray(pi, dtype=np.float64)
+    order, scores = _ranked_scores(pi, CpConfig(lam=0.0))
+    ranks = np.empty(order.size, dtype=np.int64)
+    ranks[order] = np.arange(1, order.size + 1)
+    rho = np.empty(order.size)
+    rho[order] = scores - pi[order]
+    return ranks, rho
+
+
+def score_of(pi, y, config=CpConfig()):
+    """The score of identity y: calibrate_tau on one row labelled y returns it as tau."""
+    return calibrate_tau(pi[None], [y], config=config).tau
+
+
+def uncertainty(pi, config=CpConfig()):
+    return prediction_set(pi, config).unc
+
+
 class TestRankAndCumulate:
+    """The descending ranking and cumulative mass that every score is built on."""
+
     def test_top_rank_has_zero_prefix(self):
-        o, rho = rank_and_cumulate(np.array([0.2, 0.7, 0.1]))
+        o, rho = ranks_and_rho(np.array([0.2, 0.7, 0.1]))
         assert o[1] == 1
         assert rho[1] == 0.0
 
     def test_hand_case(self):
-        o, rho = rank_and_cumulate(np.array([0.6, 0.3, 0.1]))
+        o, rho = ranks_and_rho(np.array([0.6, 0.3, 0.1]))
         np.testing.assert_array_equal(o, [1, 2, 3])
         np.testing.assert_allclose(rho, [0.0, 0.6, 0.9])
 
     def test_tie_broken_by_index(self):
-        o, rho = rank_and_cumulate(np.array([0.5, 0.5]))
+        o, rho = ranks_and_rho(np.array([0.5, 0.5]))
         np.testing.assert_array_equal(o, [1, 2])
         np.testing.assert_allclose(rho, [0.0, 0.5])
+        # at tau = 0.5 only the first of the tied pair fits
+        ps = prediction_set(np.array([0.5, 0.5]), CpConfig(tau=0.5))
+        np.testing.assert_array_equal(ps.members, [0])
 
     def test_rejects_negative(self):
         with pytest.raises(SimplexError):
-            rank_and_cumulate(np.array([1.2, -0.2]))
+            prediction_set(np.array([1.2, -0.2]))
 
     def test_rejects_bad_sum(self):
         with pytest.raises(SimplexError):
-            rank_and_cumulate(np.array([0.5, 0.4]))
+            prediction_set(np.array([0.5, 0.4]))
 
 
 class TestCpScore:
@@ -68,8 +91,8 @@ class TestCpScore:
         rng = np.random.default_rng(0)
         pi = random_simplex(rng, 20)
         cfg = CpConfig(lam=0.0)
-        o, rho = rank_and_cumulate(pi)
-        np.testing.assert_allclose(cp_scores(pi, cfg), rho + pi)
+        o, rho = ranks_and_rho(pi)
+        np.testing.assert_allclose([score_of(pi, y, cfg) for y in range(20)], rho + pi)
 
     def test_hand_case_with_penalty(self):
         # pi_y=0.01 at rank 15 with 0.95 mass above it
@@ -78,14 +101,14 @@ class TestCpScore:
         pi[14] = 0.01
         pi[15:] = 0.04 / 5
         # ranks: 0..13 hold the large mass, identity 14 has 0.01 > 0.008
-        o, rho = rank_and_cumulate(pi)
+        o, rho = ranks_and_rho(pi)
         assert o[14] == 15
         assert np.isclose(rho[14], 0.95)
-        assert np.isclose(cp_score(pi, 14), 0.95 + 0.01 + 0.3 * 5)
-        assert np.isclose(cp_score(pi, 14), 2.46)
+        assert np.isclose(score_of(pi, 14), 0.95 + 0.01 + 0.3 * 5)
+        assert np.isclose(score_of(pi, 14), 2.46)
 
     def test_top_identity(self):
-        assert np.isclose(cp_score(np.array([0.6, 0.3, 0.1]), 0), 0.6)
+        assert np.isclose(score_of(np.array([0.6, 0.3, 0.1]), 0), 0.6)
 
 
 class TestPredictionSet:
@@ -94,8 +117,8 @@ class TestPredictionSet:
         pi = np.full(100, 0.01)
         ps = prediction_set(pi)
         assert ps.size == 25
-        o, _ = rank_and_cumulate(pi)
-        np.testing.assert_array_equal(np.sort(o[ps.members]), np.arange(1, 26))
+        # all tied: the ranking is index order, so the top 25 ranks are identities 0..24
+        np.testing.assert_array_equal(ps.members, np.arange(25))
         assert ps.conf == 0.0
         assert ps.unc == 25.0
 
@@ -134,10 +157,10 @@ class TestPredictionSet:
             assert np.isclose(ps.conf, conf)
             assert np.isclose(ps.unc, unc)
             # exact partition: member iff score <= tau, checked per identity
-            got = cp_scores(pi, cfg)
             for y in range(c):
-                assert np.isclose(got[y], scores[y])
-                assert (y in members) == (got[y] <= cfg.tau)
+                got = score_of(pi, y, cfg)
+                assert np.isclose(got, scores[y])
+                assert (y in members) == (got <= cfg.tau)
 
     def test_empty_set_is_degenerate_not_error(self):
         ps = prediction_set(np.array([0.9, 0.1]), CpConfig(tau=0.5))
@@ -153,8 +176,8 @@ class TestPredictionSet:
             raw = np.sort(rng.uniform(0.05, 1.0, size=c))[::-1] + np.arange(c)[::-1] * 1e-3
             pi = raw / raw.sum()
             perm = rng.permutation(c)
-            o, rho = rank_and_cumulate(pi)
-            op, rhop = rank_and_cumulate(pi[perm])
+            o, rho = ranks_and_rho(pi)
+            op, rhop = ranks_and_rho(pi[perm])
             np.testing.assert_array_equal(op, o[perm])
             np.testing.assert_allclose(rhop, rho[perm])
             ps = prediction_set(pi)
@@ -167,8 +190,8 @@ class TestPredictionSet:
 
     def test_rank_penalty_monotone_in_rank(self):
         pi = np.full(40, 1.0 / 40)
-        scores = cp_scores(pi)
-        o, _ = rank_and_cumulate(pi)
+        scores = np.array([score_of(pi, y) for y in range(40)])
+        o, _ = ranks_and_rho(pi)
         by_rank = scores[np.argsort(o)]
         assert np.all(np.diff(by_rank) >= 0)
 
@@ -269,8 +292,6 @@ class TestCpConfig:
 
 class TestCalibrateTau:
     def test_quantile_mode_reaches_requested_coverage(self):
-        from xmcl.conformal import calibrate_tau
-
         rng = np.random.default_rng(31)
         c = 20
 
@@ -297,7 +318,15 @@ class TestCalibrateTau:
         assert CpConfig().tau == 5.0
 
     def test_rejects_bad_coverage(self):
-        from xmcl.conformal import calibrate_tau
-
         with pytest.raises(ValueError):
             calibrate_tau(np.full((2, 3), 1 / 3), np.array([0, 1]), coverage=1.5)
+
+    @pytest.mark.parametrize("labels", [[-1, -1], [0, 3], [0, -2]])
+    def test_rejects_labels_outside_class_range(self, labels):
+        # a negative label would otherwise index the last identity's score
+        with pytest.raises(ValueError, match=r"labels must be in \[0, 3\)"):
+            calibrate_tau(np.array([[0.2, 0.3, 0.5], [0.5, 0.3, 0.2]]), labels)
+
+    def test_rejects_non_distribution_rows(self):
+        with pytest.raises(SimplexError):
+            calibrate_tau(np.array([[0.5, 0.5], [0.9, 0.9]]), [0, 1])

@@ -146,6 +146,20 @@ class TestTaskFiles:
             load_task(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("id", "0.9"), ("id", '"2"'), ("id", "true"), ("task", "0.0"), ("task", "null")],
+    )
+    def test_non_integer_task_or_id_names_line(self, tmp_path, field, value):
+        # int() would merge id 0.9 into identity 0 and accept the string "2"
+        row = '{{"task":{},"id":{},"modality":"sketch","split":"train","features":[1.0]}}'
+        bad = row.format(value, 1) if field == "task" else row.format(0, value)
+        path = tmp_path / "bad.jsonl"
+        path.write_text(row.format(0, 1) + "\n" + bad + "\n")
+        with pytest.raises(TaskFileError, match=f"line 2: {field} must be an integer") as err:
+            load_task(path)
+        assert err.value.line == 2
+
     def test_overlapping_train_test_identity_rejected(self, tmp_path):
         rows = [
             '{"task":0,"id":1,"modality":"sketch","split":"train","features":[1.0]}',

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -14,11 +12,7 @@ from xmcl.encoder import (
     backward,
     forward,
     init_encoder,
-    load_state,
     register_task_head,
-    save_state,
-    state_from_dict,
-    state_to_dict,
 )
 
 SMALL = EncoderConfig(input_dim=5, hidden_dims=(6, 7), embedding_dim=4, seed=3)
@@ -28,6 +22,16 @@ def small_state(num_ids=3, task=0):
     state = init_encoder(SMALL)
     register_task_head(state, task, num_ids, seed=11)
     return state
+
+
+def same_parameters(a, b):
+    """Weights, biases and heads equal elementwise (and the same heads registered)."""
+    return (
+        len(a.weights) == len(b.weights)
+        and all(np.array_equal(x, y) for x, y in zip(a.weights + a.biases, b.weights + b.biases))
+        and a.heads.keys() == b.heads.keys()
+        and all(np.array_equal(a.heads[t], b.heads[t]) for t in a.heads)
+    )
 
 
 def linear_probe_loss(state, x, task, coeffs):
@@ -43,7 +47,7 @@ class TestInit:
     def test_same_config_is_bitwise_identical(self):
         a = init_encoder(SMALL)
         b = init_encoder(SMALL)
-        assert state_to_dict(a) == state_to_dict(b)
+        assert same_parameters(a, b)
 
     def test_empty_hidden_dims_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -56,7 +60,7 @@ class TestInit:
     def test_different_seeds_differ(self):
         a = init_encoder(EncoderConfig(input_dim=5, hidden_dims=(6,), embedding_dim=4, seed=1))
         b = init_encoder(EncoderConfig(input_dim=5, hidden_dims=(6,), embedding_dim=4, seed=2))
-        assert json.dumps(state_to_dict(a)) != json.dumps(state_to_dict(b))
+        assert not same_parameters(a, b)
 
     def test_init_scale(self):
         state = init_encoder(SMALL)
@@ -244,23 +248,3 @@ class TestHeadIsolation:
         )
         assert state.heads[0].tobytes() == frozen
         np.testing.assert_array_equal(state.heads[1], before_active + 1.0)
-
-
-class TestSerialization:
-    def test_round_trip_bit_exact(self, tmp_path):
-        state = small_state()
-        register_task_head(state, 1, 6, seed=2)
-        apply_deltas(state, None, None, np.full_like(state.heads[1], np.pi * 1e-7), 1)
-        path = tmp_path / "state.json"
-        save_state(state, path)
-        loaded = load_state(path)
-        for a, b in zip(state.weights, loaded.weights):
-            assert a.tobytes() == b.tobytes()
-        for t in state.heads:
-            assert state.heads[t].tobytes() == loaded.heads[t].tobytes()
-        assert loaded.config == state.config
-        assert loaded.version == state.version
-
-    def test_bad_format_rejected(self):
-        with pytest.raises(ConfigurationError):
-            state_from_dict({"format": "something-else"})

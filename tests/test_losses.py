@@ -11,17 +11,13 @@ from xmcl.losses import (
     cosine_logits,
     cosine_logits_backward,
     default_layer_set,
-    gaussian_kernel,
-    gaussian_kernel_matrix,
     i2tce_loss,
     i2tce_loss_grad,
     id_loss,
     id_loss_grad,
     jmmd,
     jmmd_with_grad,
-    median_bandwidth,
     resolve_bandwidths,
-    sim_loss,
     softmax,
     softmax_backward,
     triplet_loss,
@@ -119,18 +115,26 @@ def triplet_loop_reference(emb, labels, margin):
 def jmmd_block_reference(sketch_layers, photo_layers, bandwidths=None):
     """Three-block form: separate J_ss, J_pp, J_sp kernels and gradient terms.
 
-    bandwidths=None takes the median heuristic over each pooled layer.
+    Plain numpy throughout: squared distances by broadcasting, the kernel by
+    np.exp, and bandwidths=None takes sigma^2 = np.median over the pooled
+    layer's unordered pairs (clamped at 1e-12), as the median heuristic says.
     """
     s = [np.atleast_2d(np.asarray(a, np.float64)) for a in sketch_layers]
     p = [np.atleast_2d(np.asarray(b, np.float64)) for b in photo_layers]
+
+    def sq_dists(x, y):
+        return ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
+
     if bandwidths is None:
-        bandwidths = [median_bandwidth(np.vstack([a, b])) for a, b in zip(s, p)]
+        bandwidths = []
+        for a, b in zip(s, p):
+            z = np.vstack([a, b])
+            pairs = sq_dists(z, z)[np.triu_indices(z.shape[0], k=1)]
+            bandwidths.append(math.sqrt(max(float(np.median(pairs)), 1e-12)))
 
     def joint(xs, ys):
-        k = gaussian_kernel_matrix(xs[0], ys[0], bandwidths[0])
-        for a, b, bw in zip(xs[1:], ys[1:], bandwidths[1:]):
-            k = k * gaussian_kernel_matrix(a, b, bw)
-        return k
+        exponent = sum(sq_dists(a, b) / (2.0 * bw**2) for a, b, bw in zip(xs, ys, bandwidths))
+        return np.exp(-exponent)
 
     n_s, n_p = s[0].shape[0], p[0].shape[0]
     j_ss, j_pp, j_sp = joint(s, s), joint(p, p), joint(s, p)
@@ -147,10 +151,27 @@ def jmmd_block_reference(sketch_layers, photo_layers, bandwidths=None):
     return value, d_s, d_p
 
 
+def kernel(x, y, sigma):
+    """k(x, y) as jmmd_with_grad builds it: one sketch x, one photo y, one layer.
+
+    For single rows the alignment distance is k(x, x) + k(y, y) - 2 k(x, y),
+    and k(x, x) = 1 (test_identity).
+    """
+    return 1.0 - jmmd([np.atleast_2d(x)], [np.atleast_2d(y)], JmmdSpec(bandwidths=[sigma])) / 2
+
+
+def median_sigma(feats):
+    """The median-heuristic bandwidth resolve_bandwidths picks for one pooled layer."""
+    return resolve_bandwidths([_sq_dists(feats, feats)], JmmdSpec())[0]
+
+
 class TestGaussianKernel:
     def test_identity(self):
+        # y shares no kernel mass with x, so the distance is k(x, x) + k(y, y)
         x = np.array([1.0, -2.0, 0.5])
-        assert gaussian_kernel(x, x, 0.7) == 1.0
+        y = x + 1e3
+        value = jmmd([x[None]], [y[None]], JmmdSpec(bandwidths=[0.7]))
+        assert np.isclose(value, 2.0, rtol=0, atol=1e-12)
 
     def test_hand_value(self):
         # ||x-y||^2 = 2 sigma^2 -> e^{-1}
@@ -158,37 +179,33 @@ class TestGaussianKernel:
         x = np.zeros(4)
         y = np.zeros(4)
         y[0] = math.sqrt(2) * sigma
-        assert np.isclose(gaussian_kernel(x, y, sigma), math.exp(-1), atol=1e-12)
-        assert np.isclose(gaussian_kernel(x, y, sigma), 0.367879, atol=1e-6)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            x, y = rng.normal(size=(2, 6))
-            s = float(rng.uniform(0.1, 3.0))
-            assert gaussian_kernel(x, y, s) == gaussian_kernel(y, x, s)
+        assert np.isclose(kernel(x, y, sigma), math.exp(-1), atol=1e-12)
+        assert np.isclose(kernel(x, y, sigma), 0.367879, atol=1e-6)
 
     def test_rejects_bad_bandwidth(self):
-        with pytest.raises(LossInputError):
-            gaussian_kernel(np.ones(2), np.ones(2), 0.0)
+        with pytest.raises(ValueError):
+            JmmdSpec(bandwidths=[0.0])
 
     def test_matrix_agrees_with_scalar(self):
+        # the batched kernel of two sets against one kernel evaluation per pair
         rng = np.random.default_rng(1)
         x = rng.normal(size=(4, 3))
         y = rng.normal(size=(5, 3))
-        k = gaussian_kernel_matrix(x, y, 0.9)
-        for i in range(4):
-            for j in range(5):
-                assert np.isclose(k[i, j], gaussian_kernel(x[i], y[j], 0.9), atol=1e-12)
+
+        def mean_kernel(a, b):
+            return np.mean([kernel(u, v, 0.9) for u in a for v in b])
+
+        want = mean_kernel(x, x) + mean_kernel(y, y) - 2 * mean_kernel(x, y)
+        assert np.isclose(jmmd([x], [y], JmmdSpec(bandwidths=[0.9])), want, rtol=0, atol=1e-12)
 
 
 class TestMedianBandwidth:
     def test_single_pair(self):
-        sigma = median_bandwidth(np.array([[0.0, 0.0], [2.0, 0.0]]))
+        sigma = median_sigma(np.array([[0.0, 0.0], [2.0, 0.0]]))
         assert np.isclose(sigma**2, 4.0)
 
     def test_degenerate_clamps(self):
-        sigma = median_bandwidth(np.ones((5, 3)))
+        sigma = median_sigma(np.ones((5, 3)))
         assert np.isclose(sigma**2, 1e-12)
 
     def test_matches_brute_force_pairs(self):
@@ -200,11 +217,7 @@ class TestMedianBandwidth:
             for j in range(i + 1, 10)
         ]
         assert len(d2) == 45
-        assert np.isclose(median_bandwidth(feats) ** 2, np.median(d2))
-
-    def test_needs_two_vectors(self):
-        with pytest.raises(LossInputError):
-            median_bandwidth(np.ones((1, 3)))
+        assert np.isclose(median_sigma(feats) ** 2, np.median(d2))
 
     def test_partition_median_equals_np_median_to_the_bit(self):
         # n vectors give n(n-1)/2 pairs: odd for n = 2, 3, 6, 7, ..., even for n = 4, 5, 8, ...
@@ -222,7 +235,7 @@ class TestMedianBandwidth:
                 d2 = _sq_dists(feats, feats)
                 pairs = d2[np.triu_indices(n, k=1)]
                 expected = float(np.sqrt(max(float(np.median(pairs)), 1e-12)))
-                assert median_bandwidth(feats) == expected
+                assert median_sigma(feats) == expected
 
 
 class TestJmmd:
@@ -371,7 +384,8 @@ class TestJmmdGrad:
         p = [rng.normal(size=(2, d)) for d in (3, 4)]
         d2s = [_sq_dists(z, z) for z in (np.vstack([a, b]) for a, b in zip(s, p))]
         got = resolve_bandwidths(d2s, JmmdSpec())
-        assert got == [median_bandwidth(np.vstack([a, b])) for a, b in zip(s, p)]
+        pairs = [d2[np.triu_indices(7, k=1)] for d2 in d2s]
+        assert got == [float(np.sqrt(max(float(np.median(x)), 1e-12))) for x in pairs]
 
     def test_bandwidth_count_mismatch_rejected(self):
         s = [np.ones((2, 3))] * 2
@@ -570,16 +584,16 @@ class TestI2tce:
 
 class TestSimLoss:
     def test_alpha_zero_ablation(self):
-        b = sim_loss(0.4, 0.2, 0.1, 9.0, alpha=0.0)
+        b = LossBreakdown(l_id=0.4, l_tri=0.2, l_i2tce=0.1, l_jmmd=9.0, alpha=0.0)
         assert b.l_sim == b.l_reid
 
     def test_hand_value(self):
-        b = sim_loss(0.5, 0.3, 0.2, 0.2, alpha=5.0)
+        b = LossBreakdown(l_id=0.5, l_tri=0.3, l_i2tce=0.2, l_jmmd=0.2, alpha=5.0)
         assert np.isclose(b.l_reid, 1.0)
         assert np.isclose(b.l_sim, 2.0)
 
     def test_all_zero(self):
-        assert sim_loss(0.0, 0.0, 0.0, 0.0).l_sim == 0.0
+        assert LossBreakdown(l_id=0.0, l_tri=0.0, l_i2tce=0.0, l_jmmd=0.0, alpha=5.0).l_sim == 0.0
 
     def test_breakdown_consistency(self):
         b = LossBreakdown(l_id=0.1, l_tri=0.2, l_i2tce=0.3, l_jmmd=0.4, alpha=2.0)

@@ -10,8 +10,8 @@ from xmcl.metrics import (
     _PAIR_BLOCK,
     CMC_KS,
     MetricsRecord,
+    _ap_from_positions,
     aggregate,
-    average_precision,
     evaluate,
     ranking_metrics,
 )
@@ -73,6 +73,11 @@ def lexsort_fraction_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=False):
 REFERENCE_CASES = ["ties", "ties_cosine", "continuous", "cosine", "no_relevant", "single_relevant", "wide"]
 
 
+def average_precision(relevance):
+    """AP of one ranked relevance list, through the positions ranking_metrics passes on."""
+    return _ap_from_positions((np.flatnonzero(relevance) + 1).tolist())
+
+
 class TestAveragePrecision:
     def test_relevant_first_only(self):
         assert average_precision([1, 0, 0]) == 1.0
@@ -85,8 +90,9 @@ class TestAveragePrecision:
         assert np.isclose(average_precision([1, 0, 1]), 5 / 6)
 
     def test_no_relevant_rejected(self):
-        with pytest.raises(ValueError):
-            average_precision([0, 0, 0])
+        # a query without a relevant gallery item has no AP; with none at all there is no mAP
+        with pytest.raises(ValueError, match="no query has a relevant gallery item"):
+            ranking_metrics(np.zeros((2, 2)), np.array([0, 1]), np.ones((3, 2)), np.array([2, 3, 3]))
 
     def test_exact_where_float_summation_drifts(self):
         rng = np.random.default_rng(4)
