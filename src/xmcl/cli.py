@@ -27,7 +27,7 @@ import numpy as np
 
 from .banks import save_banks
 from .conformal import CpConfig, prediction_set
-from .data import SynthSpec, TaskFileError, generate_synthetic_task, save_task
+from .data import SynthSpec, TaskFileError, generate_synthetic_task, json_numbers, save_task
 from .losses import JmmdSpec
 from .trainer import ExperimentConfig, Schedule, report_to_csv, run_sequence
 
@@ -222,7 +222,7 @@ def cmd_score(args) -> int:
         except json.JSONDecodeError as e:
             raise TaskFileError(lineno, f"invalid JSON ({e.msg})") from e
         try:
-            ps = prediction_set(row["pi"] if isinstance(row, dict) else row, config)
+            ps = prediction_set(json_numbers(row["pi"] if isinstance(row, dict) else row), config)
         except KeyError as e:
             raise TaskFileError(lineno, 'object row has no "pi" field') from e
         except (TypeError, ValueError) as e:

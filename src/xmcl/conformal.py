@@ -144,10 +144,12 @@ def calibrate_tau(
     if not 0.0 < coverage < 1.0:
         raise ValueError(f"coverage must be in (0, 1), got {coverage}")
     cal_probs = _validate_simplex(np.atleast_2d(cal_probs), ndim=2)
-    cal_labels = np.asarray(cal_labels, dtype=np.int64)
+    cal_labels = np.asarray(cal_labels)
     n, c = cal_probs.shape
     if cal_labels.shape != (n,) or n == 0:
         raise ValueError("need one label per calibration row")
+    if not np.issubdtype(cal_labels.dtype, np.integer):  # bool is no integer dtype
+        raise ValueError(f"labels must be integers, got {cal_labels.dtype} labels")
     if cal_labels.min() < 0 or cal_labels.max() >= c:
         raise ValueError(f"labels must be in [0, {c}), got {cal_labels.min()}..{cal_labels.max()}")
     order, scores = _ranked_scores(cal_probs, config)

@@ -242,6 +242,19 @@ def generate_synthetic_task(spec: SynthSpec) -> TaskDataset:
 # task files: one JSON object per line, floats at 17 significant digits
 
 
+def json_numbers(values) -> np.ndarray:
+    """A parsed JSON array as float64, refusing strings and booleans in it.
+
+    np.asarray would read "1.5" as 1.5 and true as 1.0; JSON keeps numbers,
+    strings and booleans apart, and so does a task or score file.
+    """
+    if isinstance(values, list):
+        for v in values:
+            if isinstance(v, (str, bool)):
+                raise ValueError(f"could not convert {json.dumps(v)} to float: not a JSON number")
+    return np.asarray(values, dtype=np.float64)
+
+
 def save_task(dataset: TaskDataset, path: str | Path) -> None:
     lines = []
     for split, rows in dataset.splits():
@@ -275,7 +288,7 @@ def load_task(path: str | Path) -> TaskDataset:
             task, identity = row["task"], row["id"]
             modality = row["modality"]
             split = row["split"]
-            features = np.asarray(row["features"], dtype=np.float64)
+            features = json_numbers(row["features"])
         except (KeyError, TypeError, ValueError) as e:
             raise TaskFileError(lineno, f"missing or malformed field ({e})") from e
         for key, value in (("task", task), ("id", identity)):

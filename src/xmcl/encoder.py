@@ -101,8 +101,11 @@ class ActivationStack:
 class StackGradients:
     """Upstream gradients w.r.t. stack layers (None entries mean zero).
 
-    d_logits lets a loss inject a gradient directly at the logits, bypassing
-    the softmax pull-back used for d_layers[-1].
+    d_logits is a gradient at the logits: the trainer passes the summed
+    gradient of both cross-entropies there, so it skips the softmax
+    pull-back that d_layers[-1] goes through (which then carries only the
+    alignment term on the probability layer).  ``backward`` adds the two at
+    the logits and runs the cosine head's backward once.
     """
 
     d_layers: list[np.ndarray | None]
@@ -215,9 +218,7 @@ def backward(state: EncoderState, stack: ActivationStack, grads: StackGradients)
         )
     protos = state.head(stack.task_id)
 
-    d_logits = np.zeros_like(stack.logits)
-    if grads.d_logits is not None:
-        d_logits = d_logits + grads.d_logits
+    d_logits = np.zeros_like(stack.logits) if grads.d_logits is None else grads.d_logits
     if grads.d_layers[-1] is not None:
         d_logits = d_logits + softmax_backward(stack.probs, grads.d_layers[-1])
     d_emb, d_protos = cosine_logits_backward(

@@ -6,15 +6,22 @@ and photo sets, with the kernel taken as a product of per-layer Gaussian
 kernels so that several network layers are matched jointly.  The biased
 V-statistic form is used: same-index terms are kept in all three double sums.
 
-It is evaluated on the pooled batch z = [sketches; photos] with one signed
-weight per row, w_i = +1/n_s for a sketch and -1/n_p for a photo.  With the
-joint kernel J = exp(-sum_l D_l / (2 sigma_l^2)), D_l the layer's pooled
-squared-distance matrix, the loss is MMD = w^T J w and its gradient on
-layer l is -(2 / sigma_l^2) w_i sum_j w_j J_ij (z_i - z_j).
+It is evaluated on a batch's rows in the order they come, with one signed
+weight per row, w_i = +1/n_s for a sketch and -1/n_p for a photo, so the
+rows never need regrouping.  With the joint kernel
+J = exp(-sum_l D_l / (2 sigma_l^2)), D_l the layer's squared-distance
+matrix, the loss is MMD = w^T J w and its gradient on layer l is
+-(2 / sigma_l^2) w_i sum_j w_j J_ij (z_i - z_j).  D_l may be passed in: the
+trainer computes each layer's matrix once and hands the embedding layer's
+to the triplet loss as well.
 
-The prototype cross-entropy is the identity CE of the cosine-similarity
-softmax without smoothing; its gradient form takes those probabilities
-from the encoder's forward pass instead of computing them again.
+Both classification terms read one softmax p = softmax(cosine_logits).  The
+identity CE takes the label-smoothed target q_s (1 - s on the label plus
+s / C everywhere) and the prototype CE the one-hot target; with one cosine
+head the prototype CE is the unsmoothed identity CE.  Their gradients at
+the logits are (p - q_s) / n and (p - onehot) / n, so one function returns
+both values and both logits gradients, and the encoder pulls their sum
+back through the cosine head once.
 
 Summation order is fixed (numpy reductions over contiguous arrays) so that
 repeated evaluation of the same inputs is bit-reproducible.
@@ -108,9 +115,10 @@ def default_layer_set(num_hidden: int) -> tuple[int, ...]:
     return (num_hidden - 1, num_hidden, num_hidden + 1)
 
 
-def _check_layer_lists(
+def _pool(
     sketch_layers: Sequence[np.ndarray], photo_layers: Sequence[np.ndarray]
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each layer's rows stacked as [sketches; photos], and the sketch mask of those rows."""
     if len(sketch_layers) == 0 or len(sketch_layers) != len(photo_layers):
         raise LossInputError(
             f"layer lists must be non-empty and equal length, got "
@@ -118,27 +126,26 @@ def _check_layer_lists(
         )
     s = [np.atleast_2d(np.asarray(a, np.float64)) for a in sketch_layers]
     p = [np.atleast_2d(np.asarray(a, np.float64)) for a in photo_layers]
-    if s[0].shape[0] == 0 or p[0].shape[0] == 0:
-        raise LossInputError("both sample sets must be non-empty")
     for l, (a, b) in enumerate(zip(s, p)):
         if a.shape[1] != b.shape[1]:
             raise LossInputError(f"layer {l} dims differ: {a.shape[1]} vs {b.shape[1]}")
         if a.shape[0] != s[0].shape[0] or b.shape[0] != p[0].shape[0]:
             raise LossInputError("sample counts must agree across layers")
-    return s, p
+    n_s, n_p = s[0].shape[0], p[0].shape[0]
+    return [np.concatenate([a, b]) for a, b in zip(s, p)], np.arange(n_s + n_p) < n_s
 
 
-def resolve_bandwidths(pooled_sq_dists: Sequence[np.ndarray], spec: JmmdSpec) -> list[float]:
-    """Per-layer bandwidths, by median heuristic on the pooled batch unless given.
+def resolve_bandwidths(sq_dists: Sequence[np.ndarray], spec: JmmdSpec) -> list[float]:
+    """Per-layer bandwidths, by median heuristic over the batch unless given.
 
-    Takes each layer's squared-distance matrix over the pooled sketch+photo
+    Takes each layer's squared-distance matrix over the whole sketch+photo
     batch, so the heuristic reuses the distances the kernel is built from.
     """
     if isinstance(spec.bandwidths, str):
-        return [_median_sigma(d2) for d2 in pooled_sq_dists]
-    if len(spec.bandwidths) != len(pooled_sq_dists):
+        return [_median_sigma(d2) for d2 in sq_dists]
+    if len(spec.bandwidths) != len(sq_dists):
         raise LossInputError(
-            f"got {len(spec.bandwidths)} bandwidths for {len(pooled_sq_dists)} layers"
+            f"got {len(spec.bandwidths)} bandwidths for {len(sq_dists)} layers"
         )
     return [float(b) for b in spec.bandwidths]
 
@@ -153,35 +160,42 @@ def jmmd(
     mean(J_ss) + mean(J_pp) - 2 mean(J_sp) where J is the elementwise product
     of per-layer Gaussian kernel matrices.  Same-index terms are included.
     """
-    return jmmd_with_grad(sketch_layers, photo_layers, spec)[0]
+    return jmmd_with_grad(*_pool(sketch_layers, photo_layers), spec)[0]
 
 
 def jmmd_with_grad(
-    sketch_layers: Sequence[np.ndarray],
-    photo_layers: Sequence[np.ndarray],
+    layers: Sequence[np.ndarray],
+    is_sketch: np.ndarray,
     spec: JmmdSpec = JmmdSpec(),
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Value plus gradients w.r.t. every activation in both sets.
+    sq_dists: Sequence[np.ndarray] | None = None,
+) -> tuple[float, list[np.ndarray]]:
+    """Value plus the gradient w.r.t. every layer, rows in the batch's order.
 
-    Bandwidths are treated as constants: no gradient flows through the
-    median heuristic.
+    layers[l] is an (n, d_l) array with one row per sample, and is_sketch
+    marks the sketch rows; the rest are photos.  sq_dists, when given, holds
+    _sq_dists(z, z) for each layer, so a caller can share those matrices
+    with other terms.  Bandwidths are treated as constants: no gradient
+    flows through the median heuristic.
     """
-    s, p = _check_layer_lists(sketch_layers, photo_layers)
-    n_s, n_p = s[0].shape[0], p[0].shape[0]
-    zs = [np.vstack([a, b]) for a, b in zip(s, p)]
-    d2s = [_sq_dists(z, z) for z in zs]
+    is_sketch = np.asarray(is_sketch, dtype=bool)
+    n_s = int(np.count_nonzero(is_sketch))
+    n_p = is_sketch.size - n_s
+    if n_s == 0 or n_p == 0:
+        raise LossInputError("both sample sets must be non-empty")
+    if len(layers) == 0 or any(z.shape[0] != is_sketch.size for z in layers):
+        raise LossInputError(f"need at least one layer, each with {is_sketch.size} rows")
+    d2s = [_sq_dists(z, z) for z in layers] if sq_dists is None else sq_dists
     bws = resolve_bandwidths(d2s, spec)
     exponent = sum(d2 / (2.0 * bw**2) for d2, bw in zip(d2s, bws))
     joint = np.exp(-exponent)
-    w = np.concatenate([np.full(n_s, 1.0 / n_s), np.full(n_p, -1.0 / n_p)])
+    w = np.where(is_sketch, 1.0 / n_s, -1.0 / n_p)
     jw = joint @ w
     value = float(w @ jw)
-    d_s, d_p = [], []
-    for z, bw in zip(zs, bws):
-        g = (-2.0 / bw**2) * w[:, None] * (z * jw[:, None] - joint @ (w[:, None] * z))
-        d_s.append(g[:n_s])
-        d_p.append(g[n_s:])
-    return value, d_s, d_p
+    grads = [
+        (-2.0 / bw**2) * w[:, None] * (z * jw[:, None] - joint @ (w[:, None] * z))
+        for z, bw in zip(layers, bws)
+    ]
+    return value, grads
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +214,18 @@ def triplet_loss(
 
 
 def triplet_loss_grad(
-    embeddings: np.ndarray, labels: np.ndarray, margin: float = 0.3
+    embeddings: np.ndarray,
+    labels: np.ndarray,
+    margin: float = 0.3,
+    sq_dists: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Loss and its (sub)gradient w.r.t. the embeddings.
 
     Ties pick the lowest index.  Hinges are summed, and gradient rows
     accumulated, sequentially in anchor order, so the result equals that of
-    a per-anchor loop to the bit.
+    a per-anchor loop to the bit.  sq_dists, when given, is
+    _sq_dists(embeddings, embeddings), computed once by a caller that shares
+    it with other terms.
     """
     emb = np.atleast_2d(np.asarray(embeddings, np.float64))
     labels = np.asarray(labels)
@@ -220,7 +239,8 @@ def triplet_loss_grad(
     anchors = np.flatnonzero(pos.any(axis=1) & neg.any(axis=1))
     if anchors.size == 0:
         raise LossInputError("no anchor has both a positive and a negative")
-    dist = np.sqrt(np.maximum(_sq_dists(emb, emb), 1e-24))[anchors]
+    d2 = _sq_dists(emb, emb) if sq_dists is None else sq_dists
+    dist = np.sqrt(np.maximum(d2[anchors], 1e-24))
     pos_d = np.where(pos[anchors], dist, -np.inf)
     neg_d = np.where(neg[anchors], dist, np.inf)
     hp = pos_d.argmax(axis=1)
@@ -251,12 +271,19 @@ def id_loss(
     probs: np.ndarray, labels: np.ndarray, smoothing: float = 0.1
 ) -> float:
     """Label-smoothed cross-entropy over already-normalized probabilities."""
-    return id_loss_grad(probs, labels, smoothing)[0]
+    return cross_entropies_grad(probs, labels, smoothing)[0]
 
 
-def id_loss_grad(
+def cross_entropies_grad(
     probs: np.ndarray, labels: np.ndarray, smoothing: float = 0.1
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """Identity CE and prototype CE of one softmax, with their logits gradients.
+
+    probs is softmax(logits), one row per sample.  Returns
+    (l_id, d_logits_id, l_i2tce, d_logits_i2tce): the label-smoothed CE
+    and its gradient (p - q_s) / n, then the unsmoothed CE and its gradient
+    (p - onehot) / n.  The log clips probabilities at 1e-300.
+    """
     p = np.atleast_2d(np.asarray(probs, np.float64))
     labels = np.asarray(labels, dtype=np.int64)
     n, c = p.shape
@@ -266,11 +293,16 @@ def id_loss_grad(
         raise LossInputError(f"labels out of range for {c} classes")
     if not 0.0 <= smoothing < 1.0:
         raise LossInputError(f"smoothing must be in [0, 1), got {smoothing}")
+    rows = np.arange(n)
     q = np.full((n, c), smoothing / c)
-    q[np.arange(n), labels] += 1.0 - smoothing
-    safe = np.clip(p, 1e-300, None)
-    loss = float(-(q * np.log(safe)).sum() / n)
-    return loss, -(q / safe) / n
+    q[rows, labels] += 1.0 - smoothing
+    log_p = np.log(np.clip(p, 1e-300, None))
+    l_id = float(-(q * log_p).sum() / n)
+    l_i2tce = float(-log_p[rows, labels].sum() / n)
+    d_i2tce = p.copy()
+    d_i2tce[rows, labels] -= 1.0
+    d_i2tce /= n
+    return l_id, (p - q) / n, l_i2tce, d_i2tce
 
 
 def cosine_logits(
@@ -330,25 +362,7 @@ def i2tce_loss(
 ) -> float:
     """Cross-entropy of cosine-similarity logits against the label prototype."""
     probs = softmax(cosine_logits(embeddings, prototypes, temperature))
-    return i2tce_loss_grad(probs, embeddings, prototypes, labels, temperature)[0]
-
-
-def i2tce_loss_grad(
-    probs: np.ndarray,
-    embeddings: np.ndarray,
-    prototypes: np.ndarray,
-    labels: np.ndarray,
-    temperature: float = 0.07,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss and gradients w.r.t. embeddings and prototype rows.
-
-    probs must be softmax(cosine_logits(embeddings, prototypes,
-    temperature)): the encoder's forward pass has already computed them.
-    """
-    loss, d_probs = id_loss_grad(probs, labels, smoothing=0.0)
-    d_logits = softmax_backward(probs, d_probs)
-    d_e, d_p = cosine_logits_backward(embeddings, prototypes, d_logits, temperature)
-    return loss, d_e, d_p
+    return cross_entropies_grad(probs, labels)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -46,9 +46,9 @@ from .losses import (
     JmmdSpec,
     LossBreakdown,
     LossInputError,
+    _sq_dists,
+    cross_entropies_grad,
     default_layer_set,
-    i2tce_loss_grad,
-    id_loss_grad,
     jmmd_with_grad,
     triplet_loss_grad,
 )
@@ -237,59 +237,53 @@ def batch_gradients(
     term) with a warning, and alpha = 0 skips its evaluation outright.  A
     non-finite loss term or gradient raises FloatingPointError naming the
     term.
+
+    Shared work is done once: both cross-entropies come from one pass over
+    the probabilities, and their summed logits gradient goes through the
+    cosine head once in ``backward``.  The alignment term runs on the rows
+    in batch order, on squared-distance matrices computed once per layer;
+    the embedding layer's matrix also feeds the triplet term.
     """
     stack = forward(state, batch.features, task_id)
     rows = np.searchsorted(head_ids, batch.ids)
     if not np.array_equal(head_ids[np.minimum(rows, head_ids.size - 1)], batch.ids):
         raise KeyError(f"batch holds identities outside task {task_id}'s head")
-    protos = state.head(task_id)
-    temperature = state.config.temperature
-
-    l_id, d_probs = id_loss_grad(stack.probs, rows, smoothing)
-    l_i2tce, d_emb_i2, d_protos_i2 = i2tce_loss_grad(
-        stack.probs, stack.embedding, protos, rows, temperature
-    )
-    try:
-        l_tri, d_emb_tri = triplet_loss_grad(stack.embedding, batch.ids, margin)
-    except LossInputError as e:
-        logger.warning("skipping triplet term: %s", e)
-        l_tri, d_emb_tri = 0.0, np.zeros_like(stack.embedding)
+    l_id, d_id, l_i2tce, d_i2tce = cross_entropies_grad(stack.probs, rows, smoothing)
 
     n_hidden = len(state.config.hidden_dims)
-    emb_idx = n_hidden
-    d_layers: list[np.ndarray | None] = [None] * len(stack.layers)
-    d_layers[-1] = d_probs
-    d_layers[emb_idx] = d_emb_tri + d_emb_i2
-
-    sketch_rows = np.flatnonzero(batch.is_sketch)
-    photo_rows = np.flatnonzero(~batch.is_sketch)
-    l_jmmd, d_jmmd = 0.0, []
-    if sketch_rows.size and photo_rows.size and jmmd_spec.alpha > 0:
+    both_modalities = bool(batch.is_sketch.any()) and not batch.is_sketch.all()
+    layer_set: tuple[int, ...] = ()
+    if both_modalities and jmmd_spec.alpha > 0:
         layer_set = jmmd_spec.layer_set or default_layer_set(n_hidden)
-        s_layers = [stack.layers[i][sketch_rows] for i in layer_set]
-        p_layers = [stack.layers[i][photo_rows] for i in layer_set]
-        l_jmmd, d_s, d_p = jmmd_with_grad(s_layers, p_layers, jmmd_spec)
-        d_jmmd = [*d_s, *d_p]
-        for li, idx in enumerate(layer_set):
-            buf = d_layers[idx]
-            if buf is None:
-                buf = np.zeros_like(stack.layers[idx])
-            buf = buf.copy()
-            buf[sketch_rows] += jmmd_spec.alpha * d_s[li]
-            buf[photo_rows] += jmmd_spec.alpha * d_p[li]
-            d_layers[idx] = buf
-    elif not sketch_rows.size or not photo_rows.size:
+    sq_dists = [_sq_dists(stack.layers[i], stack.layers[i]) for i in layer_set]
+    emb_sq_dists = sq_dists[layer_set.index(n_hidden)] if n_hidden in layer_set else None
+    try:
+        l_tri, d_tri = triplet_loss_grad(stack.embedding, batch.ids, margin, emb_sq_dists)
+    except LossInputError as e:
+        logger.warning("skipping triplet term: %s", e)
+        l_tri, d_tri = 0.0, np.zeros_like(stack.embedding)
+    if not both_modalities:
         logger.warning(
             "batch for task %d lacks one modality; skipping cross-modal terms", task_id
         )
 
-    grads = backward(state, stack, StackGradients(d_layers=d_layers))
-    grads.d_prototypes = grads.d_prototypes + d_protos_i2
+    d_layers: list[np.ndarray | None] = [None] * len(stack.layers)
+    d_layers[n_hidden] = d_tri
+    l_jmmd, d_jmmd = 0.0, []
+    if layer_set:
+        l_jmmd, d_jmmd = jmmd_with_grad(
+            [stack.layers[i] for i in layer_set], batch.is_sketch, jmmd_spec, sq_dists
+        )
+        for idx, g in zip(layer_set, d_jmmd):
+            g = jmmd_spec.alpha * g
+            d_layers[idx] = g if d_layers[idx] is None else d_layers[idx] + g
+
+    grads = backward(state, stack, StackGradients(d_layers=d_layers, d_logits=d_id + d_i2tce))
     _require_finite(
         (
-            ("l_id", l_id, (d_probs,)),
-            ("l_i2tce", l_i2tce, (d_emb_i2, d_protos_i2)),
-            ("l_tri", l_tri, (d_emb_tri,)),
+            ("l_id", l_id, (d_id,)),
+            ("l_i2tce", l_i2tce, (d_i2tce,)),
+            ("l_tri", l_tri, (d_tri,)),
             ("l_jmmd", l_jmmd, d_jmmd),
         ),
         grads,

@@ -94,6 +94,22 @@ BAD_CONFIGS = [
 ]
 
 
+def test_run_with_non_numeric_task_file_exit_2_names_line(tmp_path, capsys):
+    spec, task = tmp_path / "spec.json", tmp_path / "task.jsonl"
+    spec.write_text(json.dumps(SPEC_PAYLOAD))
+    assert main(["gen-data", "--spec", str(spec), "--out", str(task)]) == 0
+    lines = task.read_text().splitlines()
+    row = json.loads(lines[2])
+    row["features"][0] = str(row["features"][0])
+    lines[2] = json.dumps(row)
+    task.write_text("\n".join(lines) + "\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tasks": [{"path": str(task)}]}))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "not a JSON number" in err
+
+
 class TestGenData:
     def test_valid_spec_round_trips(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -303,6 +319,20 @@ class TestScore:
         assert main(["score", "--input", str(inp)]) == 2
         err = capsys.readouterr().err
         assert "line 2" in err and message in err
+
+
+    @pytest.mark.parametrize(
+        "row", ["[true, false]", '["0.5", "0.5"]', '{"pi": [0.5, true, false]}'],
+        ids=["booleans", "numeric_strings", "object_booleans"],
+    )
+    def test_non_numeric_pi_exit_2_names_line(self, tmp_path, capsys, row):
+        # these used to be scored as the probability vectors [1, 0] and [0.5, 0.5]
+        inp = tmp_path / "pi.jsonl"
+        inp.write_text("[0.5, 0.5]\n" + row + "\n")
+        assert main(["score", "--input", str(inp)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 2" in captured.err and "not a JSON number" in captured.err
 
 
 class TestReport:

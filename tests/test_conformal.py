@@ -327,6 +327,19 @@ class TestCalibrateTau:
         with pytest.raises(ValueError, match=r"labels must be in \[0, 3\)"):
             calibrate_tau(np.array([[0.2, 0.3, 0.5], [0.5, 0.3, 0.2]]), labels)
 
+    @pytest.mark.parametrize(
+        "labels", [[0.9, 1.7], [True, False], np.array([0.0, 1.0])], ids=["fractional", "bool", "float"]
+    )
+    def test_rejects_non_integer_labels(self, labels):
+        # int64 casting used to truncate [0.9, 1.7] to [0, 1] and read [True, False] as [1, 0]
+        with pytest.raises(ValueError, match="labels must be integers"):
+            calibrate_tau(np.array([[0.2, 0.3, 0.5], [0.5, 0.3, 0.2]]), labels)
+
+    def test_accepts_any_integer_dtype(self):
+        probs = np.array([[0.2, 0.3, 0.5], [0.5, 0.3, 0.2]])
+        want = calibrate_tau(probs, [2, 0]).tau
+        assert calibrate_tau(probs, np.array([2, 0], dtype=np.uint8)).tau == want
+
     def test_rejects_non_distribution_rows(self):
         with pytest.raises(SimplexError):
             calibrate_tau(np.array([[0.5, 0.5], [0.9, 0.9]]), [0, 1])

@@ -131,6 +131,25 @@ class TestTaskFiles:
             assert sa.is_sketch.tolist() == sb.is_sketch.tolist()
             assert sa.features.tobytes() == sb.features.tobytes()
 
+    def test_reload_and_save_is_byte_identical(self, tmp_path):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        save_task(generate_synthetic_task(SMALL), a)
+        save_task(load_task(a), b)
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "features", ['["1.5", 2.0]', "[true, 1.0]", "[1.0, false]", '["a", "b"]'],
+        ids=["numeric_string", "true", "false", "string"],
+    )
+    def test_non_numeric_features_name_line(self, tmp_path, features):
+        # np.asarray would load ["1.5", true] as [1.5, 1.0]
+        row = '{{"task":0,"id":1,"modality":"sketch","split":"train","features":{}}}'
+        path = tmp_path / "bad.jsonl"
+        path.write_text(row.format("[1.0, 2.0]") + "\n" + row.format(features) + "\n")
+        with pytest.raises(TaskFileError, match="line 2: .*not a JSON number") as err:
+            load_task(path)
+        assert err.value.line == 2
+
     def test_save_is_byte_deterministic(self, tmp_path):
         ds = generate_synthetic_task(SMALL)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -7,14 +7,14 @@ from xmcl.losses import (
     JmmdSpec,
     LossBreakdown,
     LossInputError,
+    _pool,
     _sq_dists,
     cosine_logits,
     cosine_logits_backward,
+    cross_entropies_grad,
     default_layer_set,
     i2tce_loss,
-    i2tce_loss_grad,
     id_loss,
-    id_loss_grad,
     jmmd,
     jmmd_with_grad,
     resolve_bandwidths,
@@ -112,6 +112,13 @@ def triplet_loop_reference(emb, labels, margin):
     return total / anchors.size, grad / anchors.size
 
 
+def jmmd_split_grad(sketch_layers, photo_layers, spec):
+    """jmmd_with_grad on [sketches; photos], its gradients split back per set."""
+    layers, is_sketch = _pool(sketch_layers, photo_layers)
+    value, grads = jmmd_with_grad(layers, is_sketch, spec)
+    return value, [g[is_sketch] for g in grads], [g[~is_sketch] for g in grads]
+
+
 def jmmd_block_reference(sketch_layers, photo_layers, bandwidths=None):
     """Three-block form: separate J_ss, J_pp, J_sp kernels and gradient terms.
 
@@ -152,7 +159,7 @@ def jmmd_block_reference(sketch_layers, photo_layers, bandwidths=None):
 
 
 def kernel(x, y, sigma):
-    """k(x, y) as jmmd_with_grad builds it: one sketch x, one photo y, one layer.
+    """k(x, y) as jmmd builds it: one sketch x, one photo y, one layer.
 
     For single rows the alignment distance is k(x, x) + k(y, y) - 2 k(x, y),
     and k(x, x) = 1 (test_identity).
@@ -328,7 +335,7 @@ class TestJmmdGrad:
         rng = np.random.default_rng(9)
         base = [rng.normal(size=(4, 3)) for _ in range(2)]
         spec = JmmdSpec(bandwidths=[1.0, 1.3])
-        _, d_s, d_p = jmmd_with_grad(base, [a.copy() for a in base], spec)
+        _, d_s, d_p = jmmd_split_grad(base, [a.copy() for a in base], spec)
         for g in d_s + d_p:
             assert np.all(np.abs(g) < 1e-12)
 
@@ -337,7 +344,7 @@ class TestJmmdGrad:
         s = [rng.normal(size=(4, 3)), rng.normal(size=(4, 2))]
         p = [rng.normal(size=(5, 3)), rng.normal(size=(5, 2))]
         spec = JmmdSpec(bandwidths=[0.9, 1.4])
-        _, d_s, d_p = jmmd_with_grad(s, p, spec)
+        _, d_s, d_p = jmmd_split_grad(s, p, spec)
 
         for l in range(2):
             fd_matches(d_s[l], lambda x, l=l: jmmd([x if m == l else s[m] for m in range(2)], p, spec), s[l])
@@ -346,14 +353,14 @@ class TestJmmdGrad:
     def test_descent_moves_sketch_toward_photo(self):
         s = [np.array([[0.0, 0.0]])]
         p = [np.array([[5.0, 1.0]])]
-        _, d_s, _ = jmmd_with_grad(s, p, JmmdSpec(bandwidths=[2.0]))
+        _, d_s, _ = jmmd_split_grad(s, p, JmmdSpec(bandwidths=[2.0]))
         to_photo = p[0][0] - s[0][0]
         assert float(np.dot(-d_s[0][0], to_photo)) > 0
 
     def test_clamped_bandwidth_keeps_gradient_finite(self):
         s = [np.ones((3, 2))]
         p = [np.ones((3, 2))]
-        _, d_s, d_p = jmmd_with_grad(s, p, JmmdSpec())
+        _, d_s, d_p = jmmd_split_grad(s, p, JmmdSpec())
         assert np.all(np.isfinite(d_s[0]))
         assert np.all(np.isfinite(d_p[0]))
 
@@ -369,7 +376,7 @@ class TestJmmdGrad:
             p = [rng.normal(loc=0.5, size=(n_p, d)) for d in dims]
             bws = None if median else [float(rng.uniform(0.5, 6.0)) for _ in dims]
             spec = JmmdSpec() if median else JmmdSpec(bandwidths=bws)
-            value, d_s, d_p = jmmd_with_grad(s, p, spec)
+            value, d_s, d_p = jmmd_split_grad(s, p, spec)
             ref_value, ref_s, ref_p = jmmd_block_reference(s, p, bws)
             worst = max(worst, abs(value - ref_value))
             for got, want in zip(d_s + d_p, ref_s + ref_p):
@@ -387,10 +394,52 @@ class TestJmmdGrad:
         pairs = [d2[np.triu_indices(7, k=1)] for d2 in d2s]
         assert got == [float(np.sqrt(max(float(np.median(x)), 1e-12))) for x in pairs]
 
+    def test_batch_order_gradients_follow_the_rows(self):
+        # any interleaving of the same rows gives the same value, and the
+        # gradient rows move with their samples
+        rng = np.random.default_rng(23)
+        for median in (True, False):
+            n = 11
+            layers = [rng.normal(size=(n, d)) for d in (3, 5)]
+            is_sketch = rng.permutation(np.arange(n) < 4)
+            spec = JmmdSpec() if median else JmmdSpec(bandwidths=[1.2, 2.5])
+            value, grads = jmmd_with_grad(layers, is_sketch, spec)
+            perm = rng.permutation(n)
+            p_value, p_grads = jmmd_with_grad([z[perm] for z in layers], is_sketch[perm], spec)
+            assert abs(p_value - value) <= 1e-12
+            for g, pg in zip(grads, p_grads):
+                assert np.max(np.abs(pg - g[perm])) <= 1e-12
+            want, ref_s, ref_p = jmmd_block_reference(
+                [z[is_sketch] for z in layers], [z[~is_sketch] for z in layers],
+                None if median else [1.2, 2.5],
+            )
+            assert abs(value - want) <= 1e-12
+            for g, r_s, r_p in zip(grads, ref_s, ref_p):
+                assert np.max(np.abs(g[is_sketch] - r_s)) <= 1e-12
+                assert np.max(np.abs(g[~is_sketch] - r_p)) <= 1e-12
+
+    def test_given_distances_are_used(self):
+        rng = np.random.default_rng(24)
+        layers = [rng.normal(size=(6, 3)), rng.normal(size=(6, 2))]
+        is_sketch = np.arange(6) % 2 == 0
+        d2s = [_sq_dists(z, z) for z in layers]
+        assert jmmd_with_grad(layers, is_sketch, JmmdSpec(), d2s)[0] == jmmd_with_grad(
+            layers, is_sketch, JmmdSpec()
+        )[0]
+        # the median heuristic is scale-free, so fixed bandwidths show the scaling
+        fixed = JmmdSpec(bandwidths=[1.0, 1.0])
+        scaled = jmmd_with_grad(layers, is_sketch, fixed, [4.0 * d2 for d2 in d2s])[0]
+        assert scaled == jmmd_with_grad([2.0 * z for z in layers], is_sketch, fixed)[0]
+
+    @pytest.mark.parametrize("is_sketch", [[True] * 4, [False] * 4, [True, False, True]])
+    def test_batch_without_both_modalities_or_rows_rejected(self, is_sketch):
+        with pytest.raises(LossInputError):
+            jmmd_with_grad([np.ones((4, 2))], np.array(is_sketch), JmmdSpec(bandwidths=[1.0]))
+
     def test_bandwidth_count_mismatch_rejected(self):
         s = [np.ones((2, 3))] * 2
         with pytest.raises(LossInputError):
-            jmmd_with_grad(s, s, JmmdSpec(bandwidths=[1.0]))
+            jmmd_with_grad(s, np.arange(2) < 1, JmmdSpec(bandwidths=[1.0]))
 
 
 class TestTripletLoss:
@@ -464,6 +513,15 @@ class TestTripletLoss:
         assert np.array_equal(grad, want_grad)
         assert np.any(grad[4] != 0)
 
+    def test_given_distances_give_the_same_bits(self):
+        rng = np.random.default_rng(25)
+        emb = rng.normal(size=(12, 4))
+        labels = np.arange(12) % 4
+        loss, grad = triplet_loss_grad(emb, labels, 0.3)
+        shared_loss, shared_grad = triplet_loss_grad(emb, labels, 0.3, _sq_dists(emb, emb))
+        assert shared_loss == loss
+        assert np.array_equal(shared_grad, grad)
+
     def test_no_active_hinge_gives_zero_gradient(self):
         emb = np.array([[0.0, 0.0], [0.0, 0.1], [5.0, 0.0], [5.0, 0.1]])
         labels = np.array([0, 0, 1, 1])
@@ -497,12 +555,54 @@ class TestIdLoss:
         logits = rng.normal(size=(6, 5))
         probs = softmax(logits)
         labels = rng.integers(0, 5, size=6)
-        _, grad = id_loss_grad(probs, labels, smoothing=0.1)
-        fd_matches(grad, lambda x: id_loss(x, labels, smoothing=0.1), probs)
+        _, grad, _, _ = cross_entropies_grad(probs, labels, smoothing=0.1)
+        fd_matches(grad, lambda z: id_loss(softmax(z), labels, smoothing=0.1), logits)
 
     def test_label_out_of_range(self):
         with pytest.raises(LossInputError):
             id_loss(np.full((1, 3), 1 / 3), np.array([3]))
+
+
+class TestCrossEntropies:
+    def test_prototype_ce_is_unsmoothed_identity_ce(self):
+        rng = np.random.default_rng(26)
+        probs = softmax(rng.normal(size=(9, 6)) * 3)
+        labels = rng.integers(0, 6, size=9)
+        l_id0, d_id0, l_i2tce, d_i2tce = cross_entropies_grad(probs, labels, smoothing=0.0)
+        assert abs(l_i2tce - l_id0) <= 1e-12
+        assert np.max(np.abs(d_i2tce - d_id0)) <= 1e-15
+
+    def test_joint_logits_gradient(self):
+        # d(l_id + l_i2tce)/d logits = (2p - q_s - onehot) / n
+        rng = np.random.default_rng(27)
+        n, c, eps = 7, 5, 0.1
+        logits = rng.normal(size=(n, c))
+        labels = rng.integers(0, c, size=n)
+        probs = softmax(logits)
+        _, d_id, _, d_i2tce = cross_entropies_grad(probs, labels, smoothing=eps)
+        onehot = np.eye(c)[labels]
+        q = (1 - eps) * onehot + eps / c
+        np.testing.assert_allclose(d_id + d_i2tce, (2 * probs - q - onehot) / n, rtol=0, atol=1e-15)
+        fd_matches(
+            d_id + d_i2tce,
+            lambda z: id_loss(softmax(z), labels, smoothing=eps) + id_loss(softmax(z), labels, 0.0),
+            logits,
+        )
+
+    def test_values_equal_the_value_forms(self):
+        rng = np.random.default_rng(28)
+        emb = rng.normal(size=(5, 4))
+        protos = rng.normal(size=(6, 4))
+        labels = rng.integers(0, 6, size=5)
+        probs = softmax(cosine_logits(emb, protos, 0.2))
+        l_id, _, l_i2tce, _ = cross_entropies_grad(probs, labels, smoothing=0.2)
+        assert l_id == id_loss(probs, labels, smoothing=0.2)
+        assert l_i2tce == i2tce_loss(emb, protos, labels, temperature=0.2)
+
+    @pytest.mark.parametrize("smoothing", [-0.1, 1.0])
+    def test_smoothing_outside_unit_interval_rejected(self, smoothing):
+        with pytest.raises(LossInputError):
+            cross_entropies_grad(np.full((2, 3), 1 / 3), np.array([0, 1]), smoothing)
 
 
 class TestSoftmax:
@@ -561,7 +661,8 @@ class TestI2tce:
         protos = rng.normal(size=(6, 4))
         labels = rng.integers(0, 6, size=5)
         probs = softmax(cosine_logits(emb, protos, temperature=0.3))
-        _, d_e, d_p = i2tce_loss_grad(probs, emb, protos, labels, temperature=0.3)
+        d_logits = cross_entropies_grad(probs, labels)[3]
+        d_e, d_p = cosine_logits_backward(emb, protos, d_logits, temperature=0.3)
         fd_matches(d_e, lambda x: i2tce_loss(x, protos, labels, temperature=0.3), emb)
         fd_matches(d_p, lambda x: i2tce_loss(emb, x, labels, temperature=0.3), protos)
 

@@ -260,18 +260,22 @@ class TestNonFiniteFailsFast:
             train_task(exp, task1, mini_config(), 2, np.random.default_rng(5), use_replay=True)
 
 
-def poisoned_loss(real, part, from_call):
-    """real with its value (part 0) or first gradient (part 1) set to NaN from a call on."""
+def poisoned_loss(real, index, from_call):
+    """real with output[index] set to NaN from a call on.
+
+    The output is a value (replaced) or a gradient array, or a list of them
+    (the first is filled in place).
+    """
     calls = []
 
     def loss(*args, **kwargs):
         calls.append(None)
         out = list(real(*args, **kwargs))
         if len(calls) >= from_call:
-            if part == 0:
-                out[0] = float("nan")
+            if isinstance(out[index], float):
+                out[index] = float("nan")
             else:
-                grad = out[1][0] if isinstance(out[1], list) else out[1]
+                grad = out[index][0] if isinstance(out[index], list) else out[index]
                 grad[...] = np.nan
         return tuple(out)
 
@@ -279,11 +283,13 @@ def poisoned_loss(real, part, from_call):
 
 
 class TestNonFiniteTermNamed:
+    # term -> (trainer binding, index of the term's value in its output);
+    # the term's gradient follows its value
     TERMS = {
-        "l_id": "id_loss_grad",
-        "l_i2tce": "i2tce_loss_grad",
-        "l_tri": "triplet_loss_grad",
-        "l_jmmd": "jmmd_with_grad",
+        "l_id": ("cross_entropies_grad", 0),
+        "l_i2tce": ("cross_entropies_grad", 2),
+        "l_tri": ("triplet_loss_grad", 0),
+        "l_jmmd": ("jmmd_with_grad", 0),
     }
 
     @pytest.mark.parametrize("part", [0, 1], ids=["value", "gradient"])
@@ -291,8 +297,8 @@ class TestNonFiniteTermNamed:
     def test_new_task_epoch(self, monkeypatch, term, part):
         import xmcl.trainer as trainer
 
-        name = self.TERMS[term]
-        monkeypatch.setattr(trainer, name, poisoned_loss(getattr(trainer, name), part, 1))
+        name, index = self.TERMS[term]
+        monkeypatch.setattr(trainer, name, poisoned_loss(getattr(trainer, name), index + part, 1))
         with pytest.raises(FloatingPointError, match=rf"^task 0, epoch 1: non-finite {term}$"):
             run_sequence(mini_config(num_tasks=1), master_seed=0)
 
@@ -308,8 +314,8 @@ class TestNonFiniteTermNamed:
         register_task_head(exp.encoder, 1, len(task1.train_identities), seed=9)
         exp.head_ids[1] = task1.train.identities()
         # epoch 1 trains 12 identities in P=4 batches; call 4 is the first replay batch
-        name = self.TERMS[term]
-        monkeypatch.setattr(trainer, name, poisoned_loss(getattr(trainer, name), part, 4))
+        name, index = self.TERMS[term]
+        monkeypatch.setattr(trainer, name, poisoned_loss(getattr(trainer, name), index + part, 4))
         with pytest.raises(
             FloatingPointError, match=rf"^task 1 \(replaying task 0\), epoch 2: non-finite {term}$"
         ):
