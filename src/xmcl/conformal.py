@@ -15,6 +15,7 @@ matrix in one sorted pass, with the same bits as ``prediction_set`` per row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,12 +43,12 @@ class CpConfig:
     tau: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ValueError(f"lam must be non-negative, got {self.lam}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be non-negative and finite, got {self.lam}")
         if self.k_reg < 1:
             raise ValueError(f"k_reg must be a positive integer, got {self.k_reg}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
 
 
 @dataclass

@@ -18,6 +18,7 @@ arrays into a split, so a batch is one fancy-indexing gather.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -156,8 +157,11 @@ class SynthSpec:
                 raise SynthSpecError(f"{name} must be a positive integer, got {v}")
         if self.num_aux_ids < 0:
             raise SynthSpecError(f"num_aux_ids must be >= 0, got {self.num_aux_ids}")
-        if self.noise_sigma < 0:
-            raise SynthSpecError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise SynthSpecError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        for name in ("modality_gap", "task_shift"):
+            if not math.isfinite(getattr(self, name)):
+                raise SynthSpecError(f"{name} must be finite, got {getattr(self, name)}")
         if self.task_id < 0:
             raise SynthSpecError(f"task_id must be >= 0, got {self.task_id}")
         total = self.num_train_ids + self.num_test_ids + self.num_aux_ids

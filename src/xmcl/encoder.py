@@ -13,6 +13,7 @@ activation stacks captured earlier.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +51,10 @@ class EncoderConfig:
             raise ConfigurationError(f"all dims must be positive integers, got {dims}")
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError("seed must fit in 64 unsigned bits")
-        if self.temperature <= 0:
-            raise ConfigurationError("temperature must be positive")
+        if not 0 < self.temperature < math.inf:
+            raise ConfigurationError(
+                f"temperature must be positive and finite, got {self.temperature}"
+            )
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
 
     @property

@@ -30,6 +30,7 @@ repeated evaluation of the same inputs is bit-reproducible.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -97,13 +98,13 @@ class JmmdSpec:
     alpha: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be non-negative and finite, got {self.alpha}")
         if self.layer_set is not None and len(self.layer_set) == 0:
             raise ValueError("layer_set must be non-empty")
         if not isinstance(self.bandwidths, str):
-            if any(b <= 0 for b in self.bandwidths):
-                raise ValueError("explicit bandwidths must be positive")
+            if not all(0 < b < math.inf for b in self.bandwidths):
+                raise ValueError("explicit bandwidths must be positive and finite")
         elif self.bandwidths != MEDIAN:
             raise ValueError(f"unknown bandwidth mode {self.bandwidths!r}")
 

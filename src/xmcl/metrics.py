@@ -4,10 +4,13 @@ Queries default to the sketch split and the gallery to the photo split;
 ranking is by ascending Euclidean distance with ties broken by gallery
 index.  Metrics are reported as percentages.
 
-The gallery is never sorted: only the relevant items' ranks are needed, and
-each is counted as the number of gallery items ahead of it.  AP is summed
-from those ranks as one integer fraction and rounded once, so it equals the
-exact rational value to the last bit.
+Only the relevant items' ranks are needed.  Each query's distance row is
+sorted once, and every relevant item's rank comes from one binary search,
+run for all (query, relevant item) pairs at once, for its distance in that
+sorted row; the few pairs whose distance is shared add the index tie-break
+from the unsorted row.  AP is summed from those ranks as one integer
+fraction and rounded once, so it equals the exact rational value to the
+last bit.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ from .losses import _sq_dists
 logger = logging.getLogger(__name__)
 
 CMC_KS = (1, 5, 10)
-# (query, relevant item) pairs ranked per block in ranking_metrics
-_PAIR_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -74,24 +75,41 @@ def _relevant_positions(
 
     The rank of relevant item g for query q is 1 + #(d < d_qg) +
     #(d == d_qg and gallery index < g): the position in ascending-distance
-    order with ties broken by gallery index.  The tie term is counted only
-    for pairs whose distance is shared, and pairs are counted in blocks of
-    _PAIR_BLOCK rows, so no (pairs x gallery) temporary is built at once.
+    order with ties broken by gallery index.  The relevant pairs come from
+    the id-sorted gallery; #(d < d_qg) is a binary search, run for all pairs
+    at once, in q's sorted row.  The tie term reads the unsorted row only
+    for pairs whose distance is shared, in chunks no larger than the
+    distance matrix.
     """
-    q_idx, g_idx = np.nonzero(gallery_ids[None, :] == query_ids[:, None])
-    columns = np.arange(distances.shape[1])
-    positions = np.empty(q_idx.size, dtype=np.int64)
-    for start in range(0, q_idx.size, _PAIR_BLOCK):
-        block = slice(start, start + _PAIR_BLOCK)
-        rows = distances[q_idx[block]]
-        g = g_idx[block, None]
-        own = np.take_along_axis(rows, g, axis=1)
-        ahead = np.count_nonzero(rows < own, axis=1)
-        tied = np.flatnonzero(np.count_nonzero(rows <= own, axis=1) - ahead > 1)
-        if tied.size:
-            ties = (rows[tied] == own[tied]) & (columns < g[tied])
-            ahead[tied] += np.count_nonzero(ties, axis=1)
-        positions[block] = ahead + 1
+    n_q, n_g = distances.shape
+    by_id = np.argsort(gallery_ids)
+    sorted_ids = gallery_ids[by_id]
+    first = np.searchsorted(sorted_ids, query_ids, side="left")
+    counts = np.searchsorted(sorted_ids, query_ids, side="right") - first
+    q_idx = np.repeat(np.arange(n_q), counts)
+    # pair i of query q is the (i - its first pair)-th of q's id run in by_id
+    pair_starts = np.cumsum(counts) - counts
+    g_idx = by_id[np.arange(q_idx.size) + np.repeat(first - pair_starts, counts)]
+    own = distances[q_idx, g_idx]
+    # sorted_flat[row_start + i] is the (i+1)-th smallest distance of the pair's
+    # query; a probe past the row end reads the row maximum, which is >= own
+    sorted_flat = np.sort(distances, axis=1).ravel()
+    row_start = q_idx * n_g
+    ahead = np.zeros(q_idx.size, dtype=np.int64)
+    for step in (1 << k for k in reversed(range(n_g.bit_length()))):
+        probe = np.minimum(ahead + step, n_g)
+        ahead += step * (sorted_flat[row_start + probe - 1] < own)
+    # sorted_flat[row_start + ahead] is g's own distance, and the next one may
+    # repeat it; at the row end "next" is g's own, a false tie that counts 0
+    after = np.minimum(ahead + 1, n_g - 1)
+    tied = np.flatnonzero(sorted_flat[row_start + after] == own)
+    # at most Q tied rows (one distance matrix) at a time, however many pairs tie
+    chunk = max(n_q, 1)
+    for start in range(0, tied.size, chunk):
+        t = tied[start : start + chunk]
+        ties = (distances[q_idx[t]] == own[t, None]) & (np.arange(n_g) < g_idx[t, None])
+        ahead[t] += np.count_nonzero(ties, axis=1)
+    positions = ahead + 1
     order = np.lexsort((positions, q_idx))
     return q_idx[order], positions[order]
 

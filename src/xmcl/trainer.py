@@ -1,10 +1,13 @@
-"""Sequential task training with alternating replay and a five-point eval grid.
+"""Sequential task training with alternating replay and an evaluation grid.
 
 One experiment trains tasks in order with the combined objective
 (identity CE + batch-hard triplet + prototype CE + weighted alignment).
 From the second task on, epochs alternate between new-task PK batches and
 replay batches drawn from the banks, and the banks are refreshed with the
-lowest-uncertainty samples once each task finishes.
+lowest-uncertainty samples once each task finishes.  Every task is
+evaluated at one step before training, then at a halfway step and an end
+step for each task that trains: five steps for two training tasks, seven
+for three, and three for epoch budgets (4, 0).
 
 Every run is a pure function of (config, master seed): all randomness is
 drawn from tagged SeedSequence streams, so adding later tasks to a config
@@ -84,8 +87,12 @@ class Schedule:
             raise ValueError("warmup cannot exceed the longest task budget")
         if not 0 < self.decay_factor < 1:
             raise ValueError(f"decay factor must be in (0, 1), got {self.decay_factor}")
-        if self.base_lr <= 0 or self.warmup_start_lr <= 0:
-            raise ValueError("learning rates must be positive")
+        if not all(0 < lr < math.inf for lr in (self.base_lr, self.warmup_start_lr)):
+            raise ValueError("learning rates must be positive and finite")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ValueError(f"Adam betas must be in [0, 1), got {self.beta1}, {self.beta2}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"Adam eps must be positive and finite, got {self.eps}")
 
 
 def lr_at(epoch: int, schedule: Schedule) -> float:
@@ -161,6 +168,12 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.tasks:
             raise ValueError("config needs at least one task")
+        # the encoder's own checks, before any task is built
+        EncoderConfig(
+            hidden_dims=self.hidden_dims,
+            embedding_dim=self.embedding_dim,
+            temperature=self.temperature,
+        )
         if self.pk_p < 2 or self.pk_k < 1:
             raise ValueError("PK sampling needs at least 2 identities and 1 instance")
         if not (np.isfinite(self.triplet_margin) and self.triplet_margin >= 0):
@@ -395,8 +408,9 @@ def _epoch_budget(config: ExperimentConfig, pos: int) -> int:
 def run_sequence(config: ExperimentConfig, master_seed: int) -> tuple[dict, ExperimentState]:
     """Train all tasks in order, evaluating every task at each grid point.
 
-    Grid: step 1 before training, then per task one step halfway through
-    and one at completion (a two-task run yields steps 1-5).  Returns the
+    Grid: step 1 before training, then for each task that trains one step
+    halfway through and one at completion (a task with a zero epoch budget
+    adds none; two training tasks yield steps 1-5).  Returns the
     report dict plus the final experiment state (encoder, banks, history).
     """
     tasks = _resolve_tasks(config, master_seed)

@@ -93,6 +93,28 @@ BAD_CONFIGS = [
     ({"jmmd": {"bandwidths": [1.0, 2.0]}}, "jmmd.bandwidths"),
 ]
 
+# (section, key, value) that xmcl run must reject before any task is built, and
+# a word its error names ("tasks" sets the second task's spec); JSON files may
+# spell NaN and Infinity, and json.loads reads them
+OUT_OF_RANGE_CONFIGS = [
+    ("jmmd", "alpha", float("nan"), "alpha"),
+    ("jmmd", "bandwidths", [1.0, float("inf"), 1.0], "bandwidths"),
+    ("jmmd", "bandwidths", [1.0, 1.0, float("nan")], "bandwidths"),
+    ("cp", "tau", float("nan"), "tau"),
+    ("cp", "lam", float("inf"), "lam"),
+    ("schedule", "base_lr", float("inf"), "learning rates"),
+    ("schedule", "warmup_start_lr", float("nan"), "learning rates"),
+    ("schedule", "beta1", 1.0, "betas"),
+    ("schedule", "beta2", float("nan"), "betas"),
+    ("schedule", "beta1", -0.1, "betas"),
+    ("schedule", "eps", 0.0, "eps"),
+    ("schedule", "eps", float("inf"), "eps"),
+    ("encoder", "temperature", float("nan"), "temperature"),
+    ("tasks", "modality_gap", float("nan"), "modality_gap"),
+    ("tasks", "task_shift", float("inf"), "task_shift"),
+    ("tasks", "noise_sigma", float("inf"), "noise_sigma"),
+]
+
 
 def test_run_with_non_numeric_task_file_exit_2_names_line(tmp_path, capsys):
     spec, task = tmp_path / "spec.json", tmp_path / "task.jsonl"
@@ -197,6 +219,29 @@ class TestRun:
         config = write_config(tmp_path / "config.json", **overrides)
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "runs")]) == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value, word",
+        OUT_OF_RANGE_CONFIGS,
+        ids=[f"{s}.{k}={v}" for s, k, v, _ in OUT_OF_RANGE_CONFIGS],
+    )
+    def test_out_of_range_value_exit_2_before_any_task(
+        self, tmp_path, capsys, monkeypatch, section, key, value, word
+    ):
+        import xmcl.trainer
+
+        def no_tasks(*args, **kwargs):
+            raise AssertionError("built a task before the config was checked")
+
+        monkeypatch.setattr(xmcl.trainer, "generate_synthetic_task", no_tasks)
+        config = write_config(tmp_path / "config.json")
+        payload = json.loads(config.read_text())
+        target = payload["tasks"][1] if section == "tasks" else payload.setdefault(section, {})
+        target[key] = value
+        config.write_text(json.dumps(payload))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "runs")]) == 2
+        assert word in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
     def test_pk_p_above_a_later_task_exit_2_before_training(self, tmp_path, capsys, monkeypatch):

@@ -7,10 +7,10 @@ from xmcl.data import SynthSpec, generate_synthetic_task
 from xmcl.encoder import EncoderConfig, init_encoder
 from xmcl.losses import _sq_dists
 from xmcl.metrics import (
-    _PAIR_BLOCK,
     CMC_KS,
     MetricsRecord,
     _ap_from_positions,
+    _relevant_positions,
     aggregate,
     evaluate,
     ranking_metrics,
@@ -69,6 +69,64 @@ def lexsort_fraction_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=False):
     return float(np.mean(aps)), {k: float((first <= k).mean()) for k in CMC_KS}, len(aps)
 
 
+def blocked_pair_positions(distances, query_ids, gallery_ids, block=64):
+    """(query, rank) of every relevant item by scanning each pair's whole row: the reference.
+
+    Pairs come from the Q x G id-equality matrix; for `block` pairs at a time
+    the rank is 1 + #(row < own) + #(row == own at a smaller gallery index).
+    """
+    q_idx, g_idx = np.nonzero(gallery_ids[None, :] == query_ids[:, None])
+    columns = np.arange(distances.shape[1])
+    positions = np.empty(q_idx.size, dtype=np.int64)
+    for start in range(0, q_idx.size, block):
+        rows = distances[q_idx[start : start + block]]
+        g = g_idx[start : start + block, None]
+        own = np.take_along_axis(rows, g, axis=1)
+        ahead = np.count_nonzero(rows < own, axis=1)
+        tied = np.flatnonzero(np.count_nonzero(rows <= own, axis=1) - ahead > 1)
+        if tied.size:
+            ahead[tied] += np.count_nonzero((rows[tied] == own[tied]) & (columns < g[tied]), axis=1)
+        positions[start : start + block] = ahead + 1
+    order = np.lexsort((positions, q_idx))
+    return q_idx[order], positions[order]
+
+
+POSITION_CASES = ["grid", "duplicate_rows", "zero_distance", "cosine", "negative", "single_item"]
+
+
+def position_case(rng, case):
+    """(distances, query ids, gallery ids) with unsorted, repeated gallery ids."""
+    n_g = 1 if case == "single_item" else int(rng.integers(2, 90))
+    n_q = int(rng.integers(1, 40))
+    dim = int(rng.integers(1, 5))
+    g_ids = rng.integers(0, max(1, n_g // int(rng.integers(1, 5))), size=n_g)
+    q_ids = np.concatenate([g_ids[rng.integers(0, n_g, size=n_q)], rng.integers(-3, 0, size=2)])
+    if case == "grid":
+        # a coarse integer grid forces many equal distances
+        g_emb = rng.integers(-1, 2, size=(n_g, dim)).astype(float)
+        q_emb = rng.integers(-1, 2, size=(q_ids.size, dim)).astype(float)
+    else:
+        g_emb = rng.normal(size=(n_g, dim))
+        q_emb = rng.normal(size=(q_ids.size, dim))
+    if case in ("duplicate_rows", "cosine"):
+        g_emb = g_emb[rng.integers(0, n_g, size=n_g)]
+    if case in ("zero_distance", "cosine"):
+        # queries that coincide with gallery rows (up to scale, for cosine)
+        copies = rng.random(q_ids.size) < 0.5
+        q_emb[copies] = g_emb[rng.integers(0, n_g, size=int(copies.sum()))] * rng.uniform(0.5, 3.0)
+    if case == "cosine":
+        q_emb[~q_emb.any(axis=1), 0] = 1.0
+        g_emb[~g_emb.any(axis=1), 0] = 1.0
+        qn = q_emb / np.linalg.norm(q_emb, axis=1, keepdims=True)
+        gn = g_emb / np.linalg.norm(g_emb, axis=1, keepdims=True)
+        distances = 1.0 - qn @ gn.T
+    else:
+        distances = np.sqrt(_sq_dists(q_emb, g_emb))
+    if case == "negative":
+        distances -= rng.uniform(0.0, 2.0 * distances.max() + 1.0)
+    return distances, q_ids, g_ids
+
+
 # ties: coarse integer embeddings; wide: Q != G with G in the hundreds
 REFERENCE_CASES = ["ties", "ties_cosine", "continuous", "cosine", "no_relevant", "single_relevant", "wide"]
 
@@ -108,6 +166,44 @@ class TestAveragePrecision:
             rel = rng.random(int(rng.integers(1, 400))) < rng.uniform(0.01, 1.0)
             rel[int(rng.integers(0, rel.size))] = True
             assert average_precision(rel) == fraction_ap(rel)
+
+
+class TestRelevantPositions:
+    def test_matches_blocked_pair_counter(self):
+        rng = np.random.default_rng(11)
+        seen = {"tied pairs": 0, "zero distances": 0, "negative distances": 0, "single item": 0}
+        for i in range(600):
+            case = POSITION_CASES[i % len(POSITION_CASES)]
+            distances, q_ids, g_ids = position_case(rng, case)
+            queries, positions = _relevant_positions(distances, q_ids, g_ids)
+            ref_queries, ref_positions = blocked_pair_positions(distances, q_ids, g_ids)
+            np.testing.assert_array_equal(queries, ref_queries)
+            np.testing.assert_array_equal(positions, ref_positions)
+            q_idx, g_idx = np.nonzero(g_ids[None, :] == q_ids[:, None])
+            own = distances[q_idx, g_idx, None]
+            seen["tied pairs"] += int((np.count_nonzero(distances[q_idx] == own, axis=1) > 1).sum())
+            seen["zero distances"] += int((distances == 0).any())
+            seen["negative distances"] += int((distances < 0).any())
+            seen["single item"] += int(distances.shape[1] == 1)
+        assert all(count > 0 for count in seen.values()), seen
+
+    def test_tie_broken_by_gallery_index(self):
+        distances = np.array([[0.5, 0.2, 0.5, 0.5, 0.1]])
+        gallery_ids = np.array([3, 1, 7, 7, 7])
+        queries, positions = _relevant_positions(distances, np.array([7]), gallery_ids)
+        assert queries.tolist() == [0, 0, 0]
+        assert positions.tolist() == [1, 4, 5]
+
+    def test_all_distances_equal_rank_by_gallery_index(self):
+        # every pair ties, and the 12 tied pairs outnumber the 3 queries
+        gallery_ids = np.tile(np.arange(3), 4)
+        queries, positions = _relevant_positions(np.zeros((3, 12)), np.arange(3), gallery_ids)
+        assert queries.tolist() == [0] * 4 + [1] * 4 + [2] * 4
+        assert positions.tolist() == [1, 4, 7, 10, 2, 5, 8, 11, 3, 6, 9, 12]
+
+    def test_no_queries_no_pairs(self):
+        queries, positions = _relevant_positions(np.zeros((0, 4)), np.array([], dtype=int), np.arange(4))
+        assert queries.size == positions.size == 0
 
 
 class TestRankingMetrics:
@@ -153,16 +249,6 @@ class TestRankingMetrics:
             cosine = case.endswith("cosine")
             got = ranking_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=cosine)
             assert got == lexsort_fraction_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=cosine)
-
-    def test_pairs_span_several_blocks(self):
-        rng = np.random.default_rng(9)
-        g_ids = np.repeat(np.arange(10), 30)
-        q_ids = np.repeat(np.arange(10), 11)
-        assert (q_ids[:, None] == g_ids[None]).sum() > 2 * _PAIR_BLOCK
-        q_emb = rng.integers(0, 3, size=(q_ids.size, 2)).astype(float)
-        g_emb = rng.integers(0, 3, size=(g_ids.size, 2)).astype(float)
-        got = ranking_metrics(q_emb, q_ids, g_emb, g_ids)
-        assert got == lexsort_fraction_metrics(q_emb, q_ids, g_emb, g_ids)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("cosine", [False, True])

@@ -346,6 +346,27 @@ class TestRunSequence:
         for s in report["steps"]:
             assert {r["task_id"] for r in s["records"]} == {0, 1}
 
+    @pytest.mark.parametrize(
+        "num_tasks, first, later, expected",
+        [
+            (3, 4, 2, [1, 2, 3, 4, 5, 6, 7]),
+            (2, 4, 0, [1, 2, 3]),
+            (3, 0, 2, [1, 2, 3, 4, 5]),
+        ],
+    )
+    def test_grid_is_one_step_then_halfway_and_end_per_training_task(
+        self, num_tasks, first, later, expected
+    ):
+        # one step before training, then a halfway and an end step for each task that trains
+        sched = Schedule(
+            epochs_first_task=first, epochs_later_tasks=later, warmup_epochs=0,
+            base_lr=1e-2, warmup_start_lr=1e-3, decay_epochs=(),
+        )
+        report, _ = run_sequence(mini_config(num_tasks, schedule=sched), master_seed=0)
+        assert [s["step"] for s in report["steps"]] == expected
+        for s in report["steps"]:
+            assert [r["task_id"] for r in s["records"]] == list(range(num_tasks))
+
     def test_reports_are_bitwise_reproducible(self):
         a, _ = run_sequence(mini_config(), master_seed=7)
         b, _ = run_sequence(mini_config(), master_seed=7)
