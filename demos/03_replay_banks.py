@@ -30,22 +30,23 @@ state = init_encoder(EncoderConfig(input_dim=32, hidden_dims=(32, 32), embedding
 register_task_head(state, 0, 10, seed=1)
 
 print("=== scoring the finished task ===")
-scored = score_task(state, task)
-uncs = np.array([u for _, u in scored])
-print(f"{len(scored)} training samples scored; unc range [{uncs.min():.2f}, {uncs.max():.2f}]")
+uncs = score_task(state, task)
+print(f"{uncs.size} training samples scored; unc range [{uncs.min():.2f}, {uncs.max():.2f}]")
 
 banks = ingest_task(ReplayBanks(), state, task)
-print(f"sketch bank: {len(banks.sketch)} identities, photo bank: {len(banks.photo)}")
-one = next(iter(banks.sketch))
-print(f"identity {one}: stored sketch unc = {banks.sketch[one].uncertainty:.3f} "
-      "(the minimum over everything offered for that slot)")
+sketches = np.count_nonzero(banks.rows.is_sketch)
+print(f"sketch bank: {sketches} identities, photo bank: {len(banks.rows) - sketches}")
+one = int(banks.rows.ids[0])
+offered = uncs[(task.train.ids == one) & task.train.is_sketch]
+print(f"identity {one}: stored sketch unc = {banks.uncs[0]:.3f}, "
+      f"the minimum of the {offered.size} offered ({offered.min():.3f})")
 
 print()
 print("=== one replay epoch ===")
 epoch = replay_epoch_batches(banks, p=4, k=4, rng=0)
 for batch in epoch:
     print(f"{len(batch)} samples, identities {sorted(set(batch.ids.tolist()))}")
-print(f"P=4, K=4 over {len(banks.identities())} banked identities -> {len(epoch)} batches")
+print(f"P=4, K=4 over {np.unique(banks.rows.ids).size} banked identities -> {len(epoch)} batches")
 modalities = ["sketch" if s else "photo" for s in epoch[0].is_sketch[:4]]
 print(f"one identity's K samples tile its stored pair: {modalities}")
 

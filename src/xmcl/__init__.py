@@ -1,13 +1,12 @@
 """Cross-modal continual metric learning with conformal replay selection."""
 
 from .banks import (
-    BankEntry,
     ReplayBanks,
+    admit,
     ingest_task,
     replay_epoch_batches,
     save_banks,
     score_task,
-    update_bank,
 )
 from .conformal import (
     CpConfig,
@@ -17,7 +16,6 @@ from .conformal import (
     uncertainties,
 )
 from .data import (
-    Sample,
     Split,
     SynthSpec,
     TaskDataset,

@@ -1,11 +1,18 @@
 """Replay banks: the lowest-uncertainty sketch and photo per past identity.
 
-After a task finishes training, every training sample is scored with the
+After a task finishes training, every training row is scored with the
 conformal uncertainty under that task's head.  Each identity keeps at most
-one sketch and one photo; a stored sample is replaced only when a strictly
-lower-uncertainty candidate arrives (exact ties keep the incumbent).
-Samples whose prediction set came back empty (uncertainty 0) carry no
-usable confidence signal and are rejected outright.
+one sketch and one photo; a stored row is replaced only when a strictly
+lower-uncertainty candidate arrives.  Rows whose prediction set came back
+empty (uncertainty 0) carry no usable confidence signal and are rejected
+outright.
+
+The banks are arrays: the stored rows are one ``Split`` sorted by identity,
+an identity's sketch before its photo, with each row's task and uncertainty
+in parallel arrays.  ``admit`` appends the candidates to the stored rows and
+keeps the first row of each (identity, modality) after one stable sort by
+(identity, modality, uncertainty).  Stored rows come first, so on an exact
+tie the incumbent stays, and among tied candidates the first offered wins.
 
 Banks store raw feature vectors, not activations: activations would go
 stale as the encoder keeps training.
@@ -13,81 +20,61 @@ stale as the encoder keeps training.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .conformal import CpConfig, uncertainties
-from .data import MODALITIES, Sample, Split, TaskDataset
+from .data import MODALITIES, Split, TaskDataset
 from .encoder import EncoderState, forward
 
-logger = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class BankEntry:
-    sample: Sample
-    uncertainty: float
-    task_id: int
+def _no_rows() -> Split:
+    return Split(np.empty((0, 0)), np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
 
 
 @dataclass
 class ReplayBanks:
-    sketch: dict[int, BankEntry] = field(default_factory=dict)
-    photo: dict[int, BankEntry] = field(default_factory=dict)
+    """Stored rows sorted by (identity, sketch first); tasks/uncs are per row."""
+
+    rows: Split = field(default_factory=_no_rows)
+    tasks: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    uncs: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def is_empty(self) -> bool:
-        return not self.sketch and not self.photo
-
-    def identities(self, task_id: int | None = None) -> list[int]:
-        ids = set(self.sketch) | set(self.photo)
-        if task_id is not None:
-            ids = {
-                i
-                for i in ids
-                if (i in self.sketch and self.sketch[i].task_id == task_id)
-                or (i in self.photo and self.photo[i].task_id == task_id)
-            }
-        return sorted(ids)
+        return not len(self.rows)
 
     def task_ids(self) -> list[int]:
-        return sorted({e.task_id for e in (*self.sketch.values(), *self.photo.values())})
+        return np.unique(self.tasks).tolist()
 
 
 def score_task(
     state: EncoderState, task: TaskDataset, cp_config: CpConfig = CpConfig()
-) -> list[tuple[Sample, float]]:
-    """Conformal uncertainty of every training sample under the task head.
-
-    Each returned sample's features are a view of its row in the split.
-    """
+) -> np.ndarray:
+    """Conformal uncertainty of every training row under the task head."""
     if task.task_id not in state.heads:
         raise RuntimeError(f"task {task.task_id} has no registered head")
-    train = task.train
-    if not train:
-        return []
-    stack = forward(state, train.features, task.task_id)
-    columns = zip(train.ids.tolist(), train.is_sketch.tolist(), train.features)
-    samples = [
-        Sample(identity, MODALITIES[0] if sketch else MODALITIES[1], feats)
-        for identity, sketch, feats in columns
-    ]
-    return list(zip(samples, uncertainties(stack.probs, cp_config).tolist()))
+    return uncertainties(forward(state, task.train.features, task.task_id).probs, cp_config)
 
 
-def update_bank(
-    banks: ReplayBanks, sample: Sample, unc: float, task_id: int
-) -> ReplayBanks:
-    """Offer one candidate; admit it if its slot is empty or strictly better."""
-    if unc <= 0.0:
-        logger.debug("rejecting identity %d %s: empty prediction set", sample.identity, sample.modality)
-        return banks
-    bank = banks.sketch if sample.modality == "sketch" else banks.photo
-    incumbent = bank.get(sample.identity)
-    if incumbent is None or unc < incumbent.uncertainty:
-        bank[sample.identity] = BankEntry(sample=sample, uncertainty=unc, task_id=task_id)
+def admit(banks: ReplayBanks, rows: Split, uncs: np.ndarray, task_id: int) -> ReplayBanks:
+    """Offer candidate rows of one task; each slot keeps its lowest uncertainty."""
+    offered = uncs > 0.0
+    stored, rows = banks.rows, rows[offered]
+    pool = Split(
+        np.concatenate([stored.features.reshape(-1, rows.features.shape[1]), rows.features]),
+        np.concatenate([stored.ids, rows.ids]),
+        np.concatenate([stored.is_sketch, rows.is_sketch]),
+    )
+    tasks = np.concatenate([banks.tasks, np.full(len(rows), task_id)])
+    uncs = np.concatenate([banks.uncs, uncs[offered]])
+    order = np.lexsort((uncs, ~pool.is_sketch, pool.ids))
+    ids, sketch = pool.ids[order], pool.is_sketch[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (ids[1:] != ids[:-1]) | (sketch[1:] != sketch[:-1])
+    keep = order[first]
+    banks.rows, banks.tasks, banks.uncs = pool[keep], tasks[keep], uncs[keep]
     return banks
 
 
@@ -97,10 +84,8 @@ def ingest_task(
     task: TaskDataset,
     cp_config: CpConfig = CpConfig(),
 ) -> ReplayBanks:
-    """Score a finished task's train split and offer every sample."""
-    for sample, unc in score_task(state, task, cp_config):
-        update_bank(banks, sample, unc, task.task_id)
-    return banks
+    """Score a finished task's train split and offer every row."""
+    return admit(banks, task.train, score_task(state, task, cp_config), task.task_id)
 
 
 def replay_epoch_batches(
@@ -115,29 +100,21 @@ def replay_epoch_batches(
     Identities are shuffled and chunked into groups of P (one smaller final
     group when they do not divide evenly; all of them when fewer than P
     exist), each identity contributing K rows tiled from its stored
-    sketch/photo pair.
+    sketch/photo pair.  With a task id, only identities holding a row of
+    that task are replayed, each with its whole pair.
     """
     if banks.is_empty():
         raise RuntimeError("both banks are empty; nothing to replay")
     rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
-    ids = banks.identities(task_id)
-    if not ids:
+    stored = banks.rows
+    # an identity's rows are consecutive: its first row and how many it has
+    _, starts, sizes = np.unique(stored.ids, return_index=True, return_counts=True)
+    if task_id is not None:
+        from_task = np.logical_or.reduceat(banks.tasks == task_id, starts)
+        starts, sizes = starts[from_task], sizes[from_task]
+    if not starts.size:
         raise RuntimeError(f"banks hold no identities for task {task_id}")
-    perm = rng.permutation(len(ids))
-    # every identity's pool (its sketch, then its photo) as consecutive rows
-    pooled: list[Sample] = []
-    starts, sizes = [], []
-    for identity in ids:
-        pool = [bank[identity].sample for bank in (banks.sketch, banks.photo) if identity in bank]
-        starts.append(len(pooled))
-        sizes.append(len(pool))
-        pooled.extend(pool)
-    stored = Split(
-        np.stack([s.features for s in pooled]),
-        np.array([s.identity for s in pooled], dtype=np.int64),
-        np.array([s.modality == MODALITIES[0] for s in pooled]),
-    )
-    starts, sizes = np.array(starts), np.array(sizes)
+    perm = rng.permutation(starts.size)
     tile = np.arange(k)
     return [
         stored[(starts[chunk, None] + tile % sizes[chunk, None]).ravel()]
@@ -150,13 +127,19 @@ def replay_epoch_batches(
 
 
 def save_banks(banks: ReplayBanks, path: str | Path) -> None:
+    """Sketch rows, then photo rows, each ascending by identity."""
+    order = np.argsort(~banks.rows.is_sketch, kind="stable")
+    rows = banks.rows[order]
+    columns = zip(
+        banks.tasks[order].tolist(), rows.ids.tolist(), rows.is_sketch.tolist(),
+        banks.uncs[order].tolist(), rows.features,
+    )
     lines = []
-    for modality, bank in (("sketch", banks.sketch), ("photo", banks.photo)):
-        for identity in sorted(bank):
-            e = bank[identity]
-            feats = ",".join(format(float(v), ".17g") for v in e.sample.features)
-            lines.append(
-                f'{{"task":{e.task_id},"id":{identity},"modality":"{modality}",'
-                f'"uncertainty":{format(e.uncertainty, ".17g")},"features":[{feats}]}}'
-            )
+    for task, identity, sketch, unc, features in columns:
+        feats = ",".join(format(float(v), ".17g") for v in features)
+        modality = MODALITIES[0] if sketch else MODALITIES[1]
+        lines.append(
+            f'{{"task":{task},"id":{identity},"modality":"{modality}",'
+            f'"uncertainty":{format(unc, ".17g")},"features":[{feats}]}}'
+        )
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import types
@@ -259,25 +260,30 @@ def _load_run_rows(run_dir: Path) -> tuple[list[dict], list[str]]:
     for path in csvs:
         arm = path.parent.parent.name if path.parent.name.startswith("seed_") else "run"
         seed = path.parent.name.removeprefix("seed_") if arm != "run" else "0"
-        lines = path.read_text().strip().split("\n")
+        lines = path.read_text().rstrip("\n").split("\n")
         if lines[0] != "step,task_id,mAP,r1,r5,r10":
             warnings.append(f"{path}: unexpected header, skipped")
             continue
-        for line in lines[1:]:
-            step, task_id, m, r1, r5, r10 = line.split(",")
+        for lineno, line in enumerate(lines[1:], start=2):
+            fields = line.split(",")
+            try:
+                if len(fields) != 6:
+                    raise ValueError(f"expected 6 fields, got {len(fields)}")
+                step, task_id = int(fields[0]), int(fields[1])
+                m, r1, r5, r10 = map(float, fields[2:])
+                if not all(math.isfinite(v) for v in (m, r1, r5, r10)):
+                    raise ValueError(f"non-finite metric in {line!r}")
+            except ValueError as e:
+                raise ConfigError(f"{path} line {lineno}: {e}") from e
             rows.append(
-                {
-                    "arm": arm,
-                    "seed": seed,
-                    "step": int(step),
-                    "task_id": int(task_id),
-                    "mAP": float(m),
-                    "r1": float(r1),
-                }
+                {"arm": arm, "seed": seed, "step": step, "task_id": task_id, "mAP": m, "r1": r1}
             )
         report_path = path.parent / "report.json"
         if report_path.exists():
-            payload = json.loads(report_path.read_text())
+            try:
+                payload = json.loads(report_path.read_text())
+            except json.JSONDecodeError as e:
+                raise ConfigError(f"{report_path} line {e.lineno}: invalid JSON ({e.msg})") from e
             warnings.extend(f"{path.parent}: {w}" for w in payload.get("warnings", []))
     return rows, warnings
 

@@ -47,15 +47,6 @@ class DatasetValidationError(ValueError):
 
 
 @dataclass
-class Sample:
-    """One stored training sample; replay banks hold these."""
-
-    identity: int
-    modality: str
-    features: np.ndarray
-
-
-@dataclass
 class Split:
     """Samples as arrays: features (N, D) float64, ids (N,) int64, is_sketch (N,) bool.
 

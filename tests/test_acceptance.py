@@ -13,10 +13,10 @@ import time
 import numpy as np
 import pytest
 
-from xmcl.banks import ReplayBanks, update_bank
+from xmcl.banks import ReplayBanks, admit
 from xmcl.cli import main as cli_main
 from xmcl.conformal import CpConfig, prediction_set
-from xmcl.data import Sample, Split
+from xmcl.data import Split
 from xmcl.encoder import EncoderConfig, forward, init_encoder, register_task_head
 from xmcl.losses import (
     JmmdSpec,
@@ -260,15 +260,20 @@ def test_criterion_04_bank_min_retention():
         identity = int(rng.integers(0, 50))
         modality = "sketch" if rng.random() < 0.5 else "photo"
         unc = float(rng.uniform(1.0, 27.0))
-        update_bank(banks, Sample(identity, modality, np.array([0.0])), unc, 0)
+        candidate = Split(np.zeros((1, 1)), np.array([identity]), np.array([modality == "sketch"]))
+        admit(banks, candidate, np.array([unc]), 0)
         shadow.setdefault((modality, identity), []).append(unc)
-        capacity_ok &= len(banks.sketch) <= 50 and len(banks.photo) <= 50
-    mismatches = [
-        key
-        for key, uncs in shadow.items()
-        if (banks.sketch if key[0] == "sketch" else banks.photo)[key[1]].uncertainty
-        != min(uncs)
-    ]
+        sketches = int(np.count_nonzero(banks.rows.is_sketch))
+        capacity_ok &= sketches <= 50 and len(banks.rows) - sketches <= 50
+    slots = {
+        ("sketch" if sketch else "photo", identity): unc
+        for identity, sketch, unc in zip(
+            banks.rows.ids.tolist(), banks.rows.is_sketch.tolist(), banks.uncs.tolist()
+        )
+    }
+    # one stored row per (modality, identity) slot
+    capacity_ok &= len(slots) == len(banks.rows)
+    mismatches = [key for key, uncs in shadow.items() if slots.get(key) != min(uncs)]
     announce(
         4,
         not mismatches and capacity_ok,

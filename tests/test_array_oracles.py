@@ -2,20 +2,21 @@
 
 The oracles below are the earlier implementations, kept verbatim in
 substance: synthetic generation one sample at a time, task files written
-from Sample lists, and the PK and replay samplers over Sample lists.  The
-array versions must give the same samples in the same order, draw the same
-random numbers, and write the same bytes.
+from Sample lists, the PK and replay samplers over Sample lists, and the
+replay banks as two dicts filled by one update per offered row.  The array
+versions must give the same samples in the same order, draw the same random
+numbers, keep the same bank rows, and write the same bytes.
 """
 
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from xmcl.banks import ReplayBanks, replay_epoch_batches, update_bank
+from xmcl.banks import ReplayBanks, admit, replay_epoch_batches
 from xmcl.data import (
     ID_STRIDE,
-    Sample,
     Split,
     SynthSpec,
     _modality_transforms,
@@ -27,6 +28,52 @@ from xmcl.data import (
 
 # ---------------------------------------------------------------------------
 # oracles
+
+
+@dataclass
+class Sample:
+    """One sample as the list-of-samples data model held it."""
+
+    identity: int
+    modality: str
+    features: np.ndarray
+
+
+@dataclass(frozen=True)
+class BankEntry:
+    sample: Sample
+    uncertainty: float
+    task_id: int
+
+
+@dataclass
+class OracleBanks:
+    """The replay banks as one dict of entries per modality."""
+
+    sketch: dict[int, BankEntry] = field(default_factory=dict)
+    photo: dict[int, BankEntry] = field(default_factory=dict)
+
+    def identities(self, task_id: int | None = None) -> list[int]:
+        ids = set(self.sketch) | set(self.photo)
+        if task_id is not None:
+            ids = {
+                i
+                for i in ids
+                if (i in self.sketch and self.sketch[i].task_id == task_id)
+                or (i in self.photo and self.photo[i].task_id == task_id)
+            }
+        return sorted(ids)
+
+
+def update_bank(banks: OracleBanks, sample: Sample, unc: float, task_id: int) -> OracleBanks:
+    """Offer one candidate; admit it if its slot is empty or strictly better."""
+    if unc <= 0.0:
+        return banks
+    bank = banks.sketch if sample.modality == "sketch" else banks.photo
+    incumbent = bank.get(sample.identity)
+    if incumbent is None or unc < incumbent.uncertainty:
+        bank[sample.identity] = BankEntry(sample=sample, uncertainty=unc, task_id=task_id)
+    return banks
 
 
 class Row(NamedTuple):
@@ -96,7 +143,7 @@ def pk_oracle(train: list[Sample], p: int, k: int, rng: np.random.Generator) -> 
     return batches
 
 
-def replay_oracle(banks: ReplayBanks, p: int, k: int, rng: np.random.Generator, task_id=None):
+def replay_oracle(banks: OracleBanks, p: int, k: int, rng: np.random.Generator, task_id=None):
     ids = banks.identities(task_id)
     order = [ids[int(i)] for i in rng.permutation(len(ids))]
     chunks = [order[i : i + p] for i in range(0, len(order), p)] or [order]
@@ -218,32 +265,117 @@ def test_pk_covers_the_replace_path_and_even_chunks():
 
 
 # ---------------------------------------------------------------------------
+# bank admission
+
+
+def offer_both(oracle: OracleBanks, banks: ReplayBanks, samples, uncs, task_id: int) -> None:
+    """One task's candidates: row by row to the oracle, as one set to admit."""
+    for sample, unc in zip(samples, uncs):
+        update_bank(oracle, sample, unc, task_id)
+    rows = split_of(samples) if samples else Split(np.empty((0, 3)), np.empty(0, np.int64), np.empty(0, bool))
+    admit(banks, rows, np.array(uncs, dtype=np.float64), task_id)
+
+
+def bank_rows(oracle: OracleBanks) -> list[tuple]:
+    """Every stored entry by identity, sketch before photo, as the arrays hold them."""
+    entries = [*oracle.sketch.values(), *oracle.photo.values()]
+    entries.sort(key=lambda e: (e.sample.identity, e.sample.modality != "sketch"))
+    return [(*rows_of([e.sample])[0], e.uncertainty, e.task_id) for e in entries]
+
+
+def array_bank_rows(banks: ReplayBanks) -> list[tuple]:
+    return [
+        (*row, unc, task)
+        for row, unc, task in zip(rows_of_split(banks.rows), banks.uncs.tolist(), banks.tasks.tolist())
+    ]
+
+
+# uncertainties drawn from a small set tie often; 0 is an empty prediction set
+UNC_CHOICES = np.array([0.0, 1.5, 2.0, 2.0, 23.25, 23.5])
+
+
+def random_offers(rng: np.random.Generator):
+    """(task id, samples, uncertainties) per ingest, for a few ingests.
+
+    Each identity offers sketches only, photos only, or both; some ingests
+    repeat the previous one exactly, and task ids repeat across ingests.
+    """
+    kinds = [("sketch",), ("photo",), ("sketch", "photo")]
+    pool = {
+        identity: kinds[int(rng.integers(0, 3))]
+        for identity in rng.choice(1000, size=int(rng.integers(1, 12)), replace=False).tolist()
+    }
+    ingests = []
+    for _ in range(int(rng.integers(1, 5))):
+        if ingests and rng.random() < 0.25:
+            ingests.append(ingests[-1])
+            continue
+        samples = []
+        for identity in rng.choice(list(pool), size=int(rng.integers(0, 20))).tolist():
+            modality = pool[identity][int(rng.integers(0, len(pool[identity])))]
+            samples.append(Sample(identity, modality, rng.normal(size=3)))
+        if rng.random() < 0.5:
+            uncs = rng.choice(UNC_CHOICES, size=len(samples)).tolist()
+        else:
+            uncs = rng.uniform(0.5, 30.0, size=len(samples)).tolist()
+        ingests.append((int(rng.integers(0, 3)), samples, uncs))
+    return ingests
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_admission_equals_per_row_updates(block):
+    for seed in range(block * 60, block * 60 + 60):
+        rng = np.random.default_rng(seed)
+        oracle, banks = OracleBanks(), ReplayBanks()
+        for task_id, samples, uncs in random_offers(rng):
+            offer_both(oracle, banks, samples, uncs, task_id)
+            assert array_bank_rows(banks) == bank_rows(oracle)
+        assert banks.task_ids() == sorted({e.task_id for e in (*oracle.sketch.values(), *oracle.photo.values())})
+
+
+def test_admission_covers_ties_zeros_and_repeats():
+    seen = {"tie": 0, "zero": 0, "repeat": 0, "one modality": 0, "tasks": 0}
+    for seed in range(240):
+        ingests = random_offers(np.random.default_rng(seed))
+        offered = [(s.identity, s.modality, u) for _, samples, uncs in ingests for s, u in zip(samples, uncs)]
+        seen["tie"] += len(offered) > len(set(offered))
+        seen["zero"] += any(u == 0.0 for *_, u in offered)
+        seen["repeat"] += any(a is b for a, b in zip(ingests, ingests[1:]))
+        seen["one modality"] += len({(i, m) for i, m, _ in offered}) < 2 * len({i for i, _, _ in offered})
+        seen["tasks"] += len({task for task, _, _ in ingests}) > 1
+    assert min(seen.values()) >= 20, seen
+
+
+# ---------------------------------------------------------------------------
 # replay epochs
 
 
-def random_banks(rng: np.random.Generator) -> ReplayBanks:
-    """Entries of two tasks; some identities hold only a sketch or only a photo."""
-    banks = ReplayBanks()
+def random_banks(rng: np.random.Generator) -> tuple[OracleBanks, ReplayBanks]:
+    """Entries of two tasks; some identities hold only a sketch or only a photo.
+
+    An identity's sketch and photo may come from different tasks.
+    """
+    oracle, banks = OracleBanks(), ReplayBanks()
     for identity in rng.choice(1000, size=int(rng.integers(1, 30)), replace=False).tolist():
-        task_id = int(rng.integers(0, 2))
         kinds = [("sketch",), ("photo",), ("sketch", "photo")][int(rng.integers(0, 3))]
         for modality in kinds:
+            task_id = int(rng.integers(0, 2))
             sample = Sample(identity, modality, rng.normal(size=4))
-            update_bank(banks, sample, float(rng.uniform(1, 20)), task_id)
-    return banks
+            offer_both(oracle, banks, [sample], [float(rng.uniform(1, 20))], task_id)
+    return oracle, banks
 
 
 @pytest.mark.parametrize("block", range(4))
 def test_replay_array_batches_equal_sample_batches(block):
     for seed in range(block * 60, block * 60 + 60):
         rng = np.random.default_rng(seed)
-        banks = random_banks(rng)
+        oracle, banks = random_banks(rng)
         # p above, equal to, dividing and not dividing the banked identity count
         p = int(rng.integers(1, 12))
         k = int(rng.integers(1, 6))
         task_id = [None, *banks.task_ids()][int(rng.integers(0, len(banks.task_ids()) + 1))]
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        expected = replay_oracle(banks, p, k, a, task_id)
+        expected = replay_oracle(oracle, p, k, a, task_id)
         got = replay_epoch_batches(banks, p, k, b, task_id=task_id)
         assert [rows_of_split(batch) for batch in got] == [rows_of(batch) for batch in expected]
         assert a.random() == b.random()
@@ -251,11 +383,11 @@ def test_replay_array_batches_equal_sample_batches(block):
 
 def test_replay_p_dividing_evenly_and_fewer_identities_than_p():
     rng = np.random.default_rng(0)
-    banks = ReplayBanks()
+    oracle, banks = OracleBanks(), ReplayBanks()
     for identity in range(8):
-        update_bank(banks, Sample(identity, "sketch", rng.normal(size=2)), 2.0, 0)
+        offer_both(oracle, banks, [Sample(identity, "sketch", rng.normal(size=2))], [2.0], 0)
     for p, count in ((4, 2), (8, 1), (20, 1)):
-        expected = replay_oracle(banks, p, 3, np.random.default_rng(p))
+        expected = replay_oracle(oracle, p, 3, np.random.default_rng(p))
         got = replay_epoch_batches(banks, p, 3, np.random.default_rng(p))
         assert len(got) == count
         assert [rows_of_split(batch) for batch in got] == [rows_of(batch) for batch in expected]

@@ -6,61 +6,96 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmcl.banks import (
-    BankEntry,
     ReplayBanks,
+    admit,
     ingest_task,
     replay_epoch_batches,
     save_banks,
     score_task,
-    update_bank,
 )
 from xmcl.conformal import CpConfig, uncertainties
-from xmcl.data import Sample, SynthSpec, generate_synthetic_task
+from xmcl.data import Split, SynthSpec, generate_synthetic_task
 from xmcl.encoder import EncoderConfig, init_encoder, register_task_head
 
 
-def mk_sample(identity, modality="sketch", value=0.0):
-    return Sample(identity, modality, np.array([value, value]))
+def rows_of(*entries):
+    """A Split of (identity, modality, value) rows, each row's features [value, value]."""
+    return Split(
+        np.array([[value, value] for _, _, value in entries], dtype=np.float64),
+        np.array([identity for identity, _, _ in entries], dtype=np.int64),
+        np.array([modality == "sketch" for _, modality, _ in entries], dtype=bool),
+    )
+
+
+def offer(banks, identity, modality="sketch", unc=2.0, value=0.0, task_id=0):
+    """Offer one candidate row."""
+    return admit(banks, rows_of((identity, modality, value)), np.array([unc]), task_id)
 
 
 def mk_banks(*entries):
     banks = ReplayBanks()
     for identity, modality, unc in entries:
-        update_bank(banks, mk_sample(identity, modality), unc, task_id=0)
+        offer(banks, identity, modality, unc)
     return banks
+
+
+def slot(banks, identity, modality="sketch"):
+    """(uncertainty, features, task) of the one row stored for the slot."""
+    (row,) = np.flatnonzero(
+        (banks.rows.ids == identity) & (banks.rows.is_sketch == (modality == "sketch"))
+    )
+    return banks.uncs[row], banks.rows.features[row], banks.tasks[row]
+
+
+def slots(banks):
+    """{(modality, identity): uncertainty}, after checking one row per slot."""
+    keys = [
+        ("sketch" if sketch else "photo", identity)
+        for identity, sketch in zip(banks.rows.ids.tolist(), banks.rows.is_sketch.tolist())
+    ]
+    assert len(set(keys)) == len(keys)
+    return dict(zip(keys, banks.uncs.tolist()))
 
 
 class TestUpdateBank:
     def test_empty_slot_inserted(self):
         banks = mk_banks((1, "sketch", 3.5))
-        assert banks.sketch[1].uncertainty == 3.5
+        assert slots(banks) == {("sketch", 1): 3.5}
 
     def test_lower_uncertainty_replaces(self):
         banks = mk_banks((1, "sketch", 3.5))
-        update_bank(banks, mk_sample(1, value=9.0), 2.0, task_id=0)
-        assert banks.sketch[1].uncertainty == 2.0
-        assert banks.sketch[1].sample.features[0] == 9.0
+        offer(banks, 1, value=9.0, unc=2.0)
+        unc, features, _ = slot(banks, 1)
+        assert unc == 2.0
+        assert features[0] == 9.0
 
     def test_exact_tie_keeps_incumbent(self):
         banks = mk_banks((1, "sketch", 2.0))
-        original = banks.sketch[1].sample
-        update_bank(banks, mk_sample(1, value=9.0), 2.0, task_id=0)
-        assert banks.sketch[1].sample is original
+        offer(banks, 1, value=9.0, unc=2.0, task_id=1)
+        unc, features, task = slot(banks, 1)
+        assert (unc, features[0], task) == (2.0, 0.0, 0)
+        # between tied candidates of one offer, the first offered wins
+        fresh = admit(ReplayBanks(), rows_of((1, "sketch", 5.0), (1, "sketch", 6.0)), np.array([2.0, 2.0]), 0)
+        assert slot(fresh, 1)[1][0] == 5.0
 
     def test_higher_uncertainty_ignored(self):
         banks = mk_banks((1, "photo", 1.5))
-        update_bank(banks, mk_sample(1, "photo", value=9.0), 4.0, task_id=0)
-        assert banks.photo[1].uncertainty == 1.5
+        offer(banks, 1, "photo", value=9.0, unc=4.0)
+        assert slot(banks, 1, "photo")[0] == 1.5
 
     def test_empty_prediction_set_rejected(self):
         banks = ReplayBanks()
-        update_bank(banks, mk_sample(1), 0.0, task_id=0)
+        offer(banks, 1, unc=0.0)
         assert banks.is_empty()
+        offer(banks, 1, unc=3.0)
+        offer(banks, 1, value=9.0, unc=0.0)
+        assert slots(banks) == {("sketch", 1): 3.0}
 
     def test_modalities_use_separate_slots(self):
         banks = mk_banks((1, "sketch", 3.0), (1, "photo", 2.0))
-        assert banks.sketch[1].uncertainty == 3.0
-        assert banks.photo[1].uncertainty == 2.0
+        assert slots(banks) == {("sketch", 1): 3.0, ("photo", 1): 2.0}
+        # an identity's sketch row is stored before its photo row
+        assert banks.rows.is_sketch.tolist() == [True, False]
 
     @given(
         st.lists(
@@ -78,14 +113,15 @@ class TestUpdateBank:
         banks = ReplayBanks()
         shadow: dict[tuple[str, int], list[float]] = {}
         for identity, modality, unc in offers:
-            update_bank(banks, mk_sample(identity, modality), unc, task_id=0)
+            offer(banks, identity, modality, unc)
             shadow.setdefault((modality, identity), []).append(unc)
-        for (modality, identity), uncs in shadow.items():
-            bank = banks.sketch if modality == "sketch" else banks.photo
-            assert bank[identity].uncertainty == min(uncs)
-        # capacity: at most one entry per identity per bank
-        assert len(banks.sketch) == len({i for (m, i) in shadow if m == "sketch"})
-        assert len(banks.photo) == len({i for (m, i) in shadow if m == "photo"})
+        expected = {key: min(uncs) for key, uncs in shadow.items()}
+        # capacity: at most one entry per identity per bank (checked by slots)
+        assert slots(banks) == expected
+        # the same offers as one candidate set keep the same minima
+        together = rows_of(*((identity, modality, 0.0) for identity, modality, _ in offers))
+        uncs = np.array([unc for _, _, unc in offers])
+        assert slots(admit(ReplayBanks(), together, uncs, 0)) == expected
 
 
 class TestReplayBatch:
@@ -94,7 +130,7 @@ class TestReplayBatch:
         (batch,) = replay_epoch_batches(banks, p=1, k=4, rng=0)
         assert len(batch) == 4
         assert set(batch.is_sketch.tolist()) == {True, False}
-        stored = {banks.sketch[1].sample.features.tobytes(), banks.photo[1].sample.features.tobytes()}
+        stored = {f.tobytes() for f in banks.rows.features}
         assert {f.tobytes() for f in batch.features} <= stored
 
     def test_pk_shape(self):
@@ -117,7 +153,7 @@ class TestReplayBatch:
     def test_purity_only_bank_samples(self):
         entries = [(i, m, 2.0) for i in range(6) for m in ("sketch", "photo")]
         banks = mk_banks(*entries)
-        stored = {e.sample.features.tobytes() for e in (*banks.sketch.values(), *banks.photo.values())}
+        stored = {f.tobytes() for f in banks.rows.features}
         batches = replay_epoch_batches(banks, p=4, k=5, rng=3)
         assert {f.tobytes() for batch in batches for f in batch.features} <= stored
 
@@ -132,10 +168,16 @@ class TestReplayBatch:
 
     def test_task_filter(self):
         banks = ReplayBanks()
-        update_bank(banks, mk_sample(1), 2.0, task_id=0)
-        update_bank(banks, mk_sample(2), 2.0, task_id=1)
+        offer(banks, 1, task_id=0)
+        offer(banks, 2, task_id=1)
         batches = replay_epoch_batches(banks, p=4, k=1, rng=0, task_id=0)
         assert {i for batch in batches for i in batch.ids.tolist()} == {1}
+        # a photo from task 1 brings its identity's task-0 sketch along
+        offer(banks, 1, "photo", value=9.0, task_id=1)
+        (batch,) = replay_epoch_batches(banks, p=4, k=2, rng=0, task_id=1)
+        assert sorted(zip(batch.ids.tolist(), batch.is_sketch.tolist())) == [
+            (1, False), (1, True), (2, True), (2, True)
+        ]
 
 
 class TestScoreTask:
@@ -162,7 +204,7 @@ class TestScoreTask:
         assert len(scored) == len(task.train)
         c = len(task.train_identities)
         # tau=5 always admits the top identity, and the rank penalty caps the set
-        for _, unc in scored:
+        for unc in scored:
             assert 1.0 <= unc <= min(c, 26) + 1.0
 
     def test_matches_per_sample_prediction_set(self):
@@ -171,26 +213,21 @@ class TestScoreTask:
 
         task, state = self.make_task_and_state()
         probs = forward(state, task.train.features, 0).probs
-        rows = [
-            (i, "sketch" if sketch else "photo", f.tobytes())
-            for i, sketch, f in zip(task.train.ids.tolist(), task.train.is_sketch, task.train.features)
-        ]
         for config in (CpConfig(), CpConfig(lam=0.05, k_reg=2, tau=0.6)):
             scored = score_task(state, task, config)
-            assert [(s.identity, s.modality, s.features.tobytes()) for s, _ in scored] == rows
-            assert [u for _, u in scored] == [prediction_set(p, config).unc for p in probs]
-            assert all(type(u) is float for _, u in scored)
+            assert scored.dtype == np.float64 and scored.shape == (len(task.train),)
+            assert scored.tolist() == [prediction_set(p, config).unc for p in probs]
 
     def test_duplicate_samples_identical_uncertainty(self):
         task, state = self.make_task_and_state()
         task.train = task.train[np.r_[0 : len(task.train), 0]]
         scored = score_task(state, task)
-        assert scored[0][1] == scored[-1][1]
+        assert scored[0] == scored[-1]
 
     def test_empty_split_empty_list(self):
         task, state = self.make_task_and_state()
         task.train = task.train[:0]
-        assert score_task(state, task) == []
+        assert score_task(state, task).shape == (0,)
 
     def test_unregistered_task_rejected(self):
         task, state = self.make_task_and_state()
@@ -222,12 +259,14 @@ class TestSerialization:
         save_banks(banks, path)
         loaded = read_banks_file(path)
         assert set(loaded) == {(m, i) for m in ("sketch", "photo") for i in range(5)}
-        for modality, bank in (("sketch", banks.sketch), ("photo", banks.photo)):
-            for i, entry in bank.items():
-                row = loaded[modality, i]
-                assert row["task"] == entry.task_id
-                assert row["uncertainty"] == entry.uncertainty
-                assert np.array(row["features"]).tobytes() == entry.sample.features.tobytes()
+        stored = banks.rows
+        for i, sketch, unc, task, features in zip(
+            stored.ids.tolist(), stored.is_sketch.tolist(), banks.uncs, banks.tasks, stored.features
+        ):
+            row = loaded["sketch" if sketch else "photo", i]
+            assert row["task"] == task
+            assert row["uncertainty"] == unc
+            assert np.array(row["features"]).tobytes() == features.tobytes()
 
     def test_ingest_then_save(self, tmp_path):
         spec = SynthSpec(
@@ -237,11 +276,12 @@ class TestSerialization:
         state = init_encoder(EncoderConfig(input_dim=8, hidden_dims=(10,), embedding_dim=6, seed=1))
         register_task_head(state, 0, 5, seed=2)
         banks = ingest_task(ReplayBanks(), state, task)
-        assert set(banks.sketch) <= task.train_identities
-        assert set(banks.photo) <= task.train_identities
+        assert set(banks.rows.ids.tolist()) <= task.train_identities
         # every identity offered both modalities with tau=5 defaults -> filled slots
-        assert len(banks.sketch) == 5
-        assert len(banks.photo) == 5
+        assert np.count_nonzero(banks.rows.is_sketch) == 5
+        assert np.count_nonzero(~banks.rows.is_sketch) == 5
         path = tmp_path / "banks.jsonl"
         save_banks(banks, path)
-        assert sorted({i for _, i in read_banks_file(path)}) == banks.identities()
+        rows = read_banks_file(path)
+        assert len(rows) == 10
+        assert sorted({i for _, i in rows}) == sorted(task.train_identities)

@@ -434,3 +434,25 @@ class TestReport:
         empty = tmp_path / "nothing"
         empty.mkdir()
         assert main(["report", str(empty)]) == 2
+
+    GOOD_ROW = "1,0,50.0,40.0,60.0,70.0"
+
+    @pytest.mark.parametrize(
+        "row, report, where, message",
+        [
+            ("1,0,50.0,40.0", None, "metrics.csv line 3", "expected 6 fields, got 4"),
+            ("1,0,abc,40,50,60", None, "metrics.csv line 3", "could not convert string to float: 'abc'"),
+            ("1,0,nan,40,50,60", None, "metrics.csv line 3", "non-finite metric in '1,0,nan,40,50,60'"),
+            (GOOD_ROW, '{"warnings": [\n  oops', "report.json line 2", "invalid JSON"),
+        ],
+        ids=["field_count", "non_numeric", "nan_map", "bad_report_json"],
+    )
+    def test_broken_run_file_names_path_and_line(self, tmp_path, capsys, row, report, where, message):
+        run_dir = tmp_path / "runs" / "full" / "seed_0"
+        run_dir.mkdir(parents=True)
+        (run_dir / "metrics.csv").write_text(f"step,task_id,mAP,r1,r5,r10\n{self.GOOD_ROW}\n{row}\n")
+        if report is not None:
+            (run_dir / "report.json").write_text(report)
+        assert main(["report", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {run_dir / where}: {message}" in err

@@ -216,6 +216,31 @@ class TestUncertainty:
             assert np.isclose(uncertainty(pi, cfg), unc)
 
 
+class TestDefaultSetSize:
+    """The regime the default CpConfig puts a 50-identity task in.
+
+    With lam 0.3, k_reg 10 and tau 5, rank j enters the set iff its
+    cumulative mass is at most 5 - 0.3 * (j - 10): always for j <= 23, for
+    j = 24 iff the top-24 mass is at most 0.8, for j = 25 only when the top 25
+    hold exactly half the mass, and never for j >= 26.
+    So the integer part of the uncertainty is pinned near 23, and a change to
+    the defaults has to move this test on purpose.
+    """
+
+    def test_floor_of_uncertainty_is_23_unless_top_24_mass_is_low(self):
+        rng = np.random.default_rng(40)
+        probs = np.concatenate(
+            [rng.dirichlet(np.full(50, a), size=64) for a in (0.2, 1.0, 2.0, 20.0)]
+        )
+        size = np.floor(uncertainties(probs, CpConfig())).astype(int)
+        top24 = np.sort(probs, axis=1)[:, ::-1][:, :24].sum(axis=1)
+        assert ((23 <= size) & (size <= 26)).all()
+        peaked, flat = top24 > 0.81, top24 < 0.79
+        assert peaked.sum() >= 20 and flat.sum() >= 20
+        assert (size[peaked] == 23).all()
+        assert (size[flat] > 23).all()
+
+
 class TestUncertainties:
     """The batched pass against per-row prediction_set and the loop oracle."""
 

@@ -92,13 +92,12 @@ def check_report(report, exp, config, num_tasks):
             assert row["r1"] <= row["r5"] <= row["r10"], row
     for losses in report["loss_history"].values():
         assert all(math.isfinite(v) for v in losses)
-    for modality, bank in (("sketch", exp.banks.sketch), ("photo", exp.banks.photo)):
-        identities = [entry.sample.identity for entry in bank.values()]
-        assert len(identities) == len(set(identities)) == len(bank)
-        for identity, entry in bank.items():
-            assert entry.sample.identity == identity
-            assert entry.sample.modality == modality
-            assert identity in exp.head_ids[entry.task_id]
+    stored = exp.banks.rows
+    slots = list(zip(stored.ids.tolist(), stored.is_sketch.tolist()))
+    # one row per (identity, modality), by identity with the sketch first
+    assert slots == sorted(set(slots), key=lambda slot: (slot[0], not slot[1]))
+    for identity, task_id in zip(stored.ids.tolist(), exp.banks.tasks.tolist()):
+        assert identity in exp.head_ids[task_id]
     if not config.mpm:
         assert exp.banks.is_empty()
 

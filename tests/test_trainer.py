@@ -249,8 +249,7 @@ class TestNonFiniteFailsFast:
         from xmcl.trainer import train_task
 
         _, exp = run_sequence(mini_config(num_tasks=1, mpm=True), master_seed=2)
-        for entry in exp.banks.sketch.values():
-            entry.sample.features[0] = np.nan
+        exp.banks.rows.features[exp.banks.rows.is_sketch, 0] = np.nan
         task1 = generate_synthetic_task(mini_specs(2)[1])
         register_task_head(exp.encoder, 1, len(task1.train_identities), seed=9)
         exp.head_ids[1] = task1.train.identities()
@@ -430,7 +429,7 @@ class TestRunSequence:
         _, exp_mpm = run_sequence(mini_config(mpm=True), master_seed=2)
         _, exp_off = run_sequence(mini_config(mpm=False), master_seed=2)
         assert not exp_mpm.banks.is_empty()
-        assert len(exp_mpm.banks.sketch) <= 24
+        assert np.count_nonzero(exp_mpm.banks.rows.is_sketch) <= 24
         assert exp_off.banks.is_empty()
 
     def test_training_loss_decreases(self):
