@@ -72,6 +72,8 @@ class RunSettings:
                 raise ConfigError(f"unknown arm {arm!r}; choose from {ARMS}")
         if self.seeds < 1:
             raise ConfigError(f"seeds must be >= 1, got {self.seeds}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _typed(value, hint, what: str):

@@ -155,6 +155,8 @@ class SynthSpec:
                 raise SynthSpecError(f"{name} must be finite, got {getattr(self, name)}")
         if self.task_id < 0:
             raise SynthSpecError(f"task_id must be >= 0, got {self.task_id}")
+        if self.seed < 0:
+            raise SynthSpecError(f"seed must be >= 0, got {self.seed}")
         total = self.num_train_ids + self.num_test_ids + self.num_aux_ids
         if total > ID_STRIDE:
             raise SynthSpecError(f"too many identities for one task: {total}")

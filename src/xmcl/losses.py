@@ -58,24 +58,26 @@ def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _upper_pairs(n: int) -> np.ndarray:
-    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
-    mask.flags.writeable = False
-    return mask
+    """Flat indices of the strict upper triangle of an n x n matrix."""
+    flat = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), k=1))
+    flat.flags.writeable = False
+    return flat
 
 
 def _median_sigma(d2: np.ndarray) -> float:
     """sigma with sigma^2 = median over unordered pairs of a squared-distance matrix.
 
-    The median is taken by partition: the middle value, or (a + b) / 2 of
-    the two middle values, which is how np.median forms it too.
+    The median is taken by one partition: the middle value, or (a + b) / 2
+    of the two middle values, which is how np.median forms it too.  For an
+    even count b is the smallest value above the partition point.
     """
-    pairs = d2[_upper_pairs(d2.shape[0])]
+    pairs = d2.take(_upper_pairs(d2.shape[0]))
     mid = pairs.size // 2
     if pairs.size % 2:
         med = np.partition(pairs, mid)[mid]
     else:
-        lo, hi = np.partition(pairs, (mid - 1, mid))[mid - 1 : mid + 1]
-        med = (lo + hi) / 2
+        part = np.partition(pairs, mid - 1)
+        med = (part[mid - 1] + part[mid:].min()) / 2
     return float(np.sqrt(max(float(med), MIN_BANDWIDTH_SQ)))
 
 
@@ -341,11 +343,17 @@ def cosine_logits_backward(
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row softmax with max subtraction."""
+    """Row softmax with max subtraction, computed in one N x C buffer.
+
+    The shifted logits are the only new array: the exponential and the
+    normalisation run in place on it, so the input is left as it was and
+    the values equal exp(z) / sum(exp(z)) bit for bit.
+    """
     z = np.atleast_2d(np.asarray(logits, np.float64))
     z = z - z.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    return ez / ez.sum(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def softmax_backward(probs: np.ndarray, d_probs: np.ndarray) -> np.ndarray:

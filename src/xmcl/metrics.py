@@ -11,6 +11,13 @@ sorted row; the few pairs whose distance is shared add the index tie-break
 from the unsorted row.  AP is summed from those ranks as one integer
 fraction and rounded once, so it equals the exact rational value to the
 last bit.
+
+The queries are ranked in blocks of _BLOCK_ELEMENTS // G rows (at least
+one), G the gallery size, so no Q x G matrix is ever built: a block's
+distances, their sorted copy and its tie rows each hold at most
+_BLOCK_ELEMENTS float64 values, 1 MiB, which stays within a 2 MiB per-core
+L2 cache.  A query's ranks depend on its own row only, so blocking changes
+no result.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .losses import _sq_dists
 logger = logging.getLogger(__name__)
 
 CMC_KS = (1, 5, 10)
+_BLOCK_ELEMENTS = 2**17
 
 
 @dataclass(frozen=True)
@@ -126,21 +134,30 @@ def ranking_metrics(
     Raises ValueError on a non-finite distance: ranks are counted, which
     needs a total order.
     """
+    query_ids, gallery_ids = np.asarray(query_ids), np.asarray(gallery_ids)
     if use_cosine:
-        qn = query_emb / np.linalg.norm(query_emb, axis=1, keepdims=True)
-        gn = gallery_emb / np.linalg.norm(gallery_emb, axis=1, keepdims=True)
-        distances = 1.0 - qn @ gn.T
-    else:
-        distances = np.sqrt(_sq_dists(query_emb, gallery_emb))
-    if not np.isfinite(distances).all():
-        raise ValueError("non-finite query-gallery distance")
-    queries, positions = _relevant_positions(
-        distances, np.asarray(query_ids), np.asarray(gallery_ids)
-    )
+        query_emb = query_emb / np.linalg.norm(query_emb, axis=1, keepdims=True)
+        gallery_emb = gallery_emb / np.linalg.norm(gallery_emb, axis=1, keepdims=True)
+    n_q = len(query_ids)
+    rows = max(1, _BLOCK_ELEMENTS // max(len(gallery_ids), 1))
+    block_queries, block_positions = [], []
+    for start in range(0, max(n_q, 1), rows):
+        block = slice(start, start + rows)
+        if use_cosine:
+            distances = 1.0 - query_emb[block] @ gallery_emb.T
+        else:
+            distances = _sq_dists(query_emb[block], gallery_emb)
+            np.sqrt(distances, out=distances)
+        if not np.isfinite(distances).all():
+            raise ValueError("non-finite query-gallery distance")
+        queries, positions = _relevant_positions(distances, query_ids[block], gallery_ids)
+        block_queries.append(queries + start)
+        block_positions.append(positions)
+    queries, positions = np.concatenate(block_queries), np.concatenate(block_positions)
     if not queries.size:
         raise ValueError("no query has a relevant gallery item")
     starts = np.flatnonzero(np.diff(queries, prepend=-1))
-    skipped = len(query_ids) - starts.size
+    skipped = n_q - starts.size
     if skipped:
         logger.warning("excluded %d queries with no relevant gallery item", skipped)
     bounds = [*starts.tolist(), queries.size]

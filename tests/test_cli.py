@@ -132,6 +132,48 @@ def test_run_with_non_numeric_task_file_exit_2_names_line(tmp_path, capsys):
     assert "line 3" in err and "not a JSON number" in err
 
 
+# (subcommand, extra argv, XMCL_SEED, config/spec overrides, task overrides) each
+# carrying one negative seed that must be rejected naming "seed"
+NEGATIVE_SEEDS = {
+    "run --seed": ("run", ["--seed", "-1"], None, {}, {}),
+    "XMCL_SEED": ("run", [], "-1", {}, {}),
+    "config seed": ("run", [], None, {"seed": -2}, {}),
+    "gen-data --seed": ("gen-data", ["--seed", "-3"], None, {}, {}),
+    "task spec seed": ("gen-data", [], None, {"seed": -4}, {}),
+    "config task seed": ("run", [], None, {}, {"seed": -4}),
+}
+
+
+@pytest.mark.parametrize("case", NEGATIVE_SEEDS.values(), ids=list(NEGATIVE_SEEDS))
+def test_negative_seed_exit_2_names_seed_before_any_task(tmp_path, capsys, monkeypatch, case):
+    import xmcl.cli
+    import xmcl.trainer
+
+    command, argv, env, overrides, task_overrides = case
+
+    def no_tasks(*args, **kwargs):
+        raise AssertionError("built a task before the seed was checked")
+
+    monkeypatch.setattr(xmcl.trainer, "generate_synthetic_task", no_tasks)
+    monkeypatch.setattr(xmcl.cli, "generate_synthetic_task", no_tasks)
+    if env is not None:
+        monkeypatch.setenv("XMCL_SEED", env)
+    out = tmp_path / "out"
+    if command == "run":
+        config = write_config(tmp_path / "config.json", **overrides)
+        payload = json.loads(config.read_text())
+        payload["tasks"][0].update(task_overrides)
+        config.write_text(json.dumps(payload))
+        argv = ["run", "--config", str(config), "--out", str(out), *argv]
+    else:
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SPEC_PAYLOAD, **overrides}))
+        argv = ["gen-data", "--spec", str(spec), "--out", str(out / "task.jsonl"), *argv]
+    assert main(argv) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestGenData:
     def test_valid_spec_round_trips(self, tmp_path):
         spec = tmp_path / "spec.json"

@@ -23,6 +23,7 @@ from xmcl.losses import (
     triplet_loss,
     triplet_loss_grad,
 )
+from test_metrics import traced_peak
 
 
 def fd_matches(analytic, loss_fn, x, h=1e-5, rtol=1e-4, atol=1e-8):
@@ -206,6 +207,9 @@ class TestGaussianKernel:
         assert np.isclose(jmmd([x], [y], JmmdSpec(bandwidths=[0.9])), want, rtol=0, atol=1e-12)
 
 
+MEDIAN_CASES = ["continuous", "tiny", "large", "mixed", "grid", "duplicate_rows", "all_zero"]
+
+
 class TestMedianBandwidth:
     def test_single_pair(self):
         sigma = median_sigma(np.array([[0.0, 0.0], [2.0, 0.0]]))
@@ -229,16 +233,21 @@ class TestMedianBandwidth:
     def test_partition_median_equals_np_median_to_the_bit(self):
         # n vectors give n(n-1)/2 pairs: odd for n = 2, 3, 6, 7, ..., even for n = 4, 5, 8, ...
         rng = np.random.default_rng(41)
-        for n in range(2, 40):
-            for scale, decimals in ((1.0, None), (1e-7, None), (3.0, 0), ("mixed", None)):
-                if scale == "mixed":
+        for n in range(2, 80):
+            for case in MEDIAN_CASES:
+                dim = int(rng.integers(1, 6))
+                if case == "mixed":
                     # a tight cluster and far points: the two middle pairs differ in scale
                     spread = np.where(np.arange(n) < n // 2, 1e-4, 10.0)
-                    feats = rng.normal(size=(n, 3)) * spread[:, None]
+                    feats = rng.normal(size=(n, dim)) * spread[:, None]
+                elif case == "grid":
+                    feats = rng.integers(-2, 3, size=(n, dim)).astype(float)  # many ties
+                elif case == "all_zero":
+                    feats = np.zeros((n, dim))
                 else:
-                    feats = rng.normal(size=(n, 3)) * scale
-                if decimals is not None:
-                    feats = np.round(feats, decimals)  # many tied distances
+                    feats = rng.normal(size=(n, dim)) * {"tiny": 1e-7, "large": 1e3}.get(case, 1.0)
+                if case == "duplicate_rows":
+                    feats = feats[rng.integers(0, n, size=n)]
                 d2 = _sq_dists(feats, feats)
                 pairs = d2[np.triu_indices(n, k=1)]
                 expected = float(np.sqrt(max(float(np.median(pairs)), 1e-12)))
@@ -622,6 +631,18 @@ class TestSoftmax:
         p = softmax(logits)
         grad = softmax_backward(p, w)
         fd_matches(grad, scalar, logits)
+
+    def test_one_buffer_bit_equal_and_input_unchanged(self):
+        # the shifted logits are the only N x C array: under 2 N C float64 of peak
+        rng = np.random.default_rng(17)
+        logits = rng.normal(size=(2000, 200)) * 8
+        before = logits.copy()
+        got, peak = traced_peak(softmax, logits)
+        assert peak < 2 * logits.size * 8, f"peak {peak / 2**20:.1f} MiB"
+        assert np.array_equal(logits, before)
+        z = logits - logits.max(axis=1, keepdims=True)
+        ez = np.exp(z)
+        assert np.array_equal(got, ez / ez.sum(axis=1, keepdims=True))
 
 
 class TestI2tce:

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from xmcl.data import SynthSpec, generate_synthetic_task
 from xmcl.encoder import EncoderConfig, init_encoder
 from xmcl.losses import _sq_dists
 from xmcl.metrics import (
+    _BLOCK_ELEMENTS,
     CMC_KS,
     MetricsRecord,
     _ap_from_positions,
@@ -300,6 +302,84 @@ class TestRankingMetrics:
             null.append(ranking_metrics(q_emb, q_ids, g_emb, rng.permutation(g_ids))[0])
         lo, hi = np.percentile(null, [2.5, 97.5])
         assert lo <= observed <= hi
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn's result, peak bytes tracemalloc saw while fn ran); earlier allocations excluded."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedRanking:
+    """Queries are ranked in blocks of _BLOCK_ELEMENTS // G rows.
+
+    Embeddings are exact in floating point (an integer grid; scaled signed
+    axis vectors for cosine), so a block's distances equal the full
+    matrix's bit for bit and the reference may build the whole matrix.
+    """
+
+    N_G = 4096
+    N_Q = 100
+
+    def case(self, seed, cosine):
+        rng = np.random.default_rng(seed)
+        rows = _BLOCK_ELEMENTS // self.N_G
+        assert self.N_Q > 2 * rows and self.N_Q % rows, "need >= 3 blocks, the last partial"
+        g_ids = rng.integers(0, 600, size=self.N_G)
+        q_ids = g_ids[rng.integers(0, self.N_G, size=self.N_Q)]
+        q_ids[rows : 2 * rows] = -1 - np.arange(rows)  # a whole block with no relevant item
+        q_ids[rng.integers(0, self.N_Q, size=5)] = 10_000  # and a few more elsewhere
+        if cosine:
+            dim = 4
+            q_emb = np.zeros((self.N_Q, dim))
+            g_emb = np.zeros((self.N_G, dim))
+            for emb in (q_emb, g_emb):
+                axes = rng.integers(0, dim, size=len(emb))
+                emb[np.arange(len(emb)), axes] = rng.choice([-3.0, -1.0, 2.0, 4.0], size=len(emb))
+        else:
+            q_emb = rng.integers(-3, 4, size=(self.N_Q, 3)).astype(float)
+            g_emb = rng.integers(-3, 4, size=(self.N_G, 3)).astype(float)
+        return q_emb, q_ids, g_emb, g_ids
+
+    @pytest.mark.parametrize("cosine", [False, True])
+    def test_blocks_match_lexsort_reference(self, cosine):
+        for seed in range(3):
+            q_emb, q_ids, g_emb, g_ids = self.case(seed, cosine)
+            got = ranking_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=cosine)
+            assert got == lexsort_fraction_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=cosine)
+            assert got[2] < self.N_Q - _BLOCK_ELEMENTS // self.N_G
+
+    def test_each_block_keeps_its_own_queries(self):
+        # only each block's first query has a relevant item: every block yields
+        # local query 0, and only the block offset keeps them four queries
+        q_emb, q_ids, g_emb, g_ids = self.case(3, False)
+        rows = _BLOCK_ELEMENTS // self.N_G
+        firsts = np.arange(0, self.N_Q, rows)
+        q_ids[:] = -1
+        q_ids[firsts] = g_ids[firsts]
+        got = ranking_metrics(q_emb, q_ids, g_emb, g_ids)
+        assert got == lexsort_fraction_metrics(q_emb, q_ids, g_emb, g_ids)
+        assert got[2] == firsts.size
+
+    def test_no_queries_rejected(self):
+        _, _, g_emb, g_ids = self.case(0, False)
+        with pytest.raises(ValueError, match="no query has a relevant gallery item"):
+            ranking_metrics(np.zeros((0, 3)), np.array([], dtype=int), g_emb, g_ids)
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_peak_memory_below_one_distance_matrix(self, tied):
+        # Q = G = 1000: the full Q x G float64 matrix alone would be 7.6 MiB
+        rng = np.random.default_rng(5)
+        n = 1000
+        ids = np.arange(n) // 4
+        q_emb = np.zeros((n, 32)) if tied else rng.normal(size=(n, 32))
+        g_emb = np.zeros((n, 32)) if tied else rng.normal(size=(n, 32))
+        _, peak = traced_peak(ranking_metrics, q_emb, ids, g_emb, ids)
+        assert peak < n * n * 8, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestEvaluate:
