@@ -28,7 +28,6 @@ from .encoder import (
     ActivationStack,
     EncoderConfig,
     EncoderState,
-    StackGradients,
     apply_deltas,
     backward,
     embed,

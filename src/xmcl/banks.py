@@ -52,9 +52,7 @@ class ReplayBanks:
 def score_task(
     state: EncoderState, task: TaskDataset, cp_config: CpConfig = CpConfig()
 ) -> np.ndarray:
-    """Conformal uncertainty of every training row under the task head."""
-    if task.task_id not in state.heads:
-        raise RuntimeError(f"task {task.task_id} has no registered head")
+    """Conformal uncertainty of every training row under the task head (UsageError if none)."""
     return uncertainties(forward(state, task.train.features, task.task_id).probs, cp_config)
 
 

@@ -6,9 +6,13 @@ similarities between embeddings and prototype rows, so the prototypes act
 both as the classifier head and as the semantic anchors of the
 image-to-prototype cross-entropy.
 
+The shared weights and biases live in one flat vector, all weights then
+all biases, the layout ``backward`` writes its gradient in; per-layer
+arrays are views of it.  ``forward`` and ``embed`` run the same trunk.
 States are treated as immutable during forward/backward.  ``apply_deltas``
-is the single mutation point; it bumps a version counter that invalidates
-activation stacks captured earlier.
+is the single mutation point: it adds the optimizer's flat step to the
+vector in place and bumps a version counter that invalidates activation
+stacks captured earlier.
 """
 
 from __future__ import annotations
@@ -64,12 +68,32 @@ class EncoderConfig:
 
 @dataclass
 class EncoderState:
+    """Encoder parameters; ``weights`` and ``biases`` are per-layer views of ``shared``.
+
+    ``shared`` holds all weights, then all biases, flat: the layout of
+    ``ParameterGradients.shared``, so one optimizer step updates it in place.
+    The views are built once and rebuilt when a copy or pickle restores the
+    state, so they always alias the state's own vector.
+    """
+
     config: EncoderConfig
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    shared: np.ndarray
     heads: dict[int, np.ndarray] = field(default_factory=dict)
-    active_task: int | None = None
     version: int = 0
+    weights: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    biases: list[np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.weights, self.biases = _views(self.config.layer_dims, self.shared)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["weights"], state["biases"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
 
     def head(self, task_id: int) -> np.ndarray:
         if task_id not in self.heads:
@@ -101,21 +125,6 @@ class ActivationStack:
 
 
 @dataclass
-class StackGradients:
-    """Upstream gradients w.r.t. stack layers (None entries mean zero).
-
-    d_logits is a gradient at the logits: the trainer passes the summed
-    gradient of both cross-entropies there, so it skips the softmax
-    pull-back that d_layers[-1] goes through (which then carries only the
-    alignment term on the probability layer).  ``backward`` adds the two at
-    the logits and runs the cosine head's backward once.
-    """
-
-    d_layers: list[np.ndarray | None]
-    d_logits: np.ndarray | None = None
-
-
-@dataclass
 class ParameterGradients:
     """Gradients of one batch; d_weights and d_biases are views into shared."""
 
@@ -123,19 +132,20 @@ class ParameterGradients:
     d_weights: list[np.ndarray]
     d_biases: list[np.ndarray]
     d_prototypes: np.ndarray
-    task_id: int
 
 
-def shared_views(
-    state: EncoderState, flat: np.ndarray
+def _views(
+    dims: tuple[int, ...], flat: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-parameter views of a flat vector laid out as all weights, then all biases."""
+    """Per-layer weight and bias views of a vector laid out as all weights, then all biases."""
+    shapes = [*zip(dims[:-1], dims[1:]), *((d,) for d in dims[1:])]
     views = []
     offset = 0
-    for param in (*state.weights, *state.biases):
-        views.append(flat[offset : offset + param.size].reshape(param.shape))
-        offset += param.size
-    n = len(state.weights)
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[offset : offset + size].reshape(shape))
+        offset += size
+    n = len(dims) - 1
     return views[:n], views[n:]
 
 
@@ -148,9 +158,11 @@ def init_encoder(config: EncoderConfig) -> EncoderState:
     """Seeded init: weights uniform in +-sqrt(3/fan_in), biases zero, no heads."""
     rng = np.random.default_rng(config.seed)
     dims = config.layer_dims
-    weights = [_uniform_init(rng, dims[i], (dims[i], dims[i + 1])) for i in range(len(dims) - 1)]
-    biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
-    return EncoderState(config=config, weights=weights, biases=biases)
+    size = sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
+    state = EncoderState(config=config, shared=np.zeros(size))
+    for w in state.weights:
+        w[...] = _uniform_init(rng, w.shape[0], w.shape)
+    return state
 
 
 def register_task_head(
@@ -165,49 +177,54 @@ def register_task_head(
     state.heads[task_id] = _uniform_init(
         rng, state.config.embedding_dim, (num_identities, state.config.embedding_dim)
     )
-    state.active_task = task_id
     state.version += 1
     return state
 
 
-def embed(state: EncoderState, batch: np.ndarray) -> np.ndarray:
-    """Embeddings only, no task head required."""
-    x = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if x.shape[1] != state.config.input_dim:
-        raise ShapeError(f"batch has dim {x.shape[1]}, encoder expects {state.config.input_dim}")
-    h = x
-    for l in range(len(state.config.hidden_dims)):
-        h = np.tanh(h @ state.weights[l] + state.biases[l])
-    return h @ state.weights[-1] + state.biases[-1]
-
-
-def forward(state: EncoderState, batch: np.ndarray, task_id: int | None = None) -> ActivationStack:
-    """Run a batch through the net and the selected task head."""
-    task = state.active_task if task_id is None else task_id
-    if task is None:
-        raise UsageError("no task selected and no active task set")
-    protos = state.head(task)
+def _trunk(state: EncoderState, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The checked input batch and its activations [hidden_1, ..., hidden_H, embedding]."""
     x = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if x.shape[1] != state.config.input_dim:
         raise ShapeError(f"batch has dim {x.shape[1]}, encoder expects {state.config.input_dim}")
     layers: list[np.ndarray] = []
     h = x
-    n_hidden = len(state.config.hidden_dims)
-    for l in range(n_hidden):
-        h = np.tanh(h @ state.weights[l] + state.biases[l])
+    for w, b in zip(state.weights[:-1], state.biases[:-1]):
+        h = np.tanh(h @ w + b)
         layers.append(h)
-    emb = h @ state.weights[n_hidden] + state.biases[n_hidden]
-    layers.append(emb)
-    logits = cosine_logits(emb, protos, state.config.temperature)
-    probs = softmax(logits)
-    layers.append(probs)
+    layers.append(h @ state.weights[-1] + state.biases[-1])
+    return x, layers
+
+
+def embed(state: EncoderState, batch: np.ndarray) -> np.ndarray:
+    """Embeddings only, no task head required."""
+    return _trunk(state, batch)[1][-1]
+
+
+def forward(state: EncoderState, batch: np.ndarray, task_id: int) -> ActivationStack:
+    """Run a batch through the net and the task's head."""
+    protos = state.head(task_id)
+    x, layers = _trunk(state, batch)
+    logits = cosine_logits(layers[-1], protos, state.config.temperature)
+    layers.append(softmax(logits))
     return ActivationStack(
-        layers=layers, logits=logits, task_id=task, inputs=x, state_version=state.version
+        layers=layers, logits=logits, task_id=task_id, inputs=x, state_version=state.version
     )
 
 
-def backward(state: EncoderState, stack: ActivationStack, grads: StackGradients) -> ParameterGradients:
-    """Pull upstream activation gradients back to every parameter.
+def backward(
+    state: EncoderState,
+    stack: ActivationStack,
+    d_layers: list[np.ndarray | None],
+    d_logits: np.ndarray | None = None,
+) -> ParameterGradients:
+    """Pull upstream gradients back to every parameter.
+
+    d_layers holds one gradient per stack layer (None means zero).  d_logits
+    is a gradient at the logits: the trainer passes the summed gradient of
+    both cross-entropies there, so it skips the softmax pull-back that
+    d_layers[-1] goes through (which then carries only the alignment term
+    on the probability layer).  The two are added at the logits and the
+    cosine head's backward runs once.
 
     Returns gradients for all shared weights/biases and for the prototype
     rows of the stack's task; other heads are never touched.
@@ -215,24 +232,23 @@ def backward(state: EncoderState, stack: ActivationStack, grads: StackGradients)
     if stack.state_version != state.version:
         raise UsageError("stale activation stack: state has mutated since forward")
     n_hidden = len(state.config.hidden_dims)
-    if len(grads.d_layers) != len(stack.layers):
-        raise ShapeError(
-            f"expected {len(stack.layers)} layer gradients, got {len(grads.d_layers)}"
-        )
+    if len(d_layers) != len(stack.layers):
+        raise ShapeError(f"expected {len(stack.layers)} layer gradients, got {len(d_layers)}")
     protos = state.head(stack.task_id)
 
-    d_logits = np.zeros_like(stack.logits) if grads.d_logits is None else grads.d_logits
-    if grads.d_layers[-1] is not None:
-        d_logits = d_logits + softmax_backward(stack.probs, grads.d_layers[-1])
+    if d_logits is None:
+        d_logits = np.zeros_like(stack.logits)
+    if d_layers[-1] is not None:
+        d_logits = d_logits + softmax_backward(stack.probs, d_layers[-1])
     d_emb, d_protos = cosine_logits_backward(
         stack.embedding, protos, d_logits, state.config.temperature
     )
-    if grads.d_layers[n_hidden] is not None:
-        d_emb = d_emb + grads.d_layers[n_hidden]
+    if d_layers[n_hidden] is not None:
+        d_emb = d_emb + d_layers[n_hidden]
 
     # every entry of the flat buffer is written below
-    shared = np.empty(sum(p.size for p in (*state.weights, *state.biases)))
-    d_weights, d_biases = shared_views(state, shared)
+    shared = np.empty_like(state.shared)
+    d_weights, d_biases = _views(state.config.layer_dims, shared)
 
     # linear embedding layer
     inp = stack.layers[n_hidden - 1] if n_hidden >= 1 else stack.inputs
@@ -241,8 +257,8 @@ def backward(state: EncoderState, stack: ActivationStack, grads: StackGradients)
     d_h = d_emb @ state.weights[n_hidden].T
 
     for l in range(n_hidden - 1, -1, -1):
-        if grads.d_layers[l] is not None:
-            d_h = d_h + grads.d_layers[l]
+        if d_layers[l] is not None:
+            d_h = d_h + d_layers[l]
         d_pre = d_h * (1.0 - stack.layers[l] ** 2)
         inp = stack.layers[l - 1] if l >= 1 else stack.inputs
         np.matmul(inp.T, d_pre, out=d_weights[l])
@@ -251,32 +267,20 @@ def backward(state: EncoderState, stack: ActivationStack, grads: StackGradients)
             d_h = d_pre @ state.weights[l].T
 
     return ParameterGradients(
-        shared=shared,
-        d_weights=d_weights,
-        d_biases=d_biases,
-        d_prototypes=d_protos,
-        task_id=stack.task_id,
+        shared=shared, d_weights=d_weights, d_biases=d_biases, d_prototypes=d_protos
     )
 
 
 def apply_deltas(
     state: EncoderState,
-    weight_deltas: list[np.ndarray] | None,
-    bias_deltas: list[np.ndarray] | None,
-    proto_deltas: np.ndarray | None,
-    task_id: int | None,
+    shared_delta: np.ndarray | None,
+    proto_delta: np.ndarray,
+    task_id: int,
 ) -> EncoderState:
-    """Add parameter deltas in place (single writer); bumps the version."""
-    if weight_deltas is not None:
-        for w, d in zip(state.weights, weight_deltas):
-            w += d
-    if bias_deltas is not None:
-        for b, d in zip(state.biases, bias_deltas):
-            b += d
-    if proto_deltas is not None:
-        if task_id is None:
-            raise UsageError("prototype deltas need a task_id")
-        state.head(task_id)
-        state.heads[task_id] = state.heads[task_id] + proto_deltas
+    """Add a flat shared delta (None leaves the shared layers as they are) and
+    a task head delta in place (single writer); bumps the version."""
+    if shared_delta is not None:
+        state.shared += shared_delta
+    state.heads[task_id] = state.head(task_id) + proto_delta
     state.version += 1
     return state

@@ -308,9 +308,7 @@ def cross_entropies_grad(
     return l_id, (p - q) / n, l_i2tce, d_i2tce
 
 
-def cosine_logits(
-    embeddings: np.ndarray, prototypes: np.ndarray, temperature: float = 0.07
-) -> np.ndarray:
+def cosine_logits(embeddings: np.ndarray, prototypes: np.ndarray, temperature: float) -> np.ndarray:
     """Temperature-scaled cosine similarities to each prototype row."""
     if temperature <= 0:
         raise LossInputError(f"temperature must be positive, got {temperature}")
@@ -325,7 +323,7 @@ def cosine_logits_backward(
     embeddings: np.ndarray,
     prototypes: np.ndarray,
     d_logits: np.ndarray,
-    temperature: float = 0.07,
+    temperature: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Chain an upstream logits gradient to embeddings and prototypes."""
     e = np.atleast_2d(np.asarray(embeddings, np.float64))

@@ -32,11 +32,8 @@ def standard_schedule(
     return Schedule(
         epochs_first_task=epochs_first_task,
         epochs_later_tasks=epochs_later_tasks,
-        warmup_epochs=10,
         base_lr=1e-2,
         warmup_start_lr=1e-3,
-        decay_epochs=(30, 50),
-        decay_factor=0.1,
     )
 
 

@@ -37,13 +37,11 @@ from .encoder import (
     EncoderConfig,
     EncoderState,
     ParameterGradients,
-    StackGradients,
     apply_deltas,
     backward,
     forward,
     init_encoder,
     register_task_head,
-    shared_views,
 )
 from .losses import (
     JmmdSpec,
@@ -55,7 +53,7 @@ from .losses import (
     jmmd_with_grad,
     triplet_loss_grad,
 )
-from .metrics import MetricsRecord, aggregate, evaluate
+from .metrics import aggregate, evaluate
 
 logger = logging.getLogger(__name__)
 
@@ -201,7 +199,6 @@ class ExperimentState:
     adam: Adam
     banks: ReplayBanks
     head_ids: dict[int, np.ndarray]
-    history: list[MetricsRecord] = field(default_factory=list)
     loss_history: dict[int, list[float]] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
@@ -291,7 +288,7 @@ def batch_gradients(
             g = jmmd_spec.alpha * g
             d_layers[idx] = g if d_layers[idx] is None else d_layers[idx] + g
 
-    grads = backward(state, stack, StackGradients(d_layers=d_layers, d_logits=d_id + d_i2tce))
+    grads = backward(state, stack, d_layers, d_id + d_i2tce)
     _require_finite(
         (
             ("l_id", l_id, (d_id,)),
@@ -311,11 +308,9 @@ def _apply_step(
     lr: float,
     update_shared: bool = True,
 ) -> None:
-    w_deltas = b_deltas = None
-    if update_shared:
-        w_deltas, b_deltas = shared_views(exp.encoder, exp.adam.delta("shared", grads.shared, lr))
+    shared_delta = exp.adam.delta("shared", grads.shared, lr) if update_shared else None
     p_delta = exp.adam.delta(("p", task_id), grads.d_prototypes, lr)
-    apply_deltas(exp.encoder, w_deltas, b_deltas, p_delta, task_id)
+    apply_deltas(exp.encoder, shared_delta, p_delta, task_id)
 
 
 def train_task(
@@ -411,7 +406,8 @@ def run_sequence(config: ExperimentConfig, master_seed: int) -> tuple[dict, Expe
     Grid: step 1 before training, then for each task that trains one step
     halfway through and one at completion (a task with a zero epoch budget
     adds none; two training tasks yield steps 1-5).  Returns the
-    report dict plus the final experiment state (encoder, banks, history).
+    report dict plus the final experiment state (encoder, optimizer, banks,
+    loss history).
     """
     tasks = _resolve_tasks(config, master_seed)
     for pos, task in enumerate(tasks):
@@ -449,7 +445,6 @@ def run_sequence(config: ExperimentConfig, master_seed: int) -> tuple[dict, Expe
             )
             for t in tasks
         ]
-        exp.history.extend(records)
         steps.append(
             {
                 "step": step,

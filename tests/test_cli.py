@@ -9,6 +9,8 @@ import pytest
 from xmcl import standard_two_task_config
 from xmcl.cli import _FLAT_KEYS, _SECTIONS, RunSettings, main, parse_experiment_config
 from xmcl.data import SynthSpec, load_task
+from xmcl.metrics import evaluate
+from xmcl.trainer import _resolve_tasks, run_sequence
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -238,6 +240,37 @@ class TestRun:
         assert report["task_ids"] == [1, 0]
         assert [s["step"] for s in report["steps"]] == [1, 2, 3, 4, 5]
 
+    @pytest.mark.parametrize(
+        "use_cosine, swap", [(False, False), (False, True), (True, False), (True, True)]
+    )
+    def test_eval_keys_reach_every_record(self, tmp_path, use_cosine, swap):
+        # two sketches and four photos per identity tell the directions apart
+        base = json.loads(write_config(tmp_path / "base.json").read_text())["tasks"]
+        tasks = [dict(spec, sketches_per_id=2, photos_per_id=4) for spec in base]
+        evals = {"use_cosine": use_cosine, "swap_direction": swap}
+        path = write_config(tmp_path / "config.json", tasks=tasks, arms=["full"], eval=evals)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "runs")]) == 0
+        cli_report = json.loads((tmp_path / "runs/full/seed_0/report.json").read_text())
+
+        config, _ = parse_experiment_config(json.loads(path.read_text()))
+        assert (config.use_cosine_eval, config.swap_eval_direction) == (use_cosine, swap)
+        report, exp = run_sequence(config, 0)
+        assert cli_report["steps"] == report["steps"]
+        final = report["steps"][-1]
+        datasets = _resolve_tasks(config, 0)
+        expected = [
+            evaluate(
+                exp.encoder, t, step=final["step"], use_cosine=use_cosine, swap_direction=swap
+            ).as_row()
+            for t in datasets
+        ]
+        assert final["records"] == expected
+        query_rows = {t.task_id: len(t.gallery if swap else t.query) for t in datasets}
+        assert set(query_rows.values()) == {6 * (4 if swap else 2)}
+        for step in report["steps"]:
+            for record in step["records"]:
+                assert record["num_queries"] == query_rows[record["task_id"]]
+
     def test_missing_key_exit_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"schedule": {}}))
@@ -326,6 +359,14 @@ def readme_config_block() -> dict:
     text = (ROOT / "README.md").read_text()
     block = text.split("### Config format", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
     return json.loads(block)
+
+
+def test_readme_library_tour_runs_as_written(capsys):
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["1", "2", "3", "4", "5"]
 
 
 class TestConfigDefaults:

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,6 @@ from xmcl.encoder import (
     ConfigurationError,
     EncoderConfig,
     ShapeError,
-    StackGradients,
     UsageError,
     apply_deltas,
     backward,
@@ -142,7 +144,7 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         state = small_state()
         stack = forward(state, np.random.default_rng(2).normal(size=(3, 5)), 0)
-        grads = backward(state, stack, StackGradients(d_layers=[None] * len(stack.layers)))
+        grads = backward(state, stack, [None] * len(stack.layers))
         for g in grads.d_weights + grads.d_biases + [grads.d_prototypes]:
             assert np.all(g == 0)
 
@@ -155,13 +157,7 @@ class TestBackward:
         coeffs = [rng.normal(size=layer.shape) for layer in stack.layers]
         coeffs.append(rng.normal(size=stack.logits.shape))
 
-        grads = backward(
-            state,
-            stack,
-            StackGradients(
-                d_layers=[c / n for c in coeffs[:-1]], d_logits=coeffs[-1] / n
-            ),
-        )
+        grads = backward(state, stack, [c / n for c in coeffs[:-1]], coeffs[-1] / n)
 
         h = 1e-5
 
@@ -215,7 +211,7 @@ class TestBackward:
             n = batch.shape[0]
             d_layers = [None] * len(stack.layers)
             d_layers[-2] = np.tile(w, (n, 1)) / n
-            return backward(state, stack, StackGradients(d_layers=d_layers))
+            return backward(state, stack, d_layers)
 
         g_batch = grads_for(x)
         g_a = grads_for(x[:1])
@@ -228,9 +224,9 @@ class TestBackward:
     def test_stale_stack_rejected(self):
         state = small_state()
         stack = forward(state, np.zeros((2, 5)), 0)
-        apply_deltas(state, None, None, np.zeros_like(state.heads[0]), 0)
+        apply_deltas(state, None, np.zeros_like(state.heads[0]), 0)
         with pytest.raises(UsageError):
-            backward(state, stack, StackGradients(d_layers=[None] * len(stack.layers)))
+            backward(state, stack, [None] * len(stack.layers))
 
 
 class TestHeadIsolation:
@@ -239,12 +235,34 @@ class TestHeadIsolation:
         register_task_head(state, 1, 4, seed=9)
         frozen = state.heads[0].tobytes()
         before_active = state.heads[1].copy()
-        apply_deltas(
-            state,
-            [np.ones_like(w) for w in state.weights],
-            [np.ones_like(b) for b in state.biases],
-            np.ones_like(state.heads[1]),
-            1,
-        )
+        apply_deltas(state, np.ones_like(state.shared), np.ones_like(state.heads[1]), 1)
         assert state.heads[0].tobytes() == frozen
         np.testing.assert_array_equal(state.heads[1], before_active + 1.0)
+
+
+class TestFlatLayout:
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_copy_views_its_own_vector(self, clone):
+        state = small_state()
+        x = np.random.default_rng(6).normal(size=(4, 5))
+        before = forward(state, x, 0).logits.tobytes()
+        twin = clone(state)
+        for view in twin.weights + twin.biases:
+            assert view.base is twin.shared
+            assert not np.shares_memory(view, state.shared)
+        assert same_parameters(twin, state)
+
+        apply_deltas(twin, np.full_like(twin.shared, 0.01), np.zeros_like(twin.heads[0]), 0)
+        assert forward(twin, x, 0).logits.tobytes() != before
+        assert forward(state, x, 0).logits.tobytes() == before
+
+    def test_head_only_delta_keeps_shared(self):
+        state = small_state()
+        shared, version = state.shared.tobytes(), state.version
+        apply_deltas(state, None, np.ones_like(state.heads[0]), 0)
+        assert state.shared.tobytes() == shared
+        assert state.version == version + 1

@@ -19,7 +19,6 @@ import xmcl.trainer as trainer
 from xmcl.data import Split
 from xmcl.encoder import (
     EncoderConfig,
-    StackGradients,
     backward,
     forward,
     init_encoder,
@@ -108,7 +107,7 @@ def oracle_batch_gradients(state, batch, task_id, head_ids, spec, margin, smooth
             buf[sketch_rows] += spec.alpha * d_s[li]
             buf[photo_rows] += spec.alpha * d_p[li]
             d_layers[idx] = buf
-    grads = backward(state, stack, StackGradients(d_layers=d_layers))
+    grads = backward(state, stack, d_layers)
     return l_id, l_tri, l_i2tce, l_jmmd, grads.shared, grads.d_prototypes + d_protos_i2
 
 
