@@ -51,7 +51,7 @@ class CpConfig:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
 
 
-@dataclass
+@dataclass(eq=False)
 class PredictionSet:
     """Prediction set for one sample.
 

@@ -46,7 +46,7 @@ class DatasetValidationError(ValueError):
     """A task violates a dataset invariant; names the broken rule."""
 
 
-@dataclass
+@dataclass(eq=False)
 class Split:
     """Samples as arrays: features (N, D) float64, ids (N,) int64, is_sketch (N,) bool.
 
@@ -73,7 +73,7 @@ def _split_of(ids: list[int], is_sketch: list[bool], features: list, dim: int) -
     return Split(feats, np.array(ids, dtype=np.int64), np.array(is_sketch, dtype=bool))
 
 
-@dataclass
+@dataclass(eq=False)
 class TaskDataset:
     task_id: int
     train: Split
@@ -195,9 +195,12 @@ def _modality_transforms(spec: SynthSpec):
 def generate_synthetic_task(spec: SynthSpec) -> TaskDataset:
     """Render a full task; deterministic in (spec, seed), fixed RNG order.
 
-    Per identity, in identity order: its sketches' noise, then its photos'.
+    The latents come first, then all noise in one draw: per identity, in
+    identity order, its sketches' noise, then its photos'.  The noise is
+    scaled and each identity's two centres, a @ z + b, are added in place.
     A train or auxiliary identity's rows go to train (sketches first), a
-    test identity's sketches to query and its photos to gallery.
+    test identity's sketches to query and its photos to gallery; each split
+    holds its own copy of its rows.
     """
     (a_p, b_p), (a_s, b_s) = _modality_transforms(spec)
     rng = np.random.default_rng(spec.seed)
@@ -205,33 +208,32 @@ def generate_synthetic_task(spec: SynthSpec) -> TaskDataset:
     n_total = n_train + n_test + n_aux
     n_sk, n_ph, dim = spec.sketches_per_id, spec.photos_per_id, spec.feature_dim
     latents = rng.normal(size=(n_total, spec.latent_dim))
+    # (identity, row, dim): the same stream as one (rows, dim) draw per identity and modality
+    feats = rng.normal(size=(n_total, n_sk + n_ph, dim))
+    feats *= spec.noise_sigma
+    # a stack of (dim, latent) @ (latent, 1) products: each is identity k's a @ z
+    # as a matrix-vector product, the bits of a @ latents[k]
+    feats[:, :n_sk] += (np.matmul(a_s, latents[:, :, None])[..., 0] + b_s)[:, None]
+    feats[:, n_sk:] += (np.matmul(a_p, latents[:, :, None])[..., 0] + b_p)[:, None]
 
-    train = np.empty((n_train + n_aux, n_sk + n_ph, dim))
-    query = np.empty((n_test, n_sk, dim))
-    gallery = np.empty((n_test, n_ph, dim))
-    for k in range(n_total):
-        if n_train <= k < n_train + n_test:
-            sketches, photos = query[k - n_train], gallery[k - n_train]
-        else:
-            rows = train[k if k < n_train else k - n_test]
-            sketches, photos = rows[:n_sk], rows[n_sk:]
-        z = latents[k]
-        sketches[:] = a_s @ z + b_s + spec.noise_sigma * rng.normal(size=(n_sk, dim))
-        photos[:] = a_p @ z + b_p + spec.noise_sigma * rng.normal(size=(n_ph, dim))
+    def split(rows: np.ndarray, ids: np.ndarray, sketch: np.ndarray) -> Split:
+        # rows is (identities, rows per identity, dim), copied so the split owns
+        # its features; sketch flags one identity's rows
+        return Split(
+            np.ascontiguousarray(rows).reshape(-1, dim),
+            np.repeat(ids, len(sketch)),
+            np.tile(sketch, ids.size),
+        )
 
-    def split(feats: np.ndarray, ids: np.ndarray, sketch: np.ndarray) -> Split:
-        # feats is (identities, rows per identity, dim); sketch flags one identity's rows
-        return Split(feats.reshape(-1, dim), np.repeat(ids, len(sketch)), np.tile(sketch, ids.size))
-
+    fit = np.r_[0:n_train, n_train + n_test : n_total]
+    test = np.arange(n_train, n_train + n_test)
     base = spec.task_id * ID_STRIDE
-    fit_ids = base + np.r_[0:n_train, n_train + n_test : n_total]
-    test_ids = base + np.arange(n_train, n_train + n_test)
     sketch = np.arange(n_sk + n_ph) < n_sk
     return TaskDataset(
         spec.task_id,
-        train=split(train, fit_ids, sketch),
-        query=split(query, test_ids, sketch[:n_sk]),
-        gallery=split(gallery, test_ids, sketch[n_sk:]),
+        train=split(feats[fit], base + fit, sketch),
+        query=split(feats[n_train : n_train + n_test, :n_sk], base + test, sketch[:n_sk]),
+        gallery=split(feats[n_train : n_train + n_test, n_sk:], base + test, sketch[n_sk:]),
     ).validate()
 
 

@@ -22,9 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import cosine_logits, cosine_logits_backward, softmax, softmax_backward
-
-DEFAULT_TEMPERATURE = 0.07
+from .losses import (
+    DEFAULT_TEMPERATURE,
+    cosine_logits,
+    cosine_logits_backward,
+    softmax,
+    softmax_backward,
+)
 
 
 class ConfigurationError(ValueError):
@@ -66,7 +70,7 @@ class EncoderConfig:
         return (self.input_dim, *self.hidden_dims, self.embedding_dim)
 
 
-@dataclass
+@dataclass(eq=False)
 class EncoderState:
     """Encoder parameters; ``weights`` and ``biases`` are per-layer views of ``shared``.
 
@@ -80,8 +84,8 @@ class EncoderState:
     shared: np.ndarray
     heads: dict[int, np.ndarray] = field(default_factory=dict)
     version: int = 0
-    weights: list[np.ndarray] = field(init=False, repr=False, compare=False)
-    biases: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.weights, self.biases = _views(self.config.layer_dims, self.shared)
@@ -101,7 +105,7 @@ class EncoderState:
         return self.heads[task_id]
 
 
-@dataclass
+@dataclass(eq=False)
 class ActivationStack:
     """Per-layer activations for one batch.
 
@@ -124,7 +128,7 @@ class ActivationStack:
         return self.layers[-1]
 
 
-@dataclass
+@dataclass(eq=False)
 class ParameterGradients:
     """Gradients of one batch; d_weights and d_biases are views into shared."""
 

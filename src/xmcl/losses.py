@@ -36,6 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
+DEFAULT_TEMPERATURE = 0.07
 MIN_BANDWIDTH_SQ = 1e-12
 MEDIAN = "median-heuristic"
 
@@ -49,11 +50,19 @@ class LossInputError(ValueError):
 
 
 def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, clipped at zero."""
-    xx = np.sum(x * x, axis=1)[:, None]
-    yy = np.sum(y * y, axis=1)[None, :]
-    d2 = xx + yy - 2.0 * (x @ y.T)
-    return np.maximum(d2, 0.0)
+    """Pairwise squared Euclidean distances, clipped at zero.
+
+    The bits of max(xx + yy - 2 (x @ y.T), 0), built in the xx + yy buffer
+    with the doubled product as the one other (n, m) array; the norms are
+    taken once when y is x.
+    """
+    xx = np.sum(x * x, axis=1)
+    yy = xx if y is x else np.sum(y * y, axis=1)
+    d2 = xx[:, None] + yy[None, :]
+    xy = x @ y.T
+    xy *= 2.0
+    d2 -= xy
+    return np.maximum(d2, 0.0, out=d2)
 
 
 @functools.lru_cache(maxsize=64)
@@ -234,7 +243,7 @@ def triplet_loss_grad(
     labels = np.asarray(labels)
     if emb.shape[0] != labels.size:
         raise LossInputError("one label per embedding required")
-    if np.unique(labels).size < 2:
+    if labels.size == 0 or np.all(labels == labels.flat[0]):
         raise LossInputError("triplet loss needs at least 2 identities in the batch")
     same = labels[:, None] == labels[None, :]
     pos = same & ~np.eye(labels.size, dtype=bool)
@@ -258,14 +267,14 @@ def triplet_loss_grad(
     u_p = (emb[a] - emb[hp]) / np.maximum(d_p[active], 1e-12)[:, None]
     u_n = (emb[a] - emb[hn]) / np.maximum(d_n[active], 1e-12)[:, None]
     # one scatter over the interleaved (a, hp, hn) rows, flattened to scalar
-    # entries: each entry then accumulates in the loop order a, hp, hn, a, ...
+    # entries: bincount adds each entry's weights from 0.0 in the loop order
+    # a, hp, hn, a, ...
     dim = emb.shape[1]
     rows = np.stack([a, hp, hn], axis=1)
-    grad = np.zeros(emb.size)
-    np.add.at(
-        grad,
+    grad = np.bincount(
         (rows[..., None] * dim + np.arange(dim)).ravel(),
         np.stack([u_p - u_n, -u_p, u_n], axis=1).ravel(),
+        minlength=emb.size,
     )
     return total / anchors.size, grad.reshape(emb.shape) / anchors.size
 
@@ -299,7 +308,7 @@ def cross_entropies_grad(
     rows = np.arange(n)
     q = np.full((n, c), smoothing / c)
     q[rows, labels] += 1.0 - smoothing
-    log_p = np.log(np.clip(p, 1e-300, None))
+    log_p = np.log(np.maximum(p, 1e-300))
     l_id = float(-(q * log_p).sum() / n)
     l_i2tce = float(-log_p[rows, labels].sum() / n)
     d_i2tce = p.copy()
@@ -335,8 +344,9 @@ def cosine_logits_backward(
     cos = eh @ ph.T
     g = np.asarray(d_logits, np.float64) / temperature
     # d cos(e, p)/d e = (p_hat - cos * e_hat) / ||e||
-    d_e = (g @ ph - (g * cos).sum(axis=1)[:, None] * eh) / en[:, None]
-    d_p = (g.T @ eh - (g * cos).sum(axis=0)[:, None] * ph) / pn[:, None]
+    g_cos = g * cos
+    d_e = (g @ ph - g_cos.sum(axis=1)[:, None] * eh) / en[:, None]
+    d_p = (g.T @ eh - g_cos.sum(axis=0)[:, None] * ph) / pn[:, None]
     return d_e, d_p
 
 
@@ -365,7 +375,7 @@ def i2tce_loss(
     embeddings: np.ndarray,
     prototypes: np.ndarray,
     labels: np.ndarray,
-    temperature: float = 0.07,
+    temperature: float = DEFAULT_TEMPERATURE,
 ) -> float:
     """Cross-entropy of cosine-similarity logits against the label prototype."""
     probs = softmax(cosine_logits(embeddings, prototypes, temperature))

@@ -10,7 +10,9 @@ run for all (query, relevant item) pairs at once, for its distance in that
 sorted row; the few pairs whose distance is shared add the index tie-break
 from the unsorted row.  AP is summed from those ranks as one integer
 fraction and rounded once, so it equals the exact rational value to the
-last bit.
+last bit: for every query at once in int64 (np.lcm.reduceat over its
+ranks) while T * prod(ranks) stays below 2^52, and in Python integers for
+the rare query past that bound.
 
 The queries are ranked in blocks of _BLOCK_ELEMENTS // G rows (at least
 one), G the gallery size, so no Q x G matrix is ever built: a block's
@@ -36,6 +38,9 @@ logger = logging.getLogger(__name__)
 
 CMC_KS = (1, 5, 10)
 _BLOCK_ELEMENTS = 2**17
+# T * prod(p) below 2^52 leaves a bit of margin under the 2^53 of exact doubles
+# for the float sum of log2 that tests it
+_EXACT_BITS = 52
 
 
 @dataclass(frozen=True)
@@ -74,6 +79,29 @@ def _ap_from_positions(positions: list[int]) -> float:
     common = math.lcm(*positions)
     numerator = sum(j * (common // p) for j, p in enumerate(positions, start=1))
     return numerator / (common * len(positions))
+
+
+def _average_precisions(positions: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """AP of every query; query i's ascending positions are positions[starts[i]:starts[i + 1]].
+
+    A query with T positions whose T * prod(p) is below 2^_EXACT_BITS is
+    summed in int64 at once: its lcm, numerator and lcm * T are exact below
+    2^53, so one float division rounds the exact quotient once, as
+    _ap_from_positions does.  The rest go through _ap_from_positions.
+    """
+    sizes = np.diff(starts, append=positions.size)
+    exact = np.add.reduceat(np.log2(positions), starts) + np.log2(sizes) < _EXACT_BITS
+    aps = np.empty(starts.size)
+    if exact.any():
+        p = positions[np.repeat(exact, sizes)]
+        n = sizes[exact]
+        first = np.cumsum(n) - n
+        common = np.lcm.reduceat(p, first)
+        j = np.arange(1, p.size + 1) - np.repeat(first, n)
+        aps[exact] = np.add.reduceat(j * (np.repeat(common, n) // p), first) / (common * n)
+    for q in np.flatnonzero(~exact).tolist():
+        aps[q] = _ap_from_positions(positions[starts[q] : starts[q] + sizes[q]].tolist())
+    return aps
 
 
 def _relevant_positions(
@@ -160,12 +188,10 @@ def ranking_metrics(
     skipped = n_q - starts.size
     if skipped:
         logger.warning("excluded %d queries with no relevant gallery item", skipped)
-    bounds = [*starts.tolist(), queries.size]
-    ranks = positions.tolist()
-    aps = [_ap_from_positions(ranks[a:b]) for a, b in zip(bounds, bounds[1:])]
+    aps = _average_precisions(positions, starts)
     first = positions[starts]
     cmc = {k: float((first <= k).mean()) for k in CMC_KS}
-    return float(np.mean(aps)), cmc, len(aps)
+    return float(np.mean(aps)), cmc, aps.size
 
 
 def evaluate(

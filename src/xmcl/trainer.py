@@ -193,7 +193,7 @@ class ExperimentConfig:
                 )
 
 
-@dataclass
+@dataclass(eq=False)
 class ExperimentState:
     encoder: EncoderState
     adam: Adam

@@ -218,6 +218,26 @@ class TestScoreTask:
             assert scored.dtype == np.float64 and scored.shape == (len(task.train),)
             assert scored.tolist() == [prediction_set(p, config).unc for p in probs]
 
+    @pytest.mark.parametrize("standard", [False, True])
+    def test_row_blocks_equal_one_whole_pass(self, standard):
+        from xmcl.conformal import _ROW_BLOCK
+        from xmcl.encoder import forward
+
+        task, state = self.make_task_and_state()
+        if standard:
+            # the standard task's shape: 400 rows, 64-d features, a 50-identity head
+            rng = np.random.default_rng(3)
+            ids = np.repeat(np.arange(50), 8)
+            task.train = Split(rng.normal(size=(400, 64)), ids, np.arange(400) % 8 < 4)
+            state = register_task_head(init_encoder(EncoderConfig(seed=4)), 0, 50, seed=5)
+        else:
+            task.train = task.train[np.arange(2 * _ROW_BLOCK + 5) % len(task.train)]
+        assert len(task.train) % _ROW_BLOCK
+        probs = forward(state, task.train.features, 0).probs
+        # the small sets of the second config make uncertainties read more last bits
+        for config in (CpConfig(), CpConfig(lam=0.05, k_reg=2, tau=0.6)):
+            assert np.array_equal(score_task(state, task, config), uncertainties(probs, config))
+
     def test_duplicate_samples_identical_uncertainty(self):
         task, state = self.make_task_and_state()
         task.train = task.train[np.r_[0 : len(task.train), 0]]

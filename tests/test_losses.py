@@ -1,9 +1,12 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from xmcl.encoder import EncoderConfig
 from xmcl.losses import (
+    DEFAULT_TEMPERATURE,
     JmmdSpec,
     LossBreakdown,
     LossInputError,
@@ -23,6 +26,7 @@ from xmcl.losses import (
     triplet_loss,
     triplet_loss_grad,
 )
+from xmcl.trainer import ExperimentConfig
 from test_metrics import traced_peak
 
 
@@ -205,6 +209,22 @@ class TestGaussianKernel:
 
         want = mean_kernel(x, x) + mean_kernel(y, y) - 2 * mean_kernel(x, y)
         assert np.isclose(jmmd([x], [y], JmmdSpec(bandwidths=[0.9])), want, rtol=0, atol=1e-12)
+
+
+class TestSqDists:
+    @pytest.mark.parametrize("same", [True, False])
+    def test_bit_identical_to_expression(self, same):
+        rng = np.random.default_rng(30)
+        x = rng.normal(size=(37, 5))
+        # near-coincident rows make xx + yy - 2 x.y cancel to tiny or negative values
+        x[1] = x[0] + 1e-9
+        y = x if same else np.concatenate([x[:3], rng.normal(size=(20, 5))])
+        want = np.maximum(
+            np.sum(x * x, axis=1)[:, None] + np.sum(y * y, axis=1)[None, :] - 2.0 * (x @ y.T), 0.0
+        )
+        got = _sq_dists(x, y)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 MEDIAN_CASES = ["continuous", "tiny", "large", "mixed", "grid", "duplicate_rows", "all_zero"]
@@ -702,6 +722,12 @@ class TestI2tce:
         d_e, d_p = cosine_logits_backward(emb, protos, w, 0.5)
         fd_matches(d_e, scalar_e, emb)
         fd_matches(d_p, scalar_p, protos)
+
+
+    def test_default_temperature_is_the_encoders(self):
+        default = inspect.signature(i2tce_loss).parameters["temperature"].default
+        assert default == DEFAULT_TEMPERATURE
+        assert default == EncoderConfig.temperature == ExperimentConfig.temperature
 
 
 class TestSimLoss:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -9,9 +10,11 @@ from xmcl.encoder import EncoderConfig, init_encoder
 from xmcl.losses import _sq_dists
 from xmcl.metrics import (
     _BLOCK_ELEMENTS,
+    _EXACT_BITS,
     CMC_KS,
     MetricsRecord,
     _ap_from_positions,
+    _average_precisions,
     _relevant_positions,
     aggregate,
     evaluate,
@@ -168,6 +171,58 @@ class TestAveragePrecision:
             rel = rng.random(int(rng.integers(1, 400))) < rng.uniform(0.01, 1.0)
             rel[int(rng.integers(0, rel.size))] = True
             assert average_precision(rel) == fraction_ap(rel)
+
+
+def fraction_ap_of_positions(positions):
+    return float(sum(Fraction(j, p) for j, p in enumerate(positions, start=1)) / len(positions))
+
+
+class TestIntegerApPass:
+    """_average_precisions sums in int64 below the bound, and per query above it."""
+
+    @staticmethod
+    def queries(rng, n, t, g):
+        """n queries of t ascending distinct positions in 1..g, and their starts."""
+        rows = [np.sort(rng.choice(g, size=t, replace=False)) + 1 for _ in range(n)]
+        return np.concatenate(rows).astype(np.int64), np.arange(n) * t
+
+    @staticmethod
+    def fits(positions):
+        return math.log2(len(positions)) + sum(math.log2(p) for p in positions) < _EXACT_BITS
+
+    @pytest.mark.parametrize("t,g", [(1, 800), (4, 800), (12, 5000)])
+    def test_equals_fraction(self, t, g):
+        rng = np.random.default_rng(t)
+        positions, starts = self.queries(rng, 300, t, g)
+        got = _average_precisions(positions, starts)
+        rows = np.split(positions, starts[1:])
+        assert got.tolist() == [fraction_ap_of_positions(r.tolist()) for r in rows]
+        # T=1 and T=4 over G=800 take the integer pass; T=12 over 5000 cannot
+        assert [self.fits(r.tolist()) for r in rows] == [t <= 4] * len(rows)
+
+    def test_mixed_sizes_on_both_sides_of_the_bound(self):
+        rng = np.random.default_rng(9)
+        rows = [
+            np.sort(rng.choice(3000, size=int(rng.integers(1, 12)), replace=False)) + 1
+            for _ in range(400)
+        ]
+        positions = np.concatenate(rows).astype(np.int64)
+        starts = np.cumsum([0] + [r.size for r in rows[:-1]])
+        fits = [self.fits(r.tolist()) for r in rows]
+        assert any(fits) and not all(fits)
+        got = _average_precisions(positions, starts)
+        assert got.tolist() == [fraction_ap_of_positions(r.tolist()) for r in rows]
+
+    def test_ranking_with_an_identity_past_the_bound(self):
+        # identity 0 has 40 gallery items, so its queries need the per-query sum
+        rng = np.random.default_rng(12)
+        g_ids = np.concatenate([np.zeros(40, dtype=np.int64), rng.integers(1, 60, size=400)])
+        g_emb = rng.normal(size=(g_ids.size, 6))
+        q_ids = np.concatenate([[0, 0, 0], g_ids[rng.integers(40, g_ids.size, size=50)]])
+        q_emb = rng.normal(size=(q_ids.size, 6))
+        got = ranking_metrics(q_emb, q_ids, g_emb, g_ids)
+        assert got == lexsort_fraction_metrics(q_emb, q_ids, g_emb, g_ids)
+        assert math.log2(40) + sum(math.log2(p) for p in range(1, 41)) > _EXACT_BITS
 
 
 class TestRelevantPositions:

@@ -9,6 +9,7 @@ from xmcl.losses import JmmdSpec
 from xmcl.trainer import (
     Adam,
     ExperimentConfig,
+    ExperimentState,
     Schedule,
     batch_gradients,
     lr_at,
@@ -503,3 +504,36 @@ class TestRunSequence:
             a.tobytes() != b.tobytes()
             for a, b in zip(unfrozen.encoder.weights, after_new.encoder.weights)
         )
+
+
+class TestArrayDataclassEquality:
+    """Dataclasses holding arrays compare by identity: == gives a bool, never a ValueError."""
+
+    def instances(self):
+        from xmcl.banks import ReplayBanks
+        from xmcl.conformal import prediction_set
+        from xmcl.data import generate_synthetic_task
+        from xmcl.encoder import EncoderConfig, backward, forward, init_encoder, register_task_head
+
+        task = generate_synthetic_task(mini_specs(1)[0])
+        encoder = register_task_head(init_encoder(EncoderConfig(input_dim=16)), 0, 12, seed=1)
+        stack = forward(encoder, task.train.features[:4], 0)
+        return {
+            "EncoderState": encoder,
+            "ExperimentState": ExperimentState(
+                encoder=encoder, adam=Adam(MINI_SCHED), banks=ReplayBanks(), head_ids={}
+            ),
+            "ReplayBanks": ReplayBanks(),
+            "Split": task.train,
+            "TaskDataset": task,
+            "ActivationStack": stack,
+            "ParameterGradients": backward(encoder, stack, [None] * len(stack.layers)),
+            "PredictionSet": prediction_set(np.full(4, 0.25)),
+        }
+
+    def test_equality_is_identity(self):
+        first, second = self.instances(), self.instances()
+        for name, value in first.items():
+            assert (value == value) is True, name
+            assert (value == second[name]) is False, name
+            assert (value != second[name]) is True, name
