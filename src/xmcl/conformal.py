@@ -4,7 +4,7 @@ Given a class probability vector pi, each identity gets a score built from
 the cumulative probability of higher-ranked identities, its own probability,
 and a penalty that grows linearly once its rank exceeds ``k_reg`` (RAPS,
 Angelopoulos et al., ICLR 2021).  The prediction set collects every identity
-whose score stays below ``tau``; its size plus the probability spread inside
+whose score is at most ``tau``; its size plus the probability spread inside
 it is the uncertainty value used to admit samples into the replay banks.
 
 Along the descending ranking the score is the inclusive cumulative sum plus

@@ -18,10 +18,10 @@ to the triplet loss as well.
 Both classification terms read one softmax p = softmax(cosine_logits).  The
 identity CE takes the label-smoothed target q_s (1 - s on the label plus
 s / C everywhere) and the prototype CE the one-hot target; with one cosine
-head the prototype CE is the unsmoothed identity CE.  Their gradients at
-the logits are (p - q_s) / n and (p - onehot) / n, so one function returns
-both values and both logits gradients, and the encoder pulls their sum
-back through the cosine head once.
+head the prototype CE is the unsmoothed identity CE.  Their logits
+gradients (p - q_s) / n and (p - onehot) / n sum to 2 (p - q_{s/2}) / n, so
+one function returns both values and that one summed gradient, and the
+encoder pulls it back through the cosine head once.
 
 Summation order is fixed (numpy reductions over contiguous arrays) so that
 repeated evaluation of the same inputs is bit-reproducible.
@@ -37,6 +37,8 @@ from typing import Sequence
 import numpy as np
 
 DEFAULT_TEMPERATURE = 0.07
+DEFAULT_MARGIN = 0.3
+DEFAULT_SMOOTHING = 0.1
 MIN_BANDWIDTH_SQ = 1e-12
 MEDIAN = "median-heuristic"
 
@@ -215,7 +217,7 @@ def jmmd_with_grad(
 
 
 def triplet_loss(
-    embeddings: np.ndarray, labels: np.ndarray, margin: float = 0.3
+    embeddings: np.ndarray, labels: np.ndarray, margin: float = DEFAULT_MARGIN
 ) -> float:
     """Batch-hard triplet loss with Euclidean distances.
 
@@ -228,7 +230,7 @@ def triplet_loss(
 def triplet_loss_grad(
     embeddings: np.ndarray,
     labels: np.ndarray,
-    margin: float = 0.3,
+    margin: float = DEFAULT_MARGIN,
     sq_dists: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Loss and its (sub)gradient w.r.t. the embeddings.
@@ -280,21 +282,21 @@ def triplet_loss_grad(
 
 
 def id_loss(
-    probs: np.ndarray, labels: np.ndarray, smoothing: float = 0.1
+    probs: np.ndarray, labels: np.ndarray, smoothing: float = DEFAULT_SMOOTHING
 ) -> float:
     """Label-smoothed cross-entropy over already-normalized probabilities."""
     return cross_entropies_grad(probs, labels, smoothing)[0]
 
 
 def cross_entropies_grad(
-    probs: np.ndarray, labels: np.ndarray, smoothing: float = 0.1
-) -> tuple[float, np.ndarray, float, np.ndarray]:
-    """Identity CE and prototype CE of one softmax, with their logits gradients.
+    probs: np.ndarray, labels: np.ndarray, smoothing: float = DEFAULT_SMOOTHING
+) -> tuple[float, float, np.ndarray]:
+    """Identity CE and prototype CE of one softmax, with their summed logits gradient.
 
-    probs is softmax(logits), one row per sample.  Returns
-    (l_id, d_logits_id, l_i2tce, d_logits_i2tce): the label-smoothed CE
-    and its gradient (p - q_s) / n, then the unsmoothed CE and its gradient
-    (p - onehot) / n.  The log clips probabilities at 1e-300.
+    probs is softmax(logits), one row per sample.  Returns (l_id, l_i2tce,
+    d_logits): the label-smoothed CE, the unsmoothed CE, and the gradient of
+    their sum, (2p - s / C - (2 - s) onehot) / n = 2 (p - q_{s/2}) / n.  The
+    log clips probabilities at 1e-300.
     """
     p = np.atleast_2d(np.asarray(probs, np.float64))
     labels = np.asarray(labels, dtype=np.int64)
@@ -306,15 +308,14 @@ def cross_entropies_grad(
     if not 0.0 <= smoothing < 1.0:
         raise LossInputError(f"smoothing must be in [0, 1), got {smoothing}")
     rows = np.arange(n)
-    q = np.full((n, c), smoothing / c)
-    q[rows, labels] += 1.0 - smoothing
     log_p = np.log(np.maximum(p, 1e-300))
-    l_id = float(-(q * log_p).sum() / n)
-    l_i2tce = float(-log_p[rows, labels].sum() / n)
-    d_i2tce = p.copy()
-    d_i2tce[rows, labels] -= 1.0
-    d_i2tce /= n
-    return l_id, (p - q) / n, l_i2tce, d_i2tce
+    log_p_y = log_p[rows, labels].sum()
+    l_id = float(-(smoothing / c * log_p.sum() + (1.0 - smoothing) * log_p_y) / n)
+    d_logits = 2.0 * p
+    d_logits -= smoothing / c
+    d_logits[rows, labels] -= 2.0 - smoothing
+    d_logits /= n
+    return l_id, float(-log_p_y / n), d_logits
 
 
 def cosine_logits(embeddings: np.ndarray, prototypes: np.ndarray, temperature: float) -> np.ndarray:
@@ -379,7 +380,7 @@ def i2tce_loss(
 ) -> float:
     """Cross-entropy of cosine-similarity logits against the label prototype."""
     probs = softmax(cosine_logits(embeddings, prototypes, temperature))
-    return cross_entropies_grad(probs, labels)[2]
+    return cross_entropies_grad(probs, labels)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ STANDARD_NOISE = 0.2
 
 
 def standard_schedule(
-    epochs_first_task: int = 60, epochs_later_tasks: int = 30
+    epochs_first_task: int = Schedule.epochs_first_task,
+    epochs_later_tasks: int = Schedule.epochs_later_tasks,
 ) -> Schedule:
     return Schedule(
         epochs_first_task=epochs_first_task,
@@ -64,7 +65,7 @@ def standard_task_specs(
 
 def standard_two_task_config(
     mpm: bool = True,
-    alpha: float = 5.0,
+    alpha: float = JmmdSpec.alpha,
     reverse_order: bool = False,
     num_aux_ids: int = 0,
 ) -> ExperimentConfig:
@@ -81,7 +82,7 @@ def standard_two_task_config(
     )
 
 
-def high_gap_single_task_config(alpha: float = 5.0) -> ExperimentConfig:
+def high_gap_single_task_config(alpha: float = JmmdSpec.alpha) -> ExperimentConfig:
     spec = dataclasses.replace(
         standard_task_specs(num_tasks=1)[0],
         modality_gap=HIGH_GAP,

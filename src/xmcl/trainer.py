@@ -44,6 +44,8 @@ from .encoder import (
     register_task_head,
 )
 from .losses import (
+    DEFAULT_MARGIN,
+    DEFAULT_SMOOTHING,
     JmmdSpec,
     LossBreakdown,
     LossInputError,
@@ -157,8 +159,8 @@ class ExperimentConfig:
     pk_p: int = 16
     pk_k: int = 4
     mpm: bool = True
-    triplet_margin: float = 0.3
-    label_smoothing: float = 0.1
+    triplet_margin: float = DEFAULT_MARGIN
+    label_smoothing: float = DEFAULT_SMOOTHING
     use_cosine_eval: bool = False
     swap_eval_direction: bool = False
     freeze_shared_on_replay: bool = False
@@ -235,8 +237,8 @@ def batch_gradients(
     task_id: int,
     head_ids: np.ndarray,
     jmmd_spec: JmmdSpec,
-    margin: float = 0.3,
-    smoothing: float = 0.1,
+    margin: float = DEFAULT_MARGIN,
+    smoothing: float = DEFAULT_SMOOTHING,
 ) -> tuple[LossBreakdown, ParameterGradients]:
     """Combined loss value and parameter gradients for one batch.
 
@@ -248,17 +250,18 @@ def batch_gradients(
     non-finite loss term or gradient raises FloatingPointError naming the
     term.
 
-    Shared work is done once: both cross-entropies come from one pass over
-    the probabilities, and their summed logits gradient goes through the
-    cosine head once in ``backward``.  The alignment term runs on the rows
-    in batch order, on squared-distance matrices computed once per layer;
-    the embedding layer's matrix also feeds the triplet term.
+    Shared work is done once: both cross-entropies and their one summed
+    logits gradient come from one pass over the probabilities, and that
+    gradient goes through the cosine head once in ``backward`` (the
+    finiteness check names it l_id).  The alignment term runs on the rows in
+    batch order, on squared-distance matrices computed once per layer; the
+    embedding layer's matrix also feeds the triplet term.
     """
     stack = forward(state, batch.features, task_id)
     rows = np.searchsorted(head_ids, batch.ids)
     if not np.array_equal(head_ids[np.minimum(rows, head_ids.size - 1)], batch.ids):
         raise KeyError(f"batch holds identities outside task {task_id}'s head")
-    l_id, d_id, l_i2tce, d_i2tce = cross_entropies_grad(stack.probs, rows, smoothing)
+    l_id, l_i2tce, d_logits = cross_entropies_grad(stack.probs, rows, smoothing)
 
     n_hidden = len(state.config.hidden_dims)
     both_modalities = bool(batch.is_sketch.any()) and not batch.is_sketch.all()
@@ -288,11 +291,11 @@ def batch_gradients(
             g = jmmd_spec.alpha * g
             d_layers[idx] = g if d_layers[idx] is None else d_layers[idx] + g
 
-    grads = backward(state, stack, d_layers, d_id + d_i2tce)
+    grads = backward(state, stack, d_layers, d_logits)
     _require_finite(
         (
-            ("l_id", l_id, (d_id,)),
-            ("l_i2tce", l_i2tce, (d_i2tce,)),
+            ("l_id", l_id, (d_logits,)),
+            ("l_i2tce", l_i2tce, ()),
             ("l_tri", l_tri, (d_tri,)),
             ("l_jmmd", l_jmmd, d_jmmd),
         ),
@@ -317,30 +320,25 @@ def train_task(
     exp: ExperimentState,
     task: TaskDataset,
     config: ExperimentConfig,
-    epochs: int,
+    epochs: range,
     rng: np.random.Generator,
     use_replay: bool,
-    halfway_callback=None,
 ) -> list[float]:
-    """Train one task for its epoch budget; returns per-epoch mean losses.
+    """Train one task over a range of its 0-based epochs; returns per-epoch mean losses.
 
-    With replay active, odd epochs (1-based) run on new-task PK batches and
-    even epochs on bank batches under the originating task's head.  The
-    halfway callback fires once half the budget is complete.  A non-finite
-    loss or gradient raises FloatingPointError naming the task, the 1-based
-    epoch and the loss term.
+    The learning rate and the phase depend only on the epoch number, so
+    training over range(0, h) and then range(h, n) with the same rng equals
+    training over range(n).  With replay active, even (0-based) epochs run on
+    new-task PK batches and odd ones on bank batches under a past task's head,
+    taking the banked tasks in turn.  A non-finite loss or gradient raises
+    FloatingPointError naming the task, the 1-based epoch and the loss term.
     """
     replay_tasks = exp.banks.task_ids() if use_replay else []
-    replay_counter = 0
     epoch_losses: list[float] = []
-    halfway = epochs // 2
-    if halfway == 0 and halfway_callback is not None:
-        halfway_callback()
-    for epoch in range(epochs):
+    for epoch in epochs:
         lr = lr_at(epoch, config.schedule)
-        if use_replay and (epoch + 1) % 2 == 0:
-            head = replay_tasks[replay_counter % len(replay_tasks)]
-            replay_counter += 1
+        if use_replay and epoch % 2 == 1:
+            head = replay_tasks[(epoch // 2) % len(replay_tasks)]
             batches = replay_epoch_batches(exp.banks, config.pk_p, config.pk_k, rng, task_id=head)
             update_shared = not config.freeze_shared_on_replay
             where = f"task {task.task_id} (replaying task {head})"
@@ -369,8 +367,6 @@ def train_task(
             _apply_step(exp, grads, head, lr, update_shared=update_shared)
             losses.append(breakdown.l_sim)
         epoch_losses.append(float(np.mean(losses)))
-        if epoch + 1 == halfway and halfway_callback is not None:
-            halfway_callback()
     return epoch_losses
 
 
@@ -465,16 +461,15 @@ def run_sequence(config: ExperimentConfig, master_seed: int) -> tuple[dict, Expe
         rng = _stream(master_seed, _TAG_BATCHES, task.task_id)
         use_replay = config.mpm and pos > 0 and not exp.banks.is_empty()
         if epochs > 0:
-            halfway_step = step + 1
-            losses = train_task(
-                exp,
-                task,
-                config,
-                epochs,
-                rng,
-                use_replay,
-                halfway_callback=lambda s=halfway_step: eval_all(s),
-            )
+            if config.mpm and pos > 0 and not use_replay:
+                exp.warnings.append(
+                    f"task {task.task_id} trains without replay: "
+                    "no earlier sample was admitted to the banks"
+                )
+            half = epochs // 2
+            losses = train_task(exp, task, config, range(half), rng, use_replay)
+            eval_all(step + 1)
+            losses += train_task(exp, task, config, range(half, epochs), rng, use_replay)
             exp.loss_history[task.task_id] = losses
             step += 2
             eval_all(step)

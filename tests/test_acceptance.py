@@ -156,14 +156,17 @@ def test_criterion_02_gradient_suite():
         # identity-CE gradient, at the logits
         logits = rng.normal(size=(6, 5))
         y = rng.integers(0, 5, size=6)
-        _, d_logits, _, _ = cross_entropies_grad(softmax(logits), y, 0.1)
+        # the merged gradient g(s) less the prototype CE's g(0) / 2
+        g0 = cross_entropies_grad(softmax(logits), y, 0.0)[2]
+        d_logits = cross_entropies_grad(softmax(logits), y, 0.1)[2] - g0 / 2
         fd_check(f"id[{seed}]", d_logits, lambda x: id_loss(softmax(x), y, 0.1), logits)
 
         # prototype-CE gradient
         pe = rng.normal(size=(5, 4))
         protos = rng.normal(size=(6, 4))
         py = rng.integers(0, 6, size=5)
-        d_logits = cross_entropies_grad(softmax(cosine_logits(pe, protos, 0.3)), py)[3]
+        # the prototype CE's gradient, half the unsmoothed merged one
+        d_logits = cross_entropies_grad(softmax(cosine_logits(pe, protos, 0.3)), py, 0.0)[2] / 2
         d_e, d_pr = cosine_logits_backward(pe, protos, d_logits, 0.3)
         fd_check(f"i2tce_e[{seed}]", d_e, lambda x: i2tce_loss(x, protos, py, 0.3), pe)
         fd_check(f"i2tce_p[{seed}]", d_pr, lambda x: i2tce_loss(pe, x, py, 0.3), protos)

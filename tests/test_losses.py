@@ -584,7 +584,9 @@ class TestIdLoss:
         logits = rng.normal(size=(6, 5))
         probs = softmax(logits)
         labels = rng.integers(0, 5, size=6)
-        _, grad, _, _ = cross_entropies_grad(probs, labels, smoothing=0.1)
+        # the identity CE's own gradient: the merged one less the prototype CE's
+        g0 = cross_entropies_grad(probs, labels, 0.0)[2]
+        grad = cross_entropies_grad(probs, labels, 0.1)[2] - g0 / 2
         fd_matches(grad, lambda z: id_loss(softmax(z), labels, smoothing=0.1), logits)
 
     def test_label_out_of_range(self):
@@ -597,9 +599,11 @@ class TestCrossEntropies:
         rng = np.random.default_rng(26)
         probs = softmax(rng.normal(size=(9, 6)) * 3)
         labels = rng.integers(0, 6, size=9)
-        l_id0, d_id0, l_i2tce, d_i2tce = cross_entropies_grad(probs, labels, smoothing=0.0)
-        assert abs(l_i2tce - l_id0) <= 1e-12
-        assert np.max(np.abs(d_i2tce - d_id0)) <= 1e-15
+        l_id0, l_i2tce, g0 = cross_entropies_grad(probs, labels, smoothing=0.0)
+        assert l_i2tce == l_id0
+        # unsmoothed, the summed gradient is twice the prototype CE's (p - onehot) / n
+        onehot = np.eye(6)[labels]
+        np.testing.assert_allclose(g0 / 2, (probs - onehot) / 9, rtol=0, atol=1e-15)
 
     def test_joint_logits_gradient(self):
         # d(l_id + l_i2tce)/d logits = (2p - q_s - onehot) / n
@@ -608,12 +612,15 @@ class TestCrossEntropies:
         logits = rng.normal(size=(n, c))
         labels = rng.integers(0, c, size=n)
         probs = softmax(logits)
-        _, d_id, _, d_i2tce = cross_entropies_grad(probs, labels, smoothing=eps)
+        _, _, d_logits = cross_entropies_grad(probs, labels, smoothing=eps)
         onehot = np.eye(c)[labels]
         q = (1 - eps) * onehot + eps / c
-        np.testing.assert_allclose(d_id + d_i2tce, (2 * probs - q - onehot) / n, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(d_logits, (2 * probs - q - onehot) / n, rtol=0, atol=1e-15)
+        # = 2 (p - q_{s/2}) / n
+        q_half = (1 - eps / 2) * onehot + eps / 2 / c
+        np.testing.assert_allclose(d_logits, 2 * (probs - q_half) / n, rtol=0, atol=1e-15)
         fd_matches(
-            d_id + d_i2tce,
+            d_logits,
             lambda z: id_loss(softmax(z), labels, smoothing=eps) + id_loss(softmax(z), labels, 0.0),
             logits,
         )
@@ -624,9 +631,30 @@ class TestCrossEntropies:
         protos = rng.normal(size=(6, 4))
         labels = rng.integers(0, 6, size=5)
         probs = softmax(cosine_logits(emb, protos, 0.2))
-        l_id, _, l_i2tce, _ = cross_entropies_grad(probs, labels, smoothing=0.2)
+        l_id, l_i2tce, _ = cross_entropies_grad(probs, labels, smoothing=0.2)
         assert l_id == id_loss(probs, labels, smoothing=0.2)
         assert l_i2tce == i2tce_loss(emb, protos, labels, temperature=0.2)
+
+    def test_values_match_the_target_matrix_form(self):
+        # l_id = -sum(q_s log p) / n and l_i2tce = -sum(log p_y) / n, to rounding
+        rng = np.random.default_rng(29)
+        n, c, eps = 64, 50, 0.1
+        probs = softmax(rng.normal(size=(n, c)) * 4)
+        labels = rng.integers(0, c, size=n)
+        q = np.full((n, c), eps / c)
+        q[np.arange(n), labels] += 1 - eps
+        l_id, l_i2tce, _ = cross_entropies_grad(probs, labels, eps)
+        assert abs(l_id + (q * np.log(probs)).sum() / n) <= 1e-12
+        assert abs(l_i2tce + np.log(probs[np.arange(n), labels]).sum() / n) <= 1e-12
+
+    def test_one_logits_gradient_buffer(self):
+        # at most two N x C arrays live at once: the clipped log, then it and the gradient
+        rng = np.random.default_rng(30)
+        probs = softmax(rng.normal(size=(2000, 200)))
+        labels = rng.integers(0, 200, size=2000)
+        (_, _, d_logits), peak = traced_peak(cross_entropies_grad, probs, labels, 0.1)
+        assert peak < 2.5 * probs.nbytes, f"peak {peak / 2**20:.1f} MiB"
+        assert d_logits.shape == probs.shape
 
     @pytest.mark.parametrize("smoothing", [-0.1, 1.0])
     def test_smoothing_outside_unit_interval_rejected(self, smoothing):
@@ -702,7 +730,8 @@ class TestI2tce:
         protos = rng.normal(size=(6, 4))
         labels = rng.integers(0, 6, size=5)
         probs = softmax(cosine_logits(emb, protos, temperature=0.3))
-        d_logits = cross_entropies_grad(probs, labels)[3]
+        # the prototype CE's own gradient: half the unsmoothed summed one
+        d_logits = cross_entropies_grad(probs, labels, 0.0)[2] / 2
         d_e, d_p = cosine_logits_backward(emb, protos, d_logits, temperature=0.3)
         fd_matches(d_e, lambda x: i2tce_loss(x, protos, labels, temperature=0.3), emb)
         fd_matches(d_p, lambda x: i2tce_loss(emb, x, labels, temperature=0.3), protos)

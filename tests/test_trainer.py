@@ -1,9 +1,11 @@
 import dataclasses
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+from xmcl import losses, schemes
 from xmcl.data import SynthSpec
 from xmcl.losses import JmmdSpec
 from xmcl.trainer import (
@@ -257,7 +259,9 @@ class TestNonFiniteFailsFast:
         with pytest.raises(
             FloatingPointError, match=r"^task 1 \(replaying task 0\), epoch 2: non-finite l_id$"
         ):
-            train_task(exp, task1, mini_config(), 2, np.random.default_rng(5), use_replay=True)
+            train_task(
+                exp, task1, mini_config(), range(2), np.random.default_rng(5), use_replay=True
+            )
 
 
 def poisoned_loss(real, index, from_call):
@@ -283,28 +287,28 @@ def poisoned_loss(real, index, from_call):
 
 
 class TestNonFiniteTermNamed:
-    # term -> (trainer binding, index of the term's value in its output);
-    # the term's gradient follows its value
-    TERMS = {
-        "l_id": ("cross_entropies_grad", 0),
-        "l_i2tce": ("cross_entropies_grad", 2),
-        "l_tri": ("triplet_loss_grad", 0),
-        "l_jmmd": ("jmmd_with_grad", 0),
-    }
+    # (term, trainer binding, index of the poisoned output); the identity CE
+    # and the prototype CE share one logits gradient, which is named l_id
+    CASES = [
+        pytest.param("l_id", "cross_entropies_grad", 0, id="l_id-value"),
+        pytest.param("l_id", "cross_entropies_grad", 2, id="l_id-gradient"),
+        pytest.param("l_i2tce", "cross_entropies_grad", 1, id="l_i2tce-value"),
+        pytest.param("l_tri", "triplet_loss_grad", 0, id="l_tri-value"),
+        pytest.param("l_tri", "triplet_loss_grad", 1, id="l_tri-gradient"),
+        pytest.param("l_jmmd", "jmmd_with_grad", 0, id="l_jmmd-value"),
+        pytest.param("l_jmmd", "jmmd_with_grad", 1, id="l_jmmd-gradient"),
+    ]
 
-    @pytest.mark.parametrize("part", [0, 1], ids=["value", "gradient"])
-    @pytest.mark.parametrize("term", list(TERMS))
-    def test_new_task_epoch(self, monkeypatch, term, part):
+    @pytest.mark.parametrize("term, name, index", CASES)
+    def test_new_task_epoch(self, monkeypatch, term, name, index):
         import xmcl.trainer as trainer
 
-        name, index = self.TERMS[term]
-        monkeypatch.setattr(trainer, name, poisoned_loss(getattr(trainer, name), index + part, 1))
+        monkeypatch.setattr(trainer, name, poisoned_loss(getattr(trainer, name), index, 1))
         with pytest.raises(FloatingPointError, match=rf"^task 0, epoch 1: non-finite {term}$"):
             run_sequence(mini_config(num_tasks=1), master_seed=0)
 
-    @pytest.mark.parametrize("part", [0, 1], ids=["value", "gradient"])
-    @pytest.mark.parametrize("term", list(TERMS))
-    def test_replay_epoch(self, monkeypatch, term, part):
+    @pytest.mark.parametrize("term, name, index", CASES)
+    def test_replay_epoch(self, monkeypatch, term, name, index):
         import xmcl.trainer as trainer
         from xmcl.data import generate_synthetic_task
         from xmcl.encoder import register_task_head
@@ -314,13 +318,13 @@ class TestNonFiniteTermNamed:
         register_task_head(exp.encoder, 1, len(task1.train_identities), seed=9)
         exp.head_ids[1] = task1.train.identities()
         # epoch 1 trains 12 identities in P=4 batches; call 4 is the first replay batch
-        name, index = self.TERMS[term]
-        monkeypatch.setattr(trainer, name, poisoned_loss(getattr(trainer, name), index + part, 4))
+        monkeypatch.setattr(trainer, name, poisoned_loss(getattr(trainer, name), index, 4))
         with pytest.raises(
             FloatingPointError, match=rf"^task 1 \(replaying task 0\), epoch 2: non-finite {term}$"
         ):
-            trainer.train_task(exp, task1, mini_config(), 2, np.random.default_rng(5), use_replay=True)
-
+            trainer.train_task(
+                exp, task1, mini_config(), range(2), np.random.default_rng(5), use_replay=True
+            )
 
     def test_parameter_gradient_named_when_every_term_is_finite(self, monkeypatch):
         import xmcl.trainer as trainer
@@ -489,7 +493,7 @@ class TestRunSequence:
         def run(epochs, freeze):
             e = copy.deepcopy(exp)
             cfg = dataclasses.replace(mini_config(), freeze_shared_on_replay=freeze)
-            train_task(e, task1, cfg, epochs, np.random.default_rng(5), use_replay=True)
+            train_task(e, task1, cfg, range(epochs), np.random.default_rng(5), use_replay=True)
             return e
 
         # epoch 1 (1-based) trains new data, epoch 2 replays; frozen shared
@@ -504,6 +508,100 @@ class TestRunSequence:
             a.tobytes() != b.tobytes()
             for a, b in zip(unfrozen.encoder.weights, after_new.encoder.weights)
         )
+
+
+class TestEpochRanges:
+    """train_task over range(0, h) then range(h, n) equals one call over range(n)."""
+
+    @pytest.fixture(scope="class")
+    def before_task2(self):
+        from xmcl.data import generate_synthetic_task
+        from xmcl.encoder import register_task_head
+
+        # two banked tasks, so the replay epochs take them in turn
+        _, exp = run_sequence(mini_config(num_tasks=2, mpm=True), master_seed=2)
+        assert exp.banks.task_ids() == [0, 1]
+        task2 = generate_synthetic_task(mini_specs(3)[2])
+        register_task_head(exp.encoder, 2, len(task2.train_identities), seed=9)
+        exp.head_ids[2] = task2.train.identities()
+        return exp, task2
+
+    def train(self, before, ranges, monkeypatch):
+        import copy
+
+        import xmcl.trainer as trainer
+        from xmcl.banks import replay_epoch_batches as real
+
+        exp, task = copy.deepcopy(before)
+        heads = []
+
+        def recorded(*args, task_id, **kwargs):
+            heads.append(task_id)
+            return real(*args, task_id=task_id, **kwargs)
+
+        monkeypatch.setattr(trainer, "replay_epoch_batches", recorded)
+        rng = np.random.default_rng(5)
+        losses = []
+        for epochs in ranges:
+            losses += trainer.train_task(exp, task, mini_config(), epochs, rng, use_replay=True)
+        return exp, losses, heads
+
+    @pytest.mark.parametrize("n, h", [(5, 2), (6, 3), (6, 1), (1, 0)])
+    def test_split_equals_whole(self, before_task2, monkeypatch, n, h):
+        whole, whole_losses, heads = self.train(before_task2, [range(n)], monkeypatch)
+        split, split_losses, split_heads = self.train(
+            before_task2, [range(h), range(h, n)], monkeypatch
+        )
+        assert split_losses == whole_losses and len(whole_losses) == n
+        assert split_heads == heads == [0, 1, 0][: n // 2]
+        assert split.encoder.shared.tobytes() == whole.encoder.shared.tobytes()
+        assert split.encoder.heads.keys() == whole.encoder.heads.keys()
+        for t in whole.encoder.heads:
+            assert split.encoder.heads[t].tobytes() == whole.encoder.heads[t].tobytes()
+        assert split.adam.t == whole.adam.t
+        for key in whole.adam.t:
+            assert split.adam.m[key].tobytes() == whole.adam.m[key].tobytes()
+            assert split.adam.v[key].tobytes() == whole.adam.v[key].tobytes()
+
+
+class TestEmptyBanksWarn:
+    def test_replay_skipped_for_empty_banks_is_reported(self):
+        from xmcl.conformal import CpConfig
+
+        # tau below every score: no prediction set has a member, so no row is admitted
+        cfg = dataclasses.replace(mini_config(), cp=CpConfig(tau=0.01))
+        report, exp = run_sequence(cfg, master_seed=0)
+        assert report["mpm"] is True and exp.banks.is_empty()
+        assert report["warnings"] == [
+            "task 1 trains without replay: no earlier sample was admitted to the banks"
+        ]
+
+    @pytest.mark.parametrize("mpm", [True, False])
+    def test_no_warning_under_default_scoring(self, mpm):
+        report, exp = run_sequence(mini_config(mpm=mpm), master_seed=0)
+        assert report["warnings"] == [] and exp.banks.is_empty() is not mpm
+
+
+@pytest.mark.parametrize(
+    "fn, param, field_default",
+    [
+        (ExperimentConfig, "triplet_margin", losses.DEFAULT_MARGIN),
+        (ExperimentConfig, "label_smoothing", losses.DEFAULT_SMOOTHING),
+        (losses.triplet_loss, "margin", ExperimentConfig.triplet_margin),
+        (losses.triplet_loss_grad, "margin", ExperimentConfig.triplet_margin),
+        (batch_gradients, "margin", ExperimentConfig.triplet_margin),
+        (losses.id_loss, "smoothing", ExperimentConfig.label_smoothing),
+        (losses.cross_entropies_grad, "smoothing", ExperimentConfig.label_smoothing),
+        (batch_gradients, "smoothing", ExperimentConfig.label_smoothing),
+        (schemes.standard_schedule, "epochs_first_task", Schedule.epochs_first_task),
+        (schemes.standard_schedule, "epochs_later_tasks", Schedule.epochs_later_tasks),
+        (schemes.standard_two_task_config, "alpha", JmmdSpec.alpha),
+        (schemes.high_gap_single_task_config, "alpha", JmmdSpec.alpha),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_signature_defaults_are_the_config_fields(fn, param, field_default):
+    assert inspect.signature(fn).parameters[param].default == field_default
 
 
 class TestArrayDataclassEquality:
