@@ -11,7 +11,6 @@ from .banks import (
 from .conformal import (
     CpConfig,
     PredictionSet,
-    calibrate_tau,
     prediction_set,
     uncertainties,
 )

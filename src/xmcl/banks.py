@@ -1,7 +1,8 @@
 """Replay banks: the lowest-uncertainty sketch and photo per past identity.
 
 After a task finishes training, every training row is scored with the
-conformal uncertainty under that task's head, a block of rows at a time.
+conformal uncertainty under that task's head, a block of rows at a time;
+this is the only place that blocks rows for scoring.
 Each identity keeps at most one sketch and one photo; a stored row is
 replaced only when a strictly lower-uncertainty candidate arrives.  Rows whose prediction set came back
 empty (uncertainty 0) carry no usable confidence signal and are rejected
@@ -25,9 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .conformal import _ROW_BLOCK, CpConfig, uncertainties
+from .conformal import CpConfig, uncertainties
 from .data import MODALITIES, Split, TaskDataset
 from .encoder import EncoderState, forward
+
+# rows per block in score_task; small blocks keep the logits, probabilities
+# and sorted scores well below the forward pass's activations
+_ROW_BLOCK = 64
 
 
 def _no_rows() -> Split:
@@ -55,7 +60,7 @@ def score_task(
     """Conformal uncertainty of every training row under the task head (UsageError if none).
 
     Rows go through the forward pass and the scoring in blocks of
-    conformal._ROW_BLOCK, the last block taking the remainder, so no N x C
+    _ROW_BLOCK, the last block taking the remainder, so no N x C
     logits or probabilities are built.  A block's values equal the whole
     split's when the BLAS computes the block's cosine product with the same
     kernel as the whole matrix's.  OpenBLAS 0.3.31 on an x86-64 Xeon did so

@@ -9,21 +9,21 @@ it is the uncertainty value used to admit samples into the replay banks.
 
 Along the descending ranking the score is the inclusive cumulative sum plus
 the penalty, so it never decreases and every prediction set is a prefix of
-the ranking.  ``uncertainties`` uses that to score a whole probability
-matrix in one sorted pass, with the same bits as ``prediction_set`` per row.
+the ranking.  ``_set_sizes`` counts that prefix; ``prediction_set`` ranks one
+vector with it, and ``uncertainties`` scores a whole probability matrix in
+one sorted pass, with the same bits as ``prediction_set`` per row.  Row
+blocking belongs to the caller (``banks.score_task``).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 SIMPLEX_ATOL = 1e-6
-# rows per sorted block in uncertainties; small blocks keep the sorted and
-# summed temporaries well below the forward pass's activations
-_ROW_BLOCK = 64
 
 
 class SimplexError(ValueError):
@@ -45,7 +45,8 @@ class CpConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.lam < math.inf:
             raise ValueError(f"lam must be non-negative and finite, got {self.lam}")
-        if self.k_reg < 1:
+        k_reg = self.k_reg  # bool is an Integral, but True is no rank count
+        if isinstance(k_reg, bool) or not isinstance(k_reg, numbers.Integral) or k_reg < 1:
             raise ValueError(f"k_reg must be a positive integer, got {self.k_reg}")
         if not 0 < self.tau < math.inf:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
@@ -83,78 +84,42 @@ def _validate_simplex(pi: np.ndarray, ndim: int = 1) -> np.ndarray:
     return pi
 
 
-def _ranked_scores(pi: np.ndarray, config: CpConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Identities by descending probability (ties by index) and their scores.
+def _set_sizes(ranked: np.ndarray, config: CpConfig) -> np.ndarray:
+    """Prediction-set size of probability vectors sorted descending along the last axis.
 
-    Along the last axis, the score at 1-based rank j is the mass ranked at or
-    above it plus lam * max(0, j - k_reg).  cumsum adds sequentially, so that
-    has the bits of (mass strictly above) + pi_y + penalty.
+    The score at 1-based rank j is the cumulative sum up to j plus
+    lam * max(0, j - k_reg).  cumsum adds sequentially, so that has the bits
+    of (mass ranked above j) + p_j + penalty, and the score never decreases
+    along the ranking: the set is the prefix of scores <= tau.
     """
-    order = np.argsort(-pi, axis=-1, kind="stable")
-    penalty = config.lam * np.maximum(0, np.arange(1, pi.shape[-1] + 1) - config.k_reg)
-    return order, np.cumsum(np.take_along_axis(pi, order, axis=-1), axis=-1) + penalty
+    scores = np.cumsum(ranked, axis=-1)
+    scores += config.lam * np.maximum(0, np.arange(1, ranked.shape[-1] + 1) - config.k_reg)
+    return np.count_nonzero(scores <= config.tau, axis=-1)
 
 
 def prediction_set(pi: np.ndarray, config: CpConfig = CpConfig()) -> PredictionSet:
-    """All identities whose score is at most tau, with conf and unc attached."""
+    """All identities whose score is at most tau, with conf and unc attached.
+
+    Identities are ranked by descending probability, ties by index.
+    """
     pi = _validate_simplex(pi)
-    order, scores = _ranked_scores(pi, config)
-    members = np.sort(order[scores <= config.tau])
-    size = int(members.size)
-    conf = float(pi[members].max() - pi[members].min()) if size else 0.0
-    return PredictionSet(members=members, size=size, conf=conf, unc=size + conf)
+    order = np.argsort(-pi, kind="stable")
+    ranked = pi[order]
+    size = int(_set_sizes(ranked, config))
+    conf = float(ranked[0] - ranked[size - 1]) if size else 0.0
+    return PredictionSet(members=np.sort(order[:size]), size=size, conf=conf, unc=size + conf)
 
 
 def uncertainties(probs: np.ndarray, config: CpConfig = CpConfig()) -> np.ndarray:
     """prediction_set(row, config).unc for every row of an (N, C) matrix.
 
-    Each row is sorted descending; the score of its j-th identity is then
-    cumsum_j + lam * max(0, j - k_reg), the same sum prediction_set takes
-    along its ranking.  The set is the prefix of scores <= tau, so its conf
-    is the first minus the last sorted probability in it, and an empty set
-    gives 0.  Rows go through in blocks of _ROW_BLOCK.
+    The whole matrix is sorted once, descending along each row.  A set's
+    conf is the first minus the last sorted probability in its prefix, and
+    an empty set gives 0.  Callers that must bound the temporaries pass
+    blocks of rows.
     """
     probs = _validate_simplex(probs, ndim=2)
-    n, c = probs.shape
-    penalty = config.lam * np.maximum(0, np.arange(1, c + 1) - config.k_reg)
-    unc = np.zeros(n)
-    for start in range(0, n, _ROW_BLOCK):
-        ranked = np.sort(probs[start : start + _ROW_BLOCK], axis=1)[:, ::-1]
-        scores = np.cumsum(ranked, axis=1)
-        scores += penalty
-        size = np.count_nonzero(scores <= config.tau, axis=1)
-        rows = np.flatnonzero(size)
-        conf = ranked[rows, 0] - ranked[rows, size[rows] - 1]
-        unc[start + rows] = size[rows] + conf
-    return unc
-
-
-def calibrate_tau(
-    cal_probs: np.ndarray,
-    cal_labels: np.ndarray,
-    coverage: float = 0.9,
-    config: CpConfig = CpConfig(),
-) -> CpConfig:
-    """Opt-in alternative to the fixed threshold: a split-calibration quantile.
-
-    Sets tau to the ceil((n+1)*coverage)/n empirical quantile of the true
-    labels' scores on a calibration set, so prediction sets cover unseen
-    true labels at roughly the requested rate.  The default pipeline keeps
-    the fixed tau and never calls this.
-    """
-    if not 0.0 < coverage < 1.0:
-        raise ValueError(f"coverage must be in (0, 1), got {coverage}")
-    cal_probs = _validate_simplex(np.atleast_2d(cal_probs), ndim=2)
-    cal_labels = np.asarray(cal_labels)
-    n, c = cal_probs.shape
-    if cal_labels.shape != (n,) or n == 0:
-        raise ValueError("need one label per calibration row")
-    if not np.issubdtype(cal_labels.dtype, np.integer):  # bool is no integer dtype
-        raise ValueError(f"labels must be integers, got {cal_labels.dtype} labels")
-    if cal_labels.min() < 0 or cal_labels.max() >= c:
-        raise ValueError(f"labels must be in [0, {c}), got {cal_labels.min()}..{cal_labels.max()}")
-    order, scores = _ranked_scores(cal_probs, config)
-    scores = scores[order == cal_labels[:, None]]
-    rank = min(n, int(np.ceil((n + 1) * coverage)))
-    tau = float(np.sort(scores)[rank - 1])
-    return CpConfig(lam=config.lam, k_reg=config.k_reg, tau=max(tau, np.finfo(float).tiny))
+    ranked = np.sort(probs, axis=1)[:, ::-1]
+    size = _set_sizes(ranked, config)
+    last = ranked[np.arange(len(ranked)), size - 1]
+    return np.where(size > 0, size + (ranked[:, 0] - last), 0.0)

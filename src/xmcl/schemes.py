@@ -26,23 +26,11 @@ STANDARD_SHIFT = 1.57
 STANDARD_NOISE = 0.2
 
 
-def standard_schedule(
-    epochs_first_task: int = Schedule.epochs_first_task,
-    epochs_later_tasks: int = Schedule.epochs_later_tasks,
-) -> Schedule:
-    return Schedule(
-        epochs_first_task=epochs_first_task,
-        epochs_later_tasks=epochs_later_tasks,
-        base_lr=1e-2,
-        warmup_start_lr=1e-3,
-    )
+def standard_schedule() -> Schedule:
+    return Schedule(base_lr=1e-2, warmup_start_lr=1e-3)
 
 
-def standard_task_specs(
-    num_tasks: int = 2,
-    modality_gap: float = STANDARD_GAP,
-    num_aux_ids: int = 0,
-) -> list[SynthSpec]:
+def standard_task_specs(num_tasks: int = 2) -> list[SynthSpec]:
     """Equally sized tasks whose geometries are spread across the shift range."""
     return [
         SynthSpec(
@@ -53,8 +41,7 @@ def standard_task_specs(
             num_test_ids=20,
             sketches_per_id=4,
             photos_per_id=4,
-            num_aux_ids=num_aux_ids,
-            modality_gap=modality_gap,
+            modality_gap=STANDARD_GAP,
             task_shift=STANDARD_SHIFT * t / max(1, num_tasks - 1) if num_tasks > 1 else 0.0,
             noise_sigma=STANDARD_NOISE,
             seed=0,
@@ -63,19 +50,13 @@ def standard_task_specs(
     ]
 
 
-def standard_two_task_config(
-    mpm: bool = True,
-    alpha: float = JmmdSpec.alpha,
-    reverse_order: bool = False,
-    num_aux_ids: int = 0,
-) -> ExperimentConfig:
-    tasks = standard_task_specs(num_tasks=2, num_aux_ids=num_aux_ids)
+def standard_two_task_config(mpm: bool = True, reverse_order: bool = False) -> ExperimentConfig:
+    tasks = standard_task_specs(num_tasks=2)
     if reverse_order:
         tasks = list(reversed(tasks))
     return ExperimentConfig(
         tasks=tasks,
         schedule=standard_schedule(),
-        jmmd=JmmdSpec(alpha=alpha),
         hidden_dims=(64, 64),
         embedding_dim=32,
         mpm=mpm,

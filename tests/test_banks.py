@@ -220,7 +220,7 @@ class TestScoreTask:
 
     @pytest.mark.parametrize("standard", [False, True])
     def test_row_blocks_equal_one_whole_pass(self, standard):
-        from xmcl.conformal import _ROW_BLOCK
+        from xmcl.banks import _ROW_BLOCK
         from xmcl.encoder import forward
 
         task, state = self.make_task_and_state()

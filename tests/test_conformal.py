@@ -1,25 +1,24 @@
 import numpy as np
 import pytest
 
-from xmcl.conformal import (
-    _ROW_BLOCK,
-    CpConfig,
-    SimplexError,
-    _ranked_scores,
-    calibrate_tau,
-    prediction_set,
-    uncertainties,
-)
+from xmcl.conformal import CpConfig, SimplexError, _set_sizes, prediction_set, uncertainties
+
+
+def oracle_ranks(pi):
+    """1-based rank of every identity: descending probability, ties by index."""
+    order = sorted(range(len(pi)), key=lambda y: (-pi[y], y))
+    return {y: r + 1 for r, y in enumerate(order)}
 
 
 def oracle_prediction_set(pi, config):
     """Recompute everything from scratch with plain python loops."""
     c = len(pi)
-    order = sorted(range(c), key=lambda y: (-pi[y], y))
-    ranks = {y: r + 1 for r, y in enumerate(order)}
+    ranks = oracle_ranks(pi)
+    ranked = sorted(range(c), key=ranks.get)
     members, scores = [], {}
     for y in range(c):
-        rho = sum(pi[z] for z in range(c) if ranks[z] < ranks[y])
+        # the mass above y, added from the top rank down as the score is defined
+        rho = sum(pi[z] for z in ranked[: ranks[y] - 1])
         s = rho + pi[y] + config.lam * max(0, ranks[y] - config.k_reg)
         scores[y] = s
         if s <= config.tau:
@@ -37,19 +36,17 @@ def random_simplex(rng, c):
 
 
 def ranks_and_rho(pi):
-    """1-based rank and exclusive cumulative mass of every identity, from _ranked_scores."""
-    pi = np.asarray(pi, dtype=np.float64)
-    order, scores = _ranked_scores(pi, CpConfig(lam=0.0))
-    ranks = np.empty(order.size, dtype=np.int64)
-    ranks[order] = np.arange(1, order.size + 1)
-    rho = np.empty(order.size)
-    rho[order] = scores - pi[order]
-    return ranks, rho
+    """1-based rank and exclusive cumulative mass of every identity, from the oracle."""
+    pi = np.asarray(pi, dtype=np.float64).tolist()
+    ranks = oracle_ranks(pi)
+    scores = oracle_prediction_set(pi, CpConfig(lam=0.0))[1]
+    return (np.array([ranks[y] for y in range(len(pi))]),
+            np.array([scores[y] - pi[y] for y in range(len(pi))]))
 
 
 def score_of(pi, y, config=CpConfig()):
-    """The score of identity y: calibrate_tau on one row labelled y returns it as tau."""
-    return calibrate_tau(pi[None], [y], config=config).tau
+    """The oracle's score of identity y."""
+    return oracle_prediction_set(np.asarray(pi).tolist(), config)[1][y]
 
 
 def uncertainty(pi, config=CpConfig()):
@@ -106,6 +103,9 @@ class TestCpScore:
         assert np.isclose(rho[14], 0.95)
         assert np.isclose(score_of(pi, 14), 0.95 + 0.01 + 0.3 * 5)
         assert np.isclose(score_of(pi, 14), 2.46)
+        # the implementation draws the set boundary at the same score
+        assert 14 in prediction_set(pi, CpConfig(tau=2.461)).members
+        assert 14 not in prediction_set(pi, CpConfig(tau=2.459)).members
 
     def test_top_identity(self):
         assert np.isclose(score_of(np.array([0.6, 0.3, 0.1]), 0), 0.6)
@@ -151,16 +151,10 @@ class TestPredictionSet:
             pi = random_simplex(rng, c)
             cfg = CpConfig(tau=float(rng.uniform(0.2, 6.0)))
             ps = prediction_set(pi, cfg)
-            members, scores, size, conf, unc = oracle_prediction_set(pi.tolist(), cfg)
+            members, _, size, conf, unc = oracle_prediction_set(pi.tolist(), cfg)
+            # exact partition: the members are the identities whose oracle score is <= tau
             assert ps.members.tolist() == members
-            assert ps.size == size
-            assert np.isclose(ps.conf, conf)
-            assert np.isclose(ps.unc, unc)
-            # exact partition: member iff score <= tau, checked per identity
-            for y in range(c):
-                got = score_of(pi, y, cfg)
-                assert np.isclose(got, scores[y])
-                assert (y in members) == (got <= cfg.tau)
+            assert (ps.size, ps.conf, ps.unc) == (size, conf, unc)
 
     def test_empty_set_is_degenerate_not_error(self):
         ps = prediction_set(np.array([0.9, 0.1]), CpConfig(tau=0.5))
@@ -194,6 +188,33 @@ class TestPredictionSet:
         o, _ = ranks_and_rho(pi)
         by_rank = scores[np.argsort(o)]
         assert np.all(np.diff(by_rank) >= 0)
+
+
+class TestSetSizes:
+    """_set_sizes on hand-ranked vectors: the prefix of cumsum + penalty <= tau."""
+
+    @pytest.mark.parametrize(
+        "ranked, config, size",
+        [
+            ([0.6, 0.3, 0.1], CpConfig(tau=0.95), 2),
+            ([0.6, 0.3, 0.1], CpConfig(tau=5.0), 3),
+            ([0.6, 0.3, 0.1], CpConfig(tau=0.5), 0),
+            # scores 0.25, 0.5, 1.75, 3: the penalty starts after rank k_reg
+            ([0.25] * 4, CpConfig(lam=1.0, k_reg=2, tau=1.75), 3),
+            ([0.25] * 4, CpConfig(lam=1.0, k_reg=2, tau=1.7), 2),
+            # a score equal to tau is in the set; zero mass still counts a rank
+            ([0.5, 0.25, 0.25], CpConfig(tau=0.75), 2),
+            ([1.0, 0.0, 0.0], CpConfig(tau=1.0), 3),
+            ([1.0, 0.0, 0.0], CpConfig(lam=0.5, k_reg=1, tau=1.2), 1),
+            ([1.0], CpConfig(tau=0.99), 0),
+        ],
+    )
+    def test_hand_cases(self, ranked, config, size):
+        assert _set_sizes(np.array(ranked), config) == size
+
+    def test_rows_are_independent(self):
+        ranked = np.array([[0.5, 0.25, 0.25], [1.0, 0.0, 0.0], [0.75, 0.125, 0.125]])
+        np.testing.assert_array_equal(_set_sizes(ranked, CpConfig(tau=0.8)), [2, 0, 1])
 
 
 class TestUncertainty:
@@ -288,7 +309,7 @@ class TestUncertainties:
 
     def test_rows_across_blocks(self):
         rng = np.random.default_rng(45)
-        n = 2 * _ROW_BLOCK + 3
+        n = 131  # more rows than one scoring block of banks.score_task
         self.check(np.array([random_simplex(rng, 25) for _ in range(n)]), CpConfig(tau=2.0))
 
     def test_no_rows(self):
@@ -314,57 +335,17 @@ class TestCpConfig:
         with pytest.raises(ValueError):
             CpConfig(tau=0.0)
 
+    @pytest.mark.parametrize("k_reg", [2.5, True, 0, -1], ids=["fractional", "bool", "zero", "negative"])
+    def test_rejects_non_positive_integer_k_reg(self, k_reg):
+        # 2.5 used to give a rank penalty matching neither k_reg 2 nor 3
+        with pytest.raises(ValueError, match="k_reg must be a positive integer"):
+            CpConfig(k_reg=k_reg)
 
-class TestCalibrateTau:
-    def test_quantile_mode_reaches_requested_coverage(self):
-        rng = np.random.default_rng(31)
-        c = 20
-
-        def draw(n):
-            probs, labels = [], []
-            for _ in range(n):
-                y = int(rng.integers(0, c))
-                x = rng.exponential(size=c)
-                x[y] += rng.uniform(0.5, 4.0)
-                probs.append(x / x.sum())
-                labels.append(y)
-            return np.array(probs), np.array(labels)
-
-        cal_p, cal_y = draw(400)
-        cfg = calibrate_tau(cal_p, cal_y, coverage=0.9)
-        test_p, test_y = draw(400)
-        covered = sum(
-            test_y[i] in set(prediction_set(test_p[i], cfg).members.tolist())
-            for i in range(len(test_y))
-        )
-        assert covered / len(test_y) >= 0.85
+    def test_accepts_numpy_integer_k_reg(self):
+        pi = np.full(10, 0.1)
+        got = prediction_set(pi, CpConfig(k_reg=np.int64(3), tau=0.6))
+        assert got.members.tolist() == prediction_set(pi, CpConfig(k_reg=3, tau=0.6)).members.tolist()
+        assert got.size == 3
 
     def test_default_pipeline_keeps_fixed_tau(self):
         assert CpConfig().tau == 5.0
-
-    def test_rejects_bad_coverage(self):
-        with pytest.raises(ValueError):
-            calibrate_tau(np.full((2, 3), 1 / 3), np.array([0, 1]), coverage=1.5)
-
-    @pytest.mark.parametrize("labels", [[-1, -1], [0, 3], [0, -2]])
-    def test_rejects_labels_outside_class_range(self, labels):
-        # a negative label would otherwise index the last identity's score
-        with pytest.raises(ValueError, match=r"labels must be in \[0, 3\)"):
-            calibrate_tau(np.array([[0.2, 0.3, 0.5], [0.5, 0.3, 0.2]]), labels)
-
-    @pytest.mark.parametrize(
-        "labels", [[0.9, 1.7], [True, False], np.array([0.0, 1.0])], ids=["fractional", "bool", "float"]
-    )
-    def test_rejects_non_integer_labels(self, labels):
-        # int64 casting used to truncate [0.9, 1.7] to [0, 1] and read [True, False] as [1, 0]
-        with pytest.raises(ValueError, match="labels must be integers"):
-            calibrate_tau(np.array([[0.2, 0.3, 0.5], [0.5, 0.3, 0.2]]), labels)
-
-    def test_accepts_any_integer_dtype(self):
-        probs = np.array([[0.2, 0.3, 0.5], [0.5, 0.3, 0.2]])
-        want = calibrate_tau(probs, [2, 0]).tau
-        assert calibrate_tau(probs, np.array([2, 0], dtype=np.uint8)).tau == want
-
-    def test_rejects_non_distribution_rows(self):
-        with pytest.raises(SimplexError):
-            calibrate_tau(np.array([[0.5, 0.5], [0.9, 0.9]]), [0, 1])

@@ -593,9 +593,6 @@ class TestEmptyBanksWarn:
         (losses.id_loss, "smoothing", ExperimentConfig.label_smoothing),
         (losses.cross_entropies_grad, "smoothing", ExperimentConfig.label_smoothing),
         (batch_gradients, "smoothing", ExperimentConfig.label_smoothing),
-        (schemes.standard_schedule, "epochs_first_task", Schedule.epochs_first_task),
-        (schemes.standard_schedule, "epochs_later_tasks", Schedule.epochs_later_tasks),
-        (schemes.standard_two_task_config, "alpha", JmmdSpec.alpha),
         (schemes.high_gap_single_task_config, "alpha", JmmdSpec.alpha),
     ],
     ids=lambda v: getattr(v, "__name__", None),
