@@ -24,6 +24,7 @@ import numpy as np
 
 from .losses import (
     DEFAULT_TEMPERATURE,
+    _row_norms,
     cosine_logits,
     cosine_logits_backward,
     softmax,
@@ -110,7 +111,9 @@ class ActivationStack:
     """Per-layer activations for one batch.
 
     layers = [hidden_1, ..., hidden_H, embedding, probs]; the probability
-    layer makes the stack one longer than the encoder depth.
+    layer makes the stack one longer than the encoder depth.  norms holds
+    the row norms of the embeddings and of the head's prototypes that the
+    cosine logits divided by, for ``backward`` to reuse.
     """
 
     layers: list[np.ndarray]
@@ -118,6 +121,7 @@ class ActivationStack:
     task_id: int
     inputs: np.ndarray
     state_version: int
+    norms: tuple[np.ndarray, np.ndarray]
 
     @property
     def embedding(self) -> np.ndarray:
@@ -208,10 +212,16 @@ def forward(state: EncoderState, batch: np.ndarray, task_id: int) -> ActivationS
     """Run a batch through the net and the task's head."""
     protos = state.head(task_id)
     x, layers = _trunk(state, batch)
-    logits = cosine_logits(layers[-1], protos, state.config.temperature)
+    norms = (_row_norms(layers[-1]), _row_norms(protos))
+    logits = cosine_logits(layers[-1], protos, state.config.temperature, norms)
     layers.append(softmax(logits))
     return ActivationStack(
-        layers=layers, logits=logits, task_id=task_id, inputs=x, state_version=state.version
+        layers=layers,
+        logits=logits,
+        task_id=task_id,
+        inputs=x,
+        state_version=state.version,
+        norms=norms,
     )
 
 
@@ -245,10 +255,10 @@ def backward(
     if d_layers[-1] is not None:
         d_logits = d_logits + softmax_backward(stack.probs, d_layers[-1])
     d_emb, d_protos = cosine_logits_backward(
-        stack.embedding, protos, d_logits, state.config.temperature
+        stack.embedding, protos, d_logits, state.config.temperature, stack.norms
     )
     if d_layers[n_hidden] is not None:
-        d_emb = d_emb + d_layers[n_hidden]
+        d_emb += d_layers[n_hidden]
 
     # every entry of the flat buffer is written below
     shared = np.empty_like(state.shared)
@@ -257,16 +267,16 @@ def backward(
     # linear embedding layer
     inp = stack.layers[n_hidden - 1] if n_hidden >= 1 else stack.inputs
     np.matmul(inp.T, d_emb, out=d_weights[n_hidden])
-    np.sum(d_emb, axis=0, out=d_biases[n_hidden])
+    d_emb.sum(axis=0, out=d_biases[n_hidden])
     d_h = d_emb @ state.weights[n_hidden].T
 
     for l in range(n_hidden - 1, -1, -1):
         if d_layers[l] is not None:
-            d_h = d_h + d_layers[l]
+            d_h += d_layers[l]
         d_pre = d_h * (1.0 - stack.layers[l] ** 2)
         inp = stack.layers[l - 1] if l >= 1 else stack.inputs
         np.matmul(inp.T, d_pre, out=d_weights[l])
-        np.sum(d_pre, axis=0, out=d_biases[l])
+        d_pre.sum(axis=0, out=d_biases[l])
         if l:  # no gradient w.r.t. the inputs
             d_h = d_pre @ state.weights[l].T
 

@@ -11,9 +11,12 @@ weight per row, w_i = +1/n_s for a sketch and -1/n_p for a photo, so the
 rows never need regrouping.  With the joint kernel
 J = exp(-sum_l D_l / (2 sigma_l^2)), D_l the layer's squared-distance
 matrix, the loss is MMD = w^T J w and its gradient on layer l is
--(2 / sigma_l^2) w_i sum_j w_j J_ij (z_i - z_j).  D_l may be passed in: the
-trainer computes each layer's matrix once and hands the embedding layer's
-to the triplet loss as well.
+-(2 / sigma_l^2) w_i sum_j w_j J_ij (z_i - z_j).  The L layers' D_l are
+held as one (L, n, n) array: all L median-heuristic bandwidths come from one
+gather and one partition of its (L, pairs) upper triangles, and the exponent
+is one sum over the layer axis.  D_l may be passed in: the trainer computes
+each layer's matrix once into that stack and hands the embedding layer's to
+the triplet loss as well.
 
 Both classification terms read one softmax p = softmax(cosine_logits).  The
 identity CE takes the label-smoothed target q_s (1 - s on the label plus
@@ -51,20 +54,28 @@ class LossInputError(ValueError):
 # kernels and bandwidths
 
 
-def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _sq_dists(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Pairwise squared Euclidean distances, clipped at zero.
 
     The bits of max(xx + yy - 2 (x @ y.T), 0), built in the xx + yy buffer
-    with the doubled product as the one other (n, m) array; the norms are
-    taken once when y is x.
+    (out, when given) with the doubled product as the one other (n, m)
+    array; the norms are taken once when y is x.
     """
-    xx = np.sum(x * x, axis=1)
-    yy = xx if y is x else np.sum(y * y, axis=1)
-    d2 = xx[:, None] + yy[None, :]
+    xx = (x * x).sum(axis=1)
+    yy = xx if y is x else (y * y).sum(axis=1)
+    d2 = np.add(xx[:, None], yy[None, :], out=out)
     xy = x @ y.T
     xy *= 2.0
     d2 -= xy
     return np.maximum(d2, 0.0, out=d2)
+
+
+def _layer_sq_dists(layers: Sequence[np.ndarray]) -> np.ndarray:
+    """_sq_dists(z, z) of every layer, stacked in one (L, n, n) buffer."""
+    d2 = np.empty((len(layers), layers[0].shape[0], layers[0].shape[0]))
+    for l, z in enumerate(layers):
+        _sq_dists(z, z, out=d2[l])
+    return d2
 
 
 @functools.lru_cache(maxsize=64)
@@ -75,21 +86,24 @@ def _upper_pairs(n: int) -> np.ndarray:
     return flat
 
 
-def _median_sigma(d2: np.ndarray) -> float:
-    """sigma with sigma^2 = median over unordered pairs of a squared-distance matrix.
+def _median_sigmas(d2: np.ndarray) -> np.ndarray:
+    """sigma_l with sigma_l^2 = median over unordered pairs of each (n, n) layer of d2.
 
-    The median is taken by one partition: the middle value, or (a + b) / 2
-    of the two middle values, which is how np.median forms it too.  For an
-    even count b is the smallest value above the partition point.
+    All layers' upper triangles are gathered by one take and their medians
+    found by one partition along the pair axis: the middle value, or
+    (a + b) / 2 of the two middle values, which is how np.median forms it
+    too.  For an even count b is the smallest value above the partition
+    point.
     """
-    pairs = d2.take(_upper_pairs(d2.shape[0]))
-    mid = pairs.size // 2
-    if pairs.size % 2:
-        med = np.partition(pairs, mid)[mid]
+    n = d2.shape[-1]
+    pairs = d2.reshape(d2.shape[0], n * n).take(_upper_pairs(n), axis=1)
+    mid = pairs.shape[1] // 2
+    if pairs.shape[1] % 2:
+        med = np.partition(pairs, mid, axis=1)[:, mid]
     else:
-        part = np.partition(pairs, mid - 1)
-        med = (part[mid - 1] + part[mid:].min()) / 2
-    return float(np.sqrt(max(float(med), MIN_BANDWIDTH_SQ)))
+        part = np.partition(pairs, mid - 1, axis=1)
+        med = (part[:, mid - 1] + part[:, mid:].min(axis=1)) / 2
+    return np.sqrt(np.maximum(med, MIN_BANDWIDTH_SQ, out=med), out=med)
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +163,17 @@ def _pool(
     return [np.concatenate([a, b]) for a, b in zip(s, p)], np.arange(n_s + n_p) < n_s
 
 
-def resolve_bandwidths(sq_dists: Sequence[np.ndarray], spec: JmmdSpec) -> list[float]:
+def resolve_bandwidths(
+    sq_dists: Sequence[np.ndarray] | np.ndarray, spec: JmmdSpec
+) -> list[float]:
     """Per-layer bandwidths, by median heuristic over the batch unless given.
 
     Takes each layer's squared-distance matrix over the whole sketch+photo
-    batch, so the heuristic reuses the distances the kernel is built from.
+    batch, as a sequence or stacked (L, n, n), so the heuristic reuses the
+    distances the kernel is built from.
     """
     if isinstance(spec.bandwidths, str):
-        return [_median_sigma(d2) for d2 in sq_dists]
+        return _median_sigmas(np.asarray(sq_dists)).tolist()
     if len(spec.bandwidths) != len(sq_dists):
         raise LossInputError(
             f"got {len(spec.bandwidths)} bandwidths for {len(sq_dists)} layers"
@@ -181,34 +198,54 @@ def jmmd_with_grad(
     layers: Sequence[np.ndarray],
     is_sketch: np.ndarray,
     spec: JmmdSpec = JmmdSpec(),
-    sq_dists: Sequence[np.ndarray] | None = None,
+    sq_dists: Sequence[np.ndarray] | np.ndarray | None = None,
 ) -> tuple[float, list[np.ndarray]]:
     """Value plus the gradient w.r.t. every layer, rows in the batch's order.
 
     layers[l] is an (n, d_l) array with one row per sample, and is_sketch
     marks the sketch rows; the rest are photos.  sq_dists, when given, holds
-    _sq_dists(z, z) for each layer, so a caller can share those matrices
-    with other terms.  Bandwidths are treated as constants: no gradient
-    flows through the median heuristic.
+    _sq_dists(z, z) for each layer, as L (n, n) matrices or one (L, n, n)
+    array, so a caller can share those matrices with other terms.
+    Bandwidths are treated as constants: no gradient flows through the
+    median heuristic.
+
+    The exponent sum_l D_l / (2 sigma_l^2) is one reduction over the layer
+    axis, which adds the layers in order, as a running sum over them would.
     """
     is_sketch = np.asarray(is_sketch, dtype=bool)
+    n = is_sketch.size
     n_s = int(np.count_nonzero(is_sketch))
-    n_p = is_sketch.size - n_s
+    n_p = n - n_s
     if n_s == 0 or n_p == 0:
         raise LossInputError("both sample sets must be non-empty")
-    if len(layers) == 0 or any(z.shape[0] != is_sketch.size for z in layers):
-        raise LossInputError(f"need at least one layer, each with {is_sketch.size} rows")
-    d2s = [_sq_dists(z, z) for z in layers] if sq_dists is None else sq_dists
-    bws = resolve_bandwidths(d2s, spec)
-    exponent = sum(d2 / (2.0 * bw**2) for d2, bw in zip(d2s, bws))
-    joint = np.exp(-exponent)
+    if len(layers) == 0 or any(z.shape[0] != n for z in layers):
+        raise LossInputError(f"need at least one layer, each with {n} rows")
+    if sq_dists is None:
+        d2 = _layer_sq_dists(layers)
+    elif len(sq_dists) != len(layers) or any(np.shape(m) != (n, n) for m in sq_dists):
+        raise LossInputError(
+            f"need one ({n}, {n}) squared-distance matrix for each of the {len(layers)} "
+            f"layers, got shapes {[np.shape(m) for m in sq_dists]}"
+        )
+    else:
+        d2 = np.asarray(sq_dists, np.float64)
+    bws = resolve_bandwidths(d2, spec)
+    # the Python-float scalars that a per-layer quotient d2 / (2.0 * bw**2) divides by
+    scale = np.array([2.0 * bw**2 for bw in bws])
+    joint = (d2 / scale[:, None, None]).sum(axis=0)
+    np.negative(joint, out=joint)
+    np.exp(joint, out=joint)
     w = np.where(is_sketch, 1.0 / n_s, -1.0 / n_p)
     jw = joint @ w
     value = float(w @ jw)
-    grads = [
-        (-2.0 / bw**2) * w[:, None] * (z * jw[:, None] - joint @ (w[:, None] * z))
-        for z, bw in zip(layers, bws)
-    ]
+    w_col, jw_col = w[:, None], jw[:, None]
+    grads = []
+    for z, bw in zip(layers, bws):
+        # (-2 / sigma^2) w_i (z_i jw_i - (J (w z))_i), formed in one buffer
+        g = z * jw_col
+        g -= joint @ (w_col * z)
+        g *= (-2.0 / bw**2) * w_col
+        grads.append(g)
     return value, grads
 
 
@@ -242,41 +279,54 @@ def triplet_loss_grad(
     it with other terms.
     """
     emb = np.atleast_2d(np.asarray(embeddings, np.float64))
-    labels = np.asarray(labels)
-    if emb.shape[0] != labels.size:
+    labels = np.asarray(labels).ravel()
+    m = labels.size
+    if emb.shape[0] != m:
         raise LossInputError("one label per embedding required")
-    if labels.size == 0 or np.all(labels == labels.flat[0]):
-        raise LossInputError("triplet loss needs at least 2 identities in the batch")
+    if sq_dists is not None and np.shape(sq_dists) != (m, m):
+        raise LossInputError(f"sq_dists must be ({m}, {m}), got {np.shape(sq_dists)}")
     same = labels[:, None] == labels[None, :]
-    pos = same & ~np.eye(labels.size, dtype=bool)
-    neg = ~same
-    anchors = np.flatnonzero(pos.any(axis=1) & neg.any(axis=1))
-    if anchors.size == 0:
-        raise LossInputError("no anchor has both a positive and a negative")
+    n_same = same.sum(axis=1)  # each row counts itself
+    if m == 0 or n_same[0] == m:
+        raise LossInputError("triplet loss needs at least 2 identities in the batch")
+    is_anchor = (n_same > 1) & (n_same < m)
     d2 = _sq_dists(emb, emb) if sq_dists is None else sq_dists
-    dist = np.sqrt(np.maximum(d2[anchors], 1e-24))
-    pos_d = np.where(pos[anchors], dist, -np.inf)
-    neg_d = np.where(neg[anchors], dist, np.inf)
+    if is_anchor.all():
+        anchors = k = np.arange(m)
+    else:
+        anchors = np.flatnonzero(is_anchor)
+        if anchors.size == 0:
+            raise LossInputError("no anchor has both a positive and a negative")
+        k = np.arange(anchors.size)
+        same, d2 = same[anchors], d2[anchors]
+    dist = np.maximum(d2, 1e-24)
+    np.sqrt(dist, out=dist)
+    pos_d = np.where(same, dist, -np.inf)
+    pos_d[k, anchors] = -np.inf  # an anchor is not its own positive
+    neg_d = np.where(same, np.inf, dist)
     hp = pos_d.argmax(axis=1)
     hn = neg_d.argmin(axis=1)
-    k = np.arange(anchors.size)
     d_p = pos_d[k, hp]
     d_n = neg_d[k, hn]
     hinge = d_p - d_n + margin
     active = hinge > 0
     total = float(np.cumsum(hinge[active])[-1]) if active.any() else 0.0
     a, hp, hn = anchors[active], hp[active], hn[active]
-    u_p = (emb[a] - emb[hp]) / np.maximum(d_p[active], 1e-12)[:, None]
-    u_n = (emb[a] - emb[hn]) / np.maximum(d_n[active], 1e-12)[:, None]
     # one scatter over the interleaved (a, hp, hn) rows, flattened to scalar
     # entries: bincount adds each entry's weights from 0.0 in the loop order
     # a, hp, hn, a, ...
     dim = emb.shape[1]
-    rows = np.stack([a, hp, hn], axis=1)
+    rows = np.empty((a.size, 3), dtype=np.intp)
+    rows[:, 0], rows[:, 1], rows[:, 2] = a, hp, hn
+    weights = np.empty((a.size, 3, dim))
+    u_p, u_n = weights[:, 1], weights[:, 2]
+    e_a = emb[a]
+    np.divide(e_a - emb[hp], np.maximum(d_p[active], 1e-12)[:, None], out=u_p)
+    np.divide(e_a - emb[hn], np.maximum(d_n[active], 1e-12)[:, None], out=u_n)
+    np.subtract(u_p, u_n, out=weights[:, 0])
+    np.negative(u_p, out=u_p)
     grad = np.bincount(
-        (rows[..., None] * dim + np.arange(dim)).ravel(),
-        np.stack([u_p - u_n, -u_p, u_n], axis=1).ravel(),
-        minlength=emb.size,
+        (rows[..., None] * dim + np.arange(dim)).ravel(), weights.ravel(), minlength=emb.size
     )
     return total / anchors.size, grad.reshape(emb.shape) / anchors.size
 
@@ -318,14 +368,27 @@ def cross_entropies_grad(
     return l_id, float(-log_p_y / n), d_logits
 
 
-def cosine_logits(embeddings: np.ndarray, prototypes: np.ndarray, temperature: float) -> np.ndarray:
-    """Temperature-scaled cosine similarities to each prototype row."""
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, floored at 1e-12."""
+    return np.sqrt(np.maximum((a * a).sum(axis=1), 1e-24))
+
+
+def cosine_logits(
+    embeddings: np.ndarray,
+    prototypes: np.ndarray,
+    temperature: float,
+    norms: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Temperature-scaled cosine similarities to each prototype row.
+
+    norms, when given, is (_row_norms(embeddings), _row_norms(prototypes)),
+    kept by a caller that needs them again for the backward pass.
+    """
     if temperature <= 0:
         raise LossInputError(f"temperature must be positive, got {temperature}")
     e = np.atleast_2d(np.asarray(embeddings, np.float64))
     pr = np.atleast_2d(np.asarray(prototypes, np.float64))
-    en = np.sqrt(np.maximum(np.sum(e * e, axis=1), 1e-24))
-    pn = np.sqrt(np.maximum(np.sum(pr * pr, axis=1), 1e-24))
+    en, pn = (_row_norms(e), _row_norms(pr)) if norms is None else norms
     return (e @ pr.T) / (en[:, None] * pn[None, :]) / temperature
 
 
@@ -334,12 +397,16 @@ def cosine_logits_backward(
     prototypes: np.ndarray,
     d_logits: np.ndarray,
     temperature: float,
+    norms: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Chain an upstream logits gradient to embeddings and prototypes."""
+    """Chain an upstream logits gradient to embeddings and prototypes.
+
+    norms, when given, are the row norms the forward pass's cosine_logits
+    used.
+    """
     e = np.atleast_2d(np.asarray(embeddings, np.float64))
     pr = np.atleast_2d(np.asarray(prototypes, np.float64))
-    en = np.sqrt(np.maximum(np.sum(e * e, axis=1), 1e-24))
-    pn = np.sqrt(np.maximum(np.sum(pr * pr, axis=1), 1e-24))
+    en, pn = (_row_norms(e), _row_norms(pr)) if norms is None else norms
     eh = e / en[:, None]
     ph = pr / pn[:, None]
     cos = eh @ ph.T

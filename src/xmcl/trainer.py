@@ -49,7 +49,7 @@ from .losses import (
     JmmdSpec,
     LossBreakdown,
     LossInputError,
-    _sq_dists,
+    _layer_sq_dists,
     cross_entropies_grad,
     default_layer_set,
     jmmd_with_grad,
@@ -254,12 +254,13 @@ def batch_gradients(
     logits gradient come from one pass over the probabilities, and that
     gradient goes through the cosine head once in ``backward`` (the
     finiteness check names it l_id).  The alignment term runs on the rows in
-    batch order, on squared-distance matrices computed once per layer; the
-    embedding layer's matrix also feeds the triplet term.
+    batch order, on squared-distance matrices computed once per layer into
+    one (L, n, n) buffer; the embedding layer's matrix also feeds the
+    triplet term.
     """
     stack = forward(state, batch.features, task_id)
-    rows = np.searchsorted(head_ids, batch.ids)
-    if not np.array_equal(head_ids[np.minimum(rows, head_ids.size - 1)], batch.ids):
+    rows = head_ids.searchsorted(batch.ids)
+    if not (head_ids[np.minimum(rows, head_ids.size - 1)] == batch.ids).all():
         raise KeyError(f"batch holds identities outside task {task_id}'s head")
     l_id, l_i2tce, d_logits = cross_entropies_grad(stack.probs, rows, smoothing)
 
@@ -268,7 +269,8 @@ def batch_gradients(
     layer_set: tuple[int, ...] = ()
     if both_modalities and jmmd_spec.alpha > 0:
         layer_set = jmmd_spec.layer_set or default_layer_set(n_hidden)
-    sq_dists = [_sq_dists(stack.layers[i], stack.layers[i]) for i in layer_set]
+    align_layers = [stack.layers[i] for i in layer_set]
+    sq_dists = _layer_sq_dists(align_layers) if layer_set else None
     emb_sq_dists = sq_dists[layer_set.index(n_hidden)] if n_hidden in layer_set else None
     try:
         l_tri, d_tri = triplet_loss_grad(stack.embedding, batch.ids, margin, emb_sq_dists)
@@ -284,9 +286,7 @@ def batch_gradients(
     d_layers[n_hidden] = d_tri
     l_jmmd, d_jmmd = 0.0, []
     if layer_set:
-        l_jmmd, d_jmmd = jmmd_with_grad(
-            [stack.layers[i] for i in layer_set], batch.is_sketch, jmmd_spec, sq_dists
-        )
+        l_jmmd, d_jmmd = jmmd_with_grad(align_layers, batch.is_sketch, jmmd_spec, sq_dists)
         for idx, g in zip(layer_set, d_jmmd):
             g = jmmd_spec.alpha * g
             d_layers[idx] = g if d_layers[idx] is None else d_layers[idx] + g

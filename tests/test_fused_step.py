@@ -1,13 +1,21 @@
-"""The training step against the step it replaced.
+"""The training step against the steps it replaced.
 
-The oracle below is the earlier form of ``batch_gradients``: two separate
+The first oracle is the earlier form of ``batch_gradients``: two separate
 cross-entropy calls, each pulled back through the softmax and the cosine
 head on its own, and the alignment term evaluated on the stacked
 [sketch rows; photo rows] with its gradients scattered back into the batch.
 The fused step must agree with it on every loss term and every parameter
 gradient.
+
+The second oracle keeps the alignment term per layer: one squared-distance
+matrix and one median partition per layer, and the kernel exponent as a
+running Python sum over the layers; its backward pass recomputes the cosine
+head's row norms.  The step, which stacks the layers' distances into one
+(L, n, n) array and reuses the forward pass's norms, must equal it to the
+bit.
 """
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -15,7 +23,6 @@ import pytest
 
 import xmcl.encoder as encoder
 import xmcl.losses as losses
-import xmcl.trainer as trainer
 from xmcl.data import Split
 from xmcl.encoder import (
     EncoderConfig,
@@ -25,10 +32,12 @@ from xmcl.encoder import (
     register_task_head,
 )
 from xmcl.losses import (
+    MIN_BANDWIDTH_SQ,
     JmmdSpec,
     LossInputError,
     _sq_dists,
     cosine_logits_backward,
+    cross_entropies_grad,
     default_layer_set,
     resolve_bandwidths,
     softmax_backward,
@@ -111,6 +120,67 @@ def oracle_batch_gradients(state, batch, task_id, head_ids, spec, margin, smooth
     return l_id, l_tri, l_i2tce, l_jmmd, grads.shared, grads.d_prototypes + d_protos_i2
 
 
+def per_layer_median_sigma(d2):
+    """sigma^2 = median of one layer's upper-triangle pairs, by one partition."""
+    pairs = d2[np.triu_indices(d2.shape[0], k=1)]
+    mid = pairs.size // 2
+    if pairs.size % 2:
+        med = np.partition(pairs, mid)[mid]
+    else:
+        part = np.partition(pairs, mid - 1)
+        med = (part[mid - 1] + part[mid:].min()) / 2
+    return float(np.sqrt(max(float(med), MIN_BANDWIDTH_SQ)))
+
+
+def per_layer_jmmd(layers, is_sketch, spec, d2s):
+    """The alignment term with one distance matrix and one bandwidth per layer."""
+    n_s = int(np.count_nonzero(is_sketch))
+    n_p = is_sketch.size - n_s
+    if isinstance(spec.bandwidths, str):
+        bws = [per_layer_median_sigma(d2) for d2 in d2s]
+    else:
+        bws = [float(b) for b in spec.bandwidths]
+    exponent = sum(d2 / (2.0 * bw**2) for d2, bw in zip(d2s, bws))
+    joint = np.exp(-exponent)
+    w = np.where(is_sketch, 1.0 / n_s, -1.0 / n_p)
+    jw = joint @ w
+    grads = [
+        (-2.0 / bw**2) * w[:, None] * (z * jw[:, None] - joint @ (w[:, None] * z))
+        for z, bw in zip(layers, bws)
+    ]
+    return float(w @ jw), grads
+
+
+def per_layer_step(state, batch, task_id, head_ids, spec, margin, smoothing):
+    """(l_id, l_tri, l_i2tce, l_jmmd, shared gradient, prototype gradient), per layer."""
+    stack = forward(state, batch.features, task_id)
+    rows = np.searchsorted(head_ids, batch.ids)
+    l_id, l_i2tce, d_logits = cross_entropies_grad(stack.probs, rows, smoothing)
+    n_hidden = len(state.config.hidden_dims)
+    layer_set = ()
+    if batch.is_sketch.any() and not batch.is_sketch.all() and spec.alpha > 0:
+        layer_set = spec.layer_set or default_layer_set(n_hidden)
+    d2s = [_sq_dists(stack.layers[i], stack.layers[i]) for i in layer_set]
+    emb_d2 = d2s[layer_set.index(n_hidden)] if n_hidden in layer_set else None
+    try:
+        l_tri, d_tri = triplet_loss_grad(stack.embedding, batch.ids, margin, emb_d2)
+    except LossInputError:
+        l_tri, d_tri = 0.0, np.zeros_like(stack.embedding)
+    d_layers = [None] * len(stack.layers)
+    d_layers[n_hidden] = d_tri
+    l_jmmd = 0.0
+    if layer_set:
+        l_jmmd, d_jmmd = per_layer_jmmd(
+            [stack.layers[i] for i in layer_set], batch.is_sketch, spec, d2s
+        )
+        for idx, g in zip(layer_set, d_jmmd):
+            g = spec.alpha * g
+            d_layers[idx] = g if d_layers[idx] is None else d_layers[idx] + g
+    # a stack without the forward pass's norms: the cosine head recomputes them
+    grads = backward(state, dataclasses.replace(stack, norms=None), d_layers, d_logits)
+    return l_id, l_tri, l_i2tce, l_jmmd, grads.shared, grads.d_prototypes
+
+
 def random_case(rng):
     """A small encoder, a batch and the step's settings, covering the step's branches."""
     hidden = tuple(int(d) for d in rng.integers(2, 9, size=int(rng.integers(1, 4))))
@@ -179,6 +249,34 @@ def test_fused_step_matches_the_oracle_on_random_batches(caplog):
     assert all(count >= 5 for count in seen.values()), seen
 
 
+def test_step_equals_the_per_layer_form_to_the_bit(caplog):
+    caplog.set_level(logging.ERROR, logger="xmcl.trainer")
+    rng = np.random.default_rng(2028)
+    seen = {"odd_pairs": 0, "even_pairs": 0, "one_layer": 0, "explicit_bw": 0,
+            "embedding_outside": 0, "alpha_zero": 0, "triplet_skip": 0}
+    for _ in range(300):
+        state, batch, head_ids, spec, margin, smoothing = random_case(rng)
+        breakdown, grads = batch_gradients(state, batch, 3, head_ids, spec, margin, smoothing)
+        want = per_layer_step(state, batch, 3, head_ids, spec, margin, smoothing)
+        got = (breakdown.l_id, breakdown.l_tri, breakdown.l_i2tce, breakdown.l_jmmd,
+               grads.shared, grads.d_prototypes)
+        names = ("l_id", "l_tri", "l_i2tce", "l_jmmd", "shared", "protos")
+        for name, g, w in zip(names, got, want):
+            assert np.array_equal(g, w), (name, spec, margin, smoothing, batch)
+        n_hidden = len(state.config.hidden_dims)
+        layers = spec.layer_set or default_layer_set(n_hidden)
+        if breakdown.l_jmmd != 0.0:  # the alignment term ran
+            pairs = batch.ids.size * (batch.ids.size - 1) // 2
+            seen["odd_pairs" if pairs % 2 else "even_pairs"] += 1
+            seen["one_layer"] += len(layers) == 1
+            seen["explicit_bw"] += not isinstance(spec.bandwidths, str)
+            seen["embedding_outside"] += n_hidden not in layers
+        seen["alpha_zero"] += spec.alpha == 0
+        counts = np.unique(batch.ids, return_counts=True)[1]
+        seen["triplet_skip"] += counts.size < 2 or counts.max() < 2
+    assert all(count >= 5 for count in seen.values()), seen
+
+
 def test_one_cosine_pull_back_and_three_distance_matrices_per_step(monkeypatch):
     calls = {"cosine": 0, "sq_dists": 0}
 
@@ -192,7 +290,6 @@ def test_one_cosine_pull_back_and_three_distance_matrices_per_step(monkeypatch):
     real_backward = encoder.cosine_logits_backward
     monkeypatch.setattr(encoder, "cosine_logits_backward", counted("cosine", real_backward))
     monkeypatch.setattr(losses, "_sq_dists", counted("sq_dists", losses._sq_dists))
-    monkeypatch.setattr(trainer, "_sq_dists", counted("sq_dists", trainer._sq_dists))
     state = init_encoder(EncoderConfig(input_dim=6, hidden_dims=(7, 6), embedding_dim=5))
     register_task_head(state, 0, 4, seed=1)
     batch = Split(

@@ -225,6 +225,12 @@ class TestSqDists:
         got = _sq_dists(x, y)
         assert got.dtype == np.float64 and got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # written into a given buffer, here one layer of a stack, with the same bits
+        stack = np.full((2, *want.shape), np.nan)
+        layer = stack[1]
+        assert _sq_dists(x, y, out=layer) is layer
+        assert np.array_equal(layer.view(np.int64), want.view(np.int64))
+        assert np.isnan(stack[0]).all()
 
 
 MEDIAN_CASES = ["continuous", "tiny", "large", "mixed", "grid", "duplicate_rows", "all_zero"]
@@ -460,6 +466,38 @@ class TestJmmdGrad:
         scaled = jmmd_with_grad(layers, is_sketch, fixed, [4.0 * d2 for d2 in d2s])[0]
         assert scaled == jmmd_with_grad([2.0 * z for z in layers], is_sketch, fixed)[0]
 
+    def test_given_stacked_distances_give_the_same_bits(self):
+        rng = np.random.default_rng(26)
+        layers = [rng.normal(size=(7, 3)), rng.normal(size=(7, 5)), rng.normal(size=(7, 2))]
+        is_sketch = np.arange(7) % 3 == 0
+        d2s = [_sq_dists(z, z) for z in layers]
+        for spec in (JmmdSpec(), JmmdSpec(bandwidths=[0.5, 1.0, 2.0])):
+            value, grads = jmmd_with_grad(layers, is_sketch, spec)
+            for given in (d2s, np.stack(d2s)):
+                given_value, given_grads = jmmd_with_grad(layers, is_sketch, spec, given)
+                assert given_value == value
+                assert all(np.array_equal(a, b) for a, b in zip(given_grads, grads))
+
+    @pytest.mark.parametrize(
+        "given",
+        [
+            pytest.param([np.ones((6, 6))] * 2, id="two-matrices-for-three-layers"),
+            pytest.param([np.ones((6, 6))] * 4, id="four-matrices-for-three-layers"),
+            pytest.param([np.ones((6, 6)), np.ones((5, 5)), np.ones((6, 6))], id="one-too-small"),
+            pytest.param([np.ones((6, 6)), np.ones((6, 6)), np.ones((6, 7))], id="one-not-square"),
+            pytest.param(np.ones((2, 6, 6)), id="stack-of-two"),
+            pytest.param(np.ones((3, 5, 5)), id="stack-too-small"),
+            pytest.param(np.ones((3, 6, 7)), id="stack-not-square"),
+            pytest.param(np.ones((6, 6)), id="one-unstacked-matrix"),
+        ],
+    )
+    def test_distance_count_or_shape_mismatch_rejected(self, given):
+        # before the check, two matrices for three layers silently dropped the third layer
+        rng = np.random.default_rng(27)
+        layers = [rng.normal(size=(6, d)) for d in (3, 4, 2)]
+        with pytest.raises(LossInputError, match="squared-distance matrix"):
+            jmmd_with_grad(layers, np.arange(6) < 3, JmmdSpec(), given)
+
     @pytest.mark.parametrize("is_sketch", [[True] * 4, [False] * 4, [True, False, True]])
     def test_batch_without_both_modalities_or_rows_rejected(self, is_sketch):
         with pytest.raises(LossInputError):
@@ -550,6 +588,12 @@ class TestTripletLoss:
         shared_loss, shared_grad = triplet_loss_grad(emb, labels, 0.3, _sq_dists(emb, emb))
         assert shared_loss == loss
         assert np.array_equal(shared_grad, grad)
+
+    @pytest.mark.parametrize("shape", [(11, 11), (12, 11), (12,), (1, 12, 12)])
+    def test_given_distances_of_the_wrong_shape_rejected(self, shape):
+        emb = np.random.default_rng(25).normal(size=(12, 4))
+        with pytest.raises(LossInputError, match="sq_dists must be"):
+            triplet_loss_grad(emb, np.arange(12) % 4, 0.3, np.ones(shape))
 
     def test_no_active_hinge_gives_zero_gradient(self):
         emb = np.array([[0.0, 0.0], [0.0, 0.1], [5.0, 0.0], [5.0, 0.1]])
