@@ -32,7 +32,7 @@ from .data import SynthSpec, TaskFileError, generate_synthetic_task, json_number
 from .losses import JmmdSpec
 from .trainer import ExperimentConfig, Schedule, report_to_csv, run_sequence
 
-ARMS = ("full", "no_mpm", "alpha_zero", "no_aux")
+ARMS = ("full", "no_mpm", "alpha_zero")
 
 # config-file sections that are one dataclass each
 _SECTIONS = {"schedule": Schedule, "cp": CpConfig, "jmmd": JmmdSpec}
@@ -91,7 +91,10 @@ def _typed(value, hint, what: str):
     elif isinstance(value, (int, float) if hint is float else hint) and (
         hint is bool or not isinstance(value, bool)
     ):
-        return float(value) if hint is float else value
+        try:
+            return float(value) if hint is float else value
+        except OverflowError:
+            raise ConfigError(f"{what} is an integer too large for a float") from None
     raise ConfigError(f"{what} must be {getattr(hint, '__name__', hint)}, got {value!r}")
 
 
@@ -157,12 +160,6 @@ def arm_config(base: ExperimentConfig, arm: str) -> ExperimentConfig:
         return dataclasses.replace(base, mpm=False)
     if arm == "alpha_zero":
         return dataclasses.replace(base, jmmd=dataclasses.replace(base.jmmd, alpha=0.0))
-    if arm == "no_aux":
-        tasks = [
-            dataclasses.replace(t, num_aux_ids=0) if isinstance(t, SynthSpec) else t
-            for t in base.tasks
-        ]
-        return dataclasses.replace(base, tasks=tasks)
     raise ConfigError(f"unknown arm {arm!r}")
 
 

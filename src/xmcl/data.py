@@ -128,7 +128,6 @@ class SynthSpec:
     num_test_ids: int = 20
     sketches_per_id: int = 4
     photos_per_id: int = 4
-    num_aux_ids: int = 0
     modality_gap: float = 0.6
     task_shift: float = 0.0
     noise_sigma: float = 0.1
@@ -146,8 +145,6 @@ class SynthSpec:
         for name, v in counts.items():
             if int(v) != v or v < 1:
                 raise SynthSpecError(f"{name} must be a positive integer, got {v}")
-        if self.num_aux_ids < 0:
-            raise SynthSpecError(f"num_aux_ids must be >= 0, got {self.num_aux_ids}")
         if not 0 <= self.noise_sigma < math.inf:
             raise SynthSpecError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         for name in ("modality_gap", "task_shift"):
@@ -157,7 +154,7 @@ class SynthSpec:
             raise SynthSpecError(f"task_id must be >= 0, got {self.task_id}")
         if self.seed < 0:
             raise SynthSpecError(f"seed must be >= 0, got {self.seed}")
-        total = self.num_train_ids + self.num_test_ids + self.num_aux_ids
+        total = self.num_train_ids + self.num_test_ids
         if total > ID_STRIDE:
             raise SynthSpecError(f"too many identities for one task: {total}")
 
@@ -198,14 +195,14 @@ def generate_synthetic_task(spec: SynthSpec) -> TaskDataset:
     The latents come first, then all noise in one draw: per identity, in
     identity order, its sketches' noise, then its photos'.  The noise is
     scaled and each identity's two centres, a @ z + b, are added in place.
-    A train or auxiliary identity's rows go to train (sketches first), a
-    test identity's sketches to query and its photos to gallery; each split
-    holds its own copy of its rows.
+    The first num_train_ids identities' rows go to train (sketches first),
+    a test identity's sketches to query and its photos to gallery; each
+    split holds its own copy of its rows.
     """
     (a_p, b_p), (a_s, b_s) = _modality_transforms(spec)
     rng = np.random.default_rng(spec.seed)
-    n_train, n_test, n_aux = spec.num_train_ids, spec.num_test_ids, spec.num_aux_ids
-    n_total = n_train + n_test + n_aux
+    n_train, n_test = spec.num_train_ids, spec.num_test_ids
+    n_total = n_train + n_test
     n_sk, n_ph, dim = spec.sketches_per_id, spec.photos_per_id, spec.feature_dim
     latents = rng.normal(size=(n_total, spec.latent_dim))
     # (identity, row, dim): the same stream as one (rows, dim) draw per identity and modality
@@ -220,20 +217,18 @@ def generate_synthetic_task(spec: SynthSpec) -> TaskDataset:
         # rows is (identities, rows per identity, dim), copied so the split owns
         # its features; sketch flags one identity's rows
         return Split(
-            np.ascontiguousarray(rows).reshape(-1, dim),
+            rows.copy().reshape(-1, dim),
             np.repeat(ids, len(sketch)),
             np.tile(sketch, ids.size),
         )
 
-    fit = np.r_[0:n_train, n_train + n_test : n_total]
-    test = np.arange(n_train, n_train + n_test)
-    base = spec.task_id * ID_STRIDE
+    ids = spec.task_id * ID_STRIDE + np.arange(n_total)
     sketch = np.arange(n_sk + n_ph) < n_sk
     return TaskDataset(
         spec.task_id,
-        train=split(feats[fit], base + fit, sketch),
-        query=split(feats[n_train : n_train + n_test, :n_sk], base + test, sketch[:n_sk]),
-        gallery=split(feats[n_train : n_train + n_test, n_sk:], base + test, sketch[n_sk:]),
+        train=split(feats[:n_train], ids[:n_train], sketch),
+        query=split(feats[n_train:, :n_sk], ids[n_train:], sketch[:n_sk]),
+        gallery=split(feats[n_train:, n_sk:], ids[n_train:], sketch[n_sk:]),
     ).validate()
 
 
@@ -245,13 +240,17 @@ def json_numbers(values) -> np.ndarray:
     """A parsed JSON array as float64, refusing strings and booleans in it.
 
     np.asarray would read "1.5" as 1.5 and true as 1.0; JSON keeps numbers,
-    strings and booleans apart, and so does a task or score file.
+    strings and booleans apart, and so does a task or score file.  An integer
+    beyond the float64 range is a ValueError too, not numpy's OverflowError.
     """
     if isinstance(values, list):
         for v in values:
             if isinstance(v, (str, bool)):
                 raise ValueError(f"could not convert {json.dumps(v)} to float: not a JSON number")
-    return np.asarray(values, dtype=np.float64)
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError as e:
+        raise ValueError(f"could not convert to float: {e}") from e
 
 
 def save_task(dataset: TaskDataset, path: str | Path) -> None:

@@ -170,10 +170,16 @@ def resolve_bandwidths(
 
     Takes each layer's squared-distance matrix over the whole sketch+photo
     batch, as a sequence or stacked (L, n, n), so the heuristic reuses the
-    distances the kernel is built from.
+    distances the kernel is built from.  The median needs at least one pair,
+    so each layer needs at least 2 rows.
     """
     if isinstance(spec.bandwidths, str):
-        return _median_sigmas(np.asarray(sq_dists)).tolist()
+        d2 = np.asarray(sq_dists)
+        if d2.shape[-1] < 2:
+            raise LossInputError(
+                f"the median bandwidth needs at least 2 rows per layer, got {d2.shape[-1]}"
+            )
+        return _median_sigmas(d2).tolist()
     if len(spec.bandwidths) != len(sq_dists):
         raise LossInputError(
             f"got {len(spec.bandwidths)} bandwidths for {len(sq_dists)} layers"

@@ -67,7 +67,7 @@ _TAG_ENCODER, _TAG_HEAD, _TAG_DATA, _TAG_BATCHES = 1, 2, 3, 4
 
 @dataclass(frozen=True)
 class Schedule:
-    """Per-task epoch budget, warmup/decay learning-rate shape, Adam moments."""
+    """Per-task epoch budget and warmup/decay learning-rate shape."""
 
     epochs_first_task: int = 60
     epochs_later_tasks: int = 30
@@ -76,9 +76,6 @@ class Schedule:
     warmup_start_lr: float = 5e-7
     decay_epochs: tuple[int, ...] = (30, 50)
     decay_factor: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.warmup_epochs < 0 or self.epochs_first_task < 0 or self.epochs_later_tasks < 0:
@@ -89,10 +86,6 @@ class Schedule:
             raise ValueError(f"decay factor must be in (0, 1), got {self.decay_factor}")
         if not all(0 < lr < math.inf for lr in (self.base_lr, self.warmup_start_lr)):
             raise ValueError("learning rates must be positive and finite")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError(f"Adam betas must be in [0, 1), got {self.beta1}, {self.beta2}")
-        if not 0 < self.eps < math.inf:
-            raise ValueError(f"Adam eps must be positive and finite, got {self.eps}")
 
 
 def lr_at(epoch: int, schedule: Schedule) -> float:
@@ -110,14 +103,16 @@ def lr_at(epoch: int, schedule: Schedule) -> float:
 class Adam:
     """Moment estimates and step counts per key.
 
-    The trainer keys all shared weights and biases, flattened into one
-    vector, as "shared" (they always step together) and each task head as
-    ("p", task_id).  Every operation is elementwise, so one call over the
-    flat vector equals one call per parameter to the bit.
+    b1, b2 and eps are the values the Adam paper recommends (Kingma & Ba,
+    ICLR 2015).  The trainer keys all shared weights and biases, flattened
+    into one vector, as "shared" (they always step together) and each task
+    head as ("p", task_id).  Every operation is elementwise, so one call
+    over the flat vector equals one call per parameter to the bit.
     """
 
-    def __init__(self, schedule: Schedule):
-        self.b1, self.b2, self.eps = schedule.beta1, schedule.beta2, schedule.eps
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self):
         self.m: dict = {}
         self.v: dict = {}
         self.t: dict = {}
@@ -421,7 +416,7 @@ def run_sequence(config: ExperimentConfig, master_seed: int) -> tuple[dict, Expe
     )
     exp = ExperimentState(
         encoder=init_encoder(enc_config),
-        adam=Adam(config.schedule),
+        adam=Adam(),
         banks=ReplayBanks(),
         head_ids={},
     )

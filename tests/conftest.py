@@ -4,7 +4,7 @@
 from a fixed seed.  ``ci`` explores more, with fresh random draws each run:
 
     PYTHONPATH=src python -m pytest tests/test_fuzz_run_sequence.py tests/test_fuzz_ranking.py \
-        tests/test_fuzz_conformal.py --hypothesis-profile ci
+        tests/test_fuzz_conformal.py tests/test_fuzz_config.py --hypothesis-profile ci
 """
 
 try:

@@ -88,8 +88,8 @@ class Row(NamedTuple):
 def generate_oracle(spec: SynthSpec) -> dict[str, list[Row]]:
     (a_p, b_p), (a_s, b_s) = _modality_transforms(spec)
     rng = np.random.default_rng(spec.seed)
-    n_train, n_test, n_aux = spec.num_train_ids, spec.num_test_ids, spec.num_aux_ids
-    n_total = n_train + n_test + n_aux
+    n_train, n_test = spec.num_train_ids, spec.num_test_ids
+    n_total = n_train + n_test
     latents = rng.normal(size=(n_total, spec.latent_dim))
     splits: dict[str, list[Row]] = {"train": [], "query": [], "gallery": []}
     for k in range(n_total):
@@ -189,7 +189,7 @@ SPECS = [
     SynthSpec(task_id=2, latent_dim=16, feature_dim=64, num_train_ids=50, num_test_ids=20,
               modality_gap=1.45, task_shift=1.57, noise_sigma=0.2, seed=123456789),
     SynthSpec(task_id=1, latent_dim=3, feature_dim=5, num_train_ids=4, num_test_ids=3,
-              num_aux_ids=5, sketches_per_id=1, photos_per_id=4, seed=3),
+              sketches_per_id=1, photos_per_id=4, seed=3),
     SynthSpec(task_id=0, latent_dim=4, feature_dim=8, num_train_ids=4, num_test_ids=2,
               modality_gap=0.0, noise_sigma=0.0, seed=3),
 ]
@@ -204,6 +204,9 @@ def test_synthetic_features_equal_per_sample_generation(spec):
         assert split.ids.tolist() == [s.identity for s in expected]
         assert split.is_sketch.tolist() == [s.modality == "sketch" for s in expected]
         assert np.array_equal(split.features, np.array([s.features for s in expected]))
+        # a split keeps only its own rows alive, not the task's whole noise block
+        owner = split.features if split.features.base is None else split.features.base
+        assert owner.nbytes == split.features.nbytes
 
 
 @pytest.mark.parametrize("spec", SPECS)

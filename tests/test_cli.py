@@ -93,6 +93,12 @@ BAD_CONFIGS = [
     ({"seed": True}, "seed"),
     ({"jmmd": {"layer_set": [99]}}, "layer_set"),
     ({"jmmd": {"bandwidths": [1.0, 2.0]}}, "jmmd.bandwidths"),
+    ({"jmmd": {"alpha": 10**400}}, "alpha"),
+    # keys that no longer exist: Adam's constants and auxiliary identities
+    ({"schedule": {"beta1": 0.9}}, "beta1"),
+    ({"schedule": {"beta2": 0.999}}, "beta2"),
+    ({"schedule": {"eps": 1e-8}}, "eps"),
+    ({"tasks": [{"num_aux_ids": 4}]}, "num_aux_ids"),
 ]
 
 # (section, key, value) that xmcl run must reject before any task is built, and
@@ -106,11 +112,12 @@ OUT_OF_RANGE_CONFIGS = [
     ("cp", "lam", float("inf"), "lam"),
     ("schedule", "base_lr", float("inf"), "learning rates"),
     ("schedule", "warmup_start_lr", float("nan"), "learning rates"),
-    ("schedule", "beta1", 1.0, "betas"),
-    ("schedule", "beta2", float("nan"), "betas"),
-    ("schedule", "beta1", -0.1, "betas"),
-    ("schedule", "eps", 0.0, "eps"),
-    ("schedule", "eps", float("inf"), "eps"),
+    # Adam's constants are no longer keys: any value is rejected as unknown
+    ("schedule", "beta1", 1.0, "unknown key 'beta1'"),
+    ("schedule", "beta2", float("nan"), "unknown key 'beta2'"),
+    ("schedule", "beta1", -0.1, "unknown key 'beta1'"),
+    ("schedule", "eps", 0.0, "unknown key 'eps'"),
+    ("schedule", "eps", float("inf"), "unknown key 'eps'"),
     ("encoder", "temperature", float("nan"), "temperature"),
     ("tasks", "modality_gap", float("nan"), "modality_gap"),
     ("tasks", "task_shift", float("inf"), "task_shift"),
@@ -192,6 +199,14 @@ class TestGenData:
         main(["gen-data", "--spec", str(spec), "--out", str(a)])
         main(["gen-data", "--spec", str(spec), "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_removed_aux_key_exit_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SPEC_PAYLOAD, "num_aux_ids": 2}))
+        code = main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "x.jsonl")])
+        assert code == 2
+        assert "unknown key 'num_aux_ids'" in capsys.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
 
     def test_zero_identities_exit_2(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -285,9 +300,18 @@ class TestRun:
         assert next(iter(train)) in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
-    def test_unknown_arm_exit_2(self, tmp_path):
-        config = write_config(tmp_path / "config.json", arms=["bogus"])
-        assert main(["run", "--config", str(config), "--out", str(tmp_path / "runs")]) == 2
+    def test_unknown_arm_exit_2(self, tmp_path, capsys):
+        out = str(tmp_path / "runs")
+        for arm in ("bogus", "no_aux"):
+            config = write_config(tmp_path / "config.json", arms=[arm])
+            assert main(["run", "--config", str(config), "--out", out]) == 2
+            assert f"unknown arm {arm!r}" in capsys.readouterr().err
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "--config", str(config), "--out", out, "--arm", arm])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "invalid choice" in err and arm in err
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("overrides, key", BAD_CONFIGS, ids=[k for _, k in BAD_CONFIGS])
     def test_bad_config_exit_2(self, tmp_path, capsys, overrides, key):
@@ -438,8 +462,8 @@ class TestScore:
     @pytest.mark.parametrize(
         "row, message",
         [('{"p": [0.5, 0.5]}', 'no "pi" field'), ('["a", "b"]', "could not convert"),
-         ('{"pi": {"a": 1}}', "float")],
-        ids=["missing_pi", "non_numeric", "object_pi"],
+         ('{"pi": {"a": 1}}', "float"), (f"[{10**400}, 0]", "too large")],
+        ids=["missing_pi", "non_numeric", "object_pi", "int_beyond_float"],
     )
     def test_malformed_row_exit_2_names_line(self, tmp_path, capsys, row, message):
         inp = tmp_path / "pi.jsonl"

@@ -96,20 +96,6 @@ class TestGeneration:
         )
         assert not np.allclose(base.train.features[0], shifted.train.features[0])
 
-    def test_aux_identities_stay_out_of_eval(self):
-        spec = SynthSpec(
-            task_id=0,
-            latent_dim=4,
-            feature_dim=8,
-            num_train_ids=5,
-            num_test_ids=3,
-            num_aux_ids=4,
-            seed=2,
-        )
-        ds = generate_synthetic_task(spec)
-        assert len(ds.train_identities) == 9
-        assert len(ds.test_identities) == 3
-
     def test_invalid_spec_rejected(self):
         with pytest.raises(SynthSpecError):
             SynthSpec(num_train_ids=0)
@@ -162,6 +148,14 @@ class TestTaskFiles:
         good = '{"task":0,"id":1,"modality":"sketch","split":"train","features":[1.0]}'
         path.write_text(good + "\nnot json at all\n")
         with pytest.raises(TaskFileError) as err:
+            load_task(path)
+        assert err.value.line == 2
+
+    def test_integer_too_large_for_a_float_names_line(self, tmp_path):
+        row = '{{"task":0,"id":1,"modality":"sketch","split":"train","features":{}}}'
+        path = tmp_path / "bad.jsonl"
+        path.write_text(row.format("[1.0]") + "\n" + row.format(f"[{10**400}]") + "\n")
+        with pytest.raises(TaskFileError, match="line 2: .*too large") as err:
             load_task(path)
         assert err.value.line == 2
 

@@ -4,6 +4,7 @@ Each draw is an (N, C) matrix of probability rows, continuous or on a
 coarse integer grid (many tied probabilities), with zero entries and C = 1
 among the draws, under a random lam, k_reg and tau.  Some draws set tau to
 one of the oracle's scores, so a score equal to tau decides membership.
+A second property pins the set sizes of the default CpConfig.
 Hypothesis profiles are registered in conftest.py.
 """
 
@@ -56,3 +57,26 @@ def test_uncertainties_equal_prediction_sets_and_oracle(case):
     assert np.array_equal(got, [ps.unc for ps in sets])
     assert np.array_equal(got, [o[4] for o in oracle])
     assert [ps.members.tolist() for ps in sets] == [o[0] for o in oracle]
+
+
+@st.composite
+def simplex_vectors(draw):
+    """One probability vector over 1 to 300 classes, zero entries allowed."""
+    c = draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        raw = draw(hnp.arrays(np.float64, c, elements=st.floats(0.0, 1e6)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        raw = rng.dirichlet(np.full(c, draw(st.floats(1e-3, 10.0))))
+    if raw.sum() == 0:
+        raw[draw(st.integers(0, c - 1))] = 1.0
+    return raw / raw.sum()
+
+
+@given(simplex_vectors())
+def test_default_config_sets_hold_23_to_26_classes(pi):
+    # lam 0.3, k_reg 10, tau 5: the score at rank 23 is at most 1 + 0.3 * 13 =
+    # 4.9, so it is always in the set; at rank 27 it is at least 0.3 * 17 =
+    # 5.1, so it never is.  tau never binds on the probability mass alone.
+    assert CpConfig() == CpConfig(lam=0.3, k_reg=10, tau=5.0)
+    assert min(pi.size, 23) <= prediction_set(pi).size <= 26

@@ -279,6 +279,22 @@ class TestMedianBandwidth:
                 expected = float(np.sqrt(max(float(np.median(pairs)), 1e-12)))
                 assert median_sigma(feats) == expected
 
+    def test_even_count_takes_the_smallest_value_above_the_partition_point(self):
+        # 32 rows give 496 pairs; on this draw np.partition leaves a value
+        # larger than the upper middle one at index 248, which the random
+        # draws above rarely do
+        feats = np.random.default_rng(153).normal(size=(32, 3))
+        pairs = _sq_dists(feats, feats)[np.triu_indices(32, k=1)]
+        mid = pairs.size // 2
+        part = np.partition(pairs, mid - 1)
+        assert part[mid] > part[mid:].min()
+        assert median_sigma(feats) == float(np.sqrt(np.median(pairs)))
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_fewer_than_two_rows_rejected(self, rows):
+        with pytest.raises(LossInputError, match=f"at least 2 rows per layer, got {rows}"):
+            resolve_bandwidths([np.zeros((rows, rows))], JmmdSpec())
+
 
 class TestJmmd:
     def test_identical_distributions_zero(self):

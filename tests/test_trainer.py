@@ -139,13 +139,13 @@ class TestExperimentConfig:
 
 class TestAdam:
     def test_first_step_direction(self):
-        adam = Adam(Schedule())
+        adam = Adam()
         g = np.array([1.0, -2.0, 0.0])
         d = adam.delta(("w", 0), g, lr=0.1)
         assert d[0] < 0 and d[1] > 0 and d[2] == 0
 
     def test_counts_are_per_key(self):
-        adam = Adam(Schedule())
+        adam = Adam()
         adam.delta(("w", 0), np.ones(2), 0.1)
         adam.delta(("w", 0), np.ones(2), 0.1)
         adam.delta(("p", 1), np.ones(2), 0.1)
@@ -157,7 +157,7 @@ class TestAdam:
         # ops make that equal to the per-parameter formula to the bit
         rng = np.random.default_rng(3)
         shapes = [(5, 4), (4,), (4, 3), (3,)]
-        adam = Adam(Schedule())
+        adam = Adam()
         m = [np.zeros(s) for s in shapes]
         v = [np.zeros(s) for s in shapes]
         b1, b2, eps = 0.9, 0.999, 1e-8
@@ -616,7 +616,7 @@ class TestArrayDataclassEquality:
         return {
             "EncoderState": encoder,
             "ExperimentState": ExperimentState(
-                encoder=encoder, adam=Adam(MINI_SCHED), banks=ReplayBanks(), head_ids={}
+                encoder=encoder, adam=Adam(), banks=ReplayBanks(), head_ids={}
             ),
             "ReplayBanks": ReplayBanks(),
             "Split": task.train,
