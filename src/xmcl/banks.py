@@ -10,10 +10,12 @@ outright.
 
 The banks are arrays: the stored rows are one ``Split`` sorted by identity,
 an identity's sketch before its photo, with each row's task and uncertainty
-in parallel arrays.  ``admit`` appends the candidates to the stored rows and
-keeps the first row of each (identity, modality) after one stable sort by
-(identity, modality, uncertainty).  Stored rows come first, so on an exact
-tie the incumbent stays, and among tied candidates the first offered wins.
+in parallel arrays.  ``admit`` appends the candidates' identities,
+modalities and uncertainties to the stored rows' and keeps the first row of
+each (identity, modality) after one stable sort by (identity, modality,
+uncertainty).  Stored rows come first, so on an exact tie the incumbent
+stays, and among tied candidates the first offered wins.  Only the kept
+rows' features are then gathered, into one new array that the banks own.
 
 Banks store raw feature vectors, not activations: activations would go
 stale as the encoder keeps training.
@@ -79,21 +81,26 @@ def score_task(
 
 def admit(banks: ReplayBanks, rows: Split, uncs: np.ndarray, task_id: int) -> ReplayBanks:
     """Offer candidate rows of one task; each slot keeps its lowest uncertainty."""
-    offered = uncs > 0.0
-    stored, rows = banks.rows, rows[offered]
-    pool = Split(
-        np.concatenate([stored.features.reshape(-1, rows.features.shape[1]), rows.features]),
-        np.concatenate([stored.ids, rows.ids]),
-        np.concatenate([stored.is_sketch, rows.is_sketch]),
-    )
-    tasks = np.concatenate([banks.tasks, np.full(len(rows), task_id)])
+    stored = banks.rows
+    offered = np.flatnonzero(uncs > 0.0)
+    # pool index i < len(stored) is stored row i, else offered row i - len(stored)
+    ids = np.concatenate([stored.ids, rows.ids[offered]])
+    sketch = np.concatenate([stored.is_sketch, rows.is_sketch[offered]])
+    tasks = np.concatenate([banks.tasks, np.full(offered.size, task_id)])
     uncs = np.concatenate([banks.uncs, uncs[offered]])
-    order = np.lexsort((uncs, ~pool.is_sketch, pool.ids))
-    ids, sketch = pool.ids[order], pool.is_sketch[order]
+    order = np.lexsort((uncs, ~sketch, ids))
+    ids, sketch = ids[order], sketch[order]
     first = np.ones(order.size, dtype=bool)
     first[1:] = (ids[1:] != ids[:-1]) | (sketch[1:] != sketch[:-1])
     keep = order[first]
-    banks.rows, banks.tasks, banks.uncs = pool[keep], tasks[keep], uncs[keep]
+    from_store = keep < len(stored)
+    dim = rows.features.shape[1]
+    features = np.empty((keep.size, dim))
+    # empty banks hold (0, 0) features
+    features[from_store] = stored.features.reshape(-1, dim)[keep[from_store]]
+    features[~from_store] = rows.features[offered[keep[~from_store] - len(stored)]]
+    banks.rows = Split(features, ids[first], sketch[first])
+    banks.tasks, banks.uncs = tasks[keep], uncs[keep]
     return banks
 
 

@@ -25,6 +25,8 @@ from pathlib import Path
 import numpy as np
 
 ID_STRIDE = 1_000_000
+# identity labels and task ids are held as int64
+_INT64 = np.iinfo(np.int64)
 MODALITIES = ("sketch", "photo")
 SPLITS = ("train", "query", "gallery")
 _BASE_GEOMETRY_SEED = 24017
@@ -157,6 +159,8 @@ class SynthSpec:
         total = self.num_train_ids + self.num_test_ids
         if total > ID_STRIDE:
             raise SynthSpecError(f"too many identities for one task: {total}")
+        if self.task_id * ID_STRIDE + total > _INT64.max:
+            raise SynthSpecError(f"task_id {self.task_id} puts identity labels past int64")
 
 
 def _modality_transforms(spec: SynthSpec):
@@ -292,6 +296,8 @@ def load_task(path: str | Path) -> TaskDataset:
         for key, value in (("task", task), ("id", identity)):
             if type(value) is not int:  # bool is an int subclass, and int() would truncate
                 raise TaskFileError(lineno, f"{key} must be an integer, got {value!r}")
+            if not _INT64.min <= value <= _INT64.max:
+                raise TaskFileError(lineno, f"{key} {value} does not fit a 64-bit integer")
         if modality not in MODALITIES:
             raise TaskFileError(lineno, f"unknown modality {modality!r}")
         if split not in SPLITS:

@@ -54,20 +54,37 @@ class LossInputError(ValueError):
 # kernels and bandwidths
 
 
-def _sq_dists(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Pairwise squared Euclidean distances, clipped at zero.
+def _sq_dists(
+    x: np.ndarray,
+    y: np.ndarray,
+    out: np.ndarray | None = None,
+    *,
+    sq_norms: tuple[np.ndarray, np.ndarray] | None = None,
+    product: np.ndarray | None = None,
+    clip: bool = True,
+) -> np.ndarray:
+    """Pairwise squared Euclidean distances, clipped at zero unless clip is False.
 
     The bits of max(xx + yy - 2 (x @ y.T), 0), built in the xx + yy buffer
     (out, when given) with the doubled product as the one other (n, m)
-    array; the norms are taken once when y is x.
+    array.  When y is x the norms are taken once and the product is
+    x @ x.T, which numpy computes as a symmetric product; otherwise it is
+    (-2 x) @ y.T, written into product when given, which has the bits of
+    -2 (x @ y.T).  A caller that ranks many row blocks of x against one y
+    passes the norms (xx, yy) as sq_norms.
     """
-    xx = (x * x).sum(axis=1)
-    yy = xx if y is x else (y * y).sum(axis=1)
+    if sq_norms is None:
+        xx = (x * x).sum(axis=1)
+        sq_norms = xx, xx if y is x else (y * y).sum(axis=1)
+    xx, yy = sq_norms
     d2 = np.add(xx[:, None], yy[None, :], out=out)
-    xy = x @ y.T
-    xy *= 2.0
-    d2 -= xy
-    return np.maximum(d2, 0.0, out=d2)
+    if y is x:
+        xy = x @ x.T
+        xy *= 2.0
+        d2 -= xy
+    else:
+        d2 += np.matmul(-2.0 * x, y.T, out=product)
+    return np.maximum(d2, 0.0, out=d2) if clip else d2
 
 
 def _layer_sq_dists(layers: Sequence[np.ndarray]) -> np.ndarray:

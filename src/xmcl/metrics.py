@@ -4,22 +4,27 @@ Queries default to the sketch split and the gallery to the photo split;
 ranking is by ascending Euclidean distance with ties broken by gallery
 index.  Metrics are reported as percentages.
 
-Only the relevant items' ranks are needed.  Each query's distance row is
-sorted once, and every relevant item's rank comes from one binary search,
-run for all (query, relevant item) pairs at once, for its distance in that
-sorted row; the few pairs whose distance is shared add the index tie-break
-from the unsorted row.  AP is summed from those ranks as one integer
-fraction and rounded once, so it equals the exact rational value to the
-last bit: for every query at once in int64 (np.lcm.reduceat over its
-ranks) while T * prod(ranks) stays below 2^52, and in Python integers for
-the rare query past that bound.
+Only the relevant items' ranks are needed.  Each query's row of keys
+(squared distances, or cosine distances) is sorted once, and every relevant
+item's rank comes from one binary search, run for all (query, relevant
+item) pairs at once, for its distance in that sorted row; the few pairs
+whose distance is shared add the index tie-break from the unsorted row.
+The clip at zero and the square root are monotone, so they are applied only
+where a rank reads a value: the pairs' own keys, the probes of the search
+and the tie rows.  AP is summed from those ranks as one integer fraction
+and rounded once, so it equals the exact rational value to the last bit:
+for every query at once in int64 (np.lcm.reduceat over its ranks) while
+T * prod(ranks) stays below 2^52, and in Python integers for the rare query
+past that bound.
 
 The queries are ranked in blocks of _BLOCK_ELEMENTS // G rows (at least
-one), G the gallery size, so no Q x G matrix is ever built: a block's
-distances, their sorted copy and its tie rows each hold at most
-_BLOCK_ELEMENTS float64 values, 1 MiB, which stays within a 2 MiB per-core
-L2 cache.  A query's ranks depend on its own row only, so blocking changes
-no result.
+one), G the gallery size, so no Q x G matrix is ever built.  Each call
+allocates two block-sized float64 buffers, 512 KiB each, which fit a 2 MiB
+per-core L2 cache together, and ranks every block in them: one holds the
+block's keys, the other first the query-gallery product, then the sorted
+keys and the tie rows.  The squared norms and the gallery's identity order
+are computed once per call.  A query's ranks depend on its own row only, so
+blocking changes no result.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .losses import _sq_dists
 logger = logging.getLogger(__name__)
 
 CMC_KS = (1, 5, 10)
-_BLOCK_ELEMENTS = 2**17
+_BLOCK_ELEMENTS = 2**16
 # T * prod(p) below 2^52 leaves a bit of margin under the 2^53 of exact doubles
 # for the float sum of log2 that tests it
 _EXACT_BITS = 52
@@ -104,50 +109,120 @@ def _average_precisions(positions: np.ndarray, starts: np.ndarray) -> np.ndarray
     return aps
 
 
+def _to_distances(keys: np.ndarray, root: bool) -> np.ndarray:
+    """keys as distances, in place: sqrt(max(key, 0)) of squared Euclidean keys."""
+    if root:
+        np.maximum(keys, 0.0, out=keys)
+        np.sqrt(keys, out=keys)
+    return keys
+
+
 def _relevant_positions(
-    distances: np.ndarray, query_ids: np.ndarray, gallery_ids: np.ndarray
+    keys: np.ndarray,
+    spare: np.ndarray,
+    query_ids: np.ndarray,
+    by_id: np.ndarray,
+    sorted_ids: np.ndarray,
+    root: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(query, 1-based rank) of every relevant gallery item, by query then rank.
+
+    keys holds a block of queries' rows against the whole gallery: the
+    distances, or with root their unclipped squares, whose distance is
+    sqrt(max(key, 0)).  by_id orders the gallery by identity and sorted_ids
+    is gallery_ids[by_id].  spare, a buffer with at least keys' rows, is
+    overwritten; keys is left as it is.
 
     The rank of relevant item g for query q is 1 + #(d < d_qg) +
     #(d == d_qg and gallery index < g): the position in ascending-distance
     order with ties broken by gallery index.  The relevant pairs come from
-    the id-sorted gallery; #(d < d_qg) is a binary search, run for all pairs
-    at once, in q's sorted row.  The tie term reads the unsorted row only
-    for pairs whose distance is shared, in chunks no larger than the
-    distance matrix.
+    the id-sorted gallery.  The distance is a non-decreasing function of
+    the key, so a row's sorted keys give its sorted distances, and
+    #(d < d_qg) is a binary search, run for all pairs at once, of q's
+    sorted keys that takes the distance of each key it reads.  The tie
+    term reads the unsorted row only for pairs whose distance is shared.
+    Raises ValueError on a NaN or +inf key.
     """
-    n_q, n_g = distances.shape
-    by_id = np.argsort(gallery_ids)
-    sorted_ids = gallery_ids[by_id]
+    n_q, n_g = keys.shape
     first = np.searchsorted(sorted_ids, query_ids, side="left")
     counts = np.searchsorted(sorted_ids, query_ids, side="right") - first
     q_idx = np.repeat(np.arange(n_q), counts)
     # pair i of query q is the (i - its first pair)-th of q's id run in by_id
     pair_starts = np.cumsum(counts) - counts
     g_idx = by_id[np.arange(q_idx.size) + np.repeat(first - pair_starts, counts)]
-    own = distances[q_idx, g_idx]
-    # sorted_flat[row_start + i] is the (i+1)-th smallest distance of the pair's
-    # query; a probe past the row end reads the row maximum, which is >= own
-    sorted_flat = np.sort(distances, axis=1).ravel()
+    ranked = spare[:n_q]
+    np.copyto(ranked, keys)
+    ranked.sort(axis=1)
+    # NaN sorts after +inf, so a row holds either only if its last key is one
+    if not (ranked[:, -1:] < np.inf).all():
+        raise ValueError("non-finite query-gallery distance")
+    own = _to_distances(keys[q_idx, g_idx], root)
+    # sorted_flat[row_start + i] is the key of the (i+1)-th smallest distance of
+    # the pair's query; a probe past the row end reads the row maximum, >= own
+    sorted_flat = ranked.reshape(-1)
     row_start = q_idx * n_g
     ahead = np.zeros(q_idx.size, dtype=np.int64)
     for step in (1 << k for k in reversed(range(n_g.bit_length()))):
         probe = np.minimum(ahead + step, n_g)
-        ahead += step * (sorted_flat[row_start + probe - 1] < own)
-    # sorted_flat[row_start + ahead] is g's own distance, and the next one may
-    # repeat it; at the row end "next" is g's own, a false tie that counts 0
+        ahead += step * (_to_distances(sorted_flat[row_start + probe - 1], root) < own)
+    # position ahead holds g's own distance, and the next one may repeat it; at
+    # the row end "next" is g's own, a false tie that counts 0
     after = np.minimum(ahead + 1, n_g - 1)
-    tied = np.flatnonzero(sorted_flat[row_start + after] == own)
-    # at most Q tied rows (one distance matrix) at a time, however many pairs tie
-    chunk = max(n_q, 1)
+    tied = np.flatnonzero(_to_distances(sorted_flat[row_start + after], root) == own)
+    # the sorted rows are spent: tied pairs' unsorted rows are gathered into
+    # spare, as many at a time as it has rows, however many pairs tie
+    chunk = max(len(spare), 1)
     for start in range(0, tied.size, chunk):
         t = tied[start : start + chunk]
-        ties = (distances[q_idx[t]] == own[t, None]) & (np.arange(n_g) < g_idx[t, None])
+        rows = np.take(keys, q_idx[t], axis=0, out=spare[: t.size], mode="clip")
+        ties = (_to_distances(rows, root) == own[t, None]) & (np.arange(n_g) < g_idx[t, None])
         ahead[t] += np.count_nonzero(ties, axis=1)
     positions = ahead + 1
     order = np.lexsort((positions, q_idx))
     return q_idx[order], positions[order]
+
+
+def _query_positions(
+    query_emb: np.ndarray,
+    query_ids: np.ndarray,
+    gallery_emb: np.ndarray,
+    gallery_ids: np.ndarray,
+    use_cosine: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(query, 1-based rank) of every relevant gallery item, by query then rank.
+
+    Every block of queries is ranked in the same two (rows, G) buffers: its
+    keys in one; in the other, first the product that _sq_dists adds to the
+    keys, then the sorted keys and the tie rows.  They are freed on return.
+    """
+    if use_cosine:
+        query_emb = query_emb / np.linalg.norm(query_emb, axis=1, keepdims=True)
+        gallery_emb = gallery_emb / np.linalg.norm(gallery_emb, axis=1, keepdims=True)
+    else:
+        q_norms = (query_emb * query_emb).sum(axis=1)
+        g_norms = (gallery_emb * gallery_emb).sum(axis=1)
+    n_q, n_g = len(query_ids), len(gallery_ids)
+    rows = min(max(1, _BLOCK_ELEMENTS // max(n_g, 1)), max(n_q, 1))
+    key_rows, spare = np.empty((rows, n_g)), np.empty((rows, n_g))
+    by_id = np.argsort(gallery_ids)
+    sorted_ids = gallery_ids[by_id]
+    block_queries, block_positions = [], []
+    for start in range(0, max(n_q, 1), rows):
+        block = slice(start, start + rows)
+        keys = key_rows[: len(query_ids[block])]
+        if use_cosine:
+            np.subtract(1.0, np.matmul(query_emb[block], gallery_emb.T, out=keys), out=keys)
+        else:
+            _sq_dists(
+                query_emb[block], gallery_emb, keys,
+                sq_norms=(q_norms[block], g_norms), product=spare[: len(keys)], clip=False,
+            )
+        queries, positions = _relevant_positions(
+            keys, spare, query_ids[block], by_id, sorted_ids, root=not use_cosine
+        )
+        block_queries.append(queries + start)
+        block_positions.append(positions)
+    return np.concatenate(block_queries), np.concatenate(block_positions)
 
 
 def ranking_metrics(
@@ -163,29 +238,13 @@ def ranking_metrics(
     needs a total order.
     """
     query_ids, gallery_ids = np.asarray(query_ids), np.asarray(gallery_ids)
-    if use_cosine:
-        query_emb = query_emb / np.linalg.norm(query_emb, axis=1, keepdims=True)
-        gallery_emb = gallery_emb / np.linalg.norm(gallery_emb, axis=1, keepdims=True)
-    n_q = len(query_ids)
-    rows = max(1, _BLOCK_ELEMENTS // max(len(gallery_ids), 1))
-    block_queries, block_positions = [], []
-    for start in range(0, max(n_q, 1), rows):
-        block = slice(start, start + rows)
-        if use_cosine:
-            distances = 1.0 - query_emb[block] @ gallery_emb.T
-        else:
-            distances = _sq_dists(query_emb[block], gallery_emb)
-            np.sqrt(distances, out=distances)
-        if not np.isfinite(distances).all():
-            raise ValueError("non-finite query-gallery distance")
-        queries, positions = _relevant_positions(distances, query_ids[block], gallery_ids)
-        block_queries.append(queries + start)
-        block_positions.append(positions)
-    queries, positions = np.concatenate(block_queries), np.concatenate(block_positions)
+    queries, positions = _query_positions(
+        query_emb, query_ids, gallery_emb, gallery_ids, use_cosine
+    )
     if not queries.size:
         raise ValueError("no query has a relevant gallery item")
     starts = np.flatnonzero(np.diff(queries, prepend=-1))
-    skipped = n_q - starts.size
+    skipped = len(query_ids) - starts.size
     if skipped:
         logger.warning("excluded %d queries with no relevant gallery item", skipped)
     aps = _average_precisions(positions, starts)

@@ -349,6 +349,48 @@ def test_admission_covers_ties_zeros_and_repeats():
     assert min(seen.values()) >= 20, seen
 
 
+def test_admission_into_empty_banks_of_nothing_or_only_rejects():
+    rng = np.random.default_rng(3)
+    oracle, banks = OracleBanks(), ReplayBanks()
+    offer_both(oracle, banks, [], [], 0)
+    assert banks.is_empty() and banks.rows.features.shape == (0, 3)
+    rejected = [Sample(int(i), ("sketch", "photo")[i % 2], rng.normal(size=3)) for i in range(6)]
+    offer_both(oracle, banks, rejected, [0.0] * 6, 1)
+    assert banks.is_empty() and array_bank_rows(banks) == bank_rows(oracle) == []
+    assert banks.task_ids() == []
+
+
+def test_admission_rejecting_every_candidate_keeps_the_banks():
+    rng = np.random.default_rng(4)
+    oracle, banks = OracleBanks(), ReplayBanks()
+    stored = [Sample(i, ("sketch", "photo")[i % 2], rng.normal(size=3)) for i in range(8)]
+    offer_both(oracle, banks, stored, rng.uniform(1.0, 5.0, size=8).tolist(), 0)
+    before = array_bank_rows(banks)
+    # the same identities and modalities, and new ones, all with empty prediction sets
+    offers = [Sample(i, ("sketch", "photo")[i % 3 % 2], rng.normal(size=3)) for i in range(12)]
+    offer_both(oracle, banks, offers, [0.0] * 12, 1)
+    assert array_bank_rows(banks) == before == bank_rows(oracle)
+    assert banks.task_ids() == [0]
+
+
+def test_banks_own_their_features():
+    rng = np.random.default_rng(5)
+    banks = ReplayBanks()
+    first = split_of([Sample(i, "sketch", rng.normal(size=3)) for i in range(4)])
+    admit(banks, first, np.full(4, 2.0), 0)
+    pairs = [(i, m) for i in range(6) for m in ("sketch", "photo")]
+    second = split_of([Sample(i, m, rng.normal(size=3)) for i, m in pairs])
+    # lower uncertainties replace every stored sketch; identities 4 and 5 are new
+    admit(banks, second, np.full(12, 1.0), 1)
+    kept = banks.rows.features.copy()
+    assert np.array_equal(kept, second.features)
+    for offered in (first, second):
+        offered.features[:] = np.nan
+        offered.ids[:] = -1
+    assert np.array_equal(banks.rows.features, kept)
+    assert banks.rows.ids.tolist() == np.repeat(np.arange(6), 2).tolist()
+
+
 # ---------------------------------------------------------------------------
 # replay epochs
 

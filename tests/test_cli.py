@@ -122,6 +122,8 @@ OUT_OF_RANGE_CONFIGS = [
     ("tasks", "modality_gap", float("nan"), "modality_gap"),
     ("tasks", "task_shift", float("inf"), "task_shift"),
     ("tasks", "noise_sigma", float("inf"), "noise_sigma"),
+    # identity labels task_id * ID_STRIDE + k are int64
+    ("tasks", "task_id", 10**30, "past int64"),
 ]
 
 
@@ -139,6 +141,23 @@ def test_run_with_non_numeric_task_file_exit_2_names_line(tmp_path, capsys):
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "runs")]) == 2
     err = capsys.readouterr().err
     assert "line 3" in err and "not a JSON number" in err
+
+
+def test_run_with_task_file_id_past_int64_exit_2_names_line(tmp_path, capsys):
+    spec, task = tmp_path / "spec.json", tmp_path / "task.jsonl"
+    spec.write_text(json.dumps(SPEC_PAYLOAD))
+    assert main(["gen-data", "--spec", str(spec), "--out", str(task)]) == 0
+    lines = task.read_text().splitlines()
+    row = json.loads(lines[1])
+    row["id"] = 10**23
+    lines[1] = json.dumps(row)
+    task.write_text("\n".join(lines) + "\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tasks": [{"path": str(task)}]}))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and "does not fit a 64-bit integer" in err
+    assert not (tmp_path / "runs").exists()
 
 
 # (subcommand, extra argv, XMCL_SEED, config/spec overrides, task overrides) each

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from xmcl.data import (
+    ID_STRIDE,
     DatasetValidationError,
     Split,
     SynthSpec,
@@ -102,6 +103,15 @@ class TestGeneration:
         with pytest.raises(SynthSpecError):
             SynthSpec(noise_sigma=-0.1)
 
+    def test_task_id_bounded_by_int64_labels(self):
+        # the largest label, task_id * ID_STRIDE + 69, must fit int64
+        largest = (2**63 - 1 - 70) // ID_STRIDE
+        task = generate_synthetic_task(SynthSpec(task_id=largest))
+        assert task.gallery.ids.max() == largest * ID_STRIDE + 69
+        for task_id in (largest + 1, 10**30):
+            with pytest.raises(SynthSpecError, match="task_id .* past int64"):
+                SynthSpec(task_id=task_id)
+
 
 class TestTaskFiles:
     def test_round_trip(self, tmp_path):
@@ -172,6 +182,31 @@ class TestTaskFiles:
         with pytest.raises(TaskFileError, match=f"line 2: {field} must be an integer") as err:
             load_task(path)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "field, value", [("id", 2**63), ("id", 10**23), ("id", -(2**63) - 1), ("task", 2**64)]
+    )
+    def test_task_or_id_past_int64_names_line(self, tmp_path, field, value):
+        row = '{{"task":{},"id":{},"modality":"sketch","split":"train","features":[1.0]}}'
+        bad = row.format(value, 1) if field == "task" else row.format(0, value)
+        path = tmp_path / "bad.jsonl"
+        path.write_text(row.format(0, 1) + "\n" + bad + "\n")
+        with pytest.raises(TaskFileError, match=f"line 2: {field} {value} does not fit") as err:
+            load_task(path)
+        assert err.value.line == 2
+
+    def test_int64_extremes_load(self, tmp_path):
+        row = '{{"task":0,"id":{},"modality":"{}","split":"{}","features":[1.0]}}'
+        lo, hi = -(2**63), 2**63 - 1
+        rows = [
+            row.format(lo, "sketch", "train"),
+            row.format(hi, "sketch", "query"),
+            row.format(hi, "photo", "gallery"),
+        ]
+        path = tmp_path / "extremes.jsonl"
+        path.write_text("\n".join(rows) + "\n")
+        task = load_task(path)
+        assert task.train.ids.tolist() == [lo] and task.gallery.ids.tolist() == [hi]
 
     def test_overlapping_train_test_identity_rejected(self, tmp_path):
         rows = [

@@ -3,7 +3,9 @@
 Each draw is a query set and a gallery of independent sizes (Q != G), with
 embeddings on a coarse integer grid (many tied distances) or continuous,
 Euclidean or cosine distances, and query identities that the gallery may
-not hold.  Hypothesis profiles are registered in conftest.py.
+not hold.  The block size is drawn too, from one query row a block up to
+all of them in one, so rankings span several blocks with a partial last
+one.  Hypothesis profiles are registered in conftest.py.
 """
 
 import numpy as np
@@ -13,13 +15,17 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import event, given, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
+import xmcl.metrics  # noqa: E402
 from test_metrics import lexsort_fraction_metrics  # noqa: E402
 from xmcl.metrics import ranking_metrics  # noqa: E402
 
 
 @st.composite
 def retrieval_cases(draw):
-    """(query emb, query ids, gallery emb, gallery ids, cosine) with >= 1 relevant query."""
+    """(query emb, query ids, gallery emb, gallery ids, cosine, block elements).
+
+    At least one query has a relevant gallery item.
+    """
     n_g = draw(st.integers(1, 40))
     dim = draw(st.integers(1, 4))
     g_ids = draw(hnp.arrays(np.int64, n_g, elements=st.integers(0, max(1, n_g // 2))))
@@ -44,12 +50,21 @@ def retrieval_cases(draw):
         event("query ids missing from the gallery")
     if q_ids.size != n_g:
         event("Q != G")
-    return q_emb, q_ids, g_emb, g_ids, cosine
+    # rows a block is block_elements // G, at least one
+    block_elements = draw(st.integers(1, n_g * (q_ids.size + 1)))
+    rows = max(1, block_elements // n_g)
+    if rows == 1:
+        event("one row a block")
+    if rows < q_ids.size:
+        event("several blocks" + (", the last partial" if q_ids.size % rows else ""))
+    return q_emb, q_ids, g_emb, g_ids, cosine, block_elements
 
 
 @given(retrieval_cases())
 def test_ranking_metrics_equals_lexsort_reference(case):
-    q_emb, q_ids, g_emb, g_ids, cosine = case
+    q_emb, q_ids, g_emb, g_ids, cosine, block_elements = case
     event("cosine" if cosine else "euclidean")
-    got = ranking_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=cosine)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(xmcl.metrics, "_BLOCK_ELEMENTS", block_elements)
+        got = ranking_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=cosine)
     assert got == lexsort_fraction_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=cosine)

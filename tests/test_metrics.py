@@ -100,7 +100,11 @@ POSITION_CASES = ["grid", "duplicate_rows", "zero_distance", "cosine", "negative
 
 
 def position_case(rng, case):
-    """(distances, query ids, gallery ids) with unsorted, repeated gallery ids."""
+    """(keys, root, query ids, gallery ids) with unsorted, repeated gallery ids.
+
+    With root the keys are unclipped squared Euclidean distances, whose
+    distance is sqrt(max(key, 0)); cosine keys are the distances.
+    """
     n_g = 1 if case == "single_item" else int(rng.integers(2, 90))
     n_q = int(rng.integers(1, 40))
     dim = int(rng.integers(1, 5))
@@ -124,12 +128,32 @@ def position_case(rng, case):
         g_emb[~g_emb.any(axis=1), 0] = 1.0
         qn = q_emb / np.linalg.norm(q_emb, axis=1, keepdims=True)
         gn = g_emb / np.linalg.norm(g_emb, axis=1, keepdims=True)
-        distances = 1.0 - qn @ gn.T
+        keys, root = 1.0 - qn @ gn.T, False
     else:
-        distances = np.sqrt(_sq_dists(q_emb, g_emb))
+        keys, root = _sq_dists(q_emb, g_emb, clip=False), True
     if case == "negative":
-        distances -= rng.uniform(0.0, 2.0 * distances.max() + 1.0)
-    return distances, q_ids, g_ids
+        # squared keys below zero all clip to distance 0; other keys stay negative
+        root = bool(rng.random() < 0.5)
+        keys = keys if root else distances_of(keys, True)
+        keys -= rng.uniform(0.0, 2.0 * keys.max() + 1.0)
+    return keys, root, q_ids, g_ids
+
+
+def distances_of(keys, root):
+    return np.sqrt(np.maximum(keys, 0.0)) if root else keys
+
+
+def relevant_positions(keys, query_ids, gallery_ids, root, spare_rows=0):
+    """_relevant_positions of a whole key matrix, with a NaN-filled spare buffer.
+
+    spare_rows extra rows stand for a last block shorter than the buffers.
+    """
+    by_id = np.argsort(gallery_ids)
+    spare = np.full((len(keys) + spare_rows, keys.shape[1]), np.nan)
+    before = keys.copy()
+    got = _relevant_positions(keys, spare, query_ids, by_id, gallery_ids[by_id], root)
+    assert np.array_equal(keys, before, equal_nan=True), "keys changed"
+    return got
 
 
 # ties: coarse integer embeddings; wide: Q != G with G in the hundreds
@@ -228,39 +252,86 @@ class TestIntegerApPass:
 class TestRelevantPositions:
     def test_matches_blocked_pair_counter(self):
         rng = np.random.default_rng(11)
-        seen = {"tied pairs": 0, "zero distances": 0, "negative distances": 0, "single item": 0}
+        seen = {
+            "tied pairs": 0,
+            "zero distances": 0,
+            "negative keys": 0,
+            "distinct keys, one distance": 0,
+            "single item": 0,
+        }
         for i in range(600):
             case = POSITION_CASES[i % len(POSITION_CASES)]
-            distances, q_ids, g_ids = position_case(rng, case)
-            queries, positions = _relevant_positions(distances, q_ids, g_ids)
+            keys, root, q_ids, g_ids = position_case(rng, case)
+            spare_rows = int(rng.integers(0, 3))
+            queries, positions = relevant_positions(keys, q_ids, g_ids, root, spare_rows)
+            distances = distances_of(keys, root)
             ref_queries, ref_positions = blocked_pair_positions(distances, q_ids, g_ids)
             np.testing.assert_array_equal(queries, ref_queries)
             np.testing.assert_array_equal(positions, ref_positions)
             q_idx, g_idx = np.nonzero(g_ids[None, :] == q_ids[:, None])
             own = distances[q_idx, g_idx, None]
-            seen["tied pairs"] += int((np.count_nonzero(distances[q_idx] == own, axis=1) > 1).sum())
+            equal_distances = np.count_nonzero(distances[q_idx] == own, axis=1)
+            equal_keys = np.count_nonzero(keys[q_idx] == keys[q_idx, g_idx, None], axis=1)
+            seen["tied pairs"] += int((equal_distances > 1).sum())
             seen["zero distances"] += int((distances == 0).any())
-            seen["negative distances"] += int((distances < 0).any())
+            seen["negative keys"] += int((keys < 0).any())
+            seen["distinct keys, one distance"] += int((equal_distances > equal_keys).sum())
             seen["single item"] += int(distances.shape[1] == 1)
         assert all(count > 0 for count in seen.values()), seen
 
     def test_tie_broken_by_gallery_index(self):
         distances = np.array([[0.5, 0.2, 0.5, 0.5, 0.1]])
         gallery_ids = np.array([3, 1, 7, 7, 7])
-        queries, positions = _relevant_positions(distances, np.array([7]), gallery_ids)
+        queries, positions = relevant_positions(distances, np.array([7]), gallery_ids, root=False)
         assert queries.tolist() == [0, 0, 0]
         assert positions.tolist() == [1, 4, 5]
+
+    @pytest.mark.parametrize("relevant", [0, 1])
+    def test_keys_with_one_square_root_tie_by_gallery_index(self, relevant):
+        # 4.0 and the next double both have square root 2.0: a tie, not an order
+        above = np.nextafter(4.0, 5.0)
+        assert above != 4.0 and np.sqrt(above) == np.sqrt(4.0) == 2.0
+        keys = np.array([[above, 4.0, 1.0, 9.0]])
+        gallery_ids = np.array([8, 8, 2, 5])
+        gallery_ids[relevant] = 5
+        queries, positions = relevant_positions(keys, np.array([5]), gallery_ids, root=True)
+        assert queries.tolist() == [0, 0]
+        # item 0 is second by index though its key is the larger; item 1 third
+        assert positions.tolist() == [2 + relevant, 4]
+
+    def test_negative_squared_keys_are_distance_zero(self):
+        # all three clip to 0, so they rank by gallery index, not by key
+        keys = np.array([[-1e-16, -3e-16, 0.0, 2.0]])
+        gallery_ids = np.array([0, 1, 0, 1])
+        _, positions = relevant_positions(keys, np.array([1]), gallery_ids, root=True)
+        assert positions.tolist() == [2, 4]
 
     def test_all_distances_equal_rank_by_gallery_index(self):
         # every pair ties, and the 12 tied pairs outnumber the 3 queries
         gallery_ids = np.tile(np.arange(3), 4)
-        queries, positions = _relevant_positions(np.zeros((3, 12)), np.arange(3), gallery_ids)
-        assert queries.tolist() == [0] * 4 + [1] * 4 + [2] * 4
-        assert positions.tolist() == [1, 4, 7, 10, 2, 5, 8, 11, 3, 6, 9, 12]
+        for root in (False, True):
+            keys = np.zeros((3, 12))
+            queries, positions = relevant_positions(keys, np.arange(3), gallery_ids, root)
+            assert queries.tolist() == [0] * 4 + [1] * 4 + [2] * 4
+            assert positions.tolist() == [1, 4, 7, 10, 2, 5, 8, 11, 3, 6, 9, 12]
 
     def test_no_queries_no_pairs(self):
-        queries, positions = _relevant_positions(np.zeros((0, 4)), np.array([], dtype=int), np.arange(4))
+        no_ids = np.array([], dtype=int)
+        queries, positions = relevant_positions(np.zeros((0, 4)), no_ids, np.arange(4), True)
         assert queries.size == positions.size == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("root", [False, True])
+    def test_nan_or_inf_key_rejected(self, bad, root):
+        # in a row with no relevant item, and away from its last column
+        keys = np.array([[1.0, 2.0, 3.0], [bad, 2.0, 3.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            relevant_positions(keys, np.array([0, 9]), np.array([0, 1, 2]), root)
+
+    def test_minus_inf_squared_key_is_distance_zero(self):
+        keys = np.array([[1.0, -np.inf, 4.0]])
+        queries, positions = relevant_positions(keys, np.array([2]), np.array([0, 1, 2]), root=True)
+        assert positions.tolist() == [3]
 
 
 class TestRankingMetrics:
@@ -427,14 +498,17 @@ class TestBlockedRanking:
 
     @pytest.mark.parametrize("tied", [False, True])
     def test_peak_memory_below_one_distance_matrix(self, tied):
-        # Q = G = 1000: the full Q x G float64 matrix alone would be 7.6 MiB
+        # Q = G = 1000: the full Q x G float64 matrix alone would be 7.6 MiB.  The
+        # ranking works in two (rows, G) float64 buffers of at most _BLOCK_ELEMENTS
+        # values, 1 MiB together; half as much again covers the pair arrays, the
+        # boolean tie masks and numpy's own ufunc buffers
         rng = np.random.default_rng(5)
         n = 1000
         ids = np.arange(n) // 4
         q_emb = np.zeros((n, 32)) if tied else rng.normal(size=(n, 32))
         g_emb = np.zeros((n, 32)) if tied else rng.normal(size=(n, 32))
         _, peak = traced_peak(ranking_metrics, q_emb, ids, g_emb, ids)
-        assert peak < n * n * 8, f"peak {peak / 2**20:.1f} MiB"
+        assert peak < 1.5 * 2 * 8 * _BLOCK_ELEMENTS, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestEvaluate:
