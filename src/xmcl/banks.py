@@ -162,7 +162,8 @@ def save_banks(banks: ReplayBanks, path: str | Path) -> None:
     )
     lines = []
     for task, identity, sketch, unc, features in columns:
-        feats = ",".join(format(float(v), ".17g") for v in features)
+        # one row's Python floats at a time: the whole array's would outweigh the text
+        feats = ",".join(format(v, ".17g") for v in features.tolist())
         modality = MODALITIES[0] if sketch else MODALITIES[1]
         lines.append(
             f'{{"task":{task},"id":{identity},"modality":"{modality}",'

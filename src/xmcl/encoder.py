@@ -196,10 +196,14 @@ def _trunk(state: EncoderState, batch: np.ndarray) -> tuple[np.ndarray, list[np.
         raise ShapeError(f"batch has dim {x.shape[1]}, encoder expects {state.config.input_dim}")
     layers: list[np.ndarray] = []
     h = x
+    # the bias and tanh go in place into each fresh product
     for w, b in zip(state.weights[:-1], state.biases[:-1]):
-        h = np.tanh(h @ w + b)
-        layers.append(h)
-    layers.append(h @ state.weights[-1] + state.biases[-1])
+        h = h @ w
+        h += b
+        layers.append(np.tanh(h, out=h))
+    z = h @ state.weights[-1]
+    z += state.biases[-1]
+    layers.append(z)
     return x, layers
 
 

@@ -67,17 +67,21 @@ def _sq_dists(
 
     The bits of max(xx + yy - 2 (x @ y.T), 0), built in the xx + yy buffer
     (out, when given) with the doubled product as the one other (n, m)
-    array.  When y is x the norms are taken once and the product is
-    x @ x.T, which numpy computes as a symmetric product; otherwise it is
-    (-2 x) @ y.T, written into product when given, which has the bits of
-    -2 (x @ y.T).  A caller that ranks many row blocks of x against one y
-    passes the norms (xx, yy) as sq_norms.
+    array.  That buffer is filled with yy in every row and xx added down its
+    columns, which has the bits of xx + yy as addition commutes, in fewer
+    passes than a sum of two broadcast operands.  When y is x the norms are
+    taken once and the product is x @ x.T, which numpy computes as a
+    symmetric product; otherwise it is (-2 x) @ y.T, written into product
+    when given, which has the bits of -2 (x @ y.T).  A caller that ranks many
+    row blocks of x against one y passes the norms (xx, yy) as sq_norms.
     """
     if sq_norms is None:
         xx = (x * x).sum(axis=1)
         sq_norms = xx, xx if y is x else (y * y).sum(axis=1)
     xx, yy = sq_norms
-    d2 = np.add(xx[:, None], yy[None, :], out=out)
+    d2 = np.empty((xx.size, yy.size)) if out is None else out
+    d2[...] = yy
+    d2 += xx[:, None]
     if y is x:
         xy = x @ x.T
         xy *= 2.0

@@ -5,26 +5,33 @@ ranking is by ascending Euclidean distance with ties broken by gallery
 index.  Metrics are reported as percentages.
 
 Only the relevant items' ranks are needed.  Each query's row of keys
-(squared distances, or cosine distances) is sorted once, and every relevant
-item's rank comes from one binary search, run for all (query, relevant
-item) pairs at once, for its distance in that sorted row; the few pairs
-whose distance is shared add the index tie-break from the unsorted row.
-The clip at zero and the square root are monotone, so they are applied only
-where a rank reads a value: the pairs' own keys, the probes of the search
-and the tie rows.  AP is summed from those ranks as one integer fraction
-and rounded once, so it equals the exact rational value to the last bit:
-for every query at once in int64 (np.lcm.reduceat over its ranks) while
-T * prod(ranks) stays below 2^52, and in Python integers for the rare query
-past that bound.
+(squared distances, or cosine distances) is sorted once, and one binary
+search, run for all (query, relevant item) pairs at once with one add per
+probe, counts the keys below each pair's own key in that sorted row.  The
+clip at zero and the square root are monotone, so the count is the number
+of smaller distances unless a neighbour of the own key in the sorted row
+shares its distance: an equal key, a negative key that clips to the same 0,
+or a square-root collision.  Those few pairs take both terms of their rank,
+with the tie-break by gallery index, from their unsorted row.  Distances are
+taken only where a rank reads them: the pairs' own keys, their two
+neighbours and those rows.  A block's ranks are put in query order by one
+integer sort of row * G + rank.  AP is summed from those ranks as one
+integer fraction and rounded once, so it equals the exact rational value to
+the last bit: for every query at once in int64 (np.lcm.reduceat over its
+ranks) while T * prod(ranks) stays below 2^52, and in Python integers for
+the rare query past that bound.
 
 The queries are ranked in blocks of _BLOCK_ELEMENTS // G rows (at least
 one), G the gallery size, so no Q x G matrix is ever built.  Each call
 allocates two block-sized float64 buffers, 512 KiB each, which fit a 2 MiB
 per-core L2 cache together, and ranks every block in them: one holds the
 block's keys, the other first the query-gallery product, then the sorted
-keys and the tie rows.  The squared norms and the gallery's identity order
-are computed once per call.  A query's ranks depend on its own row only, so
-blocking changes no result.
+keys and the tie rows.  The squared norms, the gallery's identity order and
+each query's run of relevant items in it are found once per call; each
+block builds the (query, item) pairs of its own queries only.  A query's
+ranks depend on its own row of keys only, but the BLAS may round a block's
+product differently for another row count, so the block shape is a fixed
+function of Q and G.
 """
 
 from __future__ import annotations
@@ -120,66 +127,75 @@ def _to_distances(keys: np.ndarray, root: bool) -> np.ndarray:
 def _relevant_positions(
     keys: np.ndarray,
     spare: np.ndarray,
-    query_ids: np.ndarray,
-    by_id: np.ndarray,
-    sorted_ids: np.ndarray,
+    pair_rows: np.ndarray,
+    pair_items: np.ndarray,
     root: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(query, 1-based rank) of every relevant gallery item, by query then rank.
+) -> np.ndarray:
+    """1-based ranks of (row, gallery item) pairs, ascending within each row.
 
     keys holds a block of queries' rows against the whole gallery: the
     distances, or with root their unclipped squares, whose distance is
-    sqrt(max(key, 0)).  by_id orders the gallery by identity and sorted_ids
-    is gallery_ids[by_id].  spare, a buffer with at least keys' rows, is
-    overwritten; keys is left as it is.
+    sqrt(max(key, 0)).  pair_rows is non-decreasing, and the ranks of a
+    row's pairs fill that row's slots in ascending order.  spare, a buffer
+    with at least keys' rows, is overwritten; keys is left as it is.
 
-    The rank of relevant item g for query q is 1 + #(d < d_qg) +
-    #(d == d_qg and gallery index < g): the position in ascending-distance
-    order with ties broken by gallery index.  The relevant pairs come from
-    the id-sorted gallery.  The distance is a non-decreasing function of
-    the key, so a row's sorted keys give its sorted distances, and
-    #(d < d_qg) is a binary search, run for all pairs at once, of q's
-    sorted keys that takes the distance of each key it reads.  The tie
-    term reads the unsorted row only for pairs whose distance is shared.
+    The rank of item g in row q is 1 + #(d < d_qg) + #(d == d_qg and gallery
+    index < g): the position in ascending-distance order with ties broken by
+    gallery index.  Each row is sorted once, and a binary search, run for
+    all pairs at once with one add per probe, counts the keys below the
+    pair's own key in its sorted row.  The own key is in the row, so the
+    count is at most G - 1: with the first probe at G - 2^floor(log2 G) and
+    the halving steps after it, no probe passes the row end.  The distance
+    is a non-decreasing function of the key, so the count is #(d < d_qg)
+    unless a neighbour of the own key in the sorted row shares its
+    distance: an equal key, a smaller key that clips to the same 0, or a
+    square-root collision such as 4.0 and nextafter(4.0, 5.0).  Only those
+    pairs read their unsorted row, which gives both terms of the rank.
     Raises ValueError on a NaN or +inf key.
     """
-    n_q, n_g = keys.shape
-    first = np.searchsorted(sorted_ids, query_ids, side="left")
-    counts = np.searchsorted(sorted_ids, query_ids, side="right") - first
-    q_idx = np.repeat(np.arange(n_q), counts)
-    # pair i of query q is the (i - its first pair)-th of q's id run in by_id
-    pair_starts = np.cumsum(counts) - counts
-    g_idx = by_id[np.arange(q_idx.size) + np.repeat(first - pair_starts, counts)]
-    ranked = spare[:n_q]
+    n_g = keys.shape[1]
+    ranked = spare[: len(keys)]
     np.copyto(ranked, keys)
     ranked.sort(axis=1)
     # NaN sorts after +inf, so a row holds either only if its last key is one
     if not (ranked[:, -1:] < np.inf).all():
         raise ValueError("non-finite query-gallery distance")
-    own = _to_distances(keys[q_idx, g_idx], root)
-    # sorted_flat[row_start + i] is the key of the (i+1)-th smallest distance of
-    # the pair's query; a probe past the row end reads the row maximum, >= own
-    sorted_flat = ranked.reshape(-1)
-    row_start = q_idx * n_g
-    ahead = np.zeros(q_idx.size, dtype=np.int64)
-    for step in (1 << k for k in reversed(range(n_g.bit_length()))):
-        probe = np.minimum(ahead + step, n_g)
-        ahead += step * (_to_distances(sorted_flat[row_start + probe - 1], root) < own)
-    # position ahead holds g's own distance, and the next one may repeat it; at
-    # the row end "next" is g's own, a false tie that counts 0
-    after = np.minimum(ahead + 1, n_g - 1)
-    tied = np.flatnonzero(_to_distances(sorted_flat[row_start + after], root) == own)
+    # ptr is a pair's flat index into the sorted rows: its row start plus the
+    # count of keys below its own
+    row_start = pair_rows * n_g
+    own_key = keys.reshape(-1).take(row_start + pair_items)
+    own = _to_distances(own_key.copy(), root)
+    flat = ranked.reshape(-1)
+    ptr = row_start.copy()
+    # top is 2^floor(log2 G); the probe of a step reads the key at ptr + step - 1
+    top = 1 << max(n_g.bit_length() - 1, 0)
+    steps = [n_g - top] if n_g > top else []
+    for step in steps + [top >> k for k in range(1, top.bit_length())]:
+        ptr += step * (flat[step - 1 :].take(ptr) < own_key)
+    # a neighbour read across a row end, or clipped to the own key at the
+    # block's ends, at most adds a false tie, which the recount ranks the same
+    below = _to_distances(flat.take(ptr - 1, mode="clip"), root)
+    above = _to_distances(flat.take(ptr + 1, mode="clip"), root)
+    tied = np.flatnonzero((below == own) | (above == own))
     # the sorted rows are spent: tied pairs' unsorted rows are gathered into
     # spare, as many at a time as it has rows, however many pairs tie
     chunk = max(len(spare), 1)
     for start in range(0, tied.size, chunk):
         t = tied[start : start + chunk]
-        rows = np.take(keys, q_idx[t], axis=0, out=spare[: t.size], mode="clip")
-        ties = (_to_distances(rows, root) == own[t, None]) & (np.arange(n_g) < g_idx[t, None])
-        ahead[t] += np.count_nonzero(ties, axis=1)
-    positions = ahead + 1
-    order = np.lexsort((positions, q_idx))
-    return q_idx[order], positions[order]
+        rows = _to_distances(
+            np.take(keys, pair_rows[t], axis=0, out=spare[: t.size], mode="clip"), root
+        )
+        o = own[t, None]
+        ahead = np.count_nonzero(rows < o, axis=1) + np.count_nonzero(
+            (rows == o) & (np.arange(n_g) < pair_items[t, None]), axis=1
+        )
+        ptr[t] = row_start[t] + ahead
+    # ptr is row start + rank - 1, so one sort orders the ranks within each
+    # row's own slots, as pair_rows is sorted
+    ptr.sort()
+    ptr -= row_start
+    ptr += 1
+    return ptr
 
 
 def _query_positions(
@@ -189,15 +205,28 @@ def _query_positions(
     gallery_ids: np.ndarray,
     use_cosine: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(query, 1-based rank) of every relevant gallery item, by query then rank.
+    """(positions, starts): the 1-based ranks of every relevant gallery item,
+    by query then rank, and the index in positions where each query that has
+    a relevant item begins.
 
     Every block of queries is ranked in the same two (rows, G) buffers: its
     keys in one; in the other, first the product that _sq_dists adds to the
     keys, then the sorted keys and the tie rows.  They are freed on return.
+    The relevant pairs come from the id-sorted gallery: each query's run of
+    its identity there is found once per call, and each block builds only
+    its own queries' pairs.  Raises ValueError when use_cosine meets an
+    embedding of zero norm, which has no direction.
     """
     if use_cosine:
-        query_emb = query_emb / np.linalg.norm(query_emb, axis=1, keepdims=True)
-        gallery_emb = gallery_emb / np.linalg.norm(gallery_emb, axis=1, keepdims=True)
+        q_len = np.linalg.norm(query_emb, axis=1, keepdims=True)
+        g_len = np.linalg.norm(gallery_emb, axis=1, keepdims=True)
+        zero_q, zero_g = np.count_nonzero(q_len == 0), np.count_nonzero(g_len == 0)
+        if zero_q or zero_g:
+            raise ValueError(
+                f"cosine distance needs a direction: {zero_q} query and {zero_g} "
+                "gallery embeddings have zero norm"
+            )
+        query_emb, gallery_emb = query_emb / q_len, gallery_emb / g_len
     else:
         q_norms = (query_emb * query_emb).sum(axis=1)
         g_norms = (gallery_emb * gallery_emb).sum(axis=1)
@@ -206,7 +235,12 @@ def _query_positions(
     key_rows, spare = np.empty((rows, n_g)), np.empty((rows, n_g))
     by_id = np.argsort(gallery_ids)
     sorted_ids = gallery_ids[by_id]
-    block_queries, block_positions = [], []
+    first = np.searchsorted(sorted_ids, query_ids, side="left")
+    counts = np.searchsorted(sorted_ids, query_ids, side="right") - first
+    pair_bounds = np.concatenate(([0], np.cumsum(counts)))
+    # pair p, counted over all queries, of query q is gallery item by_id[p + shift[q]]
+    shift = first - pair_bounds[:-1]
+    block_positions = []
     for start in range(0, max(n_q, 1), rows):
         block = slice(start, start + rows)
         keys = key_rows[: len(query_ids[block])]
@@ -217,12 +251,14 @@ def _query_positions(
                 query_emb[block], gallery_emb, keys,
                 sq_norms=(q_norms[block], g_norms), product=spare[: len(keys)], clip=False,
             )
-        queries, positions = _relevant_positions(
-            keys, spare, query_ids[block], by_id, sorted_ids, root=not use_cosine
+        n = counts[block]
+        pairs = np.arange(pair_bounds[start], pair_bounds[start + n.size])
+        pair_rows = np.repeat(np.arange(n.size), n)
+        pair_items = by_id[pairs + np.repeat(shift[block], n)]
+        block_positions.append(
+            _relevant_positions(keys, spare, pair_rows, pair_items, not use_cosine)
         )
-        block_queries.append(queries + start)
-        block_positions.append(positions)
-    return np.concatenate(block_queries), np.concatenate(block_positions)
+    return np.concatenate(block_positions), pair_bounds[:-1][counts > 0]
 
 
 def ranking_metrics(
@@ -235,15 +271,15 @@ def ranking_metrics(
     """(mAP, {k: rank@k}, evaluated query count), all fractions in [0, 1].
 
     Raises ValueError on a non-finite distance: ranks are counted, which
-    needs a total order.
+    needs a total order.  With use_cosine it also raises ValueError, naming
+    how many rows, on a query or gallery embedding of zero norm.
     """
     query_ids, gallery_ids = np.asarray(query_ids), np.asarray(gallery_ids)
-    queries, positions = _query_positions(
+    positions, starts = _query_positions(
         query_emb, query_ids, gallery_emb, gallery_ids, use_cosine
     )
-    if not queries.size:
+    if not starts.size:
         raise ValueError("no query has a relevant gallery item")
-    starts = np.flatnonzero(np.diff(queries, prepend=-1))
     skipped = len(query_ids) - starts.size
     if skipped:
         logger.warning("excluded %d queries with no relevant gallery item", skipped)

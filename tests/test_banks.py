@@ -288,6 +288,19 @@ class TestSerialization:
             assert row["uncertainty"] == unc
             assert np.array(row["features"]).tobytes() == features.tobytes()
 
+    def test_features_written_to_the_last_bit(self, tmp_path):
+        # repeating binary fractions, a subnormal, signed zero and a huge value,
+        # each written as format(float(v), ".17g") of the stored double
+        features = np.array([[1 / 3, -0.0, 5e-324], [1e308, -2.5e-17, 0.1 + 0.2]])
+        rows = Split(features, np.array([4, 4]), np.array([True, False]))
+        banks = admit(ReplayBanks(), rows, np.array([0.5, 0.25]), 1)
+        path = tmp_path / "banks.jsonl"
+        save_banks(banks, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        written = [line.split('"features":[')[1].removesuffix("]}") for line in lines]
+        assert written == [",".join(format(float(v), ".17g") for v in row) for row in features]
+        assert [json.loads(line)["features"] for line in lines] == features.tolist()
+
     def test_ingest_then_save(self, tmp_path):
         spec = SynthSpec(
             task_id=0, latent_dim=4, feature_dim=8, num_train_ids=5, num_test_ids=2, seed=4
