@@ -43,13 +43,14 @@ print(f"identity {one}: stored sketch unc = {banks.uncs[0]:.3f}, "
 
 print()
 print("=== one replay epoch ===")
+# the sampler returns row indices into the banks; a batch is one gather
 epoch = replay_epoch_batches(banks, p=4, k=4, rng=0)
-for batch in epoch:
+for rows in epoch:
+    batch = banks.rows[rows]
     print(f"{len(batch)} samples, identities {sorted(set(batch.ids.tolist()))}")
 print(f"P=4, K=4 over {np.unique(banks.rows.ids).size} banked identities -> {len(epoch)} batches")
-modalities = ["sketch" if s else "photo" for s in epoch[0].is_sketch[:4]]
+modalities = ["sketch" if s else "photo" for s in banks.rows.is_sketch[epoch[0][:4]]]
 print(f"one identity's K samples tile its stored pair: {modalities}")
 
 again = replay_epoch_batches(banks, p=4, k=4, rng=0)
-print("same seed -> same epoch:",
-      all(np.array_equal(a.features, b.features) for a, b in zip(epoch, again)))
+print("same seed -> same epoch:", all(np.array_equal(a, b) for a, b in zip(epoch, again)))

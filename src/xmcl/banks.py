@@ -18,7 +18,9 @@ stays, and among tied candidates the first offered wins.  Only the kept
 rows' features are then gathered, into one new array that the banks own.
 
 Banks store raw feature vectors, not activations: activations would go
-stale as the encoder keeps training.
+stale as the encoder keeps training.  The replay sampler returns index
+arrays into the stored rows, as the PK sampler does into a split, so the
+trainer gathers one batch at a time.
 """
 
 from __future__ import annotations
@@ -37,15 +39,11 @@ from .encoder import EncoderState, forward
 _ROW_BLOCK = 64
 
 
-def _no_rows() -> Split:
-    return Split(np.empty((0, 0)), np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
-
-
 @dataclass(eq=False)
 class ReplayBanks:
     """Stored rows sorted by (identity, sketch first); tasks/uncs are per row."""
 
-    rows: Split = field(default_factory=_no_rows)
+    rows: Split = field(default_factory=lambda: Split.empty(0))
     tasks: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     uncs: np.ndarray = field(default_factory=lambda: np.empty(0))
 
@@ -120,14 +118,15 @@ def replay_epoch_batches(
     k: int,
     rng: np.random.Generator | int,
     task_id: int | None = None,
-) -> list[Split]:
-    """Batches covering every banked identity once, mirroring a PK epoch.
+) -> list[np.ndarray]:
+    """Index batches into ``banks.rows`` covering every banked identity once, mirroring a PK epoch.
 
     Identities are shuffled and chunked into groups of P (one smaller final
     group when they do not divide evenly; all of them when fewer than P
     exist), each identity contributing K rows tiled from its stored
     sketch/photo pair.  With a task id, only identities holding a row of
-    that task are replayed, each with its whole pair.
+    that task are replayed, each with its whole pair.  A batch is one
+    gather, ``banks.rows[rows]``, which the caller makes when it needs it.
     """
     if banks.is_empty():
         raise RuntimeError("both banks are empty; nothing to replay")
@@ -143,7 +142,7 @@ def replay_epoch_batches(
     perm = rng.permutation(starts.size)
     tile = np.arange(k)
     return [
-        stored[(starts[chunk, None] + tile % sizes[chunk, None]).ravel()]
+        (starts[chunk, None] + tile % sizes[chunk, None]).ravel()
         for chunk in (perm[i : i + p] for i in range(0, perm.size, p))
     ]
 

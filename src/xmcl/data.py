@@ -11,8 +11,9 @@ Identity labels are offset by a large per-task stride, keeping identity
 spaces of different tasks disjoint by construction.
 
 Each split is held as arrays (``Split``): one feature row, identity and
-modality flag per sample, in sample order.  The PK sampler returns index
-arrays into a split, so a batch is one fancy-indexing gather.
+modality flag per sample, in sample order, in memory that no other split
+shares.  The PK sampler returns index arrays into a split, so a batch is
+one fancy-indexing gather, made by the caller when it needs the batch.
 """
 
 from __future__ import annotations
@@ -64,6 +65,11 @@ class Split:
 
     def __getitem__(self, rows) -> "Split":
         return Split(self.features[rows], self.ids[rows], self.is_sketch[rows])
+
+    @classmethod
+    def empty(cls, dim: int) -> "Split":
+        """No rows, with (0, dim) features that share no other split's memory."""
+        return cls(np.empty((0, dim)), np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
 
     def identities(self) -> np.ndarray:
         """The distinct identities, ascending: row i of the task's head is the i-th."""
@@ -196,43 +202,48 @@ def _modality_transforms(spec: SynthSpec):
 def generate_synthetic_task(spec: SynthSpec) -> TaskDataset:
     """Render a full task; deterministic in (spec, seed), fixed RNG order.
 
-    The latents come first, then all noise in one draw: per identity, in
-    identity order, its sketches' noise, then its photos'.  The noise is
-    scaled and each identity's two centres, a @ z + b, are added in place.
-    The first num_train_ids identities' rows go to train (sketches first),
-    a test identity's sketches to query and its photos to gallery; each
-    split holds its own copy of its rows.
+    The latents come first, then the noise: per identity, in identity order,
+    its sketches' noise, then its photos'.  The first num_train_ids
+    identities go to train (sketches first), a test identity's sketches to
+    query and its photos to gallery.  The train identities' noise is drawn
+    straight into the train split's own buffer and the test identities'
+    into one block that query and gallery copy their rows from; two
+    consecutive draws give the stream of one draw of their total size.
+    Each buffer's noise is scaled and each identity's two centres, a @ z + b,
+    are added in place.
     """
     (a_p, b_p), (a_s, b_s) = _modality_transforms(spec)
     rng = np.random.default_rng(spec.seed)
     n_train, n_test = spec.num_train_ids, spec.num_test_ids
-    n_total = n_train + n_test
     n_sk, n_ph, dim = spec.sketches_per_id, spec.photos_per_id, spec.feature_dim
-    latents = rng.normal(size=(n_total, spec.latent_dim))
-    # (identity, row, dim): the same stream as one (rows, dim) draw per identity and modality
-    feats = rng.normal(size=(n_total, n_sk + n_ph, dim))
-    feats *= spec.noise_sigma
-    # a stack of (dim, latent) @ (latent, 1) products: each is identity k's a @ z
-    # as a matrix-vector product, the bits of a @ latents[k]
-    feats[:, :n_sk] += (np.matmul(a_s, latents[:, :, None])[..., 0] + b_s)[:, None]
-    feats[:, n_sk:] += (np.matmul(a_p, latents[:, :, None])[..., 0] + b_p)[:, None]
+    latents = rng.normal(size=(n_train + n_test, spec.latent_dim))
 
-    def split(rows: np.ndarray, ids: np.ndarray, sketch: np.ndarray) -> Split:
-        # rows is (identities, rows per identity, dim), copied so the split owns
-        # its features; sketch flags one identity's rows
-        return Split(
-            rows.copy().reshape(-1, dim),
-            np.repeat(ids, len(sketch)),
-            np.tile(sketch, ids.size),
-        )
+    def rendered(z: np.ndarray) -> np.ndarray:
+        # (identity, row, dim): the same stream as one (rows, dim) draw per
+        # identity and modality; a stack of (dim, latent) @ (latent, 1)
+        # products gives each identity's a @ z as a matrix-vector product, the
+        # bits of a @ z[k] whatever the stack's length
+        feats = rng.normal(size=(len(z), n_sk + n_ph, dim))
+        feats *= spec.noise_sigma
+        feats[:, :n_sk] += (np.matmul(a_s, z[:, :, None])[..., 0] + b_s)[:, None]
+        feats[:, n_sk:] += (np.matmul(a_p, z[:, :, None])[..., 0] + b_p)[:, None]
+        return feats
 
-    ids = spec.task_id * ID_STRIDE + np.arange(n_total)
+    def split(feats: np.ndarray, ids: np.ndarray, sketch: np.ndarray) -> Split:
+        # feats is (identities, rows per identity, dim), owned by the split;
+        # sketch flags one identity's rows
+        return Split(feats.reshape(-1, dim), np.repeat(ids, len(sketch)), np.tile(sketch, ids.size))
+
+    ids = spec.task_id * ID_STRIDE + np.arange(n_train + n_test)
     sketch = np.arange(n_sk + n_ph) < n_sk
+    train = split(rendered(latents[:n_train]), ids[:n_train], sketch)
+    test = rendered(latents[n_train:])
     return TaskDataset(
         spec.task_id,
-        train=split(feats[:n_train], ids[:n_train], sketch),
-        query=split(feats[n_train:, :n_sk], ids[n_train:], sketch[:n_sk]),
-        gallery=split(feats[n_train:, n_sk:], ids[n_train:], sketch[n_sk:]),
+        train=train,
+        # copies, so neither split keeps the test block alive
+        query=split(test[:, :n_sk].copy(), ids[n_train:], sketch[:n_sk]),
+        gallery=split(test[:, n_sk:].copy(), ids[n_train:], sketch[n_sk:]),
     ).validate()
 
 

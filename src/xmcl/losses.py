@@ -151,8 +151,12 @@ class JmmdSpec:
         if self.layer_set is not None and len(self.layer_set) == 0:
             raise ValueError("layer_set must be non-empty")
         if not isinstance(self.bandwidths, str):
-            if not all(0 < b < math.inf for b in self.bandwidths):
-                raise ValueError("explicit bandwidths must be positive and finite")
+            # the kernel divides by 2 sigma^2 and the gradient by sigma^2, so
+            # the squares must neither overflow nor underflow to 0
+            if not all(0 < b and 0 < 2.0 * b * b < math.inf for b in self.bandwidths):
+                raise ValueError(
+                    "explicit bandwidths must be positive with a finite, nonzero 2 sigma^2"
+                )
         elif self.bandwidths != MEDIAN:
             raise ValueError(f"unknown bandwidth mode {self.bandwidths!r}")
 

@@ -301,9 +301,9 @@ def evaluate(
     gallery = task.query if swap_direction else task.gallery
     if not queries or not gallery:
         raise ValueError(f"task {task.task_id} has an empty test split")
-    missing = set(queries.ids.tolist()) - set(gallery.ids.tolist())
-    if missing:
-        raise ValueError(f"query identities {sorted(missing)[:5]} absent from gallery")
+    missing = np.setdiff1d(queries.ids, gallery.ids)
+    if missing.size:
+        raise ValueError(f"query identities {missing[:5].tolist()} absent from gallery")
     q_emb = embed(state, queries.features)
     g_emb = embed(state, gallery.features)
     m, cmc, n = ranking_metrics(q_emb, queries.ids, g_emb, gallery.ids, use_cosine=use_cosine)

@@ -4,7 +4,8 @@ One experiment trains tasks in order with the combined objective
 (identity CE + batch-hard triplet + prototype CE + weighted alignment).
 From the second task on, epochs alternate between new-task PK batches and
 replay batches drawn from the banks, and the banks are refreshed with the
-lowest-uncertainty samples once each task finishes.  Every task is
+lowest-uncertainty samples once each task finishes; the task's own train
+rows are then dropped, since replay reads only the banks.  Every task is
 evaluated at one step before training, then at a halfway step and an end
 step for each task that trains: five steps for two training tasks, seven
 for three, and three for epoch budgets (4, 0).
@@ -325,7 +326,9 @@ def train_task(
     training over range(0, h) and then range(h, n) with the same rng equals
     training over range(n).  With replay active, even (0-based) epochs run on
     new-task PK batches and odd ones on bank batches under a past task's head,
-    taking the banked tasks in turn.  A non-finite loss or gradient raises
+    taking the banked tasks in turn.  The samplers return row indices, and
+    each batch is gathered just before its step, so one batch's rows are
+    held at a time.  A non-finite loss or gradient raises
     FloatingPointError naming the task, the 1-based epoch and the loss term.
     """
     replay_tasks = exp.banks.task_ids() if use_replay else []
@@ -334,23 +337,22 @@ def train_task(
         lr = lr_at(epoch, config.schedule)
         if use_replay and epoch % 2 == 1:
             head = replay_tasks[(epoch // 2) % len(replay_tasks)]
+            source = exp.banks.rows
             batches = replay_epoch_batches(exp.banks, config.pk_p, config.pk_k, rng, task_id=head)
             update_shared = not config.freeze_shared_on_replay
             where = f"task {task.task_id} (replaying task {head})"
         else:
             head = task.task_id
-            batches = [
-                task.train[rows]
-                for rows in pk_epoch_batches(task.train, config.pk_p, config.pk_k, rng)
-            ]
+            source = task.train
+            batches = pk_epoch_batches(task.train, config.pk_p, config.pk_k, rng)
             update_shared = True
             where = f"task {task.task_id}"
         losses = []
-        for batch in batches:
+        for rows in batches:
             try:
                 breakdown, grads = batch_gradients(
                     exp.encoder,
-                    batch,
+                    source[rows],
                     head,
                     exp.head_ids[head],
                     config.jmmd,
@@ -376,12 +378,15 @@ def _resolve_tasks(config: ExperimentConfig, master_seed: int) -> list[TaskDatas
             tasks.append(load_task(entry))
     dims = {t.feature_dim for t in tasks}
     if len(dims) != 1:
-        raise ValueError(f"tasks disagree on feature dim: {sorted(dims)}")
+        raise ValueError(f"tasks disagree on feature_dim: {sorted(dims)}")
     ids_seen: set[int] = set()
     for t in tasks:
         ids = t.train_identities | t.test_identities
-        if ids & ids_seen:
-            raise ValueError("tasks share identities; identity spaces must be disjoint")
+        if shared := ids & ids_seen:
+            raise ValueError(
+                f"task_id {t.task_id} shares identities {sorted(shared)[:5]} with an earlier "
+                "task; identity spaces must be disjoint"
+            )
         ids_seen |= ids
     return tasks
 
@@ -396,16 +401,17 @@ def run_sequence(config: ExperimentConfig, master_seed: int) -> tuple[dict, Expe
 
     Grid: step 1 before training, then for each task that trains one step
     halfway through and one at completion (a task with a zero epoch budget
-    adds none; two training tasks yield steps 1-5).  Returns the
-    report dict plus the final experiment state (encoder, optimizer, banks,
-    loss history).
+    adds none; two training tasks yield steps 1-5).  Once a task is trained
+    and ingested its train rows are dropped: replay reads only the banks.
+    Returns the report dict plus the final experiment state (encoder,
+    optimizer, banks, loss history).
     """
     tasks = _resolve_tasks(config, master_seed)
     for pos, task in enumerate(tasks):
         if _epoch_budget(config, pos) > 0 and len(task.train_identities) < config.pk_p:
             raise ValueError(
                 f"pk_p={config.pk_p} needs at least {config.pk_p} train identities, "
-                f"task {task.task_id} has {len(task.train_identities)}"
+                f"task {task.task_id} has {len(task.train_identities)} (num_train_ids)"
             )
     enc_config = EncoderConfig(
         input_dim=tasks[0].feature_dim,
@@ -470,6 +476,9 @@ def run_sequence(config: ExperimentConfig, master_seed: int) -> tuple[dict, Expe
             eval_all(step)
         if config.mpm:
             ingest_task(exp.banks, exp.encoder, task, config.cp)
+        # evaluation reads only the test splits; a fresh empty split, as a
+        # slice of the old one would keep its rows alive
+        task.train = Split.empty(task.feature_dim)
 
     report = {
         "format": REPORT_FORMAT,

@@ -422,7 +422,10 @@ def test_replay_array_batches_equal_sample_batches(block):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         expected = replay_oracle(oracle, p, k, a, task_id)
         got = replay_epoch_batches(banks, p, k, b, task_id=task_id)
-        assert [rows_of_split(batch) for batch in got] == [rows_of(batch) for batch in expected]
+        assert all(rows.dtype == np.int64 for rows in got)
+        assert [rows_of_split(banks.rows[rows]) for rows in got] == [
+            rows_of(batch) for batch in expected
+        ]
         assert a.random() == b.random()
 
 
@@ -435,4 +438,6 @@ def test_replay_p_dividing_evenly_and_fewer_identities_than_p():
         expected = replay_oracle(oracle, p, 3, np.random.default_rng(p))
         got = replay_epoch_batches(banks, p, 3, np.random.default_rng(p))
         assert len(got) == count
-        assert [rows_of_split(batch) for batch in got] == [rows_of(batch) for batch in expected]
+        assert [rows_of_split(banks.rows[rows]) for rows in got] == [
+            rows_of(batch) for batch in expected
+        ]

@@ -124,10 +124,17 @@ class TestUpdateBank:
         assert slots(admit(ReplayBanks(), together, uncs, 0)) == expected
 
 
+def replay_batches(banks, *args, **kwargs):
+    """The replay epoch's index batches, checked and gathered from the stored rows."""
+    batches = replay_epoch_batches(banks, *args, **kwargs)
+    assert all(rows.dtype == np.int64 and rows.ndim == 1 for rows in batches)
+    return [banks.rows[rows] for rows in batches]
+
+
 class TestReplayBatch:
     def test_tiling_single_identity(self):
         banks = mk_banks((1, "sketch", 2.0), (1, "photo", 2.5))
-        (batch,) = replay_epoch_batches(banks, p=1, k=4, rng=0)
+        (batch,) = replay_batches(banks, p=1, k=4, rng=0)
         assert len(batch) == 4
         assert set(batch.is_sketch.tolist()) == {True, False}
         stored = {f.tobytes() for f in banks.rows.features}
@@ -136,7 +143,7 @@ class TestReplayBatch:
     def test_pk_shape(self):
         entries = [(i, m, 2.0) for i in range(20) for m in ("sketch", "photo")]
         banks = mk_banks(*entries)
-        batches = replay_epoch_batches(banks, p=16, k=4, rng=1)
+        batches = replay_batches(banks, p=16, k=4, rng=1)
         assert len(batches[0]) == 64
         assert len(set(batches[0].ids.tolist())) == 16
         # every banked identity is replayed, each in exactly one batch
@@ -148,18 +155,18 @@ class TestReplayBatch:
         banks = mk_banks(*entries)
         a = replay_epoch_batches(banks, p=4, k=2, rng=7)
         b = replay_epoch_batches(banks, p=4, k=2, rng=7)
-        assert [x.ids.tolist() for x in a] == [y.ids.tolist() for y in b]
+        assert [x.tolist() for x in a] == [y.tolist() for y in b]
 
     def test_purity_only_bank_samples(self):
         entries = [(i, m, 2.0) for i in range(6) for m in ("sketch", "photo")]
         banks = mk_banks(*entries)
         stored = {f.tobytes() for f in banks.rows.features}
-        batches = replay_epoch_batches(banks, p=4, k=5, rng=3)
+        batches = replay_batches(banks, p=4, k=5, rng=3)
         assert {f.tobytes() for batch in batches for f in batch.features} <= stored
 
     def test_fewer_identities_than_p(self):
         banks = mk_banks((0, "sketch", 2.0), (1, "sketch", 2.0))
-        (batch,) = replay_epoch_batches(banks, p=16, k=2, rng=0)
+        (batch,) = replay_batches(banks, p=16, k=2, rng=0)
         assert len(batch) == 4
 
     def test_empty_banks_rejected(self):
@@ -170,11 +177,11 @@ class TestReplayBatch:
         banks = ReplayBanks()
         offer(banks, 1, task_id=0)
         offer(banks, 2, task_id=1)
-        batches = replay_epoch_batches(banks, p=4, k=1, rng=0, task_id=0)
+        batches = replay_batches(banks, p=4, k=1, rng=0, task_id=0)
         assert {i for batch in batches for i in batch.ids.tolist()} == {1}
         # a photo from task 1 brings its identity's task-0 sketch along
         offer(banks, 1, "photo", value=9.0, task_id=1)
-        (batch,) = replay_epoch_batches(banks, p=4, k=2, rng=0, task_id=1)
+        (batch,) = replay_batches(banks, p=4, k=2, rng=0, task_id=1)
         assert sorted(zip(batch.ids.tolist(), batch.is_sketch.tolist())) == [
             (1, False), (1, True), (2, True), (2, True)
         ]

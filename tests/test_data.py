@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,23 @@ class TestGeneration:
         for task_id in (largest + 1, 10**30):
             with pytest.raises(SynthSpecError, match="task_id .* past int64"):
                 SynthSpec(task_id=task_id)
+
+    def test_peak_is_the_task_plus_one_test_block(self):
+        # train noise is drawn into train's own buffer, and only the test
+        # identities' block is drawn for query and gallery to copy from; a
+        # quarter of the task covers the latents, geometry and centre products
+        spec = SynthSpec(num_train_ids=200, num_test_ids=20)
+        generate_synthetic_task(spec)
+        tracemalloc.start()
+        try:
+            task = generate_synthetic_task(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        final = sum(a.nbytes for _, s in task.splits() for a in (s.features, s.ids, s.is_sketch))
+        rows_per_id = spec.sketches_per_id + spec.photos_per_id
+        test_block = spec.num_test_ids * rows_per_id * spec.feature_dim * 8
+        assert peak <= final + test_block + final // 4
 
 
 class TestTaskFiles:

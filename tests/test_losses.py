@@ -198,6 +198,17 @@ class TestGaussianKernel:
         with pytest.raises(ValueError):
             JmmdSpec(bandwidths=[0.0])
 
+    @pytest.mark.parametrize("sigma", [1.3407807929942597e154, 1e-170, math.inf, math.nan])
+    def test_rejects_bandwidth_whose_square_leaves_the_float_range(self, sigma):
+        # sigma ** 2 raised OverflowError, or 2 / sigma ** 2 ZeroDivisionError, mid-training
+        with pytest.raises(ValueError, match="bandwidths must be positive"):
+            JmmdSpec(bandwidths=[1.0, sigma])
+
+    @pytest.mark.parametrize("sigma", [9e153, 1e-150])
+    def test_extreme_bandwidth_inside_the_range_is_used(self, sigma):
+        x, y = np.zeros((1, 3)), np.ones((2, 3))
+        assert math.isfinite(jmmd([x], [y], JmmdSpec(bandwidths=[sigma])))
+
     def test_matrix_agrees_with_scalar(self):
         # the batched kernel of two sets against one kernel evaluation per pair
         rng = np.random.default_rng(1)

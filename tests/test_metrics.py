@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import xmcl.metrics
-from xmcl.data import SynthSpec, generate_synthetic_task
+from xmcl.data import Split, SynthSpec, TaskDataset, generate_synthetic_task
 from xmcl.encoder import EncoderConfig, init_encoder
 from xmcl.losses import _sq_dists
 from xmcl.metrics import (
@@ -617,6 +617,21 @@ class TestEvaluate:
         rec = evaluate(state, task, step=1)
         assert rec.r1 <= rec.r5 <= rec.r10
         assert 0 <= rec.map <= 100
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_query_ids_absent_from_gallery_are_named(self, swap):
+        # the first five missing identities, ascending and without repeats
+        def split(ids):
+            return Split(np.zeros((len(ids), 8)), np.array(ids, dtype=np.int64), np.ones(len(ids), bool))
+
+        queries, gallery = split([11, 7, 3, 9, 2, 1, 5, 7, 13]), split([2, 13, 2])
+        if swap:
+            queries, gallery = gallery, queries
+        # unvalidated: a loaded task could not be built this way
+        task = TaskDataset(0, train=split([]), query=queries, gallery=gallery)
+        state = init_encoder(EncoderConfig(input_dim=8, hidden_dims=(8,), embedding_dim=6, seed=0))
+        with pytest.raises(ValueError, match=r"^query identities \[1, 3, 5, 7, 9\] absent from gallery$"):
+            evaluate(state, task, swap_direction=swap)
 
 
 class TestAggregate:

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -394,8 +395,21 @@ class TestRunSequence:
         specs = mini_specs(2)
         specs[1] = dataclasses.replace(specs[1], num_train_ids=3)
         config = dataclasses.replace(mini_config(), tasks=specs)
-        with pytest.raises(ValueError, match=r"pk_p=4 .* task 1 has 3"):
+        with pytest.raises(ValueError, match=r"pk_p=4 .* task 1 has 3 \(num_train_ids\)"):
             run_sequence(config, master_seed=0)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (dict(task_id=0), r"^task_id 0 shares identities \[0, 1, 2, 3, 4\] with an earlier task"),
+            (dict(feature_dim=12), r"^tasks disagree on feature_dim: \[12, 16\]$"),
+        ],
+    )
+    def test_clashing_tasks_name_the_key(self, edit, message):
+        specs = mini_specs(2)
+        specs[1] = dataclasses.replace(specs[1], **edit)
+        with pytest.raises(ValueError, match=message):
+            run_sequence(dataclasses.replace(mini_config(), tasks=specs), master_seed=0)
 
     def test_pk_p_ignores_tasks_that_do_not_train(self):
         specs = mini_specs(2)
@@ -508,6 +522,35 @@ class TestRunSequence:
             a.tobytes() != b.tobytes()
             for a, b in zip(unfrozen.encoder.weights, after_new.encoder.weights)
         )
+
+
+def root_buffer(a: np.ndarray) -> np.ndarray:
+    """The array that owns a's memory."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+class TestTrainRowsDropped:
+    @pytest.mark.parametrize("mpm", [True, False])
+    def test_trained_task_rows_are_freed_before_the_next_trains(self, monkeypatch, mpm):
+        import xmcl.trainer as trainer
+
+        real = trainer.train_task
+        # task id -> weak reference to the memory of its train features
+        held: dict[int, weakref.ref] = {}
+
+        def watched(exp, task, *args, **kwargs):
+            held.setdefault(task.task_id, weakref.ref(root_buffer(task.train.features)))
+            earlier = [t for t in held if t < task.task_id]
+            assert all(held[t]() is None for t in earlier), f"task {earlier} rows still held"
+            return real(exp, task, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "train_task", watched)
+        report, _ = run_sequence(mini_config(num_tasks=3, mpm=mpm), master_seed=0)
+        assert sorted(held) == [0, 1, 2]
+        assert all(ref() is None for ref in held.values())
+        assert [s["step"] for s in report["steps"]] == [1, 2, 3, 4, 5, 6, 7]
 
 
 class TestEpochRanges:
