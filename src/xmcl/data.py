@@ -336,6 +336,76 @@ def load_task(path: str | Path) -> TaskDataset:
 # PK batch sampling
 
 
+def _choice_loop(rng: np.random.Generator, sizes: np.ndarray, k: int) -> np.ndarray:
+    return np.stack([rng.choice(n, size=k, replace=n < k) for n in sizes.tolist()])
+
+
+def _choice_rows(rng: np.random.Generator, sizes: np.ndarray, k: int) -> np.ndarray:
+    """``np.stack([rng.choice(n, size=k, replace=n < k) for n in sizes])`` from one raw draw.
+
+    For n <= 10_000, numpy's choice without replacement is Floyd's algorithm
+    (bounded draws of bounds n-k .. n-1, a value already picked replaced by
+    its step's bound) and then a shuffle of the k picks (bounds k-1 .. 1);
+    with replacement it is k draws of bound n-1.  Each draw of a bound b > 0
+    takes one 32-bit value u from ``next_uint32`` -- the buffered high half
+    of the last 64-bit word, else the low half of a new word, whose high half
+    it buffers -- and returns (u (b+1)) >> 32, Lemire's method; b = 0 takes
+    none.  So every draw of the epoch is known before any is made, and one
+    ``random_raw`` call gives them the bits, and leaves the generator, as the
+    calls would.  A Lemire rejection (about one epoch in a million), a
+    larger identity (numpy shuffles a tail instead), or a bit generator with
+    no 32-bit buffer (MT19937) takes the calls themselves.
+    """
+    bitgen = rng.bit_generator
+    saved = bitgen.state
+    if "has_uint32" not in saved or sizes.max() > 10_000:
+        return _choice_loop(rng, sizes, k)
+    replace = sizes < k
+    # per identity, in draw order: k Floyd bounds and k-1 shuffle bounds, or
+    # with replacement k bounds n-1 and k-1 empty ones
+    steps = np.arange(k - 1, -k, -1)
+    bounds = np.where(steps >= 0, sizes[:, None] - 1 - steps, steps + k)
+    bounds[replace] = np.where(steps >= 0, sizes[replace, None] - 1, 0)
+    drawn = bounds > 0
+    count = int(np.count_nonzero(drawn))
+    buffered = saved["has_uint32"] if count else 0
+    raw = bitgen.random_raw((count - buffered + 1) // 2)
+    # next_uint32's order, each word split by arithmetic so byte order cannot
+    # matter; int64 // and %, not bitwise ops, whose loops nothing else in a
+    # run uses: they would map 128 KiB more of numpy's library into memory
+    words = raw.view(np.int64)
+    u32 = np.empty(buffered + 2 * raw.size, dtype=np.int64)
+    u32[:buffered] = saved["uinteger"]
+    u32[buffered::2] = words % 2**32
+    u32[buffered + 1 :: 2] = words // 2**32 % 2**32
+    span = bounds + 1
+    products = np.zeros(bounds.shape, dtype=np.int64)
+    products[drawn] = u32[:count]
+    products *= span  # below 2**46, as span <= 10_000
+    if (products % 2**32 < 2**32 % span).any():
+        bitgen.state = saved  # numpy would have drawn again
+        return _choice_loop(rng, sizes, k)
+    if count:
+        state = bitgen.state
+        state["has_uint32"] = (count - buffered) % 2
+        if raw.size:
+            state["uinteger"] = int(raw[-1]) >> 32
+        bitgen.state = state
+    values = products // 2**32
+    # (k, identities): row t holds every identity's t-th pick
+    picks = values[:, :k].T.copy()
+    for t in range(1, k):
+        np.copyto(picks[t], bounds[:, t], where=(picks[:t] == picks[t]).any(axis=0))
+    flat, cols = picks.reshape(-1), np.arange(sizes.size)
+    for i, d in zip(range(k - 1, 0, -1), values[:, k:].T):
+        at = d * sizes.size + cols
+        swapped = flat[at]
+        flat[at] = picks[i]
+        picks[i] = swapped
+    np.copyto(picks.T, values[:, :k], where=replace[:, None])
+    return picks.T
+
+
 def pk_epoch_batches(
     train: Split, p: int, k: int, rng: np.random.Generator | int
 ) -> list[np.ndarray]:
@@ -345,21 +415,20 @@ def pk_epoch_batches(
     chunk is padded with identities drawn from the earlier chunks.  Each
     identity then contributes K draws from its own rows, taken in split
     order: without replacement, or with it when it has fewer than K rows.
+    The draws equal one ``rng.choice(rows, K, replace=rows < K)`` call per
+    identity in chunk order, bit for bit, generator state included; they
+    come from one raw draw for the epoch, with those calls as the fallback.
     """
     rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
     order = np.argsort(train.ids, kind="stable")
     _, starts, counts = np.unique(train.ids[order], return_index=True, return_counts=True)
     if starts.size < p:
         raise ValueError(f"need at least {p} identities, train split has {starts.size}")
-    sizes = counts.tolist()
     perm = rng.permutation(starts.size)
-    chunks = [perm[i : i + p] for i in range(0, perm.size, p)]
-    if chunks[-1].size < p:
-        seen = perm[: perm.size - chunks[-1].size]
-        pad = rng.choice(seen.size, size=p - chunks[-1].size, replace=False)
-        chunks[-1] = np.concatenate([chunks[-1], seen[pad]])
-    batches = []
-    for chunk in chunks:
-        draws = [rng.choice(sizes[g], size=k, replace=sizes[g] < k) for g in chunk.tolist()]
-        batches.append(order[(starts[chunk, None] + np.stack(draws)).ravel()])
-    return batches
+    short = perm.size % p
+    if short:
+        seen = perm[: perm.size - short]
+        pad = rng.choice(seen.size, size=p - short, replace=False)
+        perm = np.concatenate([perm, seen[pad]])
+    rows = order[starts[perm, None] + _choice_rows(rng, counts[perm], k)]
+    return list(rows.reshape(-1, p * k))

@@ -301,8 +301,11 @@ def evaluate(
     gallery = task.query if swap_direction else task.gallery
     if not queries or not gallery:
         raise ValueError(f"task {task.task_id} has an empty test split")
-    missing = np.setdiff1d(queries.ids, gallery.ids)
-    if missing.size:
+    gallery_ids = np.sort(gallery.ids)
+    at = gallery_ids.searchsorted(queries.ids).clip(max=gallery_ids.size - 1)
+    absent = gallery_ids[at] != queries.ids
+    if absent.any():
+        missing = np.unique(queries.ids[absent])
         raise ValueError(f"query identities {missing[:5].tolist()} absent from gallery")
     q_emb = embed(state, queries.features)
     g_emb = embed(state, gallery.features)

@@ -329,7 +329,8 @@ def train_task(
     taking the banked tasks in turn.  The samplers return row indices, and
     each batch is gathered just before its step, so one batch's rows are
     held at a time.  A non-finite loss or gradient raises
-    FloatingPointError naming the task, the 1-based epoch and the loss term.
+    FloatingPointError naming the task, the 1-based epoch and the loss term;
+    so does, at the end of the epoch, a non-finite Adam second moment.
     """
     replay_tasks = exp.banks.task_ids() if use_replay else []
     epoch_losses: list[float] = []
@@ -348,8 +349,8 @@ def train_task(
             update_shared = True
             where = f"task {task.task_id}"
         losses = []
-        for rows in batches:
-            try:
+        try:
+            for rows in batches:
                 breakdown, grads = batch_gradients(
                     exp.encoder,
                     source[rows],
@@ -359,10 +360,14 @@ def train_task(
                     config.triplet_margin,
                     config.label_smoothing,
                 )
-            except FloatingPointError as e:
-                raise FloatingPointError(f"{where}, epoch {epoch + 1}: {e}") from e
-            _apply_step(exp, grads, head, lr, update_shared=update_shared)
-            losses.append(breakdown.l_sim)
+                _apply_step(exp, grads, head, lr, update_shared=update_shared)
+                losses.append(breakdown.l_sim)
+            # a finite gradient above about 1e154 squares to inf in v, and every
+            # later step of its weights is then 0
+            if not all(np.isfinite(v).all() for v in exp.adam.v.values()):
+                raise FloatingPointError("non-finite adam second moment")
+        except FloatingPointError as e:
+            raise FloatingPointError(f"{where}, epoch {epoch + 1}: {e}") from e
         epoch_losses.append(float(np.mean(losses)))
     return epoch_losses
 

@@ -14,11 +14,13 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+import xmcl.data
 from xmcl.banks import ReplayBanks, admit, replay_epoch_batches
 from xmcl.data import (
     ID_STRIDE,
     Split,
     SynthSpec,
+    _choice_rows,
     _modality_transforms,
     generate_synthetic_task,
     load_task,
@@ -236,8 +238,32 @@ def random_train(rng: np.random.Generator, num_ids: int, k: int) -> list[Sample]
     return [samples[i] for i in rng.permutation(len(samples))]
 
 
+# the raw-bits path serves the generators whose state buffers a 32-bit half;
+# MT19937's does not, so it takes one rng.choice call per identity
+BIT_GENERATORS = ["PCG64", "PCG64DXSM", "SFC64", "Philox", "MT19937"]
+
+
+def generator(bit_generator: str, seed: int) -> np.random.Generator:
+    return np.random.Generator(getattr(np.random, bit_generator)(seed))
+
+
+def generator_state(rng: np.random.Generator) -> dict:
+    """The bit generator's state as plain values, its buffered half only while it holds one."""
+
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(v) for key, v in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+    state = plain(rng.bit_generator.state)
+    if state.get("has_uint32") == 0:
+        del state["uinteger"]
+    return state
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
 @pytest.mark.parametrize("block", range(4))
-def test_pk_index_batches_equal_sample_batches(block):
+def test_pk_index_batches_equal_sample_batches(block, bit_generator):
     for seed in range(block * 60, block * 60 + 60):
         rng = np.random.default_rng(seed)
         p = int(rng.integers(2, 7))
@@ -246,14 +272,74 @@ def test_pk_index_batches_equal_sample_batches(block):
         num_ids = p * int(rng.integers(1, 4)) + (0 if seed % 3 == 0 else int(rng.integers(1, p)))
         samples = random_train(rng, num_ids, k)
         train = split_of(samples)
-        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        a, b = generator(bit_generator, seed), generator(bit_generator, seed)
+        if seed % 2:
+            # choice(5, 3) takes five 32-bit values, so the epoch starts on a buffered half
+            a.choice(5, 3, replace=False)
+            b.choice(5, 3, replace=False)
         expected = pk_oracle(samples, p, k, a)
         got = pk_epoch_batches(train, p, k, b)
         assert len(got) == len(expected)
         for rows, batch in zip(got, expected):
             assert rows.dtype == np.int64
             assert rows_of_split(train[rows]) == rows_of(batch)
-        assert a.random() == b.random()
+        assert generator_state(a) == generator_state(b)
+
+
+def choice_calls(rng: np.random.Generator, sizes: list[int], k: int) -> np.ndarray:
+    return np.stack([rng.choice(n, size=k, replace=n < k) for n in sizes])
+
+
+@pytest.fixture
+def fallbacks(monkeypatch) -> list:
+    """The calls that take the per-identity path, recorded as they run."""
+    calls = []
+    loop = xmcl.data._choice_loop
+    monkeypatch.setattr(xmcl.data, "_choice_loop", lambda *args: calls.append(args) or loop(*args))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "bit_generator, sizes, k, raw",
+    [
+        ("PCG64", [8, 3, 1, 5, 4], 4, True),
+        ("Philox", [1, 1], 1, True),  # no bound above 0: nothing is drawn
+        ("MT19937", [8, 3, 1], 4, False),  # its state has no buffered half
+        ("PCG64", [10_000, 5], 201, True),
+        ("PCG64", [10_001, 5], 201, False),  # numpy shuffles a tail of this population
+    ],
+)
+def test_choice_rows_equal_the_choice_calls(fallbacks, bit_generator, sizes, k, raw):
+    a, b = generator(bit_generator, 7), generator(bit_generator, 7)
+    assert _choice_rows(b, np.array(sizes), k).tolist() == choice_calls(a, sizes, k).tolist()
+    assert generator_state(a) == generator_state(b)
+    assert len(fallbacks) == (0 if raw else 1)
+
+
+# PCG64 steps its 128-bit state s to s M + inc (mod 2**128), then outputs the
+# high and low 64-bit halves of the new state xor-ed and rotated
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def zero_word_pcg64(h: int) -> np.random.Generator:
+    """A PCG64 generator whose next 64-bit word is 0: its next state has two halves h."""
+    bitgen = np.random.PCG64(0)
+    state = bitgen.state
+    inc = state["state"]["inc"]
+    state["state"]["state"] = (((h << 64) | h) - inc) * pow(_PCG64_MULTIPLIER, -1, 2**128) % 2**128
+    bitgen.state = state
+    return np.random.Generator(bitgen)
+
+
+def test_a_lemire_rejection_takes_the_choice_calls(fallbacks):
+    assert zero_word_pcg64(12345).bit_generator.random_raw(1).tolist() == [0]
+    # Floyd's first bound for 8 rows and k = 4 is 4: u = 0 leaves (0 * 5) mod
+    # 2**32 = 0 below 2**32 mod 5 = 1, so numpy rejects it and draws again
+    a, b = zero_word_pcg64(12345), zero_word_pcg64(12345)
+    expected = a.choice(8, size=4, replace=False)
+    assert _choice_rows(b, np.array([8]), 4).tolist() == [expected.tolist()] == [[7, 6, 2, 3]]
+    assert len(fallbacks) == 1
+    assert generator_state(a) == generator_state(b)
 
 
 def test_pk_covers_the_replace_path_and_even_chunks():

@@ -16,7 +16,9 @@ Each draw starts from a config block and sets one key to a drawn JSON value.
   tiny one (huge counts are valid configs that would train for ever).  Each
   config that parses goes through ``xmcl run``, which must exit 0, or 2
   naming the key, or 1 only for a non-finite training term, ``task T,
-  epoch E: non-finite <term>``; nothing may print a traceback.
+  epoch E: non-finite <term>``; nothing may print a traceback.  One
+  example test pins an exit 1: ``jmmd.alpha`` 1e300 overflows Adam's second
+  moment.
 
 Hypothesis profiles are registered in conftest.py.
 """
@@ -186,9 +188,12 @@ def parsed_tiny_configs(draw):
     return payload, path, key
 
 
-@given(parsed_tiny_configs())
-def test_one_edited_key_of_a_tiny_config_runs_or_fails_cleanly(case):
-    payload, path, key = case
+def run_tiny(payload: dict) -> tuple[int, str]:
+    """``xmcl run`` on a config payload: (exit code, the last line of stderr).
+
+    Nothing may print a traceback.  The exit's own message is the last line;
+    batch warnings may come before it.
+    """
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
@@ -199,8 +204,13 @@ def test_one_edited_key_of_a_tiny_config_runs_or_fails_cleanly(case):
             warnings.simplefilter("ignore", RuntimeWarning)
             code = main(["run", "--config", str(config), "--out", str(Path(tmp) / "out")])
     assert "Traceback" not in out.getvalue() + err.getvalue()
-    # the exit's own message is the last line; batch warnings may come before it
-    message = (err.getvalue().strip().splitlines() or [""])[-1]
+    return code, (err.getvalue().strip().splitlines() or [""])[-1]
+
+
+@given(parsed_tiny_configs())
+def test_one_edited_key_of_a_tiny_config_runs_or_fails_cleanly(case):
+    payload, path, key = case
+    code, message = run_tiny(payload)
     event(f"exit {code}")
     if code == 2:
         assert names_key(message, path, key), message
@@ -208,3 +218,12 @@ def test_one_edited_key_of_a_tiny_config_runs_or_fails_cleanly(case):
         assert NON_FINITE.match(message), message
     else:
         assert code == 0, message
+
+
+def test_an_overflowing_adam_second_moment_exits_1():
+    # gradients near 1e299 square to inf in Adam's second moment, and every
+    # later step of those weights would be 0 while the losses stay finite
+    code, message = run_tiny(edited(TINY, ("jmmd",), "alpha", 1e300))
+    assert code == 1
+    assert NON_FINITE.match(message), message
+    assert message.endswith(": non-finite adam second moment"), message
