@@ -70,6 +70,10 @@ class RunSettings:
         for arm in self.arms:
             if arm not in ARMS:
                 raise ConfigError(f"unknown arm {arm!r}; choose from {ARMS}")
+        if not self.arms:
+            raise ConfigError("arms must name at least one arm")
+        if len(set(self.arms)) < len(self.arms):
+            raise ConfigError(f"arms must not repeat an arm, got {list(self.arms)}")
         if self.seeds < 1:
             raise ConfigError(f"seeds must be >= 1, got {self.seeds}")
         if self.seed < 0:

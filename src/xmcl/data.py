@@ -406,8 +406,20 @@ def _choice_rows(rng: np.random.Generator, sizes: np.ndarray, k: int) -> np.ndar
     return picks.T
 
 
+def identity_groups(train: Split) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, starts, counts): ``train``'s rows stably sorted by identity, and
+    where each identity's run of rows starts in that order and how long it is."""
+    order = np.argsort(train.ids, kind="stable")
+    _, starts, counts = np.unique(train.ids[order], return_index=True, return_counts=True)
+    return order, starts, counts
+
+
 def pk_epoch_batches(
-    train: Split, p: int, k: int, rng: np.random.Generator | int
+    train: Split,
+    p: int,
+    k: int,
+    rng: np.random.Generator | int,
+    groups: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """Index batches into ``train`` covering every identity once before any repeats.
 
@@ -418,10 +430,11 @@ def pk_epoch_batches(
     The draws equal one ``rng.choice(rows, K, replace=rows < K)`` call per
     identity in chunk order, bit for bit, generator state included; they
     come from one raw draw for the epoch, with those calls as the fallback.
+    groups is ``identity_groups(train)``, which a caller drawing several
+    epochs from one split can compute once; by default it is computed here.
     """
     rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
-    order = np.argsort(train.ids, kind="stable")
-    _, starts, counts = np.unique(train.ids[order], return_index=True, return_counts=True)
+    order, starts, counts = identity_groups(train) if groups is None else groups
     if starts.size < p:
         raise ValueError(f"need at least {p} identities, train split has {starts.size}")
     perm = rng.permutation(starts.size)

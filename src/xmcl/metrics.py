@@ -5,31 +5,33 @@ ranking is by ascending Euclidean distance with ties broken by gallery
 index.  Metrics are reported as percentages.
 
 Only the relevant items' ranks are needed.  Each query's row of keys
-(squared distances, or cosine distances) is sorted once, and one binary
-search, run for all (query, relevant item) pairs at once with one add per
-probe, counts the keys below each pair's own key in that sorted row.  The
-clip at zero and the square root are monotone, so the count is the number
-of smaller distances unless a neighbour of the own key in the sorted row
-shares its distance: an equal key, a negative key that clips to the same 0,
-or a square-root collision.  Those few pairs take both terms of their rank,
-with the tie-break by gallery index, from their unsorted row.  Distances are
-taken only where a rank reads them: the pairs' own keys, their two
-neighbours and those rows.  A block's ranks are put in query order by one
-integer sort of row * G + rank.  AP is summed from those ranks as one
-integer fraction and rounded once, so it equals the exact rational value to
-the last bit: for every query at once in int64 (np.lcm.reduceat over its
-ranks) while T * prod(ranks) stays below 2^52, and in Python integers for
-the rare query past that bound.
+(squared distances, or cosine distances) is rounded to float32 and sorted
+once, and one binary search, run for all (query, relevant item) pairs at
+once with one add per probe, counts the float32 keys below each pair's own
+float32 key in that sorted row.  Rounding, the clip at zero and the square
+root are monotone, so the count is the number of smaller distances when no
+other key of the row lies within one float32 step of the own key and, for
+squared keys, the own key is above 0.  Every other pair -- an equal key, a
+key of the same float32 value, a negative key that clips to the same 0, a
+square-root collision, keys on either side of a float32 rounding midpoint
+-- takes both terms of its rank, with the tie-break by gallery index, from
+its unsorted float64 row.  Distances are taken only for those pairs.  A
+block's ranks are put in query order by one integer sort of row * G + rank.
+AP is summed from those ranks as one integer fraction and rounded once, so
+it equals the exact rational value to the last bit: for every query at once
+in int64 (np.lcm.reduceat over its ranks) while T * prod(ranks) stays below
+2^52, and in Python integers for the rare query past that bound.
 
 The queries are ranked in blocks of _BLOCK_ELEMENTS // G rows (at least
 one), G the gallery size, so no Q x G matrix is ever built.  Each call
 allocates two block-sized float64 buffers, 512 KiB each, which fit a 2 MiB
 per-core L2 cache together, and ranks every block in them: one holds the
-block's keys, the other first the query-gallery product, then the sorted
-keys and the tie rows.  The squared norms, the gallery's identity order and
-each query's run of relevant items in it are found once per call; each
-block builds the (query, item) pairs of its own queries only.  A query's
-ranks depend on its own row of keys only, but the BLAS may round a block's
+block's keys, the other first the query-gallery product, then in its first
+half the float32 sorted keys, then the rows of the pairs that are
+recounted.  The squared norms, the gallery's identity order and each
+query's run of relevant items in it are found once per call; each block
+builds the (query, item) pairs of its own queries only.  A query's ranks
+depend on its own row of keys only, but the BLAS may round a block's
 product differently for another row count, so the block shape is a fixed
 function of Q and G.
 """
@@ -136,56 +138,68 @@ def _relevant_positions(
     keys holds a block of queries' rows against the whole gallery: the
     distances, or with root their unclipped squares, whose distance is
     sqrt(max(key, 0)).  pair_rows is non-decreasing, and the ranks of a
-    row's pairs fill that row's slots in ascending order.  spare, a buffer
-    with at least keys' rows, is overwritten; keys is left as it is.
+    row's pairs fill that row's slots in ascending order.  spare, a
+    C-contiguous float64 buffer with at least keys' rows, is overwritten;
+    keys is left as it is.
 
     The rank of item g in row q is 1 + #(d < d_qg) + #(d == d_qg and gallery
     index < g): the position in ascending-distance order with ties broken by
-    gallery index.  Each row is sorted once, and a binary search, run for
-    all pairs at once with one add per probe, counts the keys below the
-    pair's own key in its sorted row.  The own key is in the row, so the
-    count is at most G - 1: with the first probe at G - 2^floor(log2 G) and
-    the halving steps after it, no probe passes the row end.  The distance
-    is a non-decreasing function of the key, so the count is #(d < d_qg)
-    unless a neighbour of the own key in the sorted row shares its
-    distance: an equal key, a smaller key that clips to the same 0, or a
-    square-root collision such as 4.0 and nextafter(4.0, 5.0).  Only those
-    pairs read their unsorted row, which gives both terms of the rank.
-    Raises ValueError on a NaN or +inf key.
+    gallery index.  Each row's keys are rounded to float32 into the first
+    half of spare and sorted there, and a binary search, run for all pairs
+    at once with one add per probe, counts the float32 keys below the pair's
+    own float32 key.  The own key is in the row, so the count is at most
+    G - 1: with the first probe at G - 2^floor(log2 G) and the halving steps
+    after it, no probe passes the row end.  Rounding is monotone, so a key
+    whose float32 lies two or more float32 steps from the own key's is below
+    or above it in float64 by at least half a float32 step, far more than a
+    square root can merge.  A pair is settled when both its neighbours in
+    the sorted row lie that far away and, with root, its own float32 key is
+    above 0: its rank is then the count plus one.  Every other pair -- an equal
+    key, keys that clip to the same 0, a square-root collision such as 4.0
+    and nextafter(4.0, 5.0), keys that straddle a float32 rounding midpoint
+    -- takes both terms of its rank from its unsorted float64 row.
+    Raises ValueError on a NaN or +inf key; -inf and finite keys beyond
+    float32's range, which round to -inf and +inf, still rank.
     """
     n_g = keys.shape[1]
-    ranked = spare[: len(keys)]
-    np.copyto(ranked, keys)
-    ranked.sort(axis=1)
-    # NaN sorts after +inf, so a row holds either only if its last key is one
-    if not (ranked[:, -1:] < np.inf).all():
-        raise ValueError("non-finite query-gallery distance")
-    # ptr is a pair's flat index into the sorted rows: its row start plus the
-    # count of keys below its own
+    ranked = spare.reshape(-1).view(np.float32)[: keys.size].reshape(keys.shape)
+    with np.errstate(over="ignore"):
+        np.copyto(ranked, keys, casting="same_kind")
+    # ptr is a pair's flat index into the rows: its row start, to which the
+    # search adds the count of float32 keys below the pair's own
     row_start = pair_rows * n_g
-    own_key = keys.reshape(-1).take(row_start + pair_items)
-    own = _to_distances(own_key.copy(), root)
     flat = ranked.reshape(-1)
+    own = flat.take(row_start + pair_items)
+    ranked.sort(axis=1)
+    # NaN sorts after +inf, so a row holds either only if its last key is one;
+    # a finite key past float32's range is +inf there too, and then the
+    # float64 keys decide
+    if not (ranked[:, -1:] < np.inf).all() and not (keys < np.inf).all():
+        raise ValueError("non-finite query-gallery distance")
     ptr = row_start.copy()
     # top is 2^floor(log2 G); the probe of a step reads the key at ptr + step - 1
     top = 1 << max(n_g.bit_length() - 1, 0)
     steps = [n_g - top] if n_g > top else []
     for step in steps + [top >> k for k in range(1, top.bit_length())]:
-        ptr += step * (flat[step - 1 :].take(ptr) < own_key)
-    # a neighbour read across a row end, or clipped to the own key at the
-    # block's ends, at most adds a false tie, which the recount ranks the same
-    below = _to_distances(flat.take(ptr - 1, mode="clip"), root)
-    above = _to_distances(flat.take(ptr + 1, mode="clip"), root)
-    tied = np.flatnonzero((below == own) | (above == own))
-    # the sorted rows are spent: tied pairs' unsorted rows are gathered into
-    # spare, as many at a time as it has rows, however many pairs tie
+        ptr += step * (flat[step - 1 :].take(ptr) < own)
+    # a pair first or last in its row has no neighbour on that side; the key
+    # read there, from another row or clipped at the block's ends, is ignored
+    first, last = ptr == row_start, ptr == row_start + (n_g - 1)
+    settled = first | (flat.take(ptr - 1, mode="clip") < np.nextafter(own, -np.inf))
+    settled &= last | (flat.take(ptr + 1, mode="clip") > np.nextafter(own, np.inf))
+    if root:
+        # a float32 key above 0 is rounded from a float64 key above 0
+        settled &= own > 0
+    unsettled = np.flatnonzero(~settled)
+    # the sorted rows are spent: unsettled pairs' unsorted rows are gathered
+    # into spare, as many at a time as it has rows, however many pairs there are
     chunk = max(len(spare), 1)
-    for start in range(0, tied.size, chunk):
-        t = tied[start : start + chunk]
+    for start in range(0, unsettled.size, chunk):
+        t = unsettled[start : start + chunk]
+        o = _to_distances(keys.reshape(-1).take(row_start[t] + pair_items[t]), root)[:, None]
         rows = _to_distances(
             np.take(keys, pair_rows[t], axis=0, out=spare[: t.size], mode="clip"), root
         )
-        o = own[t, None]
         ahead = np.count_nonzero(rows < o, axis=1) + np.count_nonzero(
             (rows == o) & (np.arange(n_g) < pair_items[t, None]), axis=1
         )
@@ -209,9 +223,11 @@ def _query_positions(
     by query then rank, and the index in positions where each query that has
     a relevant item begins.
 
-    Every block of queries is ranked in the same two (rows, G) buffers: its
-    keys in one; in the other, first the product that _sq_dists adds to the
-    keys, then the sorted keys and the tie rows.  They are freed on return.
+    Every block of queries is ranked in the same two (rows, G) float64
+    buffers: its keys in one; in the other, first the product that _sq_dists
+    adds to the keys, then, in its first half, the keys rounded to float32 and
+    sorted, then the float64 rows of the pairs that _relevant_positions
+    recounts.  They are freed on return.
     The relevant pairs come from the id-sorted gallery: each query's run of
     its identity there is found once per call, and each block builds only
     its own queries' pairs.  Raises ValueError when use_cosine meets an
@@ -252,9 +268,10 @@ def _query_positions(
                 sq_norms=(q_norms[block], g_norms), product=spare[: len(keys)], clip=False,
             )
         n = counts[block]
-        pairs = np.arange(pair_bounds[start], pair_bounds[start + n.size])
         pair_rows = np.repeat(np.arange(n.size), n)
-        pair_items = by_id[pairs + np.repeat(shift[block], n)]
+        pair_items = by_id[
+            np.arange(pair_bounds[start], pair_bounds[start + n.size]) + np.repeat(shift[block], n)
+        ]
         block_positions.append(
             _relevant_positions(keys, spare, pair_rows, pair_items, not use_cosine)
         )

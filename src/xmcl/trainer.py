@@ -31,6 +31,7 @@ from .data import (
     SynthSpec,
     TaskDataset,
     generate_synthetic_task,
+    identity_groups,
     load_task,
     pk_epoch_batches,
 )
@@ -333,6 +334,8 @@ def train_task(
     so does, at the end of the epoch, a non-finite Adam second moment.
     """
     replay_tasks = exp.banks.task_ids() if use_replay else []
+    # the split does not change while it trains: its identities are grouped once
+    groups = identity_groups(task.train)
     epoch_losses: list[float] = []
     for epoch in epochs:
         lr = lr_at(epoch, config.schedule)
@@ -345,7 +348,7 @@ def train_task(
         else:
             head = task.task_id
             source = task.train
-            batches = pk_epoch_batches(task.train, config.pk_p, config.pk_k, rng)
+            batches = pk_epoch_batches(task.train, config.pk_p, config.pk_k, rng, groups)
             update_shared = True
             where = f"task {task.task_id}"
         losses = []

@@ -332,6 +332,25 @@ class TestRun:
             assert "invalid choice" in err and arm in err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize(
+        "arms, flags",
+        [([], []), (["no_mpm", "no_mpm"], []), (["full"], ["--arm", "no_mpm", "--arm", "no_mpm"])],
+        ids=["empty", "repeated", "repeated_flag"],
+    )
+    def test_empty_or_repeated_arms_exit_2_before_training(
+        self, tmp_path, capsys, monkeypatch, arms, flags
+    ):
+        import xmcl.cli
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the arms were checked")
+
+        monkeypatch.setattr(xmcl.cli, "run_sequence", no_training)
+        config = write_config(tmp_path / "config.json", arms=arms)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "runs"), *flags]) == 2
+        assert "arms" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize("overrides, key", BAD_CONFIGS, ids=[k for _, k in BAD_CONFIGS])
     def test_bad_config_exit_2(self, tmp_path, capsys, overrides, key):
         config = write_config(tmp_path / "config.json", **overrides)

@@ -11,6 +11,7 @@ from xmcl.data import (
     SynthSpecError,
     TaskFileError,
     generate_synthetic_task,
+    identity_groups,
     load_task,
     pk_epoch_batches,
     save_task,
@@ -289,6 +290,19 @@ class TestPkSampling:
         b = np.concatenate(pk_epoch_batches(train, 8, 4, rng=42))
         assert a.tolist() == b.tolist()
         assert train.features[a].tobytes() == train.features[b].tobytes()
+
+    def test_grouped_once_the_epochs_are_the_same(self):
+        # identity i has i + 1 rows, interleaved through the split: some draw
+        # K = 3 with replacement, the rest without
+        rows = [(i, j % 2 == 0, np.array([i, j], dtype=float)) for j in range(9) for i in range(j, 9)]
+        train = make_split(rows)
+        groups = identity_groups(train)
+        rng, grouped_rng = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(3):
+            batches = pk_epoch_batches(train, 4, 3, rng)
+            grouped = pk_epoch_batches(train, 4, 3, grouped_rng, groups)
+            assert [b.tolist() for b in grouped] == [b.tolist() for b in batches]
+        assert grouped_rng.bit_generator.state == rng.bit_generator.state
 
     def test_too_few_identities_rejected(self):
         with pytest.raises(ValueError):

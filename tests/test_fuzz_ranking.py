@@ -4,7 +4,10 @@ Each draw is a query set and a gallery of independent sizes (Q != G), with
 Euclidean or cosine distances and query identities that the gallery may not
 hold.  Embeddings are continuous, or on a coarse grid for many tied
 distances: integer rows in [-2, 2], or, for cosine ranked in several
-blocks, scaled signed axis vectors.  The cosines of other grid rows tie
+blocks, scaled signed axis vectors.  Continuous galleries may be near-float32
+ties: copies of a few rows, each entry perturbed by about 1e-7 relative, so
+the ranking's float32 sort meets keys that share a float32 value or lie one
+float32 step apart and must take the exact float64 recount.  The cosines of other grid rows tie
 only up to rounding, and a block's product may round apart from the whole
 matrix's (test_metrics.py records such a case as an expected failure); one
 block of every query has the reference's product bit for bit.  About one
@@ -76,6 +79,14 @@ def retrieval_cases(draw):
     else:
         q_emb = rng.normal(size=(q_ids.size, dim))
         g_emb = rng.normal(size=(n_g, dim))
+        if draw(st.booleans()):
+            # gallery rows copied from a few others, each entry scaled by about
+            # 1 + 1e-7: a query's keys to copies of one row share a float32
+            # value or lie a float32 step or two apart, far above the
+            # product's rounding, so every block shape orders them alike
+            event("near-float32 ties")
+            g_emb = g_emb[rng.integers(0, max(1, n_g // 4), size=n_g)]
+            g_emb *= 1.0 + 1e-7 * rng.standard_normal(g_emb.shape)
     if missing:
         event("query ids missing from the gallery")
     if q_ids.size != n_g:

@@ -144,6 +144,24 @@ def distances_of(keys, root):
     return np.sqrt(np.maximum(keys, 0.0)) if root else keys
 
 
+def midpoint_sqrt_collision():
+    """(x, y): adjacent doubles that round to adjacent float32 values and share a square root.
+
+    Found by a scan of the float32 rounding midpoints above 4.0: the midpoint
+    and the double on the side that rounds the other way make the pair.
+    """
+    low = np.float32(4.0)
+    for _ in range(1000):
+        high = np.nextafter(low, np.float32(np.inf))
+        mid = (float(low) + float(high)) / 2
+        for x in (np.nextafter(mid, -np.inf), mid):
+            y = np.nextafter(x, np.inf)
+            if np.float32(x) != np.float32(y) and np.sqrt(x) == np.sqrt(y):
+                return float(x), float(y)
+        low = high
+    raise AssertionError("no square-root collision across a float32 midpoint")
+
+
 def relevant_positions(keys, query_ids, gallery_ids, root, spare_rows=0):
     """(query, rank) of every relevant pair of a whole key matrix, by _relevant_positions.
 
@@ -373,6 +391,55 @@ class TestRelevantPositions:
         keys = np.array([[1.0, -np.inf, 4.0]])
         queries, positions = relevant_positions(keys, np.array([2]), np.array([0, 1, 2]), root=True)
         assert positions.tolist() == [3]
+
+    def assert_ranks(self, keys, query_ids, gallery_ids, root, expected):
+        queries, positions = relevant_positions(keys, query_ids, gallery_ids, root)
+        distances = distances_of(keys, root)
+        ref_queries, ref_positions = blocked_pair_positions(distances, query_ids, gallery_ids)
+        np.testing.assert_array_equal(queries, ref_queries)
+        np.testing.assert_array_equal(positions, ref_positions)
+        assert positions.tolist() == expected
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_square_root_collision_across_a_float32_rounding_midpoint(self, side):
+        # x < y are adjacent doubles on either side of a float32 rounding
+        # midpoint, so their float32 values are one step apart, and they share
+        # a square root: a tie by gallery index that the float32 order misses
+        x, y = midpoint_sqrt_collision()
+        assert np.nextafter(np.float32(x), np.float32(np.inf)) == np.float32(y)
+        assert np.sqrt(x) == np.sqrt(y)
+        keys = np.array([[y, x, 1.0, 9.0]])
+        # below: the relevant y has the colliding key one float32 step below it
+        # and ranks ahead of it by index; above: the relevant x has it one step
+        # above and ranks behind it by index
+        relevant, expected = (0, [2]) if side == "below" else (1, [3])
+        gallery_ids = np.zeros(4, dtype=np.int64)
+        gallery_ids[relevant] = 5
+        self.assert_ranks(keys, np.array([5]), gallery_ids, True, expected)
+
+    @pytest.mark.parametrize("root", [False, True])
+    def test_keys_that_share_one_float32_value(self, root):
+        # 1 + 2^-40 and 1.0 round to the same float32 but differ as distances
+        keys = np.array([[1.0 + 2.0**-40, 1.0, 0.5]])
+        assert np.float32(keys[0, 0]) == np.float32(keys[0, 1])
+        self.assert_ranks(keys, np.array([7]), np.array([7, 7, 0]), root, [2, 3])
+
+    @pytest.mark.parametrize("root", [False, True])
+    def test_finite_key_above_the_float32_range_beside_minus_inf(self, root):
+        # 1e300 and 3.5e38 both round to float32 +inf, and -inf stays -inf:
+        # all rank, and none is the +inf that raises
+        keys = np.array([[1e300, -np.inf, 2.0, 3.5e38]])
+        with np.errstate(over="ignore"):
+            assert np.isposinf(keys[0, [0, 3]].astype(np.float32)).all()
+        self.assert_ranks(keys, np.array([7]), np.full(4, 7), root, [1, 2, 3, 4])
+
+    @pytest.mark.parametrize("root", [False, True])
+    def test_positive_keys_below_the_smallest_float32_subnormal(self, root):
+        # all but 1.0 round to a float32 zero, though 3e-46 and 1e-46 are
+        # distinct distances above 0 and -1e-46 clips to 0 with root
+        keys = np.array([[3e-46, 1e-46, 0.0, -1e-46, 1.0]])
+        assert not np.float32(3e-46)
+        self.assert_ranks(keys, np.array([7]), np.full(5, 7), root, [1, 2, 3, 4, 5])
 
 
 class TestRankingMetrics:

@@ -607,6 +607,29 @@ class TestEpochRanges:
             assert split.adam.v[key].tobytes() == whole.adam.v[key].tobytes()
 
 
+def test_train_task_groups_its_split_once_and_draws_every_epoch(monkeypatch):
+    import xmcl.trainer as trainer
+
+    grouped, drawn = [], []
+    real_groups, real_batches = trainer.identity_groups, trainer.pk_epoch_batches
+
+    def groups_of(train):
+        grouped.append(real_groups(train))
+        return grouped[-1]
+
+    def batches(train, p, k, rng, groups=None):
+        drawn.append(groups)
+        return real_batches(train, p, k, rng, groups)
+
+    monkeypatch.setattr(trainer, "identity_groups", groups_of)
+    monkeypatch.setattr(trainer, "pk_epoch_batches", batches)
+    run_sequence(mini_config(num_tasks=1), master_seed=0)
+    # one task trains its epochs in two train_task calls, to halfway and to the end
+    epochs = MINI_SCHED.epochs_first_task
+    assert len(grouped) == 2 and len(drawn) == epochs
+    assert all(g is grouped[i >= epochs // 2] for i, g in enumerate(drawn))
+
+
 class TestEmptyBanksWarn:
     def test_replay_skipped_for_empty_banks_is_reported(self):
         from xmcl.conformal import CpConfig
