@@ -34,15 +34,7 @@ from .encoder import (
     init_encoder,
     register_task_head,
 )
-from .losses import (
-    JmmdSpec,
-    LossBreakdown,
-    i2tce_loss,
-    id_loss,
-    jmmd,
-    jmmd_with_grad,
-    triplet_loss,
-)
+from .losses import JmmdSpec, LossBreakdown, jmmd_with_grad
 from .metrics import MetricsRecord, aggregate, evaluate
 from .schemes import (
     high_gap_single_task_config,

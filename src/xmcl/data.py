@@ -167,6 +167,22 @@ class SynthSpec:
             raise SynthSpecError(f"too many identities for one task: {total}")
         if self.task_id * ID_STRIDE + total > _INT64.max:
             raise SynthSpecError(f"task_id {self.task_id} puts identity labels past int64")
+        # float64 elements of the arrays generate_synthetic_task builds
+        rows = self.sketches_per_id + self.photos_per_id
+        for what, keys, size in (
+            ("latents", "num_train_ids + num_test_ids and latent_dim", total * self.latent_dim),
+            ("transforms", "feature_dim and latent_dim", self.feature_dim * self.latent_dim),
+            (
+                "rendered features",
+                "num_train_ids or num_test_ids, sketches_per_id + photos_per_id and feature_dim",
+                max(self.num_train_ids, self.num_test_ids) * rows * self.feature_dim,
+            ),
+        ):
+            if 8 * size > np.iinfo(np.intp).max:
+                raise SynthSpecError(
+                    f"{keys} make {8 * size}-byte {what}, past numpy's limit of "
+                    f"{np.iinfo(np.intp).max} bytes"
+                )
 
 
 def _modality_transforms(spec: SynthSpec):

@@ -58,6 +58,13 @@ class EncoderConfig:
             raise ConfigurationError("hidden_dims must be non-empty")
         if any(int(d) != d or d < 1 for d in dims):
             raise ConfigurationError(f"all dims must be positive integers, got {dims}")
+        size = sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
+        if 8 * size > np.iinfo(np.intp).max:
+            raise ConfigurationError(
+                f"hidden_dims and embedding_dim make a {8 * size}-byte flat parameter vector "
+                f"for input_dim {self.input_dim}, past numpy's limit of "
+                f"{np.iinfo(np.intp).max} bytes"
+            )
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError("seed must fit in 64 unsigned bits")
         if not 0 < self.temperature < math.inf:

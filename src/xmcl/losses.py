@@ -1,10 +1,16 @@
 """Training objectives with analytic gradients.
 
-Everything here is a pure function of numpy arrays.  The alignment loss
-measures the squared distance between kernel mean embeddings of the sketch
-and photo sets, with the kernel taken as a product of per-layer Gaussian
-kernels so that several network layers are matched jointly.  The biased
-V-statistic form is used: same-index terms are kept in all three double sums.
+Everything here is a pure function of numpy arrays.  Each loss term has one
+function, its gradient form, which returns the value with the gradient:
+jmmd_with_grad(...)[0] is the alignment loss, triplet_loss_grad(...)[0] the
+triplet loss, and cross_entropies_grad(...)[0] and [1] the identity and
+prototype cross-entropies.  There are no value-only twins.
+
+The alignment loss measures the squared distance between kernel mean
+embeddings of the sketch and photo sets, with the kernel taken as a product
+of per-layer Gaussian kernels so that several network layers are matched
+jointly.  The biased V-statistic form is used: same-index terms are kept in
+all three double sums.
 
 It is evaluated on a batch's rows in the order they come, with one signed
 weight per row, w_i = +1/n_s for a sketch and -1/n_p for a photo, so the
@@ -168,26 +174,6 @@ def default_layer_set(num_hidden: int) -> tuple[int, ...]:
     return (num_hidden - 1, num_hidden, num_hidden + 1)
 
 
-def _pool(
-    sketch_layers: Sequence[np.ndarray], photo_layers: Sequence[np.ndarray]
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each layer's rows stacked as [sketches; photos], and the sketch mask of those rows."""
-    if len(sketch_layers) == 0 or len(sketch_layers) != len(photo_layers):
-        raise LossInputError(
-            f"layer lists must be non-empty and equal length, got "
-            f"{len(sketch_layers)} vs {len(photo_layers)}"
-        )
-    s = [np.atleast_2d(np.asarray(a, np.float64)) for a in sketch_layers]
-    p = [np.atleast_2d(np.asarray(a, np.float64)) for a in photo_layers]
-    for l, (a, b) in enumerate(zip(s, p)):
-        if a.shape[1] != b.shape[1]:
-            raise LossInputError(f"layer {l} dims differ: {a.shape[1]} vs {b.shape[1]}")
-        if a.shape[0] != s[0].shape[0] or b.shape[0] != p[0].shape[0]:
-            raise LossInputError("sample counts must agree across layers")
-    n_s, n_p = s[0].shape[0], p[0].shape[0]
-    return [np.concatenate([a, b]) for a, b in zip(s, p)], np.arange(n_s + n_p) < n_s
-
-
 def resolve_bandwidths(
     sq_dists: Sequence[np.ndarray] | np.ndarray, spec: JmmdSpec
 ) -> list[float]:
@@ -210,19 +196,6 @@ def resolve_bandwidths(
             f"got {len(spec.bandwidths)} bandwidths for {len(sq_dists)} layers"
         )
     return [float(b) for b in spec.bandwidths]
-
-
-def jmmd(
-    sketch_layers: Sequence[np.ndarray],
-    photo_layers: Sequence[np.ndarray],
-    spec: JmmdSpec = JmmdSpec(),
-) -> float:
-    """Joint multi-layer MMD between the sketch set and the photo set.
-
-    mean(J_ss) + mean(J_pp) - 2 mean(J_sp) where J is the elementwise product
-    of per-layer Gaussian kernel matrices.  Same-index terms are included.
-    """
-    return jmmd_with_grad(*_pool(sketch_layers, photo_layers), spec)[0]
 
 
 def jmmd_with_grad(
@@ -284,30 +257,21 @@ def jmmd_with_grad(
 # metric-learning and classification losses
 
 
-def triplet_loss(
-    embeddings: np.ndarray, labels: np.ndarray, margin: float = DEFAULT_MARGIN
-) -> float:
-    """Batch-hard triplet loss with Euclidean distances.
-
-    Every sample with at least one positive and one negative acts as an
-    anchor; its hardest positive and hardest negative form the triplet.
-    """
-    return triplet_loss_grad(embeddings, labels, margin)[0]
-
-
 def triplet_loss_grad(
     embeddings: np.ndarray,
     labels: np.ndarray,
     margin: float = DEFAULT_MARGIN,
     sq_dists: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Loss and its (sub)gradient w.r.t. the embeddings.
+    """Batch-hard triplet loss and its (sub)gradient w.r.t. the embeddings.
 
-    Ties pick the lowest index.  Hinges are summed, and gradient rows
-    accumulated, sequentially in anchor order, so the result equals that of
-    a per-anchor loop to the bit.  sq_dists, when given, is
-    _sq_dists(embeddings, embeddings), computed once by a caller that shares
-    it with other terms.
+    Every sample with at least one positive and one negative acts as an
+    anchor; its hardest positive and hardest negative, by Euclidean
+    distance, form the triplet.  Ties pick the lowest index.  Hinges are
+    summed, and gradient rows accumulated, sequentially in anchor order, so
+    the result equals that of a per-anchor loop to the bit.  sq_dists, when
+    given, is _sq_dists(embeddings, embeddings), computed once by a caller
+    that shares it with other terms.
     """
     emb = np.atleast_2d(np.asarray(embeddings, np.float64))
     labels = np.asarray(labels).ravel()
@@ -360,13 +324,6 @@ def triplet_loss_grad(
         (rows[..., None] * dim + np.arange(dim)).ravel(), weights.ravel(), minlength=emb.size
     )
     return total / anchors.size, grad.reshape(emb.shape) / anchors.size
-
-
-def id_loss(
-    probs: np.ndarray, labels: np.ndarray, smoothing: float = DEFAULT_SMOOTHING
-) -> float:
-    """Label-smoothed cross-entropy over already-normalized probabilities."""
-    return cross_entropies_grad(probs, labels, smoothing)[0]
 
 
 def cross_entropies_grad(
@@ -468,17 +425,6 @@ def softmax_backward(probs: np.ndarray, d_probs: np.ndarray) -> np.ndarray:
     p = np.asarray(probs, np.float64)
     g = np.asarray(d_probs, np.float64)
     return p * (g - (g * p).sum(axis=1, keepdims=True))
-
-
-def i2tce_loss(
-    embeddings: np.ndarray,
-    prototypes: np.ndarray,
-    labels: np.ndarray,
-    temperature: float = DEFAULT_TEMPERATURE,
-) -> float:
-    """Cross-entropy of cosine-similarity logits against the label prototype."""
-    probs = softmax(cosine_logits(embeddings, prototypes, temperature))
-    return cross_entropies_grad(probs, labels)[1]
 
 
 # ---------------------------------------------------------------------------

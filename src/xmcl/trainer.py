@@ -165,14 +165,27 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.tasks:
             raise ValueError("config needs at least one task")
-        # the encoder's own checks, before any task is built
+        # the encoder's own checks, before any task is built; a task file's
+        # width is known only once the file is read
+        first = self.tasks[0]
         EncoderConfig(
+            input_dim=first.feature_dim if isinstance(first, SynthSpec) else 1,
             hidden_dims=self.hidden_dims,
             embedding_dim=self.embedding_dim,
             temperature=self.temperature,
         )
         if self.pk_p < 2 or self.pk_k < 1:
             raise ValueError("PK sampling needs at least 2 identities and 1 instance")
+        # float64 elements of a batch at its widest layer, or of its distance stack
+        rows = self.pk_p * self.pk_k
+        widths = [t.feature_dim for t in self.tasks if isinstance(t, SynthSpec)]
+        depth = len(self.jmmd.layer_set or default_layer_set(len(self.hidden_dims)))
+        size = rows * max(*widths, *self.hidden_dims, self.embedding_dim, depth * rows)
+        if 8 * size > np.iinfo(np.intp).max:
+            raise ValueError(
+                f"pk.p * pk.k = {rows} rows make a batch or a ({depth}, {rows}, {rows}) "
+                f"distance stack past numpy's limit of {np.iinfo(np.intp).max} bytes"
+            )
         if not (np.isfinite(self.triplet_margin) and self.triplet_margin >= 0):
             raise ValueError(f"triplet_margin must be finite and >= 0, got {self.triplet_margin}")
         if not 0.0 <= self.label_smoothing < 1.0:

@@ -171,16 +171,35 @@ NEGATIVE_SEEDS = {
     "config task seed": ("run", [], None, {}, {"seed": -4}),
 }
 
+# the same five fields, each case carrying one count for which an array the run
+# builds would pass numpy's limit of np.iinfo(np.intp).max bytes, and the key
+# its error must name
+OVERSIZED_COUNTS = {
+    "pk.k": ("run", [], None, {"pk": {"p": 4, "k": 2**62}}, {}, "pk.k"),
+    "pk.p": ("run", [], None, {"pk": {"p": 2**62, "k": 2}}, {}, "pk.p"),
+    "pk.k distance stack": ("run", [], None, {"pk": {"p": 4, "k": 2**30}}, {}, "pk.k"),
+    "encoder.hidden_dims": (
+        "run", [], None, {"encoder": {"hidden_dims": [2**62]}}, {}, "hidden_dims"
+    ),
+    "encoder.embedding_dim": (
+        "run", [], None, {"encoder": {"embedding_dim": 2**62}}, {}, "embedding_dim"
+    ),
+    "latent_dim": ("run", [], None, {}, {"latent_dim": 2**62}, "latent_dim"),
+    "feature_dim": ("run", [], None, {}, {"feature_dim": 2**62}, "feature_dim"),
+    "sketches_per_id": ("run", [], None, {}, {"sketches_per_id": 2**62}, "sketches_per_id"),
+    "photos_per_id": ("run", [], None, {}, {"photos_per_id": 2**62}, "photos_per_id"),
+    "task spec latent_dim": ("gen-data", [], None, {"latent_dim": 2**62}, {}, "latent_dim"),
+    "task spec feature_dim": ("gen-data", [], None, {"feature_dim": 2**62}, {}, "feature_dim"),
+}
 
-@pytest.mark.parametrize("case", NEGATIVE_SEEDS.values(), ids=list(NEGATIVE_SEEDS))
-def test_negative_seed_exit_2_names_seed_before_any_task(tmp_path, capsys, monkeypatch, case):
+
+def exit_code_before_any_task(tmp_path, monkeypatch, command, argv, env, overrides, task_overrides):
+    """main's exit code on one edited config or spec; building a task fails the test."""
     import xmcl.cli
     import xmcl.trainer
 
-    command, argv, env, overrides, task_overrides = case
-
     def no_tasks(*args, **kwargs):
-        raise AssertionError("built a task before the seed was checked")
+        raise AssertionError("built a task before the config was checked")
 
     monkeypatch.setattr(xmcl.trainer, "generate_synthetic_task", no_tasks)
     monkeypatch.setattr(xmcl.cli, "generate_synthetic_task", no_tasks)
@@ -197,9 +216,22 @@ def test_negative_seed_exit_2_names_seed_before_any_task(tmp_path, capsys, monke
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({**SPEC_PAYLOAD, **overrides}))
         argv = ["gen-data", "--spec", str(spec), "--out", str(out / "task.jsonl"), *argv]
-    assert main(argv) == 2
-    assert "seed" in capsys.readouterr().err
+    code = main(argv)
     assert not out.exists()
+    return code
+
+
+@pytest.mark.parametrize("case", NEGATIVE_SEEDS.values(), ids=list(NEGATIVE_SEEDS))
+def test_negative_seed_exit_2_names_seed_before_any_task(tmp_path, capsys, monkeypatch, case):
+    assert exit_code_before_any_task(tmp_path, monkeypatch, *case) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", OVERSIZED_COUNTS.values(), ids=list(OVERSIZED_COUNTS))
+def test_oversized_count_exit_2_names_key_before_any_task(tmp_path, capsys, monkeypatch, case):
+    *edit, key = case
+    assert exit_code_before_any_task(tmp_path, monkeypatch, *edit) == 2
+    assert key in capsys.readouterr().err
 
 
 class TestGenData:

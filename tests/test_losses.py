@@ -1,4 +1,3 @@
-import inspect
 import math
 
 import numpy as np
@@ -10,20 +9,15 @@ from xmcl.losses import (
     JmmdSpec,
     LossBreakdown,
     LossInputError,
-    _pool,
     _sq_dists,
     cosine_logits,
     cosine_logits_backward,
     cross_entropies_grad,
     default_layer_set,
-    i2tce_loss,
-    id_loss,
-    jmmd,
     jmmd_with_grad,
     resolve_bandwidths,
     softmax,
     softmax_backward,
-    triplet_loss,
     triplet_loss_grad,
 )
 from xmcl.trainer import ExperimentConfig
@@ -117,9 +111,26 @@ def triplet_loop_reference(emb, labels, margin):
     return total / anchors.size, grad / anchors.size
 
 
+def pooled(sketch_layers, photo_layers):
+    """Each layer's rows stacked as [sketches; photos], and the sketch mask of those rows."""
+    layers = [np.concatenate([a, b]) for a, b in zip(sketch_layers, photo_layers)]
+    return layers, np.arange(len(layers[0])) < len(sketch_layers[0])
+
+
+def jmmd_value(sketch_layers, photo_layers, spec=JmmdSpec()):
+    """The alignment loss between a sketch set and a photo set: jmmd_with_grad's value."""
+    return jmmd_with_grad(*pooled(sketch_layers, photo_layers), spec)[0]
+
+
+def prototype_ce(embeddings, prototypes, labels, temperature=DEFAULT_TEMPERATURE):
+    """The prototype CE of cosine logits: cross_entropies_grad's second value."""
+    probs = softmax(cosine_logits(embeddings, prototypes, temperature))
+    return cross_entropies_grad(probs, labels)[1]
+
+
 def jmmd_split_grad(sketch_layers, photo_layers, spec):
     """jmmd_with_grad on [sketches; photos], its gradients split back per set."""
-    layers, is_sketch = _pool(sketch_layers, photo_layers)
+    layers, is_sketch = pooled(sketch_layers, photo_layers)
     value, grads = jmmd_with_grad(layers, is_sketch, spec)
     return value, [g[is_sketch] for g in grads], [g[~is_sketch] for g in grads]
 
@@ -164,12 +175,13 @@ def jmmd_block_reference(sketch_layers, photo_layers, bandwidths=None):
 
 
 def kernel(x, y, sigma):
-    """k(x, y) as jmmd builds it: one sketch x, one photo y, one layer.
+    """k(x, y) as jmmd_with_grad builds it: one sketch x, one photo y, one layer.
 
     For single rows the alignment distance is k(x, x) + k(y, y) - 2 k(x, y),
     and k(x, x) = 1 (test_identity).
     """
-    return 1.0 - jmmd([np.atleast_2d(x)], [np.atleast_2d(y)], JmmdSpec(bandwidths=[sigma])) / 2
+    value = jmmd_value([np.atleast_2d(x)], [np.atleast_2d(y)], JmmdSpec(bandwidths=[sigma]))
+    return 1.0 - value / 2
 
 
 def median_sigma(feats):
@@ -182,7 +194,7 @@ class TestGaussianKernel:
         # y shares no kernel mass with x, so the distance is k(x, x) + k(y, y)
         x = np.array([1.0, -2.0, 0.5])
         y = x + 1e3
-        value = jmmd([x[None]], [y[None]], JmmdSpec(bandwidths=[0.7]))
+        value = jmmd_value([x[None]], [y[None]], JmmdSpec(bandwidths=[0.7]))
         assert np.isclose(value, 2.0, rtol=0, atol=1e-12)
 
     def test_hand_value(self):
@@ -207,7 +219,7 @@ class TestGaussianKernel:
     @pytest.mark.parametrize("sigma", [9e153, 1e-150])
     def test_extreme_bandwidth_inside_the_range_is_used(self, sigma):
         x, y = np.zeros((1, 3)), np.ones((2, 3))
-        assert math.isfinite(jmmd([x], [y], JmmdSpec(bandwidths=[sigma])))
+        assert math.isfinite(jmmd_value([x], [y], JmmdSpec(bandwidths=[sigma])))
 
     def test_matrix_agrees_with_scalar(self):
         # the batched kernel of two sets against one kernel evaluation per pair
@@ -219,7 +231,8 @@ class TestGaussianKernel:
             return np.mean([kernel(u, v, 0.9) for u in a for v in b])
 
         want = mean_kernel(x, x) + mean_kernel(y, y) - 2 * mean_kernel(x, y)
-        assert np.isclose(jmmd([x], [y], JmmdSpec(bandwidths=[0.9])), want, rtol=0, atol=1e-12)
+        got = jmmd_value([x], [y], JmmdSpec(bandwidths=[0.9]))
+        assert np.isclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestSqDists:
@@ -312,14 +325,14 @@ class TestJmmd:
         rng = np.random.default_rng(2)
         layers = [rng.normal(size=(6, 4)) for _ in range(3)]
         spec = JmmdSpec(bandwidths=[1.0, 0.5, 2.0])
-        assert abs(jmmd(layers, [a.copy() for a in layers], spec)) < 1e-10
+        assert abs(jmmd_value(layers, [a.copy() for a in layers], spec)) < 1e-10
 
     def test_single_pair_hand_value(self):
         # n_S = n_P = 1, one layer: 2 - 2 k(s, p); at k = e^{-1} this is 1.264241
         sigma = 1.0
         s = [np.array([[0.0, 0.0]])]
         p = [np.array([[math.sqrt(2) * sigma, 0.0]])]
-        val = jmmd(s, p, JmmdSpec(bandwidths=[sigma]))
+        val = jmmd_value(s, p, JmmdSpec(bandwidths=[sigma]))
         assert np.isclose(val, 2 * (1 - math.exp(-1)), atol=1e-12)
         assert np.isclose(val, 1.264241, atol=1e-6)
 
@@ -328,7 +341,7 @@ class TestJmmd:
         s = [rng.normal(size=(5, 3)) for _ in range(2)]
         p = [rng.normal(size=(7, 3)) for _ in range(2)]
         spec = JmmdSpec(bandwidths=[1.0, 1.5])
-        assert np.isclose(jmmd(s, p, spec), jmmd(p, s, spec), atol=1e-12)
+        assert np.isclose(jmmd_value(s, p, spec), jmmd_value(p, s, spec), atol=1e-12)
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(5)
@@ -339,7 +352,7 @@ class TestJmmd:
             s = [rng.normal(size=(n_s, d)) for d in dims]
             p = [rng.normal(size=(n_p, d)) for d in dims]
             bws = [float(rng.uniform(0.5, 2.0)) for _ in range(3)]
-            got = jmmd(s, p, JmmdSpec(bandwidths=bws))
+            got = jmmd_value(s, p, JmmdSpec(bandwidths=bws))
             want = jmmd_oracle(s, p, bws)
             assert abs(got - want) < 1e-10
 
@@ -348,7 +361,7 @@ class TestJmmd:
         for _ in range(50):
             s = [rng.normal(size=(int(rng.integers(1, 10)), 3))]
             p = [rng.normal(size=(int(rng.integers(1, 10)), 3))]
-            assert jmmd(s, p, JmmdSpec(bandwidths=[1.0])) >= -1e-9
+            assert jmmd_value(s, p, JmmdSpec(bandwidths=[1.0])) >= -1e-9
 
     def test_product_kernel_law(self):
         # one layer with kernel k1*k2 == that layer duplicated with kernels k1, k2
@@ -357,8 +370,8 @@ class TestJmmd:
         y = rng.normal(size=(5, 4))
         sa, sb = 0.8, 1.7
         s_eff = 1.0 / math.sqrt(1.0 / sa**2 + 1.0 / sb**2)
-        single = jmmd([x], [y], JmmdSpec(bandwidths=[s_eff]))
-        double = jmmd([x, x], [y, y], JmmdSpec(bandwidths=[sa, sb]))
+        single = jmmd_value([x], [y], JmmdSpec(bandwidths=[s_eff]))
+        double = jmmd_value([x, x], [y, y], JmmdSpec(bandwidths=[sa, sb]))
         assert np.isclose(single, double, atol=1e-12)
 
     def test_decreases_with_sample_size(self):
@@ -369,23 +382,19 @@ class TestJmmd:
             for n in vals:
                 s = [rng.normal(size=(n, 3))]
                 p = [rng.normal(size=(n, 3))]
-                vals[n].append(jmmd(s, p, JmmdSpec(bandwidths=[1.0])))
+                vals[n].append(jmmd_value(s, p, JmmdSpec(bandwidths=[1.0])))
         medians = [np.median(vals[n]) for n in (4, 16, 64)]
         assert medians[0] >= medians[1] >= medians[2]
 
     def test_empty_set_rejected(self):
         with pytest.raises(LossInputError):
-            jmmd([np.empty((0, 3))], [np.ones((2, 3))])
-
-    def test_layer_dim_mismatch_rejected(self):
-        with pytest.raises(LossInputError):
-            jmmd([np.ones((2, 3))], [np.ones((2, 4))])
+            jmmd_value([np.empty((0, 3))], [np.ones((2, 3))])
 
     def test_median_heuristic_resolves(self):
         rng = np.random.default_rng(8)
         s = [rng.normal(size=(4, 3))]
         p = [rng.normal(size=(4, 3))]
-        assert jmmd(s, p) >= -1e-9
+        assert jmmd_value(s, p) >= -1e-9
 
     def test_default_layer_set(self):
         assert default_layer_set(2) == (1, 2, 3)
@@ -409,8 +418,8 @@ class TestJmmdGrad:
         _, d_s, d_p = jmmd_split_grad(s, p, spec)
 
         for l in range(2):
-            fd_matches(d_s[l], lambda x, l=l: jmmd([x if m == l else s[m] for m in range(2)], p, spec), s[l])
-            fd_matches(d_p[l], lambda x, l=l: jmmd(s, [x if m == l else p[m] for m in range(2)], spec), p[l])
+            fd_matches(d_s[l], lambda x, l=l: jmmd_value([x if m == l else s[m] for m in range(2)], p, spec), s[l])
+            fd_matches(d_p[l], lambda x, l=l: jmmd_value(s, [x if m == l else p[m] for m in range(2)], spec), p[l])
 
     def test_descent_moves_sketch_toward_photo(self):
         s = [np.array([[0.0, 0.0]])]
@@ -444,7 +453,7 @@ class TestJmmdGrad:
             for got, want in zip(d_s + d_p, ref_s + ref_p):
                 assert got.shape == want.shape
                 worst = max(worst, float(np.max(np.abs(got - want))))
-            assert jmmd(s, p, spec) == value
+            assert jmmd_value(s, p, spec) == value
         assert worst <= 1e-12
 
     def test_median_bandwidths_equal_pooled_heuristic(self):
@@ -541,13 +550,13 @@ class TestTripletLoss:
         # positives at distance 0, negatives at distance 1
         emb = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
         labels = np.array([0, 0, 1, 1])
-        assert triplet_loss(emb, labels, margin=0.3) == 0.0
+        assert triplet_loss_grad(emb, labels, margin=0.3)[0] == 0.0
 
     def test_equal_distances_give_margin(self):
         # unit square: every anchor has hardest positive and hardest negative at 1
         emb = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         labels = np.array([0, 0, 1, 1])
-        assert np.isclose(triplet_loss(emb, labels, margin=0.3), 0.3)
+        assert np.isclose(triplet_loss_grad(emb, labels, margin=0.3)[0], 0.3)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(11)
@@ -557,20 +566,20 @@ class TestTripletLoss:
             if np.unique(labels).size < 2:
                 continue
             emb = rng.normal(size=(n, 4))
-            got = triplet_loss(emb, labels, margin=0.3)
+            got = triplet_loss_grad(emb, labels, margin=0.3)[0]
             want = triplet_oracle(emb, labels, 0.3)
             assert np.isclose(got, want, atol=1e-12)
 
     def test_single_identity_rejected(self):
         with pytest.raises(LossInputError):
-            triplet_loss(np.random.default_rng(0).normal(size=(4, 2)), np.zeros(4))
+            triplet_loss_grad(np.random.default_rng(0).normal(size=(4, 2)), np.zeros(4))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(12)
         emb = rng.normal(size=(8, 4))
         labels = np.array([0, 0, 1, 1, 2, 2, 0, 1])
         _, grad = triplet_loss_grad(emb, labels, margin=0.3)
-        fd_matches(grad, lambda x: triplet_loss(x, labels, margin=0.3), emb)
+        fd_matches(grad, lambda x: triplet_loss_grad(x, labels, margin=0.3)[0], emb)
 
     def test_bit_identical_to_loop_reference(self):
         rng = np.random.default_rng(23)
@@ -593,7 +602,7 @@ class TestTripletLoss:
             want_loss, want_grad = triplet_loop_reference(emb, labels, margin)
             assert got_loss == want_loss
             assert np.array_equal(got_grad, want_grad)
-            assert triplet_loss(emb, labels, margin) == got_loss
+            assert triplet_loss_grad(emb, labels, margin)[0] == got_loss
             cases += 1
         assert cases >= 200
 
@@ -634,12 +643,12 @@ class TestTripletLoss:
 class TestIdLoss:
     def test_one_hot_correct_is_zero(self):
         probs = np.eye(4)[[0, 2, 3]]
-        assert id_loss(probs, np.array([0, 2, 3]), smoothing=0.0) == 0.0
+        assert cross_entropies_grad(probs, np.array([0, 2, 3]), smoothing=0.0)[0] == 0.0
 
     def test_uniform_is_log_c(self):
         probs = np.full((5, 7), 1 / 7)
         labels = np.arange(5)
-        assert np.isclose(id_loss(probs, labels, smoothing=0.0), math.log(7))
+        assert np.isclose(cross_entropies_grad(probs, labels, smoothing=0.0)[0], math.log(7))
 
     def test_smoothed_hand_expansion(self):
         # eps=0.1, C=4: q_true = 0.925, q_other = 0.025
@@ -648,7 +657,7 @@ class TestIdLoss:
             0.925 * math.log(0.7)
             + 0.025 * (math.log(0.1) + math.log(0.15) + math.log(0.05))
         )
-        assert np.isclose(id_loss(p, np.array([0]), smoothing=0.1), want)
+        assert np.isclose(cross_entropies_grad(p, np.array([0]), smoothing=0.1)[0], want)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(13)
@@ -658,11 +667,11 @@ class TestIdLoss:
         # the identity CE's own gradient: the merged one less the prototype CE's
         g0 = cross_entropies_grad(probs, labels, 0.0)[2]
         grad = cross_entropies_grad(probs, labels, 0.1)[2] - g0 / 2
-        fd_matches(grad, lambda z: id_loss(softmax(z), labels, smoothing=0.1), logits)
+        fd_matches(grad, lambda z: cross_entropies_grad(softmax(z), labels, 0.1)[0], logits)
 
     def test_label_out_of_range(self):
         with pytest.raises(LossInputError):
-            id_loss(np.full((1, 3), 1 / 3), np.array([3]))
+            cross_entropies_grad(np.full((1, 3), 1 / 3), np.array([3]))
 
 
 class TestCrossEntropies:
@@ -692,7 +701,8 @@ class TestCrossEntropies:
         np.testing.assert_allclose(d_logits, 2 * (probs - q_half) / n, rtol=0, atol=1e-15)
         fd_matches(
             d_logits,
-            lambda z: id_loss(softmax(z), labels, smoothing=eps) + id_loss(softmax(z), labels, 0.0),
+            lambda z: cross_entropies_grad(softmax(z), labels, smoothing=eps)[0]
+            + cross_entropies_grad(softmax(z), labels, 0.0)[0],
             logits,
         )
 
@@ -703,8 +713,8 @@ class TestCrossEntropies:
         labels = rng.integers(0, 6, size=5)
         probs = softmax(cosine_logits(emb, protos, 0.2))
         l_id, l_i2tce, _ = cross_entropies_grad(probs, labels, smoothing=0.2)
-        assert l_id == id_loss(probs, labels, smoothing=0.2)
-        assert l_i2tce == i2tce_loss(emb, protos, labels, temperature=0.2)
+        assert l_id == cross_entropies_grad(probs, labels, smoothing=0.2)[0]
+        assert l_i2tce == prototype_ce(emb, protos, labels, temperature=0.2)
 
     def test_values_match_the_target_matrix_form(self):
         # l_id = -sum(q_s log p) / n and l_i2tce = -sum(log p_y) / n, to rounding
@@ -769,7 +779,7 @@ class TestI2tce:
         protos = np.eye(4)
         emb = protos[[0, 1, 2, 3]] * 2.5
         labels = np.arange(4)
-        losses = [i2tce_loss(emb, protos, labels, temperature=t) for t in (1.0, 0.2, 0.07)]
+        losses = [prototype_ce(emb, protos, labels, temperature=t) for t in (1.0, 0.2, 0.07)]
         assert losses[0] > losses[1] > losses[2]
         assert losses[2] < 1e-5
 
@@ -777,7 +787,7 @@ class TestI2tce:
         protos = np.tile(np.array([1.0, 2.0, 0.5]), (6, 1))
         emb = np.random.default_rng(16).normal(size=(3, 3))
         labels = np.array([0, 3, 5])
-        assert np.isclose(i2tce_loss(emb, protos, labels), math.log(6))
+        assert np.isclose(prototype_ce(emb, protos, labels), math.log(6))
 
     def test_equivalence_with_id_loss_on_cosine_softmax(self):
         rng = np.random.default_rng(17)
@@ -790,8 +800,8 @@ class TestI2tce:
         p_hat = protos / np.linalg.norm(protos, axis=1, keepdims=True)
         probs = softmax(e_hat @ p_hat.T / t)
         assert np.isclose(
-            i2tce_loss(emb, protos, labels, temperature=t),
-            id_loss(probs, labels, smoothing=0.0),
+            prototype_ce(emb, protos, labels, temperature=t),
+            cross_entropies_grad(probs, labels, smoothing=0.0)[0],
             atol=1e-12,
         )
 
@@ -804,8 +814,8 @@ class TestI2tce:
         # the prototype CE's own gradient: half the unsmoothed summed one
         d_logits = cross_entropies_grad(probs, labels, 0.0)[2] / 2
         d_e, d_p = cosine_logits_backward(emb, protos, d_logits, temperature=0.3)
-        fd_matches(d_e, lambda x: i2tce_loss(x, protos, labels, temperature=0.3), emb)
-        fd_matches(d_p, lambda x: i2tce_loss(emb, x, labels, temperature=0.3), protos)
+        fd_matches(d_e, lambda x: prototype_ce(x, protos, labels, temperature=0.3), emb)
+        fd_matches(d_p, lambda x: prototype_ce(emb, x, labels, temperature=0.3), protos)
 
     def test_cosine_logits_backward_matches_fd(self):
         rng = np.random.default_rng(19)
@@ -825,9 +835,7 @@ class TestI2tce:
 
 
     def test_default_temperature_is_the_encoders(self):
-        default = inspect.signature(i2tce_loss).parameters["temperature"].default
-        assert default == DEFAULT_TEMPERATURE
-        assert default == EncoderConfig.temperature == ExperimentConfig.temperature
+        assert DEFAULT_TEMPERATURE == EncoderConfig.temperature == ExperimentConfig.temperature
 
 
 class TestSimLoss:

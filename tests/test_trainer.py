@@ -653,10 +653,8 @@ class TestEmptyBanksWarn:
     [
         (ExperimentConfig, "triplet_margin", losses.DEFAULT_MARGIN),
         (ExperimentConfig, "label_smoothing", losses.DEFAULT_SMOOTHING),
-        (losses.triplet_loss, "margin", ExperimentConfig.triplet_margin),
         (losses.triplet_loss_grad, "margin", ExperimentConfig.triplet_margin),
         (batch_gradients, "margin", ExperimentConfig.triplet_margin),
-        (losses.id_loss, "smoothing", ExperimentConfig.label_smoothing),
         (losses.cross_entropies_grad, "smoothing", ExperimentConfig.label_smoothing),
         (batch_gradients, "smoothing", ExperimentConfig.label_smoothing),
         (schemes.high_gap_single_task_config, "alpha", JmmdSpec.alpha),
