@@ -14,11 +14,13 @@ from xmcl.losses import cross_entropies_grad, softmax, triplet_loss_grad
 rng = np.random.default_rng(0)
 
 
-def distance(sketch_layers, photo_layers, spec=JmmdSpec()):
+def distance(sketch_layers, photo_layers, spec):
     """The alignment distance: jmmd_with_grad's value on rows stacked sketches first."""
     n_s = len(sketch_layers[0])
     layers = [np.concatenate([s, p]) for s, p in zip(sketch_layers, photo_layers)]
-    return jmmd_with_grad(layers, np.arange(len(layers[0])) < n_s, spec)[0]
+    # each layer's squared-distance matrix over the pooled rows, stacked (L, n, n)
+    sq_dists = np.stack([((z[:, None] - z[None]) ** 2).sum(axis=2) for z in layers])
+    return jmmd_with_grad(layers, np.arange(len(layers[0])) < n_s, spec, sq_dists)[0]
 
 
 print("=== Gaussian kernel, seen through the alignment distance ===")
@@ -32,7 +34,7 @@ print(f"distance(y, x) = {distance([y[None]], [x[None]], unit):.6f}   (symmetric
 
 sketches, photos = rng.normal(size=(6, 4)), rng.normal(loc=0.5, size=(6, 4))
 print("distance between two 6-vector clouds,")
-print(f"  bandwidth from the median heuristic (default): {distance([sketches], [photos]):.5f}")
+print(f"  bandwidth from the median heuristic (default): {distance([sketches], [photos], JmmdSpec()):.5f}")
 print(f"  fixed bandwidth 1.0:                            {distance([sketches], [photos], unit):.5f}")
 
 print()
@@ -50,7 +52,7 @@ print()
 print("=== Loss composition ===")
 emb = np.array([[0.0, 0.0], [0.1, 0.0], [2.0, 2.0], [2.1, 2.0]])
 labels = np.array([0, 0, 1, 1])
-l_tri, _ = triplet_loss_grad(emb, labels, margin=0.3)
+l_tri, _ = triplet_loss_grad(emb, labels, margin=0.3, sq_dists=None)
 probs = softmax(np.array([[4.0, 0.0], [3.0, 0.5], [0.0, 4.0], [0.2, 3.0]]))
 l_id, _, _ = cross_entropies_grad(probs, labels, smoothing=0.1)
 breakdown = LossBreakdown(l_id=l_id, l_tri=l_tri, l_i2tce=0.12, l_jmmd=0.05, alpha=5.0)

@@ -20,7 +20,7 @@ for tau in (0.5, 0.6, 0.9, 1.0):
     print(f"  tau={tau:.1f} -> members={ps.members.tolist()}  unc={ps.unc:.2f}")
 print()
 
-ps = prediction_set(pi)
+ps = prediction_set(pi, CpConfig())
 print(f"members={ps.members.tolist()}  size={ps.size}  conf={ps.conf:.2f}  unc={ps.unc:.2f}")
 print()
 
@@ -32,7 +32,7 @@ print()
 
 print("Uniform over 100 identities: the rank penalty caps the set at 25")
 uniform = np.full(100, 0.01)
-ps = prediction_set(uniform)
+ps = prediction_set(uniform, CpConfig())
 print(f"size={ps.size}, conf={ps.conf:.2f}, unc={ps.unc:.2f}")
 print()
 
@@ -42,7 +42,7 @@ sharp = np.zeros(c)
 sharp[0] = 0.97
 sharp[1:] = 0.03 / (c - 1)
 for name, v in [("near-one-hot", sharp), ("uniform     ", np.full(c, 1 / c))]:
-    ps = prediction_set(v)
+    ps = prediction_set(v, CpConfig())
     print(f"  {name} C={c} -> size={ps.size:>2}  conf={ps.conf:.3f}  unc={ps.unc:.3f}")
 print()
 
@@ -52,6 +52,6 @@ for name, v in [
     ("near-one-hot", np.array([0.96, 0.02, 0.01, 0.01])),
     ("uniform     ", np.full(4, 0.25)),
 ]:
-    print(f"  {name} C=4  -> unc={prediction_set(v).unc:.3f}")
+    print(f"  {name} C=4  -> unc={prediction_set(v, CpConfig()).unc:.3f}")
 print()
 print("Lower uncertainty wins a replay-bank slot; exact ties keep the incumbent.")

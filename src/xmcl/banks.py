@@ -18,9 +18,9 @@ stays, and among tied candidates the first offered wins.  Only the kept
 rows' features are then gathered, into one new array that the banks own.
 
 Banks store raw feature vectors, not activations: activations would go
-stale as the encoder keeps training.  The replay sampler returns index
-arrays into the stored rows, as the PK sampler does into a split, so the
-trainer gathers one batch at a time.
+stale as the encoder keeps training.  The replay sampler draws one past
+task's identities and returns index arrays into the stored rows, as the PK
+sampler does into a split, so the trainer gathers one batch at a time.
 """
 
 from __future__ import annotations
@@ -54,10 +54,10 @@ class ReplayBanks:
         return np.unique(self.tasks).tolist()
 
 
-def score_task(
-    state: EncoderState, task: TaskDataset, cp_config: CpConfig = CpConfig()
-) -> np.ndarray:
-    """Conformal uncertainty of every training row under the task head (UsageError if none).
+def score_task(state: EncoderState, task: TaskDataset, cp_config: CpConfig) -> np.ndarray:
+    """Conformal uncertainty of every training row under the task head.
+
+    Raises UsageError when the task has no registered head.
 
     Rows go through the forward pass and the scoring in blocks of
     _ROW_BLOCK, the last block taking the remainder, so no N x C
@@ -103,10 +103,7 @@ def admit(banks: ReplayBanks, rows: Split, uncs: np.ndarray, task_id: int) -> Re
 
 
 def ingest_task(
-    banks: ReplayBanks,
-    state: EncoderState,
-    task: TaskDataset,
-    cp_config: CpConfig = CpConfig(),
+    banks: ReplayBanks, state: EncoderState, task: TaskDataset, cp_config: CpConfig
 ) -> ReplayBanks:
     """Score a finished task's train split and offer every row."""
     return admit(banks, task.train, score_task(state, task, cp_config), task.task_id)
@@ -116,27 +113,23 @@ def replay_epoch_batches(
     banks: ReplayBanks,
     p: int,
     k: int,
-    rng: np.random.Generator | int,
-    task_id: int | None = None,
+    rng: np.random.Generator,
+    task_id: int,
 ) -> list[np.ndarray]:
-    """Index batches into ``banks.rows`` covering every banked identity once, mirroring a PK epoch.
+    """Index batches into ``banks.rows`` covering task_id's banked identities once, as a PK epoch.
 
-    Identities are shuffled and chunked into groups of P (one smaller final
-    group when they do not divide evenly; all of them when fewer than P
-    exist), each identity contributing K rows tiled from its stored
-    sketch/photo pair.  With a task id, only identities holding a row of
-    that task are replayed, each with its whole pair.  A batch is one
-    gather, ``banks.rows[rows]``, which the caller makes when it needs it.
+    The identities holding a row of task_id are shuffled and chunked into
+    groups of P (one smaller final group when they do not divide evenly; all
+    of them when fewer than P exist), each identity contributing K rows
+    tiled from its whole stored sketch/photo pair.  A batch is one gather,
+    ``banks.rows[rows]``, which the caller makes when it needs it.
     """
     if banks.is_empty():
         raise RuntimeError("both banks are empty; nothing to replay")
-    rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
-    stored = banks.rows
     # an identity's rows are consecutive: its first row and how many it has
-    _, starts, sizes = np.unique(stored.ids, return_index=True, return_counts=True)
-    if task_id is not None:
-        from_task = np.logical_or.reduceat(banks.tasks == task_id, starts)
-        starts, sizes = starts[from_task], sizes[from_task]
+    _, starts, sizes = np.unique(banks.rows.ids, return_index=True, return_counts=True)
+    from_task = np.logical_or.reduceat(banks.tasks == task_id, starts)
+    starts, sizes = starts[from_task], sizes[from_task]
     if not starts.size:
         raise RuntimeError(f"banks hold no identities for task {task_id}")
     perm = rng.permutation(starts.size)

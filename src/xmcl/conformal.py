@@ -97,7 +97,7 @@ def _set_sizes(ranked: np.ndarray, config: CpConfig) -> np.ndarray:
     return np.count_nonzero(scores <= config.tau, axis=-1)
 
 
-def prediction_set(pi: np.ndarray, config: CpConfig = CpConfig()) -> PredictionSet:
+def prediction_set(pi: np.ndarray, config: CpConfig) -> PredictionSet:
     """All identities whose score is at most tau, with conf and unc attached.
 
     Identities are ranked by descending probability, ties by index.
@@ -110,7 +110,7 @@ def prediction_set(pi: np.ndarray, config: CpConfig = CpConfig()) -> PredictionS
     return PredictionSet(members=np.sort(order[:size]), size=size, conf=conf, unc=size + conf)
 
 
-def uncertainties(probs: np.ndarray, config: CpConfig = CpConfig()) -> np.ndarray:
+def uncertainties(probs: np.ndarray, config: CpConfig) -> np.ndarray:
     """prediction_set(row, config).unc for every row of an (N, C) matrix.
 
     The whole matrix is sorted once, descending along each row.  A set's

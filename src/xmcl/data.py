@@ -12,8 +12,9 @@ spaces of different tasks disjoint by construction.
 
 Each split is held as arrays (``Split``): one feature row, identity and
 modality flag per sample, in sample order, in memory that no other split
-shares.  The PK sampler returns index arrays into a split, so a batch is
-one fancy-indexing gather, made by the caller when it needs the batch.
+shares.  The PK sampler works from a split's identity grouping, found once
+per split, and returns index arrays into the split, so a batch is one
+fancy-indexing gather, made by the caller when it needs the batch.
 """
 
 from __future__ import annotations
@@ -164,7 +165,10 @@ class SynthSpec:
             raise SynthSpecError(f"seed must be >= 0, got {self.seed}")
         total = self.num_train_ids + self.num_test_ids
         if total > ID_STRIDE:
-            raise SynthSpecError(f"too many identities for one task: {total}")
+            raise SynthSpecError(
+                f"num_train_ids + num_test_ids = {total} is past the per-task limit of "
+                f"ID_STRIDE = {ID_STRIDE} identities"
+            )
         if self.task_id * ID_STRIDE + total > _INT64.max:
             raise SynthSpecError(f"task_id {self.task_id} puts identity labels past int64")
         # float64 elements of the arrays generate_synthetic_task builds
@@ -431,13 +435,12 @@ def identity_groups(train: Split) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def pk_epoch_batches(
-    train: Split,
-    p: int,
-    k: int,
-    rng: np.random.Generator | int,
-    groups: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    groups: tuple[np.ndarray, np.ndarray, np.ndarray], p: int, k: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    """Index batches into ``train`` covering every identity once before any repeats.
+    """Index batches into a split covering every identity once before any repeats.
+
+    groups is ``identity_groups(train)`` of the split, which a caller drawing
+    several epochs from one split computes once.
 
     Identities are shuffled and chunked into groups of P; a short final
     chunk is padded with identities drawn from the earlier chunks.  Each
@@ -446,11 +449,8 @@ def pk_epoch_batches(
     The draws equal one ``rng.choice(rows, K, replace=rows < K)`` call per
     identity in chunk order, bit for bit, generator state included; they
     come from one raw draw for the epoch, with those calls as the fallback.
-    groups is ``identity_groups(train)``, which a caller drawing several
-    epochs from one split can compute once; by default it is computed here.
     """
-    rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
-    order, starts, counts = identity_groups(train) if groups is None else groups
+    order, starts, counts = groups
     if starts.size < p:
         raise ValueError(f"need at least {p} identities, train split has {starts.size}")
     perm = rng.permutation(starts.size)

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .losses import (
-    DEFAULT_TEMPERATURE,
     _row_norms,
     cosine_logits,
     cosine_logits_backward,
@@ -50,7 +49,7 @@ class EncoderConfig:
     hidden_dims: tuple[int, ...] = (128, 128)
     embedding_dim: int = 64
     seed: int = 0
-    temperature: float = DEFAULT_TEMPERATURE
+    temperature: float = 0.07
 
     def __post_init__(self) -> None:
         dims = (self.input_dim, *self.hidden_dims, self.embedding_dim)
@@ -240,7 +239,7 @@ def backward(
     state: EncoderState,
     stack: ActivationStack,
     d_layers: list[np.ndarray | None],
-    d_logits: np.ndarray | None = None,
+    d_logits: np.ndarray,
 ) -> ParameterGradients:
     """Pull upstream gradients back to every parameter.
 
@@ -261,8 +260,6 @@ def backward(
         raise ShapeError(f"expected {len(stack.layers)} layer gradients, got {len(d_layers)}")
     protos = state.head(stack.task_id)
 
-    if d_logits is None:
-        d_logits = np.zeros_like(stack.logits)
     if d_layers[-1] is not None:
         d_logits = d_logits + softmax_backward(stack.probs, d_layers[-1])
     d_emb, d_protos = cosine_logits_backward(

@@ -20,9 +20,13 @@ matrix, the loss is MMD = w^T J w and its gradient on layer l is
 -(2 / sigma_l^2) w_i sum_j w_j J_ij (z_i - z_j).  The L layers' D_l are
 held as one (L, n, n) array: all L median-heuristic bandwidths come from one
 gather and one partition of its (L, pairs) upper triangles, and the exponent
-is one sum over the layer axis.  D_l may be passed in: the trainer computes
-each layer's matrix once into that stack and hands the embedding layer's to
-the triplet loss as well.
+is one sum over the layer axis.  The caller passes that stack in: the
+trainer computes each layer's matrix once into it and hands the embedding
+layer's to the triplet loss as well.
+
+The constants of the objective (margin, label smoothing, temperature, the
+alignment spec) are arguments with no defaults here: their defaults are
+fields of the run config.
 
 Both classification terms read one softmax p = softmax(cosine_logits).  The
 identity CE takes the label-smoothed target q_s (1 - s on the label plus
@@ -45,9 +49,6 @@ from typing import Sequence
 
 import numpy as np
 
-DEFAULT_TEMPERATURE = 0.07
-DEFAULT_MARGIN = 0.3
-DEFAULT_SMOOTHING = 0.1
 MIN_BANDWIDTH_SQ = 1e-12
 MEDIAN = "median-heuristic"
 
@@ -174,23 +175,20 @@ def default_layer_set(num_hidden: int) -> tuple[int, ...]:
     return (num_hidden - 1, num_hidden, num_hidden + 1)
 
 
-def resolve_bandwidths(
-    sq_dists: Sequence[np.ndarray] | np.ndarray, spec: JmmdSpec
-) -> list[float]:
+def resolve_bandwidths(sq_dists: np.ndarray, spec: JmmdSpec) -> list[float]:
     """Per-layer bandwidths, by median heuristic over the batch unless given.
 
-    Takes each layer's squared-distance matrix over the whole sketch+photo
-    batch, as a sequence or stacked (L, n, n), so the heuristic reuses the
-    distances the kernel is built from.  The median needs at least one pair,
-    so each layer needs at least 2 rows.
+    Takes the (L, n, n) stack of each layer's squared-distance matrix over
+    the whole sketch+photo batch, so the heuristic reuses the distances the
+    kernel is built from.  The median needs at least one pair, so each layer
+    needs at least 2 rows.
     """
     if isinstance(spec.bandwidths, str):
-        d2 = np.asarray(sq_dists)
-        if d2.shape[-1] < 2:
+        if sq_dists.shape[-1] < 2:
             raise LossInputError(
-                f"the median bandwidth needs at least 2 rows per layer, got {d2.shape[-1]}"
+                f"the median bandwidth needs at least 2 rows per layer, got {sq_dists.shape[-1]}"
             )
-        return _median_sigmas(d2).tolist()
+        return _median_sigmas(sq_dists).tolist()
     if len(spec.bandwidths) != len(sq_dists):
         raise LossInputError(
             f"got {len(spec.bandwidths)} bandwidths for {len(sq_dists)} layers"
@@ -201,15 +199,14 @@ def resolve_bandwidths(
 def jmmd_with_grad(
     layers: Sequence[np.ndarray],
     is_sketch: np.ndarray,
-    spec: JmmdSpec = JmmdSpec(),
-    sq_dists: Sequence[np.ndarray] | np.ndarray | None = None,
+    spec: JmmdSpec,
+    sq_dists: np.ndarray,
 ) -> tuple[float, list[np.ndarray]]:
     """Value plus the gradient w.r.t. every layer, rows in the batch's order.
 
     layers[l] is an (n, d_l) array with one row per sample, and is_sketch
-    marks the sketch rows; the rest are photos.  sq_dists, when given, holds
-    _sq_dists(z, z) for each layer, as L (n, n) matrices or one (L, n, n)
-    array, so a caller can share those matrices with other terms.
+    marks the sketch rows; the rest are photos.  sq_dists is the (L, n, n)
+    array _layer_sq_dists(layers), which a caller shares with other terms.
     Bandwidths are treated as constants: no gradient flows through the
     median heuristic.
 
@@ -224,19 +221,15 @@ def jmmd_with_grad(
         raise LossInputError("both sample sets must be non-empty")
     if len(layers) == 0 or any(z.shape[0] != n for z in layers):
         raise LossInputError(f"need at least one layer, each with {n} rows")
-    if sq_dists is None:
-        d2 = _layer_sq_dists(layers)
-    elif len(sq_dists) != len(layers) or any(np.shape(m) != (n, n) for m in sq_dists):
+    if np.shape(sq_dists) != (len(layers), n, n):
         raise LossInputError(
             f"need one ({n}, {n}) squared-distance matrix for each of the {len(layers)} "
-            f"layers, got shapes {[np.shape(m) for m in sq_dists]}"
+            f"layers, stacked, got shape {np.shape(sq_dists)}"
         )
-    else:
-        d2 = np.asarray(sq_dists, np.float64)
-    bws = resolve_bandwidths(d2, spec)
+    bws = resolve_bandwidths(sq_dists, spec)
     # the Python-float scalars that a per-layer quotient d2 / (2.0 * bw**2) divides by
     scale = np.array([2.0 * bw**2 for bw in bws])
-    joint = (d2 / scale[:, None, None]).sum(axis=0)
+    joint = (sq_dists / scale[:, None, None]).sum(axis=0)
     np.negative(joint, out=joint)
     np.exp(joint, out=joint)
     w = np.where(is_sketch, 1.0 / n_s, -1.0 / n_p)
@@ -260,8 +253,8 @@ def jmmd_with_grad(
 def triplet_loss_grad(
     embeddings: np.ndarray,
     labels: np.ndarray,
-    margin: float = DEFAULT_MARGIN,
-    sq_dists: np.ndarray | None = None,
+    margin: float,
+    sq_dists: np.ndarray | None,
 ) -> tuple[float, np.ndarray]:
     """Batch-hard triplet loss and its (sub)gradient w.r.t. the embeddings.
 
@@ -269,9 +262,9 @@ def triplet_loss_grad(
     anchor; its hardest positive and hardest negative, by Euclidean
     distance, form the triplet.  Ties pick the lowest index.  Hinges are
     summed, and gradient rows accumulated, sequentially in anchor order, so
-    the result equals that of a per-anchor loop to the bit.  sq_dists, when
-    given, is _sq_dists(embeddings, embeddings), computed once by a caller
-    that shares it with other terms.
+    the result equals that of a per-anchor loop to the bit.  sq_dists is
+    _sq_dists(embeddings, embeddings), computed once by a caller that shares
+    it with other terms, or None to compute it here.
     """
     emb = np.atleast_2d(np.asarray(embeddings, np.float64))
     labels = np.asarray(labels).ravel()
@@ -327,7 +320,7 @@ def triplet_loss_grad(
 
 
 def cross_entropies_grad(
-    probs: np.ndarray, labels: np.ndarray, smoothing: float = DEFAULT_SMOOTHING
+    probs: np.ndarray, labels: np.ndarray, smoothing: float
 ) -> tuple[float, float, np.ndarray]:
     """Identity CE and prototype CE of one softmax, with their summed logits gradient.
 
@@ -365,18 +358,18 @@ def cosine_logits(
     embeddings: np.ndarray,
     prototypes: np.ndarray,
     temperature: float,
-    norms: tuple[np.ndarray, np.ndarray] | None = None,
+    norms: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Temperature-scaled cosine similarities to each prototype row.
 
-    norms, when given, is (_row_norms(embeddings), _row_norms(prototypes)),
-    kept by a caller that needs them again for the backward pass.
+    norms is (_row_norms(embeddings), _row_norms(prototypes)), kept by the
+    caller for the backward pass.
     """
     if temperature <= 0:
         raise LossInputError(f"temperature must be positive, got {temperature}")
     e = np.atleast_2d(np.asarray(embeddings, np.float64))
     pr = np.atleast_2d(np.asarray(prototypes, np.float64))
-    en, pn = (_row_norms(e), _row_norms(pr)) if norms is None else norms
+    en, pn = norms
     return (e @ pr.T) / (en[:, None] * pn[None, :]) / temperature
 
 
@@ -385,16 +378,15 @@ def cosine_logits_backward(
     prototypes: np.ndarray,
     d_logits: np.ndarray,
     temperature: float,
-    norms: tuple[np.ndarray, np.ndarray] | None = None,
+    norms: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Chain an upstream logits gradient to embeddings and prototypes.
 
-    norms, when given, are the row norms the forward pass's cosine_logits
-    used.
+    norms are the row norms the forward pass's cosine_logits used.
     """
     e = np.atleast_2d(np.asarray(embeddings, np.float64))
     pr = np.atleast_2d(np.asarray(prototypes, np.float64))
-    en, pn = (_row_norms(e), _row_norms(pr)) if norms is None else norms
+    en, pn = norms
     eh = e / en[:, None]
     ph = pr / pn[:, None]
     cos = eh @ ph.T

@@ -1,8 +1,8 @@
 """Cross-modal retrieval metrics: mAP and CMC rank@k, plus task averaging.
 
-Queries default to the sketch split and the gallery to the photo split;
-ranking is by ascending Euclidean distance with ties broken by gallery
-index.  Metrics are reported as percentages.
+Queries are the sketch split and the gallery the photo split, or the other
+way round with swap_direction; ranking is by ascending Euclidean distance
+(cosine with use_cosine) with ties broken by gallery index.  Metrics are reported as percentages.
 
 Only the relevant items' ranks are needed.  Each query's row of keys
 (squared distances, or cosine distances) is rounded to float32 and sorted
@@ -283,7 +283,7 @@ def ranking_metrics(
     query_ids: np.ndarray,
     gallery_emb: np.ndarray,
     gallery_ids: np.ndarray,
-    use_cosine: bool = False,
+    use_cosine: bool,
 ) -> tuple[float, dict[int, float], int]:
     """(mAP, {k: rank@k}, evaluated query count), all fractions in [0, 1].
 
@@ -309,9 +309,9 @@ def ranking_metrics(
 def evaluate(
     state: EncoderState,
     task: TaskDataset,
-    step: int = 0,
-    use_cosine: bool = False,
-    swap_direction: bool = False,
+    step: int,
+    use_cosine: bool,
+    swap_direction: bool,
 ) -> MetricsRecord:
     """Embed the test split and score sketch-to-photo retrieval."""
     queries = task.gallery if swap_direction else task.query

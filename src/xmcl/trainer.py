@@ -46,8 +46,6 @@ from .encoder import (
     register_task_head,
 )
 from .losses import (
-    DEFAULT_MARGIN,
-    DEFAULT_SMOOTHING,
     JmmdSpec,
     LossBreakdown,
     LossInputError,
@@ -156,8 +154,8 @@ class ExperimentConfig:
     pk_p: int = 16
     pk_k: int = 4
     mpm: bool = True
-    triplet_margin: float = DEFAULT_MARGIN
-    label_smoothing: float = DEFAULT_SMOOTHING
+    triplet_margin: float = 0.3
+    label_smoothing: float = 0.1
     use_cosine_eval: bool = False
     swap_eval_direction: bool = False
     freeze_shared_on_replay: bool = False
@@ -247,8 +245,8 @@ def batch_gradients(
     task_id: int,
     head_ids: np.ndarray,
     jmmd_spec: JmmdSpec,
-    margin: float = DEFAULT_MARGIN,
-    smoothing: float = DEFAULT_SMOOTHING,
+    margin: float,
+    smoothing: float,
 ) -> tuple[LossBreakdown, ParameterGradients]:
     """Combined loss value and parameter gradients for one batch.
 
@@ -319,7 +317,7 @@ def _apply_step(
     grads: ParameterGradients,
     task_id: int,
     lr: float,
-    update_shared: bool = True,
+    update_shared: bool,
 ) -> None:
     shared_delta = exp.adam.delta("shared", grads.shared, lr) if update_shared else None
     p_delta = exp.adam.delta(("p", task_id), grads.d_prototypes, lr)
@@ -361,7 +359,7 @@ def train_task(
         else:
             head = task.task_id
             source = task.train
-            batches = pk_epoch_batches(task.train, config.pk_p, config.pk_k, rng, groups)
+            batches = pk_epoch_batches(groups, config.pk_p, config.pk_k, rng)
             update_shared = True
             where = f"task {task.task_id}"
         losses = []

@@ -3,8 +3,7 @@
 ``default`` keeps the tier-1 run short and reproducible: few examples, drawn
 from a fixed seed.  ``ci`` explores more, with fresh random draws each run:
 
-    PYTHONPATH=src python -m pytest tests/test_fuzz_run_sequence.py tests/test_fuzz_ranking.py \
-        tests/test_fuzz_conformal.py tests/test_fuzz_config.py tests/test_fuzz_pk.py --hypothesis-profile ci
+    PYTHONPATH=src python -m pytest tests/test_fuzz_*.py --hypothesis-profile ci
 """
 
 try:

@@ -20,6 +20,7 @@ from xmcl.data import Split
 from xmcl.encoder import EncoderConfig, forward, init_encoder, register_task_head
 from xmcl.losses import (
     JmmdSpec,
+    _layer_sq_dists,
     cosine_logits,
     cosine_logits_backward,
     cross_entropies_grad,
@@ -32,7 +33,7 @@ from xmcl.schemes import high_gap_single_task_config, standard_two_task_config
 from xmcl.trainer import ExperimentConfig, batch_gradients, run_sequence
 
 from test_conformal import oracle_prediction_set
-from test_losses import jmmd_oracle, jmmd_value, pooled, prototype_ce
+from test_losses import jmmd_oracle, jmmd_value, norms_of, pooled, prototype_ce
 from test_metrics import brute_force_metrics
 
 
@@ -132,7 +133,7 @@ def test_criterion_02_gradient_suite():
         p = [rng.normal(size=(5, 3)), rng.normal(size=(5, 2))]
         spec = JmmdSpec(bandwidths=[1.1, 0.8])
         layers, is_sketch = pooled(s, p)
-        _, d_z = jmmd_with_grad(layers, is_sketch, spec)
+        _, d_z = jmmd_with_grad(layers, is_sketch, spec, _layer_sq_dists(layers))
         fd_check(
             f"jmmd[{seed}]",
             d_z[0][is_sketch],
@@ -145,8 +146,10 @@ def test_criterion_02_gradient_suite():
         labels = rng.integers(0, 3, size=8)
         while np.unique(labels).size < 2:
             labels = rng.integers(0, 3, size=8)
-        _, d_emb = triplet_loss_grad(emb, labels, 0.3)
-        fd_check(f"triplet[{seed}]", d_emb, lambda x: triplet_loss_grad(x, labels, 0.3)[0], emb)
+        _, d_emb = triplet_loss_grad(emb, labels, 0.3, None)
+        fd_check(
+            f"triplet[{seed}]", d_emb, lambda x: triplet_loss_grad(x, labels, 0.3, None)[0], emb
+        )
 
         # identity-CE gradient, at the logits
         logits = rng.normal(size=(6, 5))
@@ -163,8 +166,10 @@ def test_criterion_02_gradient_suite():
         protos = rng.normal(size=(6, 4))
         py = rng.integers(0, 6, size=5)
         # the prototype CE's gradient, half the unsmoothed merged one
-        d_logits = cross_entropies_grad(softmax(cosine_logits(pe, protos, 0.3)), py, 0.0)[2] / 2
-        d_e, d_pr = cosine_logits_backward(pe, protos, d_logits, 0.3)
+        norms = norms_of(pe, protos)
+        probs = softmax(cosine_logits(pe, protos, 0.3, norms))
+        d_logits = cross_entropies_grad(probs, py, 0.0)[2] / 2
+        d_e, d_pr = cosine_logits_backward(pe, protos, d_logits, 0.3, norms)
         fd_check(f"i2tce_e[{seed}]", d_e, lambda x: prototype_ce(x, protos, py, 0.3), pe)
         fd_check(f"i2tce_p[{seed}]", d_pr, lambda x: prototype_ce(pe, x, py, 0.3), protos)
 
@@ -180,10 +185,10 @@ def test_criterion_02_gradient_suite():
         )
         head_ids = np.arange(3)
         jspec = JmmdSpec(bandwidths=[1.0, 1.2, 0.9], alpha=2.0)
-        _, grads = batch_gradients(state, batch, 0, head_ids, jspec)
+        _, grads = batch_gradients(state, batch, 0, head_ids, jspec, 0.3, 0.1)
 
         def loss_at(mutated_state):
-            breakdown, _ = batch_gradients(mutated_state, batch, 0, head_ids, jspec)
+            breakdown, _ = batch_gradients(mutated_state, batch, 0, head_ids, jspec, 0.3, 0.1)
             return breakdown.l_sim
 
         def check_param(name, analytic, kind, index):
@@ -221,11 +226,11 @@ def test_criterion_02_gradient_suite():
 def test_criterion_03_conformal_exactness():
     problems = []
 
-    ps = prediction_set(np.full(100, 0.01))
+    ps = prediction_set(np.full(100, 0.01), CpConfig())
     if ps.size != 25:
         problems.append(f"uniform C=100 gave size {ps.size}")
 
-    hand = prediction_set(np.array([0.6, 0.3, 0.1]))
+    hand = prediction_set(np.array([0.6, 0.3, 0.1]), CpConfig())
     if not (hand.size == 3 and np.isclose(hand.conf, 0.5) and np.isclose(hand.unc, 3.5)):
         problems.append(f"hand case gave size={hand.size} conf={hand.conf} unc={hand.unc}")
 
@@ -294,7 +299,7 @@ def test_criterion_05_retrieval_metric_oracle():
         q_ids = g_ids[rng.integers(0, n_g, size=n_q)]
         q_emb = rng.normal(size=(n_q, dim))
         g_emb = rng.normal(size=(n_g, dim))
-        m, cmc, _ = ranking_metrics(q_emb, q_ids, g_emb, g_ids)
+        m, cmc, _ = ranking_metrics(q_emb, q_ids, g_emb, g_ids, False)
         bm, bcmc = brute_force_metrics(q_emb, q_ids, g_emb, g_ids)
         worst = max(worst, abs(m - bm), *(abs(cmc[k] - bcmc[k]) for k in (1, 5, 10)))
     announce(

@@ -23,6 +23,7 @@ from xmcl.data import (
     _choice_rows,
     _modality_transforms,
     generate_synthetic_task,
+    identity_groups,
     load_task,
     pk_epoch_batches,
     save_task,
@@ -55,16 +56,13 @@ class OracleBanks:
     sketch: dict[int, BankEntry] = field(default_factory=dict)
     photo: dict[int, BankEntry] = field(default_factory=dict)
 
-    def identities(self, task_id: int | None = None) -> list[int]:
-        ids = set(self.sketch) | set(self.photo)
-        if task_id is not None:
-            ids = {
-                i
-                for i in ids
-                if (i in self.sketch and self.sketch[i].task_id == task_id)
-                or (i in self.photo and self.photo[i].task_id == task_id)
-            }
-        return sorted(ids)
+    def identities(self, task_id: int) -> list[int]:
+        return sorted(
+            i
+            for i in set(self.sketch) | set(self.photo)
+            if (i in self.sketch and self.sketch[i].task_id == task_id)
+            or (i in self.photo and self.photo[i].task_id == task_id)
+        )
 
 
 def update_bank(banks: OracleBanks, sample: Sample, unc: float, task_id: int) -> OracleBanks:
@@ -145,7 +143,7 @@ def pk_oracle(train: list[Sample], p: int, k: int, rng: np.random.Generator) -> 
     return batches
 
 
-def replay_oracle(banks: OracleBanks, p: int, k: int, rng: np.random.Generator, task_id=None):
+def replay_oracle(banks: OracleBanks, p: int, k: int, rng: np.random.Generator, task_id: int):
     ids = banks.identities(task_id)
     order = [ids[int(i)] for i in rng.permutation(len(ids))]
     chunks = [order[i : i + p] for i in range(0, len(order), p)] or [order]
@@ -278,7 +276,7 @@ def test_pk_index_batches_equal_sample_batches(block, bit_generator):
             a.choice(5, 3, replace=False)
             b.choice(5, 3, replace=False)
         expected = pk_oracle(samples, p, k, a)
-        got = pk_epoch_batches(train, p, k, b)
+        got = pk_epoch_batches(identity_groups(train), p, k, b)
         assert len(got) == len(expected)
         for rows, batch in zip(got, expected):
             assert rows.dtype == np.int64
@@ -348,7 +346,8 @@ def test_pk_covers_the_replace_path_and_even_chunks():
     samples += [Sample(i, "photo", np.full(2, float(j))) for i in (1, 9) for j in range(4)]
     for seed in range(20):
         expected = pk_oracle(samples, 3, 4, np.random.default_rng(seed))
-        got = pk_epoch_batches(split_of(samples), 3, 4, np.random.default_rng(seed))
+        groups = identity_groups(split_of(samples))
+        got = pk_epoch_batches(groups, 3, 4, np.random.default_rng(seed))
         assert [rows_of_split(split_of(samples)[r]) for r in got] == [rows_of(b) for b in expected]
         assert len(got) == 1
 
@@ -504,7 +503,7 @@ def test_replay_array_batches_equal_sample_batches(block):
         # p above, equal to, dividing and not dividing the banked identity count
         p = int(rng.integers(1, 12))
         k = int(rng.integers(1, 6))
-        task_id = [None, *banks.task_ids()][int(rng.integers(0, len(banks.task_ids()) + 1))]
+        task_id = banks.task_ids()[int(rng.integers(0, len(banks.task_ids())))]
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         expected = replay_oracle(oracle, p, k, a, task_id)
         got = replay_epoch_batches(banks, p, k, b, task_id=task_id)
@@ -521,8 +520,8 @@ def test_replay_p_dividing_evenly_and_fewer_identities_than_p():
     for identity in range(8):
         offer_both(oracle, banks, [Sample(identity, "sketch", rng.normal(size=2))], [2.0], 0)
     for p, count in ((4, 2), (8, 1), (20, 1)):
-        expected = replay_oracle(oracle, p, 3, np.random.default_rng(p))
-        got = replay_epoch_batches(banks, p, 3, np.random.default_rng(p))
+        expected = replay_oracle(oracle, p, 3, np.random.default_rng(p), 0)
+        got = replay_epoch_batches(banks, p, 3, np.random.default_rng(p), task_id=0)
         assert len(got) == count
         assert [rows_of_split(banks.rows[rows]) for rows in got] == [
             rows_of(batch) for batch in expected

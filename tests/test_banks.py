@@ -134,7 +134,7 @@ def replay_batches(banks, *args, **kwargs):
 class TestReplayBatch:
     def test_tiling_single_identity(self):
         banks = mk_banks((1, "sketch", 2.0), (1, "photo", 2.5))
-        (batch,) = replay_batches(banks, p=1, k=4, rng=0)
+        (batch,) = replay_batches(banks, p=1, k=4, rng=np.random.default_rng(0), task_id=0)
         assert len(batch) == 4
         assert set(batch.is_sketch.tolist()) == {True, False}
         stored = {f.tobytes() for f in banks.rows.features}
@@ -143,7 +143,7 @@ class TestReplayBatch:
     def test_pk_shape(self):
         entries = [(i, m, 2.0) for i in range(20) for m in ("sketch", "photo")]
         banks = mk_banks(*entries)
-        batches = replay_batches(banks, p=16, k=4, rng=1)
+        batches = replay_batches(banks, p=16, k=4, rng=np.random.default_rng(1), task_id=0)
         assert len(batches[0]) == 64
         assert len(set(batches[0].ids.tolist())) == 16
         # every banked identity is replayed, each in exactly one batch
@@ -153,35 +153,35 @@ class TestReplayBatch:
     def test_deterministic_per_seed(self):
         entries = [(i, "sketch", 2.0) for i in range(10)]
         banks = mk_banks(*entries)
-        a = replay_epoch_batches(banks, p=4, k=2, rng=7)
-        b = replay_epoch_batches(banks, p=4, k=2, rng=7)
+        a = replay_epoch_batches(banks, p=4, k=2, rng=np.random.default_rng(7), task_id=0)
+        b = replay_epoch_batches(banks, p=4, k=2, rng=np.random.default_rng(7), task_id=0)
         assert [x.tolist() for x in a] == [y.tolist() for y in b]
 
     def test_purity_only_bank_samples(self):
         entries = [(i, m, 2.0) for i in range(6) for m in ("sketch", "photo")]
         banks = mk_banks(*entries)
         stored = {f.tobytes() for f in banks.rows.features}
-        batches = replay_batches(banks, p=4, k=5, rng=3)
+        batches = replay_batches(banks, p=4, k=5, rng=np.random.default_rng(3), task_id=0)
         assert {f.tobytes() for batch in batches for f in batch.features} <= stored
 
     def test_fewer_identities_than_p(self):
         banks = mk_banks((0, "sketch", 2.0), (1, "sketch", 2.0))
-        (batch,) = replay_batches(banks, p=16, k=2, rng=0)
+        (batch,) = replay_batches(banks, p=16, k=2, rng=np.random.default_rng(0), task_id=0)
         assert len(batch) == 4
 
     def test_empty_banks_rejected(self):
         with pytest.raises(RuntimeError):
-            replay_epoch_batches(ReplayBanks(), p=4, k=2, rng=0)
+            replay_epoch_batches(ReplayBanks(), p=4, k=2, rng=np.random.default_rng(0), task_id=0)
 
     def test_task_filter(self):
         banks = ReplayBanks()
         offer(banks, 1, task_id=0)
         offer(banks, 2, task_id=1)
-        batches = replay_batches(banks, p=4, k=1, rng=0, task_id=0)
+        batches = replay_batches(banks, p=4, k=1, rng=np.random.default_rng(0), task_id=0)
         assert {i for batch in batches for i in batch.ids.tolist()} == {1}
         # a photo from task 1 brings its identity's task-0 sketch along
         offer(banks, 1, "photo", value=9.0, task_id=1)
-        (batch,) = replay_batches(banks, p=4, k=2, rng=0, task_id=1)
+        (batch,) = replay_batches(banks, p=4, k=2, rng=np.random.default_rng(0), task_id=1)
         assert sorted(zip(batch.ids.tolist(), batch.is_sketch.tolist())) == [
             (1, False), (1, True), (2, True), (2, True)
         ]
@@ -207,7 +207,7 @@ class TestScoreTask:
 
     def test_one_uncertainty_per_sample(self):
         task, state = self.make_task_and_state()
-        scored = score_task(state, task)
+        scored = score_task(state, task, CpConfig())
         assert len(scored) == len(task.train)
         c = len(task.train_identities)
         # tau=5 always admits the top identity, and the rank penalty caps the set
@@ -248,19 +248,19 @@ class TestScoreTask:
     def test_duplicate_samples_identical_uncertainty(self):
         task, state = self.make_task_and_state()
         task.train = task.train[np.r_[0 : len(task.train), 0]]
-        scored = score_task(state, task)
+        scored = score_task(state, task, CpConfig())
         assert scored[0] == scored[-1]
 
     def test_empty_split_empty_list(self):
         task, state = self.make_task_and_state()
         task.train = task.train[:0]
-        assert score_task(state, task).shape == (0,)
+        assert score_task(state, task, CpConfig()).shape == (0,)
 
     def test_unregistered_task_rejected(self):
         task, state = self.make_task_and_state()
         task.task_id = 5
         with pytest.raises(RuntimeError):
-            score_task(state, task)
+            score_task(state, task, CpConfig())
 
     def test_cleaner_samples_score_lower(self):
         # prototype-aligned embeddings produce near-one-hot probabilities,
@@ -268,7 +268,7 @@ class TestScoreTask:
         sharp = np.zeros(30)
         sharp[0] = 0.97
         sharp[1:] = 0.03 / 29
-        unc_sharp, unc_uniform = uncertainties(np.stack([sharp, np.full(30, 1 / 30)]))
+        unc_sharp, unc_uniform = uncertainties(np.stack([sharp, np.full(30, 1 / 30)]), CpConfig())
         assert unc_sharp < unc_uniform
 
 
@@ -315,7 +315,7 @@ class TestSerialization:
         task = generate_synthetic_task(spec)
         state = init_encoder(EncoderConfig(input_dim=8, hidden_dims=(10,), embedding_dim=6, seed=1))
         register_task_head(state, 0, 5, seed=2)
-        banks = ingest_task(ReplayBanks(), state, task)
+        banks = ingest_task(ReplayBanks(), state, task, CpConfig())
         assert set(banks.rows.ids.tolist()) <= task.train_identities
         # every identity offered both modalities with tau=5 defaults -> filled slots
         assert np.count_nonzero(banks.rows.is_sketch) == 5

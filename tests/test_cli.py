@@ -188,8 +188,14 @@ OVERSIZED_COUNTS = {
     "feature_dim": ("run", [], None, {}, {"feature_dim": 2**62}, "feature_dim"),
     "sketches_per_id": ("run", [], None, {}, {"sketches_per_id": 2**62}, "sketches_per_id"),
     "photos_per_id": ("run", [], None, {}, {"photos_per_id": 2**62}, "photos_per_id"),
+    "num_train_ids": ("run", [], None, {}, {"num_train_ids": 2**62}, "num_train_ids"),
+    "num_test_ids": ("run", [], None, {}, {"num_test_ids": 2**62}, "num_test_ids"),
     "task spec latent_dim": ("gen-data", [], None, {"latent_dim": 2**62}, {}, "latent_dim"),
     "task spec feature_dim": ("gen-data", [], None, {"feature_dim": 2**62}, {}, "feature_dim"),
+    "task spec num_train_ids": (
+        "gen-data", [], None, {"num_train_ids": 2**62}, {}, "num_train_ids"
+    ),
+    "task spec num_test_ids": ("gen-data", [], None, {"num_test_ids": 2**62}, {}, "num_test_ids"),
 }
 
 

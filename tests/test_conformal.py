@@ -76,11 +76,11 @@ class TestRankAndCumulate:
 
     def test_rejects_negative(self):
         with pytest.raises(SimplexError):
-            prediction_set(np.array([1.2, -0.2]))
+            prediction_set(np.array([1.2, -0.2]), CpConfig())
 
     def test_rejects_bad_sum(self):
         with pytest.raises(SimplexError):
-            prediction_set(np.array([0.5, 0.4]))
+            prediction_set(np.array([0.5, 0.4]), CpConfig())
 
 
 class TestCpScore:
@@ -115,7 +115,7 @@ class TestPredictionSet:
     def test_uniform_closed_form(self):
         # include rank o iff 0.01*o + 0.3*max(0, o-10) <= 5 -> o <= 25
         pi = np.full(100, 0.01)
-        ps = prediction_set(pi)
+        ps = prediction_set(pi, CpConfig())
         assert ps.size == 25
         # all tied: the ranking is index order, so the top 25 ranks are identities 0..24
         np.testing.assert_array_equal(ps.members, np.arange(25))
@@ -174,8 +174,8 @@ class TestPredictionSet:
             op, rhop = ranks_and_rho(pi[perm])
             np.testing.assert_array_equal(op, o[perm])
             np.testing.assert_allclose(rhop, rho[perm])
-            ps = prediction_set(pi)
-            psp = prediction_set(pi[perm])
+            ps = prediction_set(pi, CpConfig())
+            psp = prediction_set(pi[perm], CpConfig())
             # membership permutes consistently
             inv = np.empty(c, dtype=int)
             inv[perm] = np.arange(c)
@@ -305,7 +305,7 @@ class TestUncertainties:
 
     def test_one_class(self):
         self.check(np.ones((4, 1)), CpConfig())
-        assert np.array_equal(uncertainties(np.ones((4, 1))), np.ones(4))
+        assert np.array_equal(uncertainties(np.ones((4, 1)), CpConfig()), np.ones(4))
 
     def test_rows_across_blocks(self):
         rng = np.random.default_rng(45)
@@ -313,7 +313,7 @@ class TestUncertainties:
         self.check(np.array([random_simplex(rng, 25) for _ in range(n)]), CpConfig(tau=2.0))
 
     def test_no_rows(self):
-        assert uncertainties(np.empty((0, 5))).shape == (0,)
+        assert uncertainties(np.empty((0, 5)), CpConfig()).shape == (0,)
 
     @pytest.mark.parametrize(
         "probs",
@@ -323,7 +323,7 @@ class TestUncertainties:
     )
     def test_rejects_non_distributions(self, probs):
         with pytest.raises(SimplexError):
-            uncertainties(probs)
+            uncertainties(probs, CpConfig())
 
 
 class TestCpConfig:

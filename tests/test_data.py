@@ -273,21 +273,22 @@ class TestPkSampling:
 
     def test_shape_16x4(self):
         train = self.make_train()
-        batches = pk_epoch_batches(train, p=16, k=4, rng=0)
+        batches = pk_epoch_batches(identity_groups(train), 16, 4, np.random.default_rng(0))
         for batch in batches:
             assert batch.shape == (64,)
             assert len(set(train.ids[batch].tolist())) == 16
 
     def test_upsample_single_sample_identity(self):
         train = make_split([(0, True, np.zeros(2))] + [(1, False, np.ones(2))] * 4)
-        (batch,) = pk_epoch_batches(train, p=2, k=4, rng=1)
+        (batch,) = pk_epoch_batches(identity_groups(train), 2, 4, np.random.default_rng(1))
         zero = batch[train.ids[batch] == 0]
         assert zero.tolist() == [0, 0, 0, 0]
 
     def test_deterministic_per_seed(self):
         train = self.make_train()
-        a = np.concatenate(pk_epoch_batches(train, 8, 4, rng=42))
-        b = np.concatenate(pk_epoch_batches(train, 8, 4, rng=42))
+        groups = identity_groups(train)
+        a = np.concatenate(pk_epoch_batches(groups, 8, 4, np.random.default_rng(42)))
+        b = np.concatenate(pk_epoch_batches(groups, 8, 4, np.random.default_rng(42)))
         assert a.tolist() == b.tolist()
         assert train.features[a].tobytes() == train.features[b].tobytes()
 
@@ -299,18 +300,21 @@ class TestPkSampling:
         groups = identity_groups(train)
         rng, grouped_rng = np.random.default_rng(7), np.random.default_rng(7)
         for _ in range(3):
-            batches = pk_epoch_batches(train, 4, 3, rng)
-            grouped = pk_epoch_batches(train, 4, 3, grouped_rng, groups)
+            # a fresh grouping each epoch, against the one tuple reused
+            batches = pk_epoch_batches(identity_groups(train), 4, 3, rng)
+            grouped = pk_epoch_batches(groups, 4, 3, grouped_rng)
             assert [b.tolist() for b in grouped] == [b.tolist() for b in batches]
         assert grouped_rng.bit_generator.state == rng.bit_generator.state
 
     def test_too_few_identities_rejected(self):
         with pytest.raises(ValueError):
-            pk_epoch_batches(self.make_train(num_ids=5), p=16, k=4, rng=0)
+            pk_epoch_batches(
+                identity_groups(self.make_train(num_ids=5)), 16, 4, np.random.default_rng(0)
+            )
 
     def test_epoch_covers_every_identity_before_repeating(self):
         train = self.make_train(num_ids=21)
-        batches = pk_epoch_batches(train, p=8, k=2, rng=3)
+        batches = pk_epoch_batches(identity_groups(train), 8, 2, np.random.default_rng(3))
         assert len(batches) == 3
         counts: dict[int, int] = {}
         chunk_ids = []

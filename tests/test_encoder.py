@@ -144,7 +144,7 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         state = small_state()
         stack = forward(state, np.random.default_rng(2).normal(size=(3, 5)), 0)
-        grads = backward(state, stack, [None] * len(stack.layers))
+        grads = backward(state, stack, [None] * len(stack.layers), np.zeros_like(stack.logits))
         for g in grads.d_weights + grads.d_biases + [grads.d_prototypes]:
             assert np.all(g == 0)
 
@@ -211,7 +211,7 @@ class TestBackward:
             n = batch.shape[0]
             d_layers = [None] * len(stack.layers)
             d_layers[-2] = np.tile(w, (n, 1)) / n
-            return backward(state, stack, d_layers)
+            return backward(state, stack, d_layers, np.zeros_like(stack.logits))
 
         g_batch = grads_for(x)
         g_a = grads_for(x[:1])
@@ -226,7 +226,7 @@ class TestBackward:
         stack = forward(state, np.zeros((2, 5)), 0)
         apply_deltas(state, None, np.zeros_like(state.heads[0]), 0)
         with pytest.raises(UsageError):
-            backward(state, stack, [None] * len(stack.layers))
+            backward(state, stack, [None] * len(stack.layers), np.zeros_like(stack.logits))
 
 
 class TestHeadIsolation:

@@ -35,6 +35,7 @@ from xmcl.losses import (
     MIN_BANDWIDTH_SQ,
     JmmdSpec,
     LossInputError,
+    _row_norms,
     _sq_dists,
     cosine_logits_backward,
     cross_entropies_grad,
@@ -61,7 +62,8 @@ def oracle_i2tce_loss_grad(probs, embeddings, prototypes, labels, temperature):
     """Unsmoothed CE pulled back through the softmax and the cosine head on its own."""
     loss, d_probs = oracle_id_loss_grad(probs, labels, 0.0)
     d_logits = softmax_backward(probs, d_probs)
-    d_e, d_p = cosine_logits_backward(embeddings, prototypes, d_logits, temperature)
+    norms = (_row_norms(embeddings), _row_norms(prototypes))
+    d_e, d_p = cosine_logits_backward(embeddings, prototypes, d_logits, temperature, norms)
     return loss, d_e, d_p
 
 
@@ -69,7 +71,7 @@ def oracle_stacked_jmmd(sketch_layers, photo_layers, spec):
     """The alignment term on z = [sketches; photos], gradients split per set."""
     n_s = sketch_layers[0].shape[0]
     zs = [np.vstack([a, b]) for a, b in zip(sketch_layers, photo_layers)]
-    d2s = [_sq_dists(z, z) for z in zs]
+    d2s = np.stack([_sq_dists(z, z) for z in zs])
     bws = resolve_bandwidths(d2s, spec)
     joint = np.exp(-sum(d2 / (2.0 * bw**2) for d2, bw in zip(d2s, bws)))
     n_p = zs[0].shape[0] - n_s
@@ -93,7 +95,7 @@ def oracle_batch_gradients(state, batch, task_id, head_ids, spec, margin, smooth
         stack.probs, stack.embedding, protos, rows, state.config.temperature
     )
     try:
-        l_tri, d_emb_tri = triplet_loss_grad(stack.embedding, batch.ids, margin)
+        l_tri, d_emb_tri = triplet_loss_grad(stack.embedding, batch.ids, margin, None)
     except LossInputError:
         l_tri, d_emb_tri = 0.0, np.zeros_like(stack.embedding)
     n_hidden = len(state.config.hidden_dims)
@@ -116,7 +118,7 @@ def oracle_batch_gradients(state, batch, task_id, head_ids, spec, margin, smooth
             buf[sketch_rows] += spec.alpha * d_s[li]
             buf[photo_rows] += spec.alpha * d_p[li]
             d_layers[idx] = buf
-    grads = backward(state, stack, d_layers)
+    grads = backward(state, stack, d_layers, np.zeros_like(stack.logits))
     return l_id, l_tri, l_i2tce, l_jmmd, grads.shared, grads.d_prototypes + d_protos_i2
 
 
@@ -176,8 +178,9 @@ def per_layer_step(state, batch, task_id, head_ids, spec, margin, smoothing):
         for idx, g in zip(layer_set, d_jmmd):
             g = spec.alpha * g
             d_layers[idx] = g if d_layers[idx] is None else d_layers[idx] + g
-    # a stack without the forward pass's norms: the cosine head recomputes them
-    grads = backward(state, dataclasses.replace(stack, norms=None), d_layers, d_logits)
+    # the cosine head's row norms recomputed, not the forward pass's
+    norms = (_row_norms(stack.embedding), _row_norms(state.head(task_id)))
+    grads = backward(state, dataclasses.replace(stack, norms=norms), d_layers, d_logits)
     return l_id, l_tri, l_i2tce, l_jmmd, grads.shared, grads.d_prototypes
 
 
@@ -295,7 +298,7 @@ def test_one_cosine_pull_back_and_three_distance_matrices_per_step(monkeypatch):
     batch = Split(
         np.random.default_rng(0).normal(size=(8, 6)), np.arange(8) % 4, np.arange(8) % 2 == 0
     )
-    breakdown, _ = batch_gradients(state, batch, 0, np.arange(4), JmmdSpec())
+    breakdown, _ = batch_gradients(state, batch, 0, np.arange(4), JmmdSpec(), 0.3, 0.1)
     assert breakdown.l_tri > 0 and breakdown.l_jmmd > 0
     assert calls == {"cosine": 1, "sq_dists": 3}
 
@@ -309,6 +312,6 @@ def test_single_modality_or_alpha_zero_leaves_the_triplet_its_own_distances(monk
     register_task_head(state, 0, 4, seed=1)
     is_sketch = np.arange(8) % 2 == 0 if alpha == 0 else np.ones(8, dtype=bool)
     batch = Split(np.random.default_rng(1).normal(size=(8, 6)), np.arange(8) % 4, is_sketch)
-    breakdown, _ = batch_gradients(state, batch, 0, np.arange(4), JmmdSpec(alpha=alpha))
+    breakdown, _ = batch_gradients(state, batch, 0, np.arange(4), JmmdSpec(alpha=alpha), 0.3, 0.1)
     assert breakdown.l_jmmd == 0.0
     assert calls == [(8, 5)]

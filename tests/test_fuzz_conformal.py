@@ -79,4 +79,4 @@ def test_default_config_sets_hold_23_to_26_classes(pi):
     # 4.9, so it is always in the set; at rank 27 it is at least 0.3 * 17 =
     # 5.1, so it never is.  tau never binds on the probability mass alone.
     assert CpConfig() == CpConfig(lam=0.3, k_reg=10, tau=5.0)
-    assert min(pi.size, 23) <= prediction_set(pi).size <= 26
+    assert min(pi.size, 23) <= prediction_set(pi, CpConfig()).size <= 26

@@ -25,7 +25,7 @@ from test_array_oracles import (  # noqa: E402
     rows_of_split,
     split_of,
 )
-from xmcl.data import pk_epoch_batches  # noqa: E402
+from xmcl.data import identity_groups, pk_epoch_batches  # noqa: E402
 
 
 @st.composite
@@ -58,6 +58,6 @@ def test_pk_epoch_batches_equal_the_choice_calls(case):
         a.choice(5, 3, replace=False)
         b.choice(5, 3, replace=False)
     expected = pk_oracle(samples, p, k, a)
-    got = pk_epoch_batches(train, p, k, b)
+    got = pk_epoch_batches(identity_groups(train), p, k, b)
     assert [rows_of_split(train[rows]) for rows in got] == [rows_of(batch) for batch in expected]
     assert generator_state(a) == generator_state(b)

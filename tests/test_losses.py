@@ -5,10 +5,11 @@ import pytest
 
 from xmcl.encoder import EncoderConfig
 from xmcl.losses import (
-    DEFAULT_TEMPERATURE,
     JmmdSpec,
     LossBreakdown,
     LossInputError,
+    _layer_sq_dists,
+    _row_norms,
     _sq_dists,
     cosine_logits,
     cosine_logits_backward,
@@ -119,19 +120,26 @@ def pooled(sketch_layers, photo_layers):
 
 def jmmd_value(sketch_layers, photo_layers, spec=JmmdSpec()):
     """The alignment loss between a sketch set and a photo set: jmmd_with_grad's value."""
-    return jmmd_with_grad(*pooled(sketch_layers, photo_layers), spec)[0]
+    layers, is_sketch = pooled(sketch_layers, photo_layers)
+    return jmmd_with_grad(layers, is_sketch, spec, _layer_sq_dists(layers))[0]
 
 
-def prototype_ce(embeddings, prototypes, labels, temperature=DEFAULT_TEMPERATURE):
+def norms_of(embeddings, prototypes):
+    """The row norms cosine_logits and cosine_logits_backward take."""
+    return _row_norms(embeddings), _row_norms(prototypes)
+
+
+def prototype_ce(embeddings, prototypes, labels, temperature=0.07):
     """The prototype CE of cosine logits: cross_entropies_grad's second value."""
-    probs = softmax(cosine_logits(embeddings, prototypes, temperature))
-    return cross_entropies_grad(probs, labels)[1]
+    norms = norms_of(embeddings, prototypes)
+    probs = softmax(cosine_logits(embeddings, prototypes, temperature, norms))
+    return cross_entropies_grad(probs, labels, 0.1)[1]
 
 
 def jmmd_split_grad(sketch_layers, photo_layers, spec):
     """jmmd_with_grad on [sketches; photos], its gradients split back per set."""
     layers, is_sketch = pooled(sketch_layers, photo_layers)
-    value, grads = jmmd_with_grad(layers, is_sketch, spec)
+    value, grads = jmmd_with_grad(layers, is_sketch, spec, _layer_sq_dists(layers))
     return value, [g[is_sketch] for g in grads], [g[~is_sketch] for g in grads]
 
 
@@ -186,7 +194,7 @@ def kernel(x, y, sigma):
 
 def median_sigma(feats):
     """The median-heuristic bandwidth resolve_bandwidths picks for one pooled layer."""
-    return resolve_bandwidths([_sq_dists(feats, feats)], JmmdSpec())[0]
+    return resolve_bandwidths(_sq_dists(feats, feats)[None], JmmdSpec())[0]
 
 
 class TestGaussianKernel:
@@ -317,7 +325,7 @@ class TestMedianBandwidth:
     @pytest.mark.parametrize("rows", [0, 1])
     def test_fewer_than_two_rows_rejected(self, rows):
         with pytest.raises(LossInputError, match=f"at least 2 rows per layer, got {rows}"):
-            resolve_bandwidths([np.zeros((rows, rows))], JmmdSpec())
+            resolve_bandwidths(np.zeros((1, rows, rows)), JmmdSpec())
 
 
 class TestJmmd:
@@ -460,7 +468,7 @@ class TestJmmdGrad:
         rng = np.random.default_rng(22)
         s = [rng.normal(size=(5, d)) for d in (3, 4)]
         p = [rng.normal(size=(2, d)) for d in (3, 4)]
-        d2s = [_sq_dists(z, z) for z in (np.vstack([a, b]) for a, b in zip(s, p))]
+        d2s = _layer_sq_dists([np.vstack([a, b]) for a, b in zip(s, p)])
         got = resolve_bandwidths(d2s, JmmdSpec())
         pairs = [d2[np.triu_indices(7, k=1)] for d2 in d2s]
         assert got == [float(np.sqrt(max(float(np.median(x)), 1e-12))) for x in pairs]
@@ -474,9 +482,12 @@ class TestJmmdGrad:
             layers = [rng.normal(size=(n, d)) for d in (3, 5)]
             is_sketch = rng.permutation(np.arange(n) < 4)
             spec = JmmdSpec() if median else JmmdSpec(bandwidths=[1.2, 2.5])
-            value, grads = jmmd_with_grad(layers, is_sketch, spec)
+            value, grads = jmmd_with_grad(layers, is_sketch, spec, _layer_sq_dists(layers))
             perm = rng.permutation(n)
-            p_value, p_grads = jmmd_with_grad([z[perm] for z in layers], is_sketch[perm], spec)
+            permuted = [z[perm] for z in layers]
+            p_value, p_grads = jmmd_with_grad(
+                permuted, is_sketch[perm], spec, _layer_sq_dists(permuted)
+            )
             assert abs(p_value - value) <= 1e-12
             for g, pg in zip(grads, p_grads):
                 assert np.max(np.abs(pg - g[perm])) <= 1e-12
@@ -493,37 +504,38 @@ class TestJmmdGrad:
         rng = np.random.default_rng(24)
         layers = [rng.normal(size=(6, 3)), rng.normal(size=(6, 2))]
         is_sketch = np.arange(6) % 2 == 0
-        d2s = [_sq_dists(z, z) for z in layers]
+        d2s = np.stack([_sq_dists(z, z) for z in layers])
         assert jmmd_with_grad(layers, is_sketch, JmmdSpec(), d2s)[0] == jmmd_with_grad(
-            layers, is_sketch, JmmdSpec()
+            layers, is_sketch, JmmdSpec(), _layer_sq_dists(layers)
         )[0]
         # the median heuristic is scale-free, so fixed bandwidths show the scaling
         fixed = JmmdSpec(bandwidths=[1.0, 1.0])
-        scaled = jmmd_with_grad(layers, is_sketch, fixed, [4.0 * d2 for d2 in d2s])[0]
-        assert scaled == jmmd_with_grad([2.0 * z for z in layers], is_sketch, fixed)[0]
+        scaled = jmmd_with_grad(layers, is_sketch, fixed, 4.0 * d2s)[0]
+        doubled = [2.0 * z for z in layers]
+        assert scaled == jmmd_with_grad(doubled, is_sketch, fixed, _layer_sq_dists(doubled))[0]
 
     def test_given_stacked_distances_give_the_same_bits(self):
         rng = np.random.default_rng(26)
         layers = [rng.normal(size=(7, 3)), rng.normal(size=(7, 5)), rng.normal(size=(7, 2))]
         is_sketch = np.arange(7) % 3 == 0
-        d2s = [_sq_dists(z, z) for z in layers]
+        # _layer_sq_dists writes each layer into one buffer; np.stack copies fresh matrices
+        d2s = np.stack([_sq_dists(z, z) for z in layers])
         for spec in (JmmdSpec(), JmmdSpec(bandwidths=[0.5, 1.0, 2.0])):
-            value, grads = jmmd_with_grad(layers, is_sketch, spec)
-            for given in (d2s, np.stack(d2s)):
-                given_value, given_grads = jmmd_with_grad(layers, is_sketch, spec, given)
-                assert given_value == value
-                assert all(np.array_equal(a, b) for a, b in zip(given_grads, grads))
+            value, grads = jmmd_with_grad(layers, is_sketch, spec, _layer_sq_dists(layers))
+            given_value, given_grads = jmmd_with_grad(layers, is_sketch, spec, d2s)
+            assert given_value == value
+            assert all(np.array_equal(a, b) for a, b in zip(given_grads, grads))
 
     @pytest.mark.parametrize(
         "given",
         [
-            pytest.param([np.ones((6, 6))] * 2, id="two-matrices-for-three-layers"),
-            pytest.param([np.ones((6, 6))] * 4, id="four-matrices-for-three-layers"),
-            pytest.param([np.ones((6, 6)), np.ones((5, 5)), np.ones((6, 6))], id="one-too-small"),
-            pytest.param([np.ones((6, 6)), np.ones((6, 6)), np.ones((6, 7))], id="one-not-square"),
             pytest.param(np.ones((2, 6, 6)), id="stack-of-two"),
+            pytest.param(np.ones((4, 6, 6)), id="stack-of-four"),
             pytest.param(np.ones((3, 5, 5)), id="stack-too-small"),
             pytest.param(np.ones((3, 6, 7)), id="stack-not-square"),
+            pytest.param(np.ones((3, 7, 7)), id="stack-too-large"),
+            pytest.param(np.ones((0, 6, 6)), id="stack-of-none"),
+            pytest.param(np.ones((1, 3, 6, 6)), id="stack-with-an-extra-axis"),
             pytest.param(np.ones((6, 6)), id="one-unstacked-matrix"),
         ],
     )
@@ -536,13 +548,16 @@ class TestJmmdGrad:
 
     @pytest.mark.parametrize("is_sketch", [[True] * 4, [False] * 4, [True, False, True]])
     def test_batch_without_both_modalities_or_rows_rejected(self, is_sketch):
+        layers = [np.ones((4, 2))]
         with pytest.raises(LossInputError):
-            jmmd_with_grad([np.ones((4, 2))], np.array(is_sketch), JmmdSpec(bandwidths=[1.0]))
+            jmmd_with_grad(
+                layers, np.array(is_sketch), JmmdSpec(bandwidths=[1.0]), _layer_sq_dists(layers)
+            )
 
     def test_bandwidth_count_mismatch_rejected(self):
         s = [np.ones((2, 3))] * 2
         with pytest.raises(LossInputError):
-            jmmd_with_grad(s, np.arange(2) < 1, JmmdSpec(bandwidths=[1.0]))
+            jmmd_with_grad(s, np.arange(2) < 1, JmmdSpec(bandwidths=[1.0]), _layer_sq_dists(s))
 
 
 class TestTripletLoss:
@@ -550,13 +565,13 @@ class TestTripletLoss:
         # positives at distance 0, negatives at distance 1
         emb = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
         labels = np.array([0, 0, 1, 1])
-        assert triplet_loss_grad(emb, labels, margin=0.3)[0] == 0.0
+        assert triplet_loss_grad(emb, labels, 0.3, None)[0] == 0.0
 
     def test_equal_distances_give_margin(self):
         # unit square: every anchor has hardest positive and hardest negative at 1
         emb = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         labels = np.array([0, 0, 1, 1])
-        assert np.isclose(triplet_loss_grad(emb, labels, margin=0.3)[0], 0.3)
+        assert np.isclose(triplet_loss_grad(emb, labels, 0.3, None)[0], 0.3)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(11)
@@ -566,20 +581,20 @@ class TestTripletLoss:
             if np.unique(labels).size < 2:
                 continue
             emb = rng.normal(size=(n, 4))
-            got = triplet_loss_grad(emb, labels, margin=0.3)[0]
+            got = triplet_loss_grad(emb, labels, 0.3, None)[0]
             want = triplet_oracle(emb, labels, 0.3)
             assert np.isclose(got, want, atol=1e-12)
 
     def test_single_identity_rejected(self):
         with pytest.raises(LossInputError):
-            triplet_loss_grad(np.random.default_rng(0).normal(size=(4, 2)), np.zeros(4))
+            triplet_loss_grad(np.random.default_rng(0).normal(size=(4, 2)), np.zeros(4), 0.3, None)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(12)
         emb = rng.normal(size=(8, 4))
         labels = np.array([0, 0, 1, 1, 2, 2, 0, 1])
-        _, grad = triplet_loss_grad(emb, labels, margin=0.3)
-        fd_matches(grad, lambda x: triplet_loss_grad(x, labels, margin=0.3)[0], emb)
+        _, grad = triplet_loss_grad(emb, labels, 0.3, None)
+        fd_matches(grad, lambda x: triplet_loss_grad(x, labels, 0.3, None)[0], emb)
 
     def test_bit_identical_to_loop_reference(self):
         rng = np.random.default_rng(23)
@@ -596,13 +611,13 @@ class TestTripletLoss:
                 emb = np.round(emb)  # many tied distances
             margin = float(rng.choice([0.0, 0.3, 2.0]))
             try:
-                got_loss, got_grad = triplet_loss_grad(emb, labels, margin)
+                got_loss, got_grad = triplet_loss_grad(emb, labels, margin, None)
             except LossInputError:
                 continue  # e.g. k = 1: no anchor has a positive
             want_loss, want_grad = triplet_loop_reference(emb, labels, margin)
             assert got_loss == want_loss
             assert np.array_equal(got_grad, want_grad)
-            assert triplet_loss_grad(emb, labels, margin)[0] == got_loss
+            assert triplet_loss_grad(emb, labels, margin, None)[0] == got_loss
             cases += 1
         assert cases >= 200
 
@@ -610,7 +625,7 @@ class TestTripletLoss:
         # the lone label-9 sample has no positive; it only serves as a negative
         emb = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 1.0], [3.0, 1.0], [0.1, 0.0]])
         labels = np.array([0, 0, 1, 1, 9])
-        loss, grad = triplet_loss_grad(emb, labels, margin=0.3)
+        loss, grad = triplet_loss_grad(emb, labels, 0.3, None)
         want_loss, want_grad = triplet_loop_reference(emb, labels, 0.3)
         assert loss == want_loss > 0
         assert np.array_equal(grad, want_grad)
@@ -620,7 +635,7 @@ class TestTripletLoss:
         rng = np.random.default_rng(25)
         emb = rng.normal(size=(12, 4))
         labels = np.arange(12) % 4
-        loss, grad = triplet_loss_grad(emb, labels, 0.3)
+        loss, grad = triplet_loss_grad(emb, labels, 0.3, None)
         shared_loss, shared_grad = triplet_loss_grad(emb, labels, 0.3, _sq_dists(emb, emb))
         assert shared_loss == loss
         assert np.array_equal(shared_grad, grad)
@@ -634,7 +649,7 @@ class TestTripletLoss:
     def test_no_active_hinge_gives_zero_gradient(self):
         emb = np.array([[0.0, 0.0], [0.0, 0.1], [5.0, 0.0], [5.0, 0.1]])
         labels = np.array([0, 0, 1, 1])
-        loss, grad = triplet_loss_grad(emb, labels, margin=0.3)
+        loss, grad = triplet_loss_grad(emb, labels, 0.3, None)
         assert loss == 0.0
         assert np.array_equal(grad, np.zeros_like(emb))
         assert triplet_loop_reference(emb, labels, 0.3)[0] == 0.0
@@ -671,7 +686,7 @@ class TestIdLoss:
 
     def test_label_out_of_range(self):
         with pytest.raises(LossInputError):
-            cross_entropies_grad(np.full((1, 3), 1 / 3), np.array([3]))
+            cross_entropies_grad(np.full((1, 3), 1 / 3), np.array([3]), 0.1)
 
 
 class TestCrossEntropies:
@@ -711,7 +726,7 @@ class TestCrossEntropies:
         emb = rng.normal(size=(5, 4))
         protos = rng.normal(size=(6, 4))
         labels = rng.integers(0, 6, size=5)
-        probs = softmax(cosine_logits(emb, protos, 0.2))
+        probs = softmax(cosine_logits(emb, protos, 0.2, norms_of(emb, protos)))
         l_id, l_i2tce, _ = cross_entropies_grad(probs, labels, smoothing=0.2)
         assert l_id == cross_entropies_grad(probs, labels, smoothing=0.2)[0]
         assert l_i2tce == prototype_ce(emb, protos, labels, temperature=0.2)
@@ -810,10 +825,10 @@ class TestI2tce:
         emb = rng.normal(size=(5, 4))
         protos = rng.normal(size=(6, 4))
         labels = rng.integers(0, 6, size=5)
-        probs = softmax(cosine_logits(emb, protos, temperature=0.3))
+        probs = softmax(cosine_logits(emb, protos, 0.3, norms_of(emb, protos)))
         # the prototype CE's own gradient: half the unsmoothed summed one
         d_logits = cross_entropies_grad(probs, labels, 0.0)[2] / 2
-        d_e, d_p = cosine_logits_backward(emb, protos, d_logits, temperature=0.3)
+        d_e, d_p = cosine_logits_backward(emb, protos, d_logits, 0.3, norms_of(emb, protos))
         fd_matches(d_e, lambda x: prototype_ce(x, protos, labels, temperature=0.3), emb)
         fd_matches(d_p, lambda x: prototype_ce(emb, x, labels, temperature=0.3), protos)
 
@@ -824,18 +839,18 @@ class TestI2tce:
         w = rng.normal(size=(4, 5))
 
         def scalar_e(e):
-            return float((cosine_logits(e, protos, 0.5) * w).sum())
+            return float((cosine_logits(e, protos, 0.5, norms_of(e, protos)) * w).sum())
 
         def scalar_p(p):
-            return float((cosine_logits(emb, p, 0.5) * w).sum())
+            return float((cosine_logits(emb, p, 0.5, norms_of(emb, p)) * w).sum())
 
-        d_e, d_p = cosine_logits_backward(emb, protos, w, 0.5)
+        d_e, d_p = cosine_logits_backward(emb, protos, w, 0.5, norms_of(emb, protos))
         fd_matches(d_e, scalar_e, emb)
         fd_matches(d_p, scalar_p, protos)
 
 
     def test_default_temperature_is_the_encoders(self):
-        assert DEFAULT_TEMPERATURE == EncoderConfig.temperature == ExperimentConfig.temperature
+        assert EncoderConfig.temperature == ExperimentConfig.temperature == 0.07
 
 
 class TestSimLoss:

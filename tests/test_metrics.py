@@ -199,7 +199,10 @@ class TestAveragePrecision:
     def test_no_relevant_rejected(self):
         # a query without a relevant gallery item has no AP; with none at all there is no mAP
         with pytest.raises(ValueError, match="no query has a relevant gallery item"):
-            ranking_metrics(np.zeros((2, 2)), np.array([0, 1]), np.ones((3, 2)), np.array([2, 3, 3]))
+            ranking_metrics(
+                np.zeros((2, 2)), np.array([0, 1]), np.ones((3, 2)), np.array([2, 3, 3]),
+                use_cosine=False,
+            )
 
     def test_exact_where_float_summation_drifts(self):
         rng = np.random.default_rng(4)
@@ -264,7 +267,7 @@ class TestIntegerApPass:
         g_emb = rng.normal(size=(g_ids.size, 6))
         q_ids = np.concatenate([[0, 0, 0], g_ids[rng.integers(40, g_ids.size, size=50)]])
         q_emb = rng.normal(size=(q_ids.size, 6))
-        got = ranking_metrics(q_emb, q_ids, g_emb, g_ids)
+        got = ranking_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=False)
         assert got == lexsort_fraction_metrics(q_emb, q_ids, g_emb, g_ids)
         assert math.log2(40) + sum(math.log2(p) for p in range(1, 41)) > _EXACT_BITS
 
@@ -453,7 +456,7 @@ class TestRankingMetrics:
             q_ids = g_ids[rng.integers(0, n_g, size=n_q)]
             q_emb = rng.normal(size=(n_q, dim))
             g_emb = rng.normal(size=(n_g, dim))
-            m, cmc, n = ranking_metrics(q_emb, q_ids, g_emb, g_ids)
+            m, cmc, n = ranking_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=False)
             bm, bcmc = brute_force_metrics(q_emb, q_ids, g_emb, g_ids)
             assert abs(m - bm) < 1e-12
             for k in (1, 5, 10):
@@ -507,7 +510,7 @@ class TestRankingMetrics:
         with pytest.raises(ValueError, match=match):
             ranking_metrics(q_emb, ids[:4], g_emb, ids, use_cosine=True)
         # Euclidean ranking has no direction to take
-        assert ranking_metrics(q_emb, ids[:4], g_emb, ids)[2] == 4
+        assert ranking_metrics(q_emb, ids[:4], g_emb, ids, use_cosine=False)[2] == 4
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
@@ -515,8 +518,8 @@ class TestRankingMetrics:
         g_emb = rng.normal(size=(40, 5))
         g_ids = rng.integers(0, 8, size=40)
         q_ids = g_ids[rng.integers(0, 40, size=10)]
-        base = ranking_metrics(q_emb, q_ids, g_emb, g_ids)
-        scaled = ranking_metrics(q_emb * 37.5, q_ids, g_emb * 37.5, g_ids)
+        base = ranking_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=False)
+        scaled = ranking_metrics(q_emb * 37.5, q_ids, g_emb * 37.5, g_ids, use_cosine=False)
         assert base[0] == scaled[0]
         assert base[1] == scaled[1]
 
@@ -529,11 +532,11 @@ class TestRankingMetrics:
             q_id = np.array([int(rng.integers(0, 5))])
             if not (g_ids == q_id[0]).any():
                 g_ids[0] = q_id[0]
-            before, *_ = ranking_metrics(q, q_id, g_emb, g_ids)
+            before, *_ = ranking_metrics(q, q_id, g_emb, g_ids, use_cosine=False)
             # plant an exact duplicate of the query with the right identity
             g2 = np.vstack([q, g_emb])
             ids2 = np.concatenate([[q_id[0]], g_ids])
-            after, *_ = ranking_metrics(q, q_id, g2, ids2)
+            after, *_ = ranking_metrics(q, q_id, g2, ids2, use_cosine=False)
             assert after >= before - 1e-12
 
     def test_random_embeddings_within_permutation_band(self):
@@ -544,10 +547,11 @@ class TestRankingMetrics:
         q_ids = np.arange(20)
         q_emb = rng.normal(size=(20, 6))
         g_emb = rng.normal(size=(n_g, 6))
-        observed, *_ = ranking_metrics(q_emb, q_ids, g_emb, g_ids)
+        observed, *_ = ranking_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=False)
         null = []
         for _ in range(200):
-            null.append(ranking_metrics(q_emb, q_ids, g_emb, rng.permutation(g_ids))[0])
+            shuffled = rng.permutation(g_ids)
+            null.append(ranking_metrics(q_emb, q_ids, g_emb, shuffled, use_cosine=False)[0])
         lo, hi = np.percentile(null, [2.5, 97.5])
         assert lo <= observed <= hi
 
@@ -609,7 +613,7 @@ class TestBlockedRanking:
         firsts = np.arange(0, self.N_Q, rows)
         q_ids[:] = -1
         q_ids[firsts] = g_ids[firsts]
-        got = ranking_metrics(q_emb, q_ids, g_emb, g_ids)
+        got = ranking_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=False)
         assert got == lexsort_fraction_metrics(q_emb, q_ids, g_emb, g_ids)
         assert got[2] == firsts.size
 
@@ -633,7 +637,9 @@ class TestBlockedRanking:
     def test_no_queries_rejected(self):
         _, _, g_emb, g_ids = self.case(0, False)
         with pytest.raises(ValueError, match="no query has a relevant gallery item"):
-            ranking_metrics(np.zeros((0, 3)), np.array([], dtype=int), g_emb, g_ids)
+            ranking_metrics(
+                np.zeros((0, 3)), np.array([], dtype=int), g_emb, g_ids, use_cosine=False
+            )
 
     @pytest.mark.parametrize("tied", [False, True])
     def test_peak_memory_below_one_distance_matrix(self, tied):
@@ -646,7 +652,7 @@ class TestBlockedRanking:
         ids = np.arange(n) // 4
         q_emb = np.zeros((n, 32)) if tied else rng.normal(size=(n, 32))
         g_emb = np.zeros((n, 32)) if tied else rng.normal(size=(n, 32))
-        _, peak = traced_peak(ranking_metrics, q_emb, ids, g_emb, ids)
+        _, peak = traced_peak(ranking_metrics, q_emb, ids, g_emb, ids, False)
         assert peak < 1.5 * 2 * 8 * _BLOCK_ELEMENTS, f"peak {peak / 2**20:.2f} MiB"
 
 
@@ -664,7 +670,7 @@ class TestEvaluate:
         )
         task = generate_synthetic_task(spec)
         state = init_encoder(EncoderConfig(input_dim=8, hidden_dims=(8,), embedding_dim=6, seed=0))
-        rec = evaluate(state, task, step=1)
+        rec = evaluate(state, task, step=1, use_cosine=False, swap_direction=False)
         assert rec.map == 100.0
         assert rec.r1 == 100.0
 
@@ -673,7 +679,7 @@ class TestEvaluate:
             SynthSpec(task_id=0, latent_dim=4, feature_dim=8, num_train_ids=5, num_test_ids=4, seed=6)
         )
         state = init_encoder(EncoderConfig(input_dim=8, hidden_dims=(8,), embedding_dim=6, seed=0))
-        rec = evaluate(state, task, step=2, swap_direction=True)
+        rec = evaluate(state, task, step=2, use_cosine=False, swap_direction=True)
         assert rec.num_queries == len(task.gallery)
 
     def test_cmc_monotone(self):
@@ -681,7 +687,7 @@ class TestEvaluate:
             SynthSpec(task_id=0, latent_dim=4, feature_dim=8, num_train_ids=5, num_test_ids=6, seed=8)
         )
         state = init_encoder(EncoderConfig(input_dim=8, hidden_dims=(8,), embedding_dim=6, seed=1))
-        rec = evaluate(state, task, step=1)
+        rec = evaluate(state, task, step=1, use_cosine=False, swap_direction=False)
         assert rec.r1 <= rec.r5 <= rec.r10
         assert 0 <= rec.map <= 100
 
@@ -698,7 +704,7 @@ class TestEvaluate:
         task = TaskDataset(0, train=split([]), query=queries, gallery=gallery)
         state = init_encoder(EncoderConfig(input_dim=8, hidden_dims=(8,), embedding_dim=6, seed=0))
         with pytest.raises(ValueError, match=r"^query identities \[1, 3, 5, 7, 9\] absent from gallery$"):
-            evaluate(state, task, swap_direction=swap)
+            evaluate(state, task, step=0, use_cosine=False, swap_direction=swap)
 
 
 class TestAggregate:

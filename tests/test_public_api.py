@@ -54,3 +54,64 @@ def test_value_only_losses_are_not_exported(name):
     with pytest.raises(ImportError):
         exec(f"from xmcl import {name}", {})
     assert not hasattr(importlib.import_module("xmcl.losses"), name)
+
+
+def unused_defaults() -> list[str]:
+    """Each parameter default of the library that no call inside src/xmcl leaves out.
+
+    A default that every call overrides is a second call form that only
+    callers outside the library use.  Calls are matched to definitions by
+    name, and a call with *args or **kwargs counts as leaving every default
+    out.  schemes.py is skipped: its canned configs are entry points.
+    """
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def left_out(call: ast.Call, position: int | None, param: str) -> bool:
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords
+        ):
+            return True
+        supplied = position is not None and position < len(call.args)
+        return not supplied and all(k.arg != param for k in call.keywords)
+
+    found = []
+    for module, tree in trees.items():
+        if module == "schemes":
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = [*args.posonlyargs, *args.args]
+            # a method's call sites pass self implicitly
+            shift = 1 if positional and positional[0].arg in ("self", "cls") else 0
+            defaulted = [
+                (i - shift, a.arg)
+                for i, a in enumerate(positional)
+                if i >= len(positional) - len(args.defaults)
+            ]
+            defaulted += [
+                (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            for position, param in defaulted:
+                if not any(left_out(c, position, param) for c in calls.get(node.name, [])):
+                    found.append(f"{module}.{node.name}({param})")
+    return sorted(found)
+
+
+def test_every_default_is_left_out_by_some_library_call():
+    # one call form per function: a default lives on a config dataclass, or
+    # some caller in the library relies on it
+    assert unused_defaults() == []
+
+
+def test_losses_state_no_default_constants():
+    # the objective's constants are ExperimentConfig and EncoderConfig fields
+    losses = importlib.import_module("xmcl.losses")
+    assert [n for n in vars(losses) if n.startswith("DEFAULT_")] == []

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from xmcl import losses, schemes
+from xmcl import schemes
 from xmcl.data import SynthSpec
 from xmcl.losses import JmmdSpec
 from xmcl.trainer import (
@@ -185,7 +185,7 @@ class TestBatchGradients:
         state = init_encoder(EncoderConfig(input_dim=16, hidden_dims=(8,), embedding_dim=6, seed=0))
         register_task_head(state, 0, 12, seed=1)
         breakdown, _ = batch_gradients(
-            state, task.train[:12], 0, task.train.identities(), JmmdSpec(alpha=0.0)
+            state, task.train[:12], 0, task.train.identities(), JmmdSpec(alpha=0.0), 0.3, 0.1
         )
         assert breakdown.l_sim == breakdown.l_reid
         assert breakdown.l_jmmd == 0.0
@@ -200,7 +200,7 @@ class TestBatchGradients:
         photos = task.train[np.flatnonzero(~task.train.is_sketch)[:8]]
         with caplog.at_level("WARNING"):
             breakdown, _ = batch_gradients(
-                state, photos, 0, task.train.identities(), JmmdSpec(alpha=5.0)
+                state, photos, 0, task.train.identities(), JmmdSpec(alpha=5.0), 0.3, 0.1
             )
         assert breakdown.l_jmmd == 0.0
         assert any("lacks one modality" in r.message for r in caplog.records)
@@ -216,7 +216,7 @@ class TestBatchGradients:
         # identity 0 below the head's first row; identity 11 past its last
         for head_ids, rows in ((ids[1:], slice(0, 12)), (ids[:-1], slice(-12, None))):
             with pytest.raises(KeyError, match="outside task 0's head"):
-                batch_gradients(state, task.train[rows], 0, head_ids, JmmdSpec())
+                batch_gradients(state, task.train[rows], 0, head_ids, JmmdSpec(), 0.3, 0.1)
 
 
     def test_nan_feature_names_the_term(self):
@@ -229,7 +229,7 @@ class TestBatchGradients:
         batch = task.train[:12]
         batch.features[3, 5] = np.nan
         with pytest.raises(FloatingPointError, match="^non-finite l_id$"):
-            batch_gradients(state, batch, 0, task.train.identities(), JmmdSpec())
+            batch_gradients(state, batch, 0, task.train.identities(), JmmdSpec(), 0.3, 0.1)
 
 
 class TestNonFiniteFailsFast:
@@ -617,9 +617,9 @@ def test_train_task_groups_its_split_once_and_draws_every_epoch(monkeypatch):
         grouped.append(real_groups(train))
         return grouped[-1]
 
-    def batches(train, p, k, rng, groups=None):
+    def batches(groups, p, k, rng):
         drawn.append(groups)
-        return real_batches(train, p, k, rng, groups)
+        return real_batches(groups, p, k, rng)
 
     monkeypatch.setattr(trainer, "identity_groups", groups_of)
     monkeypatch.setattr(trainer, "pk_epoch_batches", batches)
@@ -651,12 +651,6 @@ class TestEmptyBanksWarn:
 @pytest.mark.parametrize(
     "fn, param, field_default",
     [
-        (ExperimentConfig, "triplet_margin", losses.DEFAULT_MARGIN),
-        (ExperimentConfig, "label_smoothing", losses.DEFAULT_SMOOTHING),
-        (losses.triplet_loss_grad, "margin", ExperimentConfig.triplet_margin),
-        (batch_gradients, "margin", ExperimentConfig.triplet_margin),
-        (losses.cross_entropies_grad, "smoothing", ExperimentConfig.label_smoothing),
-        (batch_gradients, "smoothing", ExperimentConfig.label_smoothing),
         (schemes.high_gap_single_task_config, "alpha", JmmdSpec.alpha),
     ],
     ids=lambda v: getattr(v, "__name__", None),
@@ -670,7 +664,7 @@ class TestArrayDataclassEquality:
 
     def instances(self):
         from xmcl.banks import ReplayBanks
-        from xmcl.conformal import prediction_set
+        from xmcl.conformal import CpConfig, prediction_set
         from xmcl.data import generate_synthetic_task
         from xmcl.encoder import EncoderConfig, backward, forward, init_encoder, register_task_head
 
@@ -686,8 +680,10 @@ class TestArrayDataclassEquality:
             "Split": task.train,
             "TaskDataset": task,
             "ActivationStack": stack,
-            "ParameterGradients": backward(encoder, stack, [None] * len(stack.layers)),
-            "PredictionSet": prediction_set(np.full(4, 0.25)),
+            "ParameterGradients": backward(
+                encoder, stack, [None] * len(stack.layers), np.zeros_like(stack.logits)
+            ),
+            "PredictionSet": prediction_set(np.full(4, 0.25), CpConfig()),
         }
 
     def test_equality_is_identity(self):
