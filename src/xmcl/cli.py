@@ -6,6 +6,10 @@ Subcommands:
     score     conformal-score a JSONL file of probability vectors
     report    summarize one run directory, or diff two
 
+run writes report.json, metrics.csv and banks.jsonl per <arm>/seed_<n>/.
+report reads only the report.json files; metrics.csv holds the same records
+as CSV for users and is not read back.  A malformed report exits 2 naming it.
+
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 Defaults for --seed/--seeds/--out may also be supplied via the environment
 variables XMCL_SEED, XMCL_SEEDS, XMCL_OUT.
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -251,81 +256,53 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _load_run_rows(run_dir: Path) -> tuple[list[dict], list[str]]:
-    """All metrics rows under <dir>/<arm>/<seed>/metrics.csv, plus warnings."""
-    rows, warnings = [], []
-    csvs = sorted(run_dir.glob("*/seed_*/metrics.csv"))
-    direct = run_dir / "metrics.csv"
-    if direct.exists():
-        csvs.append(direct)
-    if not csvs:
-        raise ConfigError(f"no metrics.csv found under {run_dir}")
-    for path in csvs:
+def _summarize(run_dir: Path) -> tuple[list[dict], list[str]]:
+    """Median-over-seeds mAP/r1 per (arm, step, task), plus per-step averages.
+
+    Reads every <run_dir>/<arm>/seed_*/report.json and <run_dir>/report.json;
+    a report's arm is the directory above its seed_* directory, else "run".
+    Returns the summary rows and each report's warnings.  A report that is not
+    JSON, lacks a key or holds a non-finite metric is a ConfigError naming it.
+    """
+    paths = sorted(run_dir.glob("*/seed_*/report.json"))
+    if (run_dir / "report.json").exists():
+        paths.append(run_dir / "report.json")
+    if not paths:
+        raise ConfigError(f"no report.json found under {run_dir}")
+    cells, warnings = {}, []
+    for path in paths:
         arm = path.parent.parent.name if path.parent.name.startswith("seed_") else "run"
-        seed = path.parent.name.removeprefix("seed_") if arm != "run" else "0"
-        lines = path.read_text().rstrip("\n").split("\n")
-        if lines[0] != "step,task_id,mAP,r1,r5,r10":
-            warnings.append(f"{path}: unexpected header, skipped")
-            continue
-        for lineno, line in enumerate(lines[1:], start=2):
-            fields = line.split(",")
-            try:
-                if len(fields) != 6:
-                    raise ValueError(f"expected 6 fields, got {len(fields)}")
-                step, task_id = int(fields[0]), int(fields[1])
-                m, r1, r5, r10 = map(float, fields[2:])
-                if not all(math.isfinite(v) for v in (m, r1, r5, r10)):
-                    raise ValueError(f"non-finite metric in {line!r}")
-            except ValueError as e:
-                raise ConfigError(f"{path} line {lineno}: {e}") from e
-            rows.append(
-                {"arm": arm, "seed": seed, "step": step, "task_id": task_id, "mAP": m, "r1": r1}
-            )
-        report_path = path.parent / "report.json"
-        if report_path.exists():
-            try:
-                payload = json.loads(report_path.read_text())
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"{report_path} line {e.lineno}: invalid JSON ({e.msg})") from e
-            warnings.extend(f"{path.parent}: {w}" for w in payload.get("warnings", []))
-    return rows, warnings
+        try:
+            report = json.loads(path.read_text())
+            for entry in report["steps"]:
+                step = _typed(entry["step"], int, "step")
+                for row in entry["records"]:
+                    key = arm, step, _typed(row["task_id"], int, "task_id")
+                    metrics = [_typed(row[k], float, k) for k in ("mAP", "r1")]
+                    if not all(map(math.isfinite, metrics)):
+                        raise ValueError(f"non-finite metric {metrics} at step {step}")
+                    cells.setdefault(key, []).append(metrics)
+            warnings += [f"{path.parent}: {w}" for w in report.get("warnings", [])]
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{path} line {e.lineno}: invalid JSON ({e.msg})") from e
+        except (KeyError, TypeError, ValueError) as e:
+            problem = f"no key {e}" if isinstance(e, KeyError) else e
+            raise ConfigError(f"{path}: malformed report ({problem})") from e
+    summary = []
+    for (arm, step), keys in itertools.groupby(sorted(cells), key=lambda key: key[:2]):
+        rows = []
+        for key in keys:
+            m, r1 = np.median(cells[key], axis=0).tolist()
+            rows.append({"arm": arm, "step": step, "task_id": str(key[2]), "mAP": m, "r1": r1})
+        avg = {k: float(np.mean([row[k] for row in rows])) for k in ("mAP", "r1")}
+        summary += [*rows, {"arm": arm, "step": step, "task_id": "avg", **avg}]
+    return summary, warnings
 
 
-def _summarize(rows: list[dict]) -> list[dict]:
-    """Median-over-seeds mAP/r1 per (arm, step, task), plus per-step averages."""
-    out = []
-    arms = sorted({r["arm"] for r in rows})
-    for arm in arms:
-        arm_rows = [r for r in rows if r["arm"] == arm]
-        steps = sorted({r["step"] for r in arm_rows})
-        tasks = sorted({r["task_id"] for r in arm_rows})
-        for step in steps:
-            per_task = {}
-            for task in tasks:
-                cell = [r for r in arm_rows if r["step"] == step and r["task_id"] == task]
-                if cell:
-                    per_task[task] = (
-                        float(np.median([r["mAP"] for r in cell])),
-                        float(np.median([r["r1"] for r in cell])),
-                    )
-            if not per_task:
-                continue
-            avg_map = float(np.mean([v[0] for v in per_task.values()]))
-            avg_r1 = float(np.mean([v[1] for v in per_task.values()]))
-            for task, (m, r1) in sorted(per_task.items()):
-                out.append(
-                    {"arm": arm, "step": step, "task_id": str(task), "mAP": m, "r1": r1}
-                )
-            out.append(
-                {"arm": arm, "step": step, "task_id": "avg", "mAP": avg_map, "r1": avg_r1}
-            )
-    return out
-
-
-def _print_table(summary: list[dict], title: str) -> None:
+def _print_table(title: str, columns: tuple[str, str], rows: list[dict]) -> None:
     print(title)
-    print(f'{"arm":<12}{"step":>5}{"task":>8}{"mAP":>10}{"r1":>10}')
-    for row in summary:
+    print(f'{"arm":<12}{"step":>5}{"task":>8}{columns[0]:>10}{columns[1]:>10}')
+    for row in rows:
         print(
             f'{row["arm"]:<12}{row["step"]:>5}{row["task_id"]:>8}'
             f'{row["mAP"]:>10.2f}{row["r1"]:>10.2f}'
@@ -333,28 +310,21 @@ def _print_table(summary: list[dict], title: str) -> None:
 
 
 def cmd_report(args) -> int:
-    rows, warnings = _load_run_rows(Path(args.run_dir))
-    summary = _summarize(rows)
-    _print_table(summary, f"run summary: {args.run_dir} (medians over seeds)")
+    summary, warnings = _summarize(Path(args.run_dir))
+    _print_table(f"run summary: {args.run_dir} (medians over seeds)", ("mAP", "r1"), summary)
     for w in warnings:
         print(f"warning: {w}")
 
     if args.diff:
-        other_rows, other_warnings = _load_run_rows(Path(args.diff))
-        other = {
-            (r["arm"], r["step"], r["task_id"]): r for r in _summarize(other_rows)
-        }
+        other_summary, other_warnings = _summarize(Path(args.diff))
+        other = {(r["arm"], r["step"], r["task_id"]): r for r in other_summary}
+        deltas = [
+            {**row, "mAP": row["mAP"] - theirs["mAP"], "r1": row["r1"] - theirs["r1"]}
+            for row in summary
+            if (theirs := other.get((row["arm"], row["step"], row["task_id"])))
+        ]
         print()
-        print(f'diff vs {args.diff} (this minus other)')
-        print(f'{"arm":<12}{"step":>5}{"task":>8}{"dmAP":>10}{"dr1":>10}')
-        for row in summary:
-            key = (row["arm"], row["step"], row["task_id"])
-            if key in other:
-                print(
-                    f'{row["arm"]:<12}{row["step"]:>5}{row["task_id"]:>8}'
-                    f'{row["mAP"] - other[key]["mAP"]:>10.2f}'
-                    f'{row["r1"] - other[key]["r1"]:>10.2f}'
-                )
+        _print_table(f"diff vs {args.diff} (this minus other)", ("dmAP", "dr1"), deltas)
         for w in other_warnings:
             print(f"warning: {w}")
 

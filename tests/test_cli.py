@@ -1,6 +1,8 @@
 import dataclasses
 import importlib
 import json
+import shutil
+import statistics
 from pathlib import Path
 
 import numpy as np
@@ -570,21 +572,57 @@ class TestReport:
         main(["run", "--config", str(config), "--out", str(out)])
         return out
 
+    @staticmethod
+    def metrics_csv_cells(paths) -> dict:
+        """(arm, step, task_id) -> [(mAP, r1) per seed], parsed from metrics.csv files."""
+        cells = {}
+        for path in paths:
+            for line in path.read_text().splitlines()[1:]:
+                step, task, m, r1 = line.split(",")[:4]
+                cells.setdefault((path.parent.parent.name, step, task), []).append((float(m), float(r1)))
+        return cells
+
+    @staticmethod
+    def summary_csv(path) -> dict:
+        lines = path.read_text().splitlines()
+        assert lines[0] == "arm,step,task_id,mAP,r1"
+        return {tuple(f[:3]): (float(f[3]), float(f[4])) for f in (ln.split(",") for ln in lines[1:])}
+
     def test_summary_table(self, tmp_path, capsys):
-        out = self.run_once(tmp_path)
+        config = write_config(tmp_path / "config.json", arms=["full", "no_mpm"], seeds=3)
+        out = tmp_path / "runs"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
         assert main(["report", str(out)]) == 0
         text = capsys.readouterr().out
-        assert "full" in text and "no_mpm" in text
-        assert "avg" in text
-        assert (out / "summary.csv").exists()
-        lines = (out / "summary.csv").read_text().strip().split("\n")
-        assert lines[0] == "arm,step,task_id,mAP,r1"
-        # 2 arms x 5 steps x (2 tasks + avg)
-        assert len(lines) == 1 + 2 * 5 * 3
+        assert "full" in text and "no_mpm" in text and "avg" in text
+        # each value is the median over seeds of the run's own metrics.csv records
+        cells = self.metrics_csv_cells(out.glob("*/seed_*/metrics.csv"))
+        assert len(cells) == 2 * 5 * 2 and all(len(seeds) == 3 for seeds in cells.values())
+        expected = {
+            key: tuple(statistics.median(column) for column in zip(*seeds))
+            for key, seeds in cells.items()
+        }
+        for arm, step in {key[:2] for key in cells}:
+            per_task = [v for key, v in expected.items() if key[:2] == (arm, step)]
+            expected[arm, step, "avg"] = tuple(sum(col) / len(col) for col in zip(*per_task))
+        assert self.summary_csv(out / "summary.csv") == expected
+
+    def test_a_directory_with_its_own_report(self, tmp_path):
+        out = self.run_once(tmp_path, arms=("full",))
+        seed_dir, plain = out / "full" / "seed_0", tmp_path / "plain"
+        plain.mkdir()
+        shutil.copy(seed_dir / "report.json", plain / "report.json")
+        # a seed_<n> directory keeps its arm's name; any other directory is "run"
+        for run_dir, arm in ((seed_dir, "full"), (plain, "run")):
+            assert main(["report", str(run_dir)]) == 0
+            summary = self.summary_csv(run_dir / "summary.csv")
+            for (_, step, task), values in self.metrics_csv_cells([seed_dir / "metrics.csv"]).items():
+                assert summary[arm, step, task] == values[0]
+            assert {key[0] for key in summary} == {arm}
 
     def test_partial_run_warns(self, tmp_path, capsys):
         out = self.run_once(tmp_path, arms=("full",))
-        # simulate an interrupted second arm: directory with no metrics
+        # simulate an interrupted second arm: directory with no report
         (out / "no_mpm" / "seed_0").mkdir(parents=True)
         assert main(["report", str(out)]) == 0
         text = capsys.readouterr().out
@@ -618,24 +656,38 @@ class TestReport:
         empty.mkdir()
         assert main(["report", str(empty)]) == 2
 
-    GOOD_ROW = "1,0,50.0,40.0,60.0,70.0"
+    GOOD_REPORT = {"steps": [{"step": 1, "records": [{"task_id": 0, "mAP": 50.0, "r1": 40.0}]}]}
 
     @pytest.mark.parametrize(
-        "row, report, where, message",
+        "report, message",
         [
-            ("1,0,50.0,40.0", None, "metrics.csv line 3", "expected 6 fields, got 4"),
-            ("1,0,abc,40,50,60", None, "metrics.csv line 3", "could not convert string to float: 'abc'"),
-            ("1,0,nan,40,50,60", None, "metrics.csv line 3", "non-finite metric in '1,0,nan,40,50,60'"),
-            (GOOD_ROW, '{"warnings": [\n  oops', "report.json line 2", "invalid JSON"),
+            ('{"steps": [\n  oops', "report.json line 2: invalid JSON (Expecting value)"),
+            ("[1, 2]", "report.json: malformed report (list indices must be integers"),
+            ('{"warnings": []}', "report.json: malformed report (no key 'steps')"),
+            ('{"steps": [{"step": 1}]}', "report.json: malformed report (no key 'records')"),
+            (
+                '{"steps": [{"step": 1, "records": [{"task_id": 0, "r1": 40.0}]}]}',
+                "report.json: malformed report (no key 'mAP')",
+            ),
+            (
+                '{"steps": [{"step": 1, "records": [{"task_id": 0, "mAP": "abc", "r1": 40.0}]}]}',
+                "report.json: malformed report (mAP must be float, got 'abc')",
+            ),
+            (
+                '{"steps": [{"step": 1, "records": [{"task_id": 0, "mAP": NaN, "r1": 40.0}]}]}',
+                "report.json: malformed report (non-finite metric [nan, 40.0] at step 1)",
+            ),
         ],
-        ids=["field_count", "non_numeric", "nan_map", "bad_report_json"],
+        ids=["bad_report_json", "non_object", "no_steps", "no_records", "no_map", "non_numeric", "nan_map"],
     )
-    def test_broken_run_file_names_path_and_line(self, tmp_path, capsys, row, report, where, message):
-        run_dir = tmp_path / "runs" / "full" / "seed_0"
-        run_dir.mkdir(parents=True)
-        (run_dir / "metrics.csv").write_text(f"step,task_id,mAP,r1,r5,r10\n{self.GOOD_ROW}\n{row}\n")
-        if report is not None:
-            (run_dir / "report.json").write_text(report)
-        assert main(["report", str(tmp_path / "runs")]) == 2
+    def test_broken_run_file_names_path_and_line(self, tmp_path, capsys, report, message):
+        runs = tmp_path / "runs"
+        (runs / "full" / "seed_0").mkdir(parents=True)
+        (runs / "full" / "seed_0" / "report.json").write_text(json.dumps(self.GOOD_REPORT))
+        run_dir = runs / "full" / "seed_1"
+        run_dir.mkdir()
+        (run_dir / "report.json").write_text(report)
+        assert main(["report", str(runs)]) == 2
         err = capsys.readouterr().err
-        assert f"error: {run_dir / where}: {message}" in err
+        assert f"error: {run_dir / message}" in err
+        assert not (runs / "summary.csv").exists()

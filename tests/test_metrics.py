@@ -1,3 +1,4 @@
+import logging
 import math
 import tracemalloc
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 
 import xmcl.metrics
 from xmcl.data import Split, SynthSpec, TaskDataset, generate_synthetic_task
-from xmcl.encoder import EncoderConfig, init_encoder
+from xmcl.encoder import EncoderConfig, embed, init_encoder
 from xmcl.losses import _sq_dists
 from xmcl.metrics import (
     _BLOCK_ELEMENTS,
@@ -512,6 +513,21 @@ class TestRankingMetrics:
         # Euclidean ranking has no direction to take
         assert ranking_metrics(q_emb, ids[:4], g_emb, ids, use_cosine=False)[2] == 4
 
+    def test_warns_with_the_count_of_queries_without_a_relevant_item(self, caplog):
+        rng = np.random.default_rng(4)
+        q_emb, g_emb = rng.standard_normal((5, 3)), rng.standard_normal((4, 3))
+        g_ids = np.array([0, 1, 2, 2])
+        with caplog.at_level(logging.WARNING, logger="xmcl.metrics"):
+            *_, n = ranking_metrics(q_emb, np.array([0, 7, 1, 9, 2]), g_emb, g_ids, False)
+        assert n == 3
+        assert [r.getMessage() for r in caplog.records] == [
+            "excluded 2 queries with no relevant gallery item"
+        ]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="xmcl.metrics"):
+            ranking_metrics(q_emb, np.array([0, 1, 1, 2, 2]), g_emb, g_ids, False)
+        assert caplog.records == []
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
         q_emb = rng.normal(size=(10, 5))
@@ -690,6 +706,22 @@ class TestEvaluate:
         rec = evaluate(state, task, step=1, use_cosine=False, swap_direction=False)
         assert rec.r1 <= rec.r5 <= rec.r10
         assert 0 <= rec.map <= 100
+
+    def test_each_rank_is_a_percentage_of_ranking_metrics(self):
+        # an untrained encoder on 24 identities puts some first hits past rank 10
+        task = generate_synthetic_task(
+            SynthSpec(task_id=0, latent_dim=4, feature_dim=8, num_train_ids=5, num_test_ids=24, seed=3)
+        )
+        state = init_encoder(EncoderConfig(input_dim=8, hidden_dims=(8,), embedding_dim=6, seed=0))
+        rec = evaluate(state, task, step=1, use_cosine=False, swap_direction=False)
+        m, cmc, n = ranking_metrics(
+            embed(state, task.query.features), task.query.ids,
+            embed(state, task.gallery.features), task.gallery.ids, False,
+        )
+        assert rec.r10 < 100.0
+        assert (rec.map, rec.r1, rec.r5, rec.r10, rec.num_queries) == (
+            100.0 * m, 100.0 * cmc[1], 100.0 * cmc[5], 100.0 * cmc[10], n
+        )
 
     @pytest.mark.parametrize("swap", [False, True])
     def test_query_ids_absent_from_gallery_are_named(self, swap):
