@@ -8,8 +8,8 @@ feature clouds are pulled together.
 
 import numpy as np
 
-from xmcl import JmmdSpec, LossBreakdown, jmmd_with_grad
-from xmcl.losses import cross_entropies_grad, softmax, triplet_loss_grad
+from xmcl import JmmdSpec, LossBreakdown
+from xmcl.losses import cross_entropies_grad, jmmd_with_grad, softmax, triplet_loss_grad
 
 rng = np.random.default_rng(0)
 

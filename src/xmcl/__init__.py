@@ -20,7 +20,6 @@ from .data import (
     TaskDataset,
     generate_synthetic_task,
     load_task,
-    pk_epoch_batches,
     save_task,
 )
 from .encoder import (
@@ -34,7 +33,7 @@ from .encoder import (
     init_encoder,
     register_task_head,
 )
-from .losses import JmmdSpec, LossBreakdown, jmmd_with_grad
+from .losses import JmmdSpec, LossBreakdown
 from .metrics import MetricsRecord, aggregate, evaluate
 from .schemes import (
     high_gap_single_task_config,

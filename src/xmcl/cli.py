@@ -7,8 +7,17 @@ Subcommands:
     report    summarize one run directory, or diff two
 
 run writes report.json, metrics.csv and banks.jsonl per <arm>/seed_<n>/.
+Each (arm, seed) job trains in its own forked process, up to one per CPU the
+process may use (os.sched_getaffinity; taskset limits it), and in-process
+when that is one CPU or one job.  Pin BLAS to one thread
+(OPENBLAS_NUM_THREADS=1) so the processes do not oversubscribe the cores;
+memory is per process.  The first failing job in job order sets the exit
+code; jobs the pool has already started or queued (about two per worker)
+finish and write their files, and the rest never start.  Files and stdout
+do not depend on the number of processes.
 report reads only the report.json files; metrics.csv holds the same records
-as CSV for users and is not read back.  A malformed report exits 2 naming it.
+as CSV for users and is not read back.  A malformed report exits 2 naming it;
+--diff names each arm whose rows one side lacks.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 Defaults for --seed/--seeds/--out may also be supplied via the environment
@@ -18,10 +27,12 @@ variables XMCL_SEED, XMCL_SEEDS, XMCL_OUT.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 import types
@@ -192,31 +203,52 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _run_job(job: tuple[ExperimentConfig, str, int, Path]) -> str:
+    """Train one (arm, master seed), write its run files, return its stdout line."""
+    config, arm, master, out_root = job
+    report, exp = run_sequence(config, master)
+    report["arm"] = arm
+    run_dir = out_root / arm / f"seed_{master}"
+    run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
+    (run_dir / "metrics.csv").write_text(report_to_csv(report))
+    save_banks(exp.banks, run_dir / "banks.jsonl")
+    final = report["steps"][-1]["average"]
+    return (
+        f"[{arm} seed {master}] steps={len(report['steps'])} "
+        f"final avg mAP={final['mAP']:.2f} r1={final['r1']:.2f}"
+    )
+
+
 def cmd_run(args) -> int:
     config, settings = parse_experiment_config(json.loads(Path(args.config).read_text()))
     flags = dict(arms=args.arm, seed=args.seed, seeds=args.seeds, reverse_order=args.reverse_order)
     settings = dataclasses.replace(settings, **{k: v for k, v in flags.items() if v is not None})
     if settings.reverse_order:
         config = dataclasses.replace(config, tasks=list(reversed(config.tasks)))
-    out_root = Path(args.out)
-    for arm in settings.arms:
-        cfg = arm_config(config, arm)
-        for i in range(settings.seeds):
-            master = settings.seed + i
-            report, exp = run_sequence(cfg, master)
-            report["arm"] = arm
-            run_dir = out_root / arm / f"seed_{master}"
-            run_dir.mkdir(parents=True, exist_ok=True)
-            (run_dir / "report.json").write_text(
-                json.dumps(report, sort_keys=True, indent=1) + "\n"
-            )
-            (run_dir / "metrics.csv").write_text(report_to_csv(report))
-            save_banks(exp.banks, run_dir / "banks.jsonl")
-            final = report["steps"][-1]["average"]
-            print(
-                f"[{arm} seed {master}] steps={len(report['steps'])} "
-                f"final avg mAP={final['mAP']:.2f} r1={final['r1']:.2f}"
-            )
+    jobs = [
+        (arm_config(config, arm), arm, settings.seed + i, Path(args.out))
+        for arm in settings.arms
+        for i in range(settings.seeds)
+    ]
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(len(jobs), len(affinity(0))) if affinity else 1
+    pool = None
+    if workers > 1:
+        # imported here: the import costs every other command a few ms
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        # results come back in job order; the first failing job raises here
+        for line in (pool.map if pool else map)(_run_job, jobs):
+            print(line)
+    finally:
+        if pool:
+            # started jobs finish and write their files; pending ones never start
+            # (map's iterator cancels them too, but only once it is finalized)
+            pool.shutdown(cancel_futures=True)
     return 0
 
 
@@ -317,14 +349,21 @@ def cmd_report(args) -> int:
 
     if args.diff:
         other_summary, other_warnings = _summarize(Path(args.diff))
-        other = {(r["arm"], r["step"], r["task_id"]): r for r in other_summary}
+        key = operator.itemgetter("arm", "step", "task_id")
+        other = {key(r): r for r in other_summary}
         deltas = [
             {**row, "mAP": row["mAP"] - theirs["mAP"], "r1": row["r1"] - theirs["r1"]}
             for row in summary
-            if (theirs := other.get((row["arm"], row["step"], row["task_id"])))
+            if (theirs := other.get(key(row)))
         ]
         print()
         _print_table(f"diff vs {args.diff} (this minus other)", ("dmAP", "dr1"), deltas)
+        ours = {key(r) for r in summary}
+        sides = ((args.run_dir, summary, other), (args.diff, other_summary, ours))
+        for run_dir, rows, keys in sides:
+            alone = collections.Counter(r["arm"] for r in rows if key(r) not in keys)
+            for arm, count in sorted(alone.items()):
+                print(f"not diffed: arm {arm} has {count} rows only in {run_dir}")
         for w in other_warnings:
             print(f"warning: {w}")
 

@@ -43,7 +43,12 @@ class TaskFileError(ValueError):
 
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
-        self.line = line
+        self.line, self.message = line, message
+
+    def __reduce__(self):
+        # the default rebuilds from self.args, one string; a process pool
+        # sends the error back to the parent by pickle
+        return type(self), (self.line, self.message)
 
 
 class DatasetValidationError(ValueError):

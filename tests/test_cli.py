@@ -1,8 +1,11 @@
 import dataclasses
 import importlib
 import json
+import os
+import pickle
 import shutil
 import statistics
+import time
 from pathlib import Path
 
 import numpy as np
@@ -457,6 +460,147 @@ class TestRun:
         assert not (tmp_path / "runs2").exists()
 
 
+ERRORS = {
+    "cli.ConfigError": ("bad key",),
+    "conformal.SimplexError": ("not a distribution",),
+    "data.SynthSpecError": ("bad spec",),
+    "data.TaskFileError": (3, "missing or malformed field ('task')"),
+    "data.DatasetValidationError": ("ids overlap",),
+    "encoder.ConfigurationError": ("bad encoder",),
+    "encoder.ShapeError": ("bad batch",),
+    "encoder.UsageError": ("no head",),
+    "losses.LossInputError": ("empty set",),
+}
+
+
+def test_errors_list_every_exception_class_of_the_library():
+    found = set()
+    for path in (ROOT / "src" / "xmcl").glob("[!_]*.py"):
+        module = importlib.import_module(f"xmcl.{path.stem}")
+        found |= {
+            f"{path.stem}.{name}"
+            for name, obj in vars(module).items()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__
+        }
+    assert found == set(ERRORS)
+
+
+@pytest.mark.parametrize("name", ERRORS)
+def test_error_survives_a_pickle_round_trip(name):
+    # a job's error reaches the parent of an xmcl run process pool by pickle
+    module, cls = name.split(".")
+    error = getattr(importlib.import_module(f"xmcl.{module}"), cls)(*ERRORS[name])
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error) and str(copy) == str(error)
+    assert vars(copy) == vars(error)  # TaskFileError's .line among them
+
+
+def set_cpus(monkeypatch, count: int) -> None:
+    """Make xmcl run see count usable CPUs: 1 trains in-process, 2 in a pool."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    files = sorted(p for p in root.rglob("*") if p.is_file())
+    return {str(p.relative_to(root)): p.read_bytes() for p in files}
+
+
+class TestRunFanOut:
+    def test_pool_and_in_process_write_the_same_bytes(self, tmp_path, capsys, monkeypatch):
+        config = write_config(tmp_path / "config.json", arms=["full", "no_mpm"], seeds=2)
+        trees, stdouts = [], []
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            out = tmp_path / f"runs_{cpus}"
+            assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+            trees.append(tree_bytes(out))
+            stdouts.append(capsys.readouterr().out)
+        assert len(trees[0]) == 2 * 2 * 3 and trees[0] == trees[1]
+        assert stdouts[0].splitlines()[0].startswith("[full seed 0] steps=5")
+        assert len(stdouts[0].splitlines()) == 4 and stdouts[0] == stdouts[1]
+
+    def test_malformed_task_file_exit_2_with_the_one_job_message(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        task = tmp_path / "task.jsonl"
+        task.write_text('{"x": 1}\n')
+        set_cpus(monkeypatch, 2)
+        errors = []
+        for seeds in (1, 2):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"tasks": [{"path": str(task)}], "seeds": seeds}))
+            assert main(["run", "--config", str(config), "--out", str(tmp_path / "runs")]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == "error: line 1: missing or malformed field ('task')\n"
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in_process", "pool"])
+    def test_failing_job_exit_1_and_later_jobs_never_start(
+        self, tmp_path, capsys, monkeypatch, cpus
+    ):
+        import xmcl.cli
+
+        real = xmcl.cli.run_sequence
+
+        def fail_seed_0(config, seed):
+            if seed == 0:
+                raise FloatingPointError("overflow in seed 0")
+            time.sleep(0.05)  # jobs outlast the parent's cancel
+            return real(config, seed)
+
+        # patched before the pool forks, so every child has it
+        monkeypatch.setattr(xmcl.cli, "run_sequence", fail_seed_0)
+        set_cpus(monkeypatch, cpus)
+        config = write_config(tmp_path / "config.json", arms=["full"], seeds=12)
+        out = tmp_path / "runs"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "runtime failure: overflow in seed 0\n"
+        assert captured.out == ""  # the first job failed, so no line is printed
+        # the jobs that ran form a prefix of the job order and wrote all their
+        # files; the pool starts or queues about two a worker, and cancels the rest
+        jobs = [f"full/seed_{seed}" for seed in range(12)]
+        written = [job for job in jobs if (out / job).exists()]
+        assert written == jobs[1 : 1 + len(written)]
+        assert len(written) < len(jobs) - 1
+        assert all(len(list((out / job).iterdir())) == 3 for job in written)
+        if cpus == 1:
+            assert written == []
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in_process", "pool"])
+    def test_closed_stdout_exit_1_and_later_jobs_never_start(
+        self, tmp_path, capsys, monkeypatch, cpus
+    ):
+        # as in `xmcl run ... | head -0`: the parent's first print fails while
+        # the pool still holds queued jobs, which must not all train
+        import xmcl.cli
+
+        real = xmcl.cli.run_sequence
+
+        def slow(config, seed):
+            time.sleep(0.05)
+            return real(config, seed)
+
+        def closed_stdout(*args, file=None, **kwargs):
+            if file is None:
+                raise BrokenPipeError(32, "Broken pipe")
+            print(*args, file=file, **kwargs)
+
+        monkeypatch.setattr(xmcl.cli, "run_sequence", slow)
+        monkeypatch.setattr(xmcl.cli, "print", closed_stdout, raising=False)
+        set_cpus(monkeypatch, cpus)
+        config = write_config(tmp_path / "config.json", arms=["full"], seeds=12)
+        out = tmp_path / "runs"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "runtime failure: [Errno 32] Broken pipe\n"
+        jobs = [f"full/seed_{seed}" for seed in range(12)]
+        written = [job for job in jobs if (out / job).exists()]
+        assert written == jobs[: len(written)] and 1 <= len(written) < len(jobs)
+        if cpus == 1:
+            assert written == jobs[:1]
+
+
 def readme_config_block() -> dict:
     text = (ROOT / "README.md").read_text()
     block = text.split("### Config format", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
@@ -637,6 +781,26 @@ class TestReport:
         text = capsys.readouterr().out
         assert "diff vs" in text
         assert "dmAP" in text
+
+    def test_diff_names_arms_with_rows_on_one_side_only(self, tmp_path, capsys):
+        config = write_config(tmp_path / "config.json", arms=["full", "no_mpm", "alpha_zero"])
+        three = tmp_path / "three"
+        assert main(["run", "--config", str(config), "--out", str(three)]) == 0
+        full_only = tmp_path / "full_only"
+        assert main(["run", "--config", str(config), "--out", str(full_only), "--arm", "full"]) == 0
+        assert main(["report", str(three)]) == 0
+        capsys.readouterr()
+        rows = [key[0] for key in self.summary_csv(three / "summary.csv")]
+        for this, other in ((three, full_only), (full_only, three)):
+            assert main(["report", str(this), "--diff", str(other)]) == 0
+            lines = capsys.readouterr().out.split("diff vs", 1)[1].splitlines()
+            diffed = {line.split()[0] for line in lines[2:] if line[:1].isalpha()}
+            assert "full" in diffed and not {"no_mpm", "alpha_zero"} & diffed
+            notes = [line for line in lines if line.startswith("not diffed")]
+            assert notes == [
+                f"not diffed: arm {arm} has {rows.count(arm)} rows only in {three}"
+                for arm in ("alpha_zero", "no_mpm")
+            ]
 
     def test_self_diff_is_all_zero(self, tmp_path, capsys):
         out = self.run_once(tmp_path, arms=("full",))

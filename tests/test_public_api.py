@@ -41,7 +41,7 @@ def referenced_names() -> set[str]:
 
 def test_every_export_has_a_caller_in_the_library():
     exported = exports()
-    assert "jmmd_with_grad" in exported and "run_sequence" in exported
+    assert "batch_gradients" in exported and "run_sequence" in exported
     canned = {n for n, module in exported.items() if module == "schemes" and n.endswith("_config")}
     assert canned == {"standard_two_task_config", "high_gap_single_task_config"}
     uncalled = sorted(set(exported) - canned - referenced_names())
@@ -54,6 +54,19 @@ def test_value_only_losses_are_not_exported(name):
     with pytest.raises(ImportError):
         exec(f"from xmcl import {name}", {})
     assert not hasattr(importlib.import_module("xmcl.losses"), name)
+
+
+@pytest.mark.parametrize(
+    "name, builder",
+    [("jmmd_with_grad", "losses._layer_sq_dists"), ("pk_epoch_batches", "data.identity_groups")],
+)
+def test_functions_whose_inputs_only_unexported_builders_make_are_not_exported(name, builder):
+    # a caller could not build their required sq_dists / groups from the exports
+    module, helper = builder.split(".")
+    assert helper not in exports()
+    assert hasattr(importlib.import_module(f"xmcl.{module}"), helper)
+    with pytest.raises(ImportError):
+        exec(f"from xmcl import {name}", {})
 
 
 def unused_defaults() -> list[str]:
