@@ -1,7 +1,7 @@
 """Batch front-end: data generation, experiment runs, scoring, reporting.
 
 Subcommands:
-    gen-data  render a synthetic task spec (JSON) to a task file (JSONL)
+    gen-data  render a seeded synthetic task spec (JSON) to a task file (JSONL)
     run       execute every configured arm x seed and write reports
     score     conformal-score a JSONL file of probability vectors
     report    summarize one run directory, or diff two
@@ -20,8 +20,6 @@ as CSV for users and is not read back.  A malformed report exits 2 naming it;
 --diff names each arm whose rows one side lacks.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
-Defaults for --seed/--seeds/--out may also be supplied via the environment
-variables XMCL_SEED, XMCL_SEEDS, XMCL_OUT.
 """
 
 from __future__ import annotations
@@ -190,8 +188,6 @@ def arm_config(base: ExperimentConfig, arm: str) -> ExperimentConfig:
 def cmd_gen_data(args) -> int:
     payload = json.loads(Path(args.spec).read_text())
     spec = _build(SynthSpec, payload, "task spec")
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
     dataset = generate_synthetic_task(spec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -391,15 +387,13 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen-data", help="render a synthetic task spec to a task file")
     g.add_argument("--spec", required=True, help="JSON file with SynthSpec fields")
     g.add_argument("--out", required=True, help="output task file (JSONL)")
-    g.add_argument("--seed", type=int, default=os.getenv("XMCL_SEED") or None)
     g.set_defaults(func=cmd_gen_data)
 
     r = sub.add_parser("run", help="run every configured arm x seed")
     r.add_argument("--config", required=True, help="experiment config (JSON)")
-    r.add_argument("--out", default=os.environ.get("XMCL_OUT", "runs"), help="output directory")
-    # environment strings go through type=int only when this subcommand runs
-    r.add_argument("--seed", type=int, default=os.getenv("XMCL_SEED") or None, help="master seed")
-    r.add_argument("--seeds", type=int, default=os.getenv("XMCL_SEEDS") or None, help="seed count")
+    r.add_argument("--out", default="runs", help="output directory (default: runs)")
+    r.add_argument("--seed", type=int, help="master seed (overrides the config's seed)")
+    r.add_argument("--seeds", type=int, help="seed count (overrides the config's seeds)")
     r.add_argument(
         "--reverse-order", action="store_true", default=None, help="train tasks in reverse"
     )

@@ -340,6 +340,9 @@ def load_task(path: str | Path) -> TaskDataset:
             raise TaskFileError(lineno, f"unknown split {split!r}")
         if features.ndim != 1 or features.size == 0:
             raise TaskFileError(lineno, "features must be a non-empty flat list")
+        # json reads NaN and Infinity, which JSON has no number for
+        if not np.isfinite(features).all():
+            raise TaskFileError(lineno, "features must be finite, not NaN or Infinity")
         task_ids.add(task)
         dims.add(features.shape)
         ids, sketch, feats = rows[split]
@@ -372,19 +375,19 @@ def _choice_rows(rng: np.random.Generator, sizes: np.ndarray, k: int) -> np.ndar
     (bounded draws of bounds n-k .. n-1, a value already picked replaced by
     its step's bound) and then a shuffle of the k picks (bounds k-1 .. 1);
     with replacement it is k draws of bound n-1.  Each draw of a bound b > 0
-    takes one 32-bit value u from ``next_uint32`` -- the buffered high half
-    of the last 64-bit word, else the low half of a new word, whose high half
-    it buffers -- and returns (u (b+1)) >> 32, Lemire's method; b = 0 takes
-    none.  So every draw of the epoch is known before any is made, and one
-    ``random_raw`` call gives them the bits, and leaves the generator, as the
-    calls would.  A Lemire rejection (about one epoch in a million), a
-    larger identity (numpy shuffles a tail instead), or a bit generator with
-    no 32-bit buffer (MT19937) takes the calls themselves.
+    takes one 32-bit value u from PCG64's ``next_uint32`` (trainer._stream
+    builds no other generator) -- the buffered high half of the last 64-bit
+    word, else the low half of a new word, whose high half it buffers -- and
+    returns (u (b+1)) >> 32, Lemire's method; b = 0 takes none.  So every
+    draw of the epoch is known before any is made, and one ``random_raw``
+    call gives them the bits, and leaves the generator, as the calls would.
+    A Lemire rejection (about one epoch in a million) or a larger identity
+    (numpy shuffles a tail instead) takes the calls themselves.
     """
+    if sizes.max() > 10_000:
+        return _choice_loop(rng, sizes, k)
     bitgen = rng.bit_generator
     saved = bitgen.state
-    if "has_uint32" not in saved or sizes.max() > 10_000:
-        return _choice_loop(rng, sizes, k)
     replace = sizes < k
     # per identity, in draw order: k Floyd bounds and k-1 shuffle bounds, or
     # with replacement k bounds n-1 and k-1 empty ones

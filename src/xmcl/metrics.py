@@ -1,8 +1,9 @@
 """Cross-modal retrieval metrics: mAP and CMC rank@k, plus task averaging.
 
 Queries are the sketch split and the gallery the photo split, or the other
-way round with swap_direction; ranking is by ascending Euclidean distance
-(cosine with use_cosine) with ties broken by gallery index.  Metrics are reported as percentages.
+way round with swap_direction; every query identity needs a gallery item.
+Ranking is by ascending Euclidean distance (cosine with use_cosine) with
+ties broken by gallery index.  Metrics are reported as percentages.
 
 Only the relevant items' ranks are needed.  Each query's row of keys
 (squared distances, or cosine distances) is rounded to float32 and sorted
@@ -38,7 +39,6 @@ function of Q and G.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -47,8 +47,6 @@ import numpy as np
 from .data import TaskDataset
 from .encoder import EncoderState, embed
 from .losses import _sq_dists
-
-logger = logging.getLogger(__name__)
 
 CMC_KS = (1, 5, 10)
 _BLOCK_ELEMENTS = 2**16
@@ -220,8 +218,7 @@ def _query_positions(
     use_cosine: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(positions, starts): the 1-based ranks of every relevant gallery item,
-    by query then rank, and the index in positions where each query that has
-    a relevant item begins.
+    by query then rank, and the index in positions where each query begins.
 
     Every block of queries is ranked in the same two (rows, G) float64
     buffers: its keys in one; in the other, first the product that _sq_dists
@@ -230,9 +227,20 @@ def _query_positions(
     recounts.  They are freed on return.
     The relevant pairs come from the id-sorted gallery: each query's run of
     its identity there is found once per call, and each block builds only
-    its own queries' pairs.  Raises ValueError when use_cosine meets an
-    embedding of zero norm, which has no direction.
+    its own queries' pairs.  Raises ValueError on no queries, on query ids
+    absent from the gallery (the first five, ascending), and when use_cosine
+    meets an embedding of zero norm, which has no direction.
     """
+    n_q, n_g = len(query_ids), len(gallery_ids)
+    if not n_q:
+        raise ValueError("no queries to rank")
+    by_id = np.argsort(gallery_ids)
+    sorted_ids = gallery_ids[by_id]
+    first = np.searchsorted(sorted_ids, query_ids, side="left")
+    counts = np.searchsorted(sorted_ids, query_ids, side="right") - first
+    if not counts.all():
+        missing = np.unique(query_ids[counts == 0])
+        raise ValueError(f"query identities {missing[:5].tolist()} absent from gallery")
     if use_cosine:
         q_len = np.linalg.norm(query_emb, axis=1, keepdims=True)
         g_len = np.linalg.norm(gallery_emb, axis=1, keepdims=True)
@@ -246,18 +254,13 @@ def _query_positions(
     else:
         q_norms = (query_emb * query_emb).sum(axis=1)
         g_norms = (gallery_emb * gallery_emb).sum(axis=1)
-    n_q, n_g = len(query_ids), len(gallery_ids)
-    rows = min(max(1, _BLOCK_ELEMENTS // max(n_g, 1)), max(n_q, 1))
+    rows = min(max(1, _BLOCK_ELEMENTS // n_g), n_q)
     key_rows, spare = np.empty((rows, n_g)), np.empty((rows, n_g))
-    by_id = np.argsort(gallery_ids)
-    sorted_ids = gallery_ids[by_id]
-    first = np.searchsorted(sorted_ids, query_ids, side="left")
-    counts = np.searchsorted(sorted_ids, query_ids, side="right") - first
     pair_bounds = np.concatenate(([0], np.cumsum(counts)))
     # pair p, counted over all queries, of query q is gallery item by_id[p + shift[q]]
     shift = first - pair_bounds[:-1]
     block_positions = []
-    for start in range(0, max(n_q, 1), rows):
+    for start in range(0, n_q, rows):
         block = slice(start, start + rows)
         keys = key_rows[: len(query_ids[block])]
         if use_cosine:
@@ -275,7 +278,7 @@ def _query_positions(
         block_positions.append(
             _relevant_positions(keys, spare, pair_rows, pair_items, not use_cosine)
         )
-    return np.concatenate(block_positions), pair_bounds[:-1][counts > 0]
+    return np.concatenate(block_positions), pair_bounds[:-1]
 
 
 def ranking_metrics(
@@ -285,21 +288,17 @@ def ranking_metrics(
     gallery_ids: np.ndarray,
     use_cosine: bool,
 ) -> tuple[float, dict[int, float], int]:
-    """(mAP, {k: rank@k}, evaluated query count), all fractions in [0, 1].
+    """(mAP, {k: rank@k}, query count), all fractions in [0, 1].
 
-    Raises ValueError on a non-finite distance: ranks are counted, which
-    needs a total order.  With use_cosine it also raises ValueError, naming
-    how many rows, on a query or gallery embedding of zero norm.
+    Raises ValueError on no queries, on query ids absent from the gallery,
+    and on a non-finite distance: ranks are counted, which needs a total
+    order.  With use_cosine it also raises ValueError, naming how many rows,
+    on a query or gallery embedding of zero norm.
     """
     query_ids, gallery_ids = np.asarray(query_ids), np.asarray(gallery_ids)
     positions, starts = _query_positions(
         query_emb, query_ids, gallery_emb, gallery_ids, use_cosine
     )
-    if not starts.size:
-        raise ValueError("no query has a relevant gallery item")
-    skipped = len(query_ids) - starts.size
-    if skipped:
-        logger.warning("excluded %d queries with no relevant gallery item", skipped)
     aps = _average_precisions(positions, starts)
     first = positions[starts]
     cmc = {k: float((first <= k).mean()) for k in CMC_KS}
@@ -318,12 +317,6 @@ def evaluate(
     gallery = task.query if swap_direction else task.gallery
     if not queries or not gallery:
         raise ValueError(f"task {task.task_id} has an empty test split")
-    gallery_ids = np.sort(gallery.ids)
-    at = gallery_ids.searchsorted(queries.ids).clip(max=gallery_ids.size - 1)
-    absent = gallery_ids[at] != queries.ids
-    if absent.any():
-        missing = np.unique(queries.ids[absent])
-        raise ValueError(f"query identities {missing[:5].tolist()} absent from gallery")
     q_emb = embed(state, queries.features)
     g_emb = embed(state, gallery.features)
     m, cmc, n = ranking_metrics(q_emb, queries.ids, g_emb, gallery.ids, use_cosine=use_cosine)

@@ -312,18 +312,6 @@ def batch_gradients(
     return LossBreakdown(l_id, l_tri, l_i2tce, l_jmmd, jmmd_spec.alpha), grads
 
 
-def _apply_step(
-    exp: ExperimentState,
-    grads: ParameterGradients,
-    task_id: int,
-    lr: float,
-    update_shared: bool,
-) -> None:
-    shared_delta = exp.adam.delta("shared", grads.shared, lr) if update_shared else None
-    p_delta = exp.adam.delta(("p", task_id), grads.d_prototypes, lr)
-    apply_deltas(exp.encoder, shared_delta, p_delta, task_id)
-
-
 def train_task(
     exp: ExperimentState,
     task: TaskDataset,
@@ -374,7 +362,9 @@ def train_task(
                     config.triplet_margin,
                     config.label_smoothing,
                 )
-                _apply_step(exp, grads, head, lr, update_shared=update_shared)
+                shared_delta = exp.adam.delta("shared", grads.shared, lr) if update_shared else None
+                p_delta = exp.adam.delta(("p", head), grads.d_prototypes, lr)
+                apply_deltas(exp.encoder, shared_delta, p_delta, head)
                 losses.append(breakdown.l_sim)
             # a finite gradient above about 1e154 squares to inf in v, and every
             # later step of its weights is then 0

@@ -165,46 +165,75 @@ def test_run_with_task_file_id_past_int64_exit_2_names_line(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
-# (subcommand, extra argv, XMCL_SEED, config/spec overrides, task overrides) each
-# carrying one negative seed that must be rejected naming "seed"
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("split", ["train", "query", "gallery"])
+def test_run_with_non_finite_task_file_feature_exit_2_names_line(
+    tmp_path, capsys, monkeypatch, split, value
+):
+    # json reads NaN and Infinity; a run must not train on them
+    import xmcl.trainer
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the task file was checked")
+
+    monkeypatch.setattr(xmcl.trainer, "train_task", no_training)
+    spec, task = tmp_path / "spec.json", tmp_path / "task.jsonl"
+    spec.write_text(json.dumps(SPEC_PAYLOAD))
+    assert main(["gen-data", "--spec", str(spec), "--out", str(task)]) == 0
+    lines = task.read_text().splitlines()
+    # the second row of the split
+    at = [json.loads(line)["split"] for line in lines].index(split) + 1
+    row = json.loads(lines[at])
+    row["features"][2] = float(value)
+    lines[at] = json.dumps(row)
+    assert value in lines[at]
+    task.write_text("\n".join(lines) + "\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tasks": [{"path": str(task)}]}))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert f"line {at + 1}: features must be finite, not NaN or Infinity" in err
+    assert not (tmp_path / "runs").exists()
+
+
+# (subcommand, extra argv, config/spec overrides, task overrides) each carrying
+# one negative seed that must be rejected naming "seed"
 NEGATIVE_SEEDS = {
-    "run --seed": ("run", ["--seed", "-1"], None, {}, {}),
-    "XMCL_SEED": ("run", [], "-1", {}, {}),
-    "config seed": ("run", [], None, {"seed": -2}, {}),
-    "gen-data --seed": ("gen-data", ["--seed", "-3"], None, {}, {}),
-    "task spec seed": ("gen-data", [], None, {"seed": -4}, {}),
-    "config task seed": ("run", [], None, {}, {"seed": -4}),
+    "run --seed": ("run", ["--seed", "-1"], {}, {}),
+    "config seed": ("run", [], {"seed": -2}, {}),
+    "task spec seed": ("gen-data", [], {"seed": -4}, {}),
+    "config task seed": ("run", [], {}, {"seed": -4}),
 }
 
-# the same five fields, each case carrying one count for which an array the run
+# the same four fields, each case carrying one count for which an array the run
 # builds would pass numpy's limit of np.iinfo(np.intp).max bytes, and the key
 # its error must name
 OVERSIZED_COUNTS = {
-    "pk.k": ("run", [], None, {"pk": {"p": 4, "k": 2**62}}, {}, "pk.k"),
-    "pk.p": ("run", [], None, {"pk": {"p": 2**62, "k": 2}}, {}, "pk.p"),
-    "pk.k distance stack": ("run", [], None, {"pk": {"p": 4, "k": 2**30}}, {}, "pk.k"),
+    "pk.k": ("run", [], {"pk": {"p": 4, "k": 2**62}}, {}, "pk.k"),
+    "pk.p": ("run", [], {"pk": {"p": 2**62, "k": 2}}, {}, "pk.p"),
+    "pk.k distance stack": ("run", [], {"pk": {"p": 4, "k": 2**30}}, {}, "pk.k"),
     "encoder.hidden_dims": (
-        "run", [], None, {"encoder": {"hidden_dims": [2**62]}}, {}, "hidden_dims"
+        "run", [], {"encoder": {"hidden_dims": [2**62]}}, {}, "hidden_dims"
     ),
     "encoder.embedding_dim": (
-        "run", [], None, {"encoder": {"embedding_dim": 2**62}}, {}, "embedding_dim"
+        "run", [], {"encoder": {"embedding_dim": 2**62}}, {}, "embedding_dim"
     ),
-    "latent_dim": ("run", [], None, {}, {"latent_dim": 2**62}, "latent_dim"),
-    "feature_dim": ("run", [], None, {}, {"feature_dim": 2**62}, "feature_dim"),
-    "sketches_per_id": ("run", [], None, {}, {"sketches_per_id": 2**62}, "sketches_per_id"),
-    "photos_per_id": ("run", [], None, {}, {"photos_per_id": 2**62}, "photos_per_id"),
-    "num_train_ids": ("run", [], None, {}, {"num_train_ids": 2**62}, "num_train_ids"),
-    "num_test_ids": ("run", [], None, {}, {"num_test_ids": 2**62}, "num_test_ids"),
-    "task spec latent_dim": ("gen-data", [], None, {"latent_dim": 2**62}, {}, "latent_dim"),
-    "task spec feature_dim": ("gen-data", [], None, {"feature_dim": 2**62}, {}, "feature_dim"),
+    "latent_dim": ("run", [], {}, {"latent_dim": 2**62}, "latent_dim"),
+    "feature_dim": ("run", [], {}, {"feature_dim": 2**62}, "feature_dim"),
+    "sketches_per_id": ("run", [], {}, {"sketches_per_id": 2**62}, "sketches_per_id"),
+    "photos_per_id": ("run", [], {}, {"photos_per_id": 2**62}, "photos_per_id"),
+    "num_train_ids": ("run", [], {}, {"num_train_ids": 2**62}, "num_train_ids"),
+    "num_test_ids": ("run", [], {}, {"num_test_ids": 2**62}, "num_test_ids"),
+    "task spec latent_dim": ("gen-data", [], {"latent_dim": 2**62}, {}, "latent_dim"),
+    "task spec feature_dim": ("gen-data", [], {"feature_dim": 2**62}, {}, "feature_dim"),
     "task spec num_train_ids": (
-        "gen-data", [], None, {"num_train_ids": 2**62}, {}, "num_train_ids"
+        "gen-data", [], {"num_train_ids": 2**62}, {}, "num_train_ids"
     ),
-    "task spec num_test_ids": ("gen-data", [], None, {"num_test_ids": 2**62}, {}, "num_test_ids"),
+    "task spec num_test_ids": ("gen-data", [], {"num_test_ids": 2**62}, {}, "num_test_ids"),
 }
 
 
-def exit_code_before_any_task(tmp_path, monkeypatch, command, argv, env, overrides, task_overrides):
+def exit_code_before_any_task(tmp_path, monkeypatch, command, argv, overrides, task_overrides):
     """main's exit code on one edited config or spec; building a task fails the test."""
     import xmcl.cli
     import xmcl.trainer
@@ -214,8 +243,6 @@ def exit_code_before_any_task(tmp_path, monkeypatch, command, argv, env, overrid
 
     monkeypatch.setattr(xmcl.trainer, "generate_synthetic_task", no_tasks)
     monkeypatch.setattr(xmcl.cli, "generate_synthetic_task", no_tasks)
-    if env is not None:
-        monkeypatch.setenv("XMCL_SEED", env)
     out = tmp_path / "out"
     if command == "run":
         config = write_config(tmp_path / "config.json", **overrides)
@@ -439,25 +466,12 @@ class TestRun:
         assert "pk_p=4" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("seeds_flag, env", [(["--seeds", "0"], None), ([], "0")])
-    def test_zero_seeds_exit_2(self, tmp_path, capsys, monkeypatch, seeds_flag, env):
-        if env is not None:
-            monkeypatch.setenv("XMCL_SEEDS", env)
+    def test_zero_seeds_exit_2(self, tmp_path, capsys):
         config = write_config(tmp_path / "config.json")
-        argv = ["run", "--config", str(config), "--out", str(tmp_path / "runs"), *seeds_flag]
+        argv = ["run", "--config", str(config), "--out", str(tmp_path / "runs"), "--seeds", "0"]
         assert main(argv) == 2
         assert "seeds" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
-
-    def test_bad_seed_env_fails_only_the_run(self, tmp_path, monkeypatch):
-        out = TestReport().run_once(tmp_path, arms=("full",))
-        monkeypatch.setenv("XMCL_SEEDS", "abc")
-        assert main(["report", str(out)]) == 0
-        config = tmp_path / "config.json"
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--config", str(config), "--out", str(tmp_path / "runs2")])
-        assert exc.value.code == 2
-        assert not (tmp_path / "runs2").exists()
 
 
 ERRORS = {

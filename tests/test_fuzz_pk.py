@@ -2,11 +2,10 @@
 
 Each draw is a train split of 2 to 12 identities with 1 to 40 rows each,
 sizes below K among them, its rows shuffled across identities; P and K; the
-bit generator (PCG64, PCG64DXSM, SFC64 and Philox take the one raw draw an
-epoch, MT19937 the per-identity calls); and whether the generator starts on
-a buffered 32-bit half.  The batches must equal pk_oracle's, and the
-generator must be left in the oracle's state.  Hypothesis profiles are
-registered in conftest.py.
+bit generator (PCG64, PCG64DXSM, SFC64 or Philox, which all take the one raw
+draw an epoch); and whether the generator starts on a buffered 32-bit half.
+The batches must equal pk_oracle's, and the generator must be left in the
+oracle's state.  Hypothesis profiles are registered in conftest.py.
 """
 
 import numpy as np

@@ -2,9 +2,10 @@
 
 Each draw is a query set and a gallery of independent sizes (Q != G), with
 Euclidean or cosine distances and query identities that the gallery may not
-hold.  Embeddings are continuous, or on a coarse grid for many tied
-distances: integer rows in [-2, 2], or, for cosine ranked in several
-blocks, scaled signed axis vectors.  Continuous galleries may be near-float32
+hold, which must raise the ValueError naming them.  Embeddings are
+continuous, or on a coarse grid for many tied distances: integer rows in
+[-2, 2], or, for cosine ranked in several blocks, scaled signed axis
+vectors.  Continuous galleries may be near-float32
 ties: copies of a few rows, each entry perturbed by about 1e-7 relative, so
 the ranking's float32 sort meets keys that share a float32 value or lie one
 float32 step apart and must take the exact float64 recount.  The cosines of other grid rows tie
@@ -16,6 +17,8 @@ gallery in four has a few hundred items, so its binary searches take 8 to
 query row a block up to all of them in one, so rankings span several blocks
 with a partial last one.  Hypothesis profiles are registered in conftest.py.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -40,7 +43,7 @@ def axis_rows(rng, n, dim):
 def retrieval_cases(draw):
     """(query emb, query ids, gallery emb, gallery ids, cosine, block elements).
 
-    At least one query has a relevant gallery item.
+    At least one query has a relevant gallery item, and up to three may have none.
     """
     wide = draw(st.sampled_from([False, False, False, True]))
     n_g = draw(st.integers(150, 600) if wide else st.integers(1, 40))
@@ -102,7 +105,14 @@ def retrieval_cases(draw):
 def test_ranking_metrics_equals_lexsort_reference(case):
     q_emb, q_ids, g_emb, g_ids, cosine, block_elements = case
     event("cosine" if cosine else "euclidean")
+    missing = sorted(set(q_ids.tolist()) - set(g_ids.tolist()))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(xmcl.metrics, "_BLOCK_ELEMENTS", block_elements)
+        if missing:
+            with pytest.raises(
+                ValueError, match=re.escape(f"query identities {missing[:5]} absent from gallery")
+            ):
+                ranking_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=cosine)
+            return
         got = ranking_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=cosine)
     assert got == lexsort_fraction_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=cosine)
