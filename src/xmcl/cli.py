@@ -78,7 +78,6 @@ class RunSettings:
     arms: tuple[str, ...] = ("full",)
     seed: int = 0
     seeds: int = 1
-    reverse_order: bool = False
 
     def __post_init__(self) -> None:
         for arm in self.arms:
@@ -218,9 +217,9 @@ def _run_job(job: tuple[ExperimentConfig, str, int, Path]) -> str:
 
 def cmd_run(args) -> int:
     config, settings = parse_experiment_config(json.loads(Path(args.config).read_text()))
-    flags = dict(arms=args.arm, seed=args.seed, seeds=args.seeds, reverse_order=args.reverse_order)
+    flags = dict(arms=args.arm, seed=args.seed, seeds=args.seeds)
     settings = dataclasses.replace(settings, **{k: v for k, v in flags.items() if v is not None})
-    if settings.reverse_order:
+    if args.reverse_order:
         config = dataclasses.replace(config, tasks=list(reversed(config.tasks)))
     jobs = [
         (arm_config(config, arm), arm, settings.seed + i, Path(args.out))
@@ -310,7 +309,8 @@ def _summarize(run_dir: Path) -> tuple[list[dict], list[str]]:
                     if not all(map(math.isfinite, metrics)):
                         raise ValueError(f"non-finite metric {metrics} at step {step}")
                     cells.setdefault(key, []).append(metrics)
-            warnings += [f"{path.parent}: {w}" for w in report.get("warnings", [])]
+            listed = _typed(report.get("warnings", []), tuple[str, ...], "warnings")
+            warnings += [f"{path.parent}: {w}" for w in listed]
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path} line {e.lineno}: invalid JSON ({e.msg})") from e
         except (KeyError, TypeError, ValueError) as e:
@@ -394,9 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out", default="runs", help="output directory (default: runs)")
     r.add_argument("--seed", type=int, help="master seed (overrides the config's seed)")
     r.add_argument("--seeds", type=int, help="seed count (overrides the config's seeds)")
-    r.add_argument(
-        "--reverse-order", action="store_true", default=None, help="train tasks in reverse"
-    )
+    r.add_argument("--reverse-order", action="store_true", help="train tasks in reverse")
     r.add_argument("--arm", action="append", choices=ARMS, help="restrict arms (repeatable)")
     r.set_defaults(func=cmd_run)
 

@@ -334,6 +334,8 @@ def load_task(path: str | Path) -> TaskDataset:
                 raise TaskFileError(lineno, f"{key} must be an integer, got {value!r}")
             if not _INT64.min <= value <= _INT64.max:
                 raise TaskFileError(lineno, f"{key} {value} does not fit a 64-bit integer")
+        if task < 0:
+            raise TaskFileError(lineno, f"task must be >= 0, got {task}")
         if modality not in MODALITIES:
             raise TaskFileError(lineno, f"unknown modality {modality!r}")
         if split not in SPLITS:

@@ -295,14 +295,13 @@ def backward(
 
 def apply_deltas(
     state: EncoderState,
-    shared_delta: np.ndarray | None,
+    shared_delta: np.ndarray,
     proto_delta: np.ndarray,
     task_id: int,
 ) -> EncoderState:
-    """Add a flat shared delta (None leaves the shared layers as they are) and
-    a task head delta in place (single writer); bumps the version."""
-    if shared_delta is not None:
-        state.shared += shared_delta
+    """Add a flat shared delta and a task head delta in place (single
+    writer); bumps the version."""
+    state.shared += shared_delta
     state.heads[task_id] = state.head(task_id) + proto_delta
     state.version += 1
     return state

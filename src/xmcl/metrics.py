@@ -1,27 +1,26 @@
 """Cross-modal retrieval metrics: mAP and CMC rank@k, plus task averaging.
 
-Queries are the sketch split and the gallery the photo split, or the other
-way round with swap_direction; every query identity needs a gallery item.
-Ranking is by ascending Euclidean distance (cosine with use_cosine) with
-ties broken by gallery index.  Metrics are reported as percentages.
+Queries are the sketch split and the gallery the photo split; every query
+identity needs a gallery item.  Ranking is by ascending Euclidean distance
+with ties broken by gallery index.  Metrics are reported as percentages.
 
-Only the relevant items' ranks are needed.  Each query's row of keys
-(squared distances, or cosine distances) is rounded to float32 and sorted
-once, and one binary search, run for all (query, relevant item) pairs at
-once with one add per probe, counts the float32 keys below each pair's own
-float32 key in that sorted row.  Rounding, the clip at zero and the square
-root are monotone, so the count is the number of smaller distances when no
-other key of the row lies within one float32 step of the own key and, for
-squared keys, the own key is above 0.  Every other pair -- an equal key, a
-key of the same float32 value, a negative key that clips to the same 0, a
-square-root collision, keys on either side of a float32 rounding midpoint
--- takes both terms of its rank, with the tie-break by gallery index, from
-its unsorted float64 row.  Distances are taken only for those pairs.  A
-block's ranks are put in query order by one integer sort of row * G + rank.
-AP is summed from those ranks as one integer fraction and rounded once, so
-it equals the exact rational value to the last bit: for every query at once
-in int64 (np.lcm.reduceat over its ranks) while T * prod(ranks) stays below
-2^52, and in Python integers for the rare query past that bound.
+Only the relevant items' ranks are needed.  Each query's row of keys, the
+unclipped squared distances, is rounded to float32 and sorted once, and one
+binary search, run for all (query, relevant item) pairs at once with one
+add per probe, counts the float32 keys below each pair's own float32 key in
+that sorted row.  Rounding, the clip at zero and sqrt are monotone, so the
+count is the number of smaller distances when no other key of the row lies
+within one float32 step of the own key and the own key is above 0.  Every
+other pair -- an equal key, a key of the same float32 value, a negative key
+that clips to the same 0, two keys with one sqrt, keys on either side of a
+float32 rounding midpoint -- takes both terms of its rank, with the
+tie-break by gallery index, from its unsorted float64 row.  Distances are
+taken only for those pairs.  A block's ranks are put in query order by one
+integer sort of row * G + rank.  AP is summed from those ranks as one
+integer fraction and rounded once, so it equals the exact rational value to
+the last bit: for every query at once in int64 (np.lcm.reduceat over its
+ranks) while T * prod(ranks) stays below 2^52, and in Python integers for
+the rare query past that bound.
 
 The queries are ranked in blocks of _BLOCK_ELEMENTS // G rows (at least
 one), G the gallery size, so no Q x G matrix is ever built.  Each call
@@ -116,11 +115,10 @@ def _average_precisions(positions: np.ndarray, starts: np.ndarray) -> np.ndarray
     return aps
 
 
-def _to_distances(keys: np.ndarray, root: bool) -> np.ndarray:
-    """keys as distances, in place: sqrt(max(key, 0)) of squared Euclidean keys."""
-    if root:
-        np.maximum(keys, 0.0, out=keys)
-        np.sqrt(keys, out=keys)
+def _to_distances(keys: np.ndarray) -> np.ndarray:
+    """Squared Euclidean keys as distances, in place: sqrt(max(key, 0))."""
+    np.maximum(keys, 0.0, out=keys)
+    np.sqrt(keys, out=keys)
     return keys
 
 
@@ -129,16 +127,14 @@ def _relevant_positions(
     spare: np.ndarray,
     pair_rows: np.ndarray,
     pair_items: np.ndarray,
-    root: bool,
 ) -> np.ndarray:
     """1-based ranks of (row, gallery item) pairs, ascending within each row.
 
     keys holds a block of queries' rows against the whole gallery: the
-    distances, or with root their unclipped squares, whose distance is
-    sqrt(max(key, 0)).  pair_rows is non-decreasing, and the ranks of a
-    row's pairs fill that row's slots in ascending order.  spare, a
-    C-contiguous float64 buffer with at least keys' rows, is overwritten;
-    keys is left as it is.
+    unclipped squared distances, whose distance is sqrt(max(key, 0)).
+    pair_rows is non-decreasing, and the ranks of a row's pairs fill that
+    row's slots in ascending order.  spare, a C-contiguous float64 buffer
+    with at least keys' rows, is overwritten; keys is left as it is.
 
     The rank of item g in row q is 1 + #(d < d_qg) + #(d == d_qg and gallery
     index < g): the position in ascending-distance order with ties broken by
@@ -149,13 +145,13 @@ def _relevant_positions(
     G - 1: with the first probe at G - 2^floor(log2 G) and the halving steps
     after it, no probe passes the row end.  Rounding is monotone, so a key
     whose float32 lies two or more float32 steps from the own key's is below
-    or above it in float64 by at least half a float32 step, far more than a
-    square root can merge.  A pair is settled when both its neighbours in
-    the sorted row lie that far away and, with root, its own float32 key is
-    above 0: its rank is then the count plus one.  Every other pair -- an equal
-    key, keys that clip to the same 0, a square-root collision such as 4.0
-    and nextafter(4.0, 5.0), keys that straddle a float32 rounding midpoint
-    -- takes both terms of its rank from its unsorted float64 row.
+    or above it in float64 by at least half a float32 step, far more than
+    sqrt can merge.  A pair is settled when both its neighbours in the
+    sorted row lie that far away and its own float32 key is above 0: its
+    rank is then the count plus one.  Every other pair -- an equal key, keys
+    that clip to the same 0, two keys with one sqrt such as 4.0 and
+    nextafter(4.0, 5.0), keys that straddle a float32 rounding midpoint --
+    takes both terms of its rank from its unsorted float64 row.
     Raises ValueError on a NaN or +inf key; -inf and finite keys beyond
     float32's range, which round to -inf and +inf, still rank.
     """
@@ -185,19 +181,16 @@ def _relevant_positions(
     first, last = ptr == row_start, ptr == row_start + (n_g - 1)
     settled = first | (flat.take(ptr - 1, mode="clip") < np.nextafter(own, -np.inf))
     settled &= last | (flat.take(ptr + 1, mode="clip") > np.nextafter(own, np.inf))
-    if root:
-        # a float32 key above 0 is rounded from a float64 key above 0
-        settled &= own > 0
+    # a float32 key above 0 is rounded from a float64 key above 0
+    settled &= own > 0
     unsettled = np.flatnonzero(~settled)
     # the sorted rows are spent: unsettled pairs' unsorted rows are gathered
     # into spare, as many at a time as it has rows, however many pairs there are
     chunk = max(len(spare), 1)
     for start in range(0, unsettled.size, chunk):
         t = unsettled[start : start + chunk]
-        o = _to_distances(keys.reshape(-1).take(row_start[t] + pair_items[t]), root)[:, None]
-        rows = _to_distances(
-            np.take(keys, pair_rows[t], axis=0, out=spare[: t.size], mode="clip"), root
-        )
+        o = _to_distances(keys.reshape(-1).take(row_start[t] + pair_items[t]))[:, None]
+        rows = _to_distances(np.take(keys, pair_rows[t], axis=0, out=spare[: t.size], mode="clip"))
         ahead = np.count_nonzero(rows < o, axis=1) + np.count_nonzero(
             (rows == o) & (np.arange(n_g) < pair_items[t, None]), axis=1
         )
@@ -215,7 +208,6 @@ def _query_positions(
     query_ids: np.ndarray,
     gallery_emb: np.ndarray,
     gallery_ids: np.ndarray,
-    use_cosine: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(positions, starts): the 1-based ranks of every relevant gallery item,
     by query then rank, and the index in positions where each query begins.
@@ -227,9 +219,8 @@ def _query_positions(
     recounts.  They are freed on return.
     The relevant pairs come from the id-sorted gallery: each query's run of
     its identity there is found once per call, and each block builds only
-    its own queries' pairs.  Raises ValueError on no queries, on query ids
-    absent from the gallery (the first five, ascending), and when use_cosine
-    meets an embedding of zero norm, which has no direction.
+    its own queries' pairs.  Raises ValueError on no queries and on query
+    ids absent from the gallery (the first five, ascending).
     """
     n_q, n_g = len(query_ids), len(gallery_ids)
     if not n_q:
@@ -241,19 +232,8 @@ def _query_positions(
     if not counts.all():
         missing = np.unique(query_ids[counts == 0])
         raise ValueError(f"query identities {missing[:5].tolist()} absent from gallery")
-    if use_cosine:
-        q_len = np.linalg.norm(query_emb, axis=1, keepdims=True)
-        g_len = np.linalg.norm(gallery_emb, axis=1, keepdims=True)
-        zero_q, zero_g = np.count_nonzero(q_len == 0), np.count_nonzero(g_len == 0)
-        if zero_q or zero_g:
-            raise ValueError(
-                f"cosine distance needs a direction: {zero_q} query and {zero_g} "
-                "gallery embeddings have zero norm"
-            )
-        query_emb, gallery_emb = query_emb / q_len, gallery_emb / g_len
-    else:
-        q_norms = (query_emb * query_emb).sum(axis=1)
-        g_norms = (gallery_emb * gallery_emb).sum(axis=1)
+    q_norms = (query_emb * query_emb).sum(axis=1)
+    g_norms = (gallery_emb * gallery_emb).sum(axis=1)
     rows = min(max(1, _BLOCK_ELEMENTS // n_g), n_q)
     key_rows, spare = np.empty((rows, n_g)), np.empty((rows, n_g))
     pair_bounds = np.concatenate(([0], np.cumsum(counts)))
@@ -263,21 +243,16 @@ def _query_positions(
     for start in range(0, n_q, rows):
         block = slice(start, start + rows)
         keys = key_rows[: len(query_ids[block])]
-        if use_cosine:
-            np.subtract(1.0, np.matmul(query_emb[block], gallery_emb.T, out=keys), out=keys)
-        else:
-            _sq_dists(
-                query_emb[block], gallery_emb, keys,
-                sq_norms=(q_norms[block], g_norms), product=spare[: len(keys)], clip=False,
-            )
+        _sq_dists(
+            query_emb[block], gallery_emb, keys,
+            sq_norms=(q_norms[block], g_norms), product=spare[: len(keys)], clip=False,
+        )
         n = counts[block]
         pair_rows = np.repeat(np.arange(n.size), n)
         pair_items = by_id[
             np.arange(pair_bounds[start], pair_bounds[start + n.size]) + np.repeat(shift[block], n)
         ]
-        block_positions.append(
-            _relevant_positions(keys, spare, pair_rows, pair_items, not use_cosine)
-        )
+        block_positions.append(_relevant_positions(keys, spare, pair_rows, pair_items))
     return np.concatenate(block_positions), pair_bounds[:-1]
 
 
@@ -286,40 +261,29 @@ def ranking_metrics(
     query_ids: np.ndarray,
     gallery_emb: np.ndarray,
     gallery_ids: np.ndarray,
-    use_cosine: bool,
 ) -> tuple[float, dict[int, float], int]:
-    """(mAP, {k: rank@k}, query count), all fractions in [0, 1].
+    """(mAP, {k: rank@k}, query count) of Euclidean ranking, all fractions in [0, 1].
 
     Raises ValueError on no queries, on query ids absent from the gallery,
     and on a non-finite distance: ranks are counted, which needs a total
-    order.  With use_cosine it also raises ValueError, naming how many rows,
-    on a query or gallery embedding of zero norm.
+    order.
     """
     query_ids, gallery_ids = np.asarray(query_ids), np.asarray(gallery_ids)
-    positions, starts = _query_positions(
-        query_emb, query_ids, gallery_emb, gallery_ids, use_cosine
-    )
+    positions, starts = _query_positions(query_emb, query_ids, gallery_emb, gallery_ids)
     aps = _average_precisions(positions, starts)
     first = positions[starts]
     cmc = {k: float((first <= k).mean()) for k in CMC_KS}
     return float(np.mean(aps)), cmc, aps.size
 
 
-def evaluate(
-    state: EncoderState,
-    task: TaskDataset,
-    step: int,
-    use_cosine: bool,
-    swap_direction: bool,
-) -> MetricsRecord:
+def evaluate(state: EncoderState, task: TaskDataset, step: int) -> MetricsRecord:
     """Embed the test split and score sketch-to-photo retrieval."""
-    queries = task.gallery if swap_direction else task.query
-    gallery = task.query if swap_direction else task.gallery
+    queries, gallery = task.query, task.gallery
     if not queries or not gallery:
         raise ValueError(f"task {task.task_id} has an empty test split")
     q_emb = embed(state, queries.features)
     g_emb = embed(state, gallery.features)
-    m, cmc, n = ranking_metrics(q_emb, queries.ids, g_emb, gallery.ids, use_cosine=use_cosine)
+    m, cmc, n = ranking_metrics(q_emb, queries.ids, g_emb, gallery.ids)
     return MetricsRecord(
         task_id=task.task_id,
         step=step,

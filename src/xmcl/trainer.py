@@ -156,6 +156,7 @@ class ExperimentConfig:
     mpm: bool = True
     triplet_margin: float = 0.3
     label_smoothing: float = 0.1
+    # only False: kept while the benchmark's config payload still writes these keys
     use_cosine_eval: bool = False
     swap_eval_direction: bool = False
     freeze_shared_on_replay: bool = False
@@ -163,6 +164,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.tasks:
             raise ValueError("config needs at least one task")
+        for name in ("use_cosine_eval", "swap_eval_direction", "freeze_shared_on_replay"):
+            if getattr(self, name):
+                raise ValueError(f"{name} must be false, got {getattr(self, name)!r}")
         # the encoder's own checks, before any task is built; a task file's
         # width is known only once the file is read
         first = self.tasks[0]
@@ -326,7 +330,8 @@ def train_task(
     training over range(0, h) and then range(h, n) with the same rng equals
     training over range(n).  With replay active, even (0-based) epochs run on
     new-task PK batches and odd ones on bank batches under a past task's head,
-    taking the banked tasks in turn.  The samplers return row indices, and
+    taking the banked tasks in turn; every batch steps the shared weights and
+    the head it trains.  The samplers return row indices, and
     each batch is gathered just before its step, so one batch's rows are
     held at a time.  A non-finite loss or gradient raises
     FloatingPointError naming the task, the 1-based epoch and the loss term;
@@ -342,13 +347,11 @@ def train_task(
             head = replay_tasks[(epoch // 2) % len(replay_tasks)]
             source = exp.banks.rows
             batches = replay_epoch_batches(exp.banks, config.pk_p, config.pk_k, rng, task_id=head)
-            update_shared = not config.freeze_shared_on_replay
             where = f"task {task.task_id} (replaying task {head})"
         else:
             head = task.task_id
             source = task.train
             batches = pk_epoch_batches(groups, config.pk_p, config.pk_k, rng)
-            update_shared = True
             where = f"task {task.task_id}"
         losses = []
         try:
@@ -362,7 +365,7 @@ def train_task(
                     config.triplet_margin,
                     config.label_smoothing,
                 )
-                shared_delta = exp.adam.delta("shared", grads.shared, lr) if update_shared else None
+                shared_delta = exp.adam.delta("shared", grads.shared, lr)
                 p_delta = exp.adam.delta(("p", head), grads.d_prototypes, lr)
                 apply_deltas(exp.encoder, shared_delta, p_delta, head)
                 losses.append(breakdown.l_sim)
@@ -441,16 +444,7 @@ def run_sequence(config: ExperimentConfig, master_seed: int) -> tuple[dict, Expe
     steps: list[dict] = []
 
     def eval_all(step: int) -> None:
-        records = [
-            evaluate(
-                exp.encoder,
-                t,
-                step=step,
-                use_cosine=config.use_cosine_eval,
-                swap_direction=config.swap_eval_direction,
-            )
-            for t in tasks
-        ]
+        records = [evaluate(exp.encoder, t, step=step) for t in tasks]
         steps.append(
             {
                 "step": step,

@@ -14,8 +14,6 @@ import pytest
 from xmcl import standard_two_task_config
 from xmcl.cli import _FLAT_KEYS, _SECTIONS, RunSettings, main, parse_experiment_config
 from xmcl.data import SynthSpec, load_task
-from xmcl.metrics import evaluate
-from xmcl.trainer import _resolve_tasks, run_sequence
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -99,11 +97,13 @@ BAD_CONFIGS = [
     ({"jmmd": {"layer_set": [99]}}, "layer_set"),
     ({"jmmd": {"bandwidths": [1.0, 2.0]}}, "jmmd.bandwidths"),
     ({"jmmd": {"alpha": 10**400}}, "alpha"),
-    # keys that no longer exist: Adam's constants and auxiliary identities
+    # keys that no longer exist: Adam's constants, auxiliary identities and the
+    # task order, which only the --reverse-order flag sets
     ({"schedule": {"beta1": 0.9}}, "beta1"),
     ({"schedule": {"beta2": 0.999}}, "beta2"),
     ({"schedule": {"eps": 1e-8}}, "eps"),
     ({"tasks": [{"num_aux_ids": 4}]}, "num_aux_ids"),
+    ({"reverse_order": False}, "reverse_order"),
 ]
 
 # (section, key, value) that xmcl run must reject before any task is built, and
@@ -129,6 +129,11 @@ OUT_OF_RANGE_CONFIGS = [
     ("tasks", "noise_sigma", float("inf"), "noise_sigma"),
     # identity labels task_id * ID_STRIDE + k are int64
     ("tasks", "task_id", 10**30, "past int64"),
+    # Euclidean sketch-to-photo ranking and replay that steps the shared
+    # weights are the only behaviours: these keys accept only false
+    ("eval", "use_cosine", True, "use_cosine_eval must be false"),
+    ("eval", "swap_direction", True, "swap_eval_direction must be false"),
+    ("train", "freeze_shared_on_replay", True, "freeze_shared_on_replay must be false"),
 ]
 
 
@@ -162,6 +167,19 @@ def test_run_with_task_file_id_past_int64_exit_2_names_line(tmp_path, capsys):
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "runs")]) == 2
     err = capsys.readouterr().err
     assert "line 2" in err and "does not fit a 64-bit integer" in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_run_with_negative_task_file_task_id_exit_2_names_line(tmp_path, capsys):
+    spec, task = tmp_path / "spec.json", tmp_path / "task.jsonl"
+    spec.write_text(json.dumps(SPEC_PAYLOAD))
+    assert main(["gen-data", "--spec", str(spec), "--out", str(task)]) == 0
+    rows = [json.loads(line) for line in task.read_text().splitlines()]
+    task.write_text("".join(json.dumps({**row, "task": -3}) + "\n" for row in rows))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tasks": [{"path": str(task)}]}))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "runs")]) == 2
+    assert "error: line 1: task must be >= 0, got -3" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 
@@ -343,37 +361,6 @@ class TestRun:
         report = json.loads((out / "full" / "seed_0" / "report.json").read_text())
         assert report["task_ids"] == [1, 0]
         assert [s["step"] for s in report["steps"]] == [1, 2, 3, 4, 5]
-
-    @pytest.mark.parametrize(
-        "use_cosine, swap", [(False, False), (False, True), (True, False), (True, True)]
-    )
-    def test_eval_keys_reach_every_record(self, tmp_path, use_cosine, swap):
-        # two sketches and four photos per identity tell the directions apart
-        base = json.loads(write_config(tmp_path / "base.json").read_text())["tasks"]
-        tasks = [dict(spec, sketches_per_id=2, photos_per_id=4) for spec in base]
-        evals = {"use_cosine": use_cosine, "swap_direction": swap}
-        path = write_config(tmp_path / "config.json", tasks=tasks, arms=["full"], eval=evals)
-        assert main(["run", "--config", str(path), "--out", str(tmp_path / "runs")]) == 0
-        cli_report = json.loads((tmp_path / "runs/full/seed_0/report.json").read_text())
-
-        config, _ = parse_experiment_config(json.loads(path.read_text()))
-        assert (config.use_cosine_eval, config.swap_eval_direction) == (use_cosine, swap)
-        report, exp = run_sequence(config, 0)
-        assert cli_report["steps"] == report["steps"]
-        final = report["steps"][-1]
-        datasets = _resolve_tasks(config, 0)
-        expected = [
-            evaluate(
-                exp.encoder, t, step=final["step"], use_cosine=use_cosine, swap_direction=swap
-            ).as_row()
-            for t in datasets
-        ]
-        assert final["records"] == expected
-        query_rows = {t.task_id: len(t.gallery if swap else t.query) for t in datasets}
-        assert set(query_rows.values()) == {6 * (4 if swap else 2)}
-        for step in report["steps"]:
-            for record in step["records"]:
-                assert record["num_queries"] == query_rows[record["task_id"]]
 
     def test_missing_key_exit_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -855,8 +842,19 @@ class TestReport:
                 '{"steps": [{"step": 1, "records": [{"task_id": 0, "mAP": NaN, "r1": 40.0}]}]}',
                 "report.json: malformed report (non-finite metric [nan, 40.0] at step 1)",
             ),
+            (
+                '{"steps": [], "warnings": "oops"}',
+                "report.json: malformed report (warnings must be tuple, got 'oops')",
+            ),
+            (
+                '{"steps": [], "warnings": ["ok", 3]}',
+                "report.json: malformed report (warnings must be str, got 3)",
+            ),
         ],
-        ids=["bad_report_json", "non_object", "no_steps", "no_records", "no_map", "non_numeric", "nan_map"],
+        ids=[
+            "bad_report_json", "non_object", "no_steps", "no_records", "no_map", "non_numeric",
+            "nan_map", "string_warnings", "numeric_warning",
+        ],
     )
     def test_broken_run_file_names_path_and_line(self, tmp_path, capsys, report, message):
         runs = tmp_path / "runs"

@@ -224,7 +224,7 @@ class TestBackward:
     def test_stale_stack_rejected(self):
         state = small_state()
         stack = forward(state, np.zeros((2, 5)), 0)
-        apply_deltas(state, None, np.zeros_like(state.heads[0]), 0)
+        apply_deltas(state, np.zeros_like(state.shared), np.zeros_like(state.heads[0]), 0)
         with pytest.raises(UsageError):
             backward(state, stack, [None] * len(stack.layers), np.zeros_like(stack.logits))
 
@@ -259,10 +259,3 @@ class TestFlatLayout:
         apply_deltas(twin, np.full_like(twin.shared, 0.01), np.zeros_like(twin.heads[0]), 0)
         assert forward(twin, x, 0).logits.tobytes() != before
         assert forward(state, x, 0).logits.tobytes() == before
-
-    def test_head_only_delta_keeps_shared(self):
-        state = small_state()
-        shared, version = state.shared.tobytes(), state.version
-        apply_deltas(state, None, np.ones_like(state.heads[0]), 0)
-        assert state.shared.tobytes() == shared
-        assert state.version == version + 1

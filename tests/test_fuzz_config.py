@@ -63,7 +63,9 @@ def edited(block: dict, path: tuple, key: str, value) -> dict:
 
 BLOCK = readme_config_block()
 DOCUMENTED = documented_keys(BLOCK)
-REMOVED = [(("tasks", 0), "num_aux_ids")] + [(("schedule",), k) for k in ("beta1", "beta2", "eps")]
+REMOVED = [(("tasks", 0), "num_aux_ids"), ((), "reverse_order")] + [
+    (("schedule",), k) for k in ("beta1", "beta2", "eps")
+]
 
 
 scalars = st.one_of(

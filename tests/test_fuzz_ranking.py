@@ -1,17 +1,13 @@
 """Property test: ranking_metrics equals the per-row lexsort reference exactly.
 
 Each draw is a query set and a gallery of independent sizes (Q != G), with
-Euclidean or cosine distances and query identities that the gallery may not
-hold, which must raise the ValueError naming them.  Embeddings are
-continuous, or on a coarse grid for many tied distances: integer rows in
-[-2, 2], or, for cosine ranked in several blocks, scaled signed axis
-vectors.  Continuous galleries may be near-float32
-ties: copies of a few rows, each entry perturbed by about 1e-7 relative, so
-the ranking's float32 sort meets keys that share a float32 value or lie one
-float32 step apart and must take the exact float64 recount.  The cosines of other grid rows tie
-only up to rounding, and a block's product may round apart from the whole
-matrix's (test_metrics.py records such a case as an expected failure); one
-block of every query has the reference's product bit for bit.  About one
+query identities that the gallery may not hold, which must raise the
+ValueError naming them.  Embeddings are continuous, or on a coarse grid for
+many tied distances: integer rows in [-2, 2], whose squared distances are
+exact in every block shape.  Continuous galleries may be near-float32 ties:
+copies of a few rows, each entry perturbed by about 1e-7 relative, so the
+ranking's float32 sort meets keys that share a float32 value or lie one
+float32 step apart and must take the exact float64 recount.  About one
 gallery in four has a few hundred items, so its binary searches take 8 to
 10 probes; the rest have at most 40.  The block size is drawn too, from one
 query row a block up to all of them in one, so rankings span several blocks
@@ -32,16 +28,9 @@ from test_metrics import lexsort_fraction_metrics  # noqa: E402
 from xmcl.metrics import ranking_metrics  # noqa: E402
 
 
-def axis_rows(rng, n, dim):
-    """n rows, each one axis vector scaled by -3, -1, 2 or 4."""
-    rows = np.zeros((n, dim))
-    rows[np.arange(n), rng.integers(0, dim, size=n)] = rng.choice([-3.0, -1.0, 2.0, 4.0], size=n)
-    return rows
-
-
 @st.composite
 def retrieval_cases(draw):
-    """(query emb, query ids, gallery emb, gallery ids, cosine, block elements).
+    """(query emb, query ids, gallery emb, gallery ids, block elements).
 
     At least one query has a relevant gallery item, and up to three may have none.
     """
@@ -60,13 +49,7 @@ def retrieval_cases(draw):
     # rows a block is block_elements // G, at least one
     block_elements = draw(st.integers(1, n_g * (q_ids.size + 1)))
     rows = max(1, block_elements // n_g)
-    grid = draw(st.booleans())
-    cosine = draw(st.booleans())
-    if grid and cosine and rows < q_ids.size:
-        # several blocks: only exact products tie in every block shape
-        event("axis grid")
-        q_emb, g_emb = axis_rows(rng, q_ids.size, dim), axis_rows(rng, n_g, dim)
-    elif grid:
+    if draw(st.booleans()):
         event("integer grid")
         if wide:
             q_emb = rng.integers(-2, 3, size=(q_ids.size, dim)).astype(float)
@@ -75,10 +58,6 @@ def retrieval_cases(draw):
             cells = st.integers(-2, 2).map(float)
             q_emb = draw(hnp.arrays(np.float64, (q_ids.size, dim), elements=cells))
             g_emb = draw(hnp.arrays(np.float64, (n_g, dim), elements=cells))
-        if cosine:
-            # a zero row has no direction
-            q_emb[~q_emb.any(axis=1), 0] = 1.0
-            g_emb[~g_emb.any(axis=1), 0] = 1.0
     else:
         q_emb = rng.normal(size=(q_ids.size, dim))
         g_emb = rng.normal(size=(n_g, dim))
@@ -98,13 +77,12 @@ def retrieval_cases(draw):
         event("one row a block")
     if rows < q_ids.size:
         event("several blocks" + (", the last partial" if q_ids.size % rows else ""))
-    return q_emb, q_ids, g_emb, g_ids, cosine, block_elements
+    return q_emb, q_ids, g_emb, g_ids, block_elements
 
 
 @given(retrieval_cases())
 def test_ranking_metrics_equals_lexsort_reference(case):
-    q_emb, q_ids, g_emb, g_ids, cosine, block_elements = case
-    event("cosine" if cosine else "euclidean")
+    q_emb, q_ids, g_emb, g_ids, block_elements = case
     missing = sorted(set(q_ids.tolist()) - set(g_ids.tolist()))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(xmcl.metrics, "_BLOCK_ELEMENTS", block_elements)
@@ -112,7 +90,7 @@ def test_ranking_metrics_equals_lexsort_reference(case):
             with pytest.raises(
                 ValueError, match=re.escape(f"query identities {missing[:5]} absent from gallery")
             ):
-                ranking_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=cosine)
+                ranking_metrics(q_emb, q_ids, g_emb, g_ids)
             return
-        got = ranking_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=cosine)
-    assert got == lexsort_fraction_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=cosine)
+        got = ranking_metrics(q_emb, q_ids, g_emb, g_ids)
+    assert got == lexsort_fraction_metrics(q_emb, q_ids, g_emb, g_ids)

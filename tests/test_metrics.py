@@ -54,14 +54,9 @@ def fraction_ap(rel):
     return float(acc / hits)
 
 
-def lexsort_fraction_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=False):
+def lexsort_fraction_metrics(q_emb, q_ids, g_emb, g_ids):
     """Per-row lexsort ranking with Fraction AP: the sort-based reference."""
-    if use_cosine:
-        qn = q_emb / np.linalg.norm(q_emb, axis=1, keepdims=True)
-        gn = g_emb / np.linalg.norm(g_emb, axis=1, keepdims=True)
-        distances = 1.0 - qn @ gn.T
-    else:
-        distances = np.sqrt(_sq_dists(q_emb, g_emb))
+    distances = np.sqrt(_sq_dists(q_emb, g_emb))
     n_g = distances.shape[1]
     aps, first_hit = [], []
     for q, row in enumerate(distances):
@@ -94,14 +89,14 @@ def blocked_pair_positions(distances, query_ids, gallery_ids, block=64):
     return q_idx[order], positions[order]
 
 
-POSITION_CASES = ["grid", "duplicate_rows", "zero_distance", "cosine", "negative", "single_item"]
+POSITION_CASES = ["grid", "duplicate_rows", "zero_distance", "negative", "single_item"]
 
 
 def position_case(rng, case):
-    """(keys, root, query ids, gallery ids) with unsorted, repeated gallery ids.
+    """(keys, query ids, gallery ids) with unsorted, repeated gallery ids.
 
-    With root the keys are unclipped squared Euclidean distances, whose
-    distance is sqrt(max(key, 0)); cosine keys are the distances.
+    The keys are unclipped squared Euclidean distances, whose distance is
+    sqrt(max(key, 0)).
     """
     n_g = 1 if case == "single_item" else int(rng.integers(2, 90))
     n_q = int(rng.integers(1, 40))
@@ -115,30 +110,21 @@ def position_case(rng, case):
     else:
         g_emb = rng.normal(size=(n_g, dim))
         q_emb = rng.normal(size=(q_ids.size, dim))
-    if case in ("duplicate_rows", "cosine"):
+    if case == "duplicate_rows":
         g_emb = g_emb[rng.integers(0, n_g, size=n_g)]
-    if case in ("zero_distance", "cosine"):
-        # queries that coincide with gallery rows (up to scale, for cosine)
+    if case == "zero_distance":
+        # queries that coincide with gallery rows
         copies = rng.random(q_ids.size) < 0.5
-        q_emb[copies] = g_emb[rng.integers(0, n_g, size=int(copies.sum()))] * rng.uniform(0.5, 3.0)
-    if case == "cosine":
-        q_emb[~q_emb.any(axis=1), 0] = 1.0
-        g_emb[~g_emb.any(axis=1), 0] = 1.0
-        qn = q_emb / np.linalg.norm(q_emb, axis=1, keepdims=True)
-        gn = g_emb / np.linalg.norm(g_emb, axis=1, keepdims=True)
-        keys, root = 1.0 - qn @ gn.T, False
-    else:
-        keys, root = _sq_dists(q_emb, g_emb, clip=False), True
+        q_emb[copies] = g_emb[rng.integers(0, n_g, size=int(copies.sum()))]
+    keys = _sq_dists(q_emb, g_emb, clip=False)
     if case == "negative":
-        # squared keys below zero all clip to distance 0; other keys stay negative
-        root = bool(rng.random() < 0.5)
-        keys = keys if root else distances_of(keys, True)
+        # squared keys below zero all clip to distance 0
         keys -= rng.uniform(0.0, 2.0 * keys.max() + 1.0)
-    return keys, root, q_ids, g_ids
+    return keys, q_ids, g_ids
 
 
-def distances_of(keys, root):
-    return np.sqrt(np.maximum(keys, 0.0)) if root else keys
+def distances_of(keys):
+    return np.sqrt(np.maximum(keys, 0.0))
 
 
 def midpoint_sqrt_collision():
@@ -159,7 +145,7 @@ def midpoint_sqrt_collision():
     raise AssertionError("no square-root collision across a float32 midpoint")
 
 
-def relevant_positions(keys, query_ids, gallery_ids, root, spare_rows=0):
+def relevant_positions(keys, query_ids, gallery_ids, spare_rows=0):
     """(query, rank) of every relevant pair of a whole key matrix, by _relevant_positions.
 
     The spare buffer is NaN-filled; spare_rows extra rows stand for a last
@@ -168,13 +154,13 @@ def relevant_positions(keys, query_ids, gallery_ids, root, spare_rows=0):
     pair_rows, pair_items = np.nonzero(gallery_ids[None, :] == query_ids[:, None])
     spare = np.full((len(keys) + spare_rows, keys.shape[1]), np.nan)
     before = keys.copy()
-    positions = _relevant_positions(keys, spare, pair_rows, pair_items, root)
+    positions = _relevant_positions(keys, spare, pair_rows, pair_items)
     assert np.array_equal(keys, before, equal_nan=True), "keys changed"
     return pair_rows, positions
 
 
 # ties: coarse integer embeddings; wide: Q != G with G in the hundreds
-REFERENCE_CASES = ["ties", "ties_cosine", "continuous", "cosine", "single_relevant", "wide"]
+REFERENCE_CASES = ["ties", "continuous", "single_relevant", "wide"]
 
 
 def average_precision(relevance):
@@ -256,7 +242,7 @@ class TestIntegerApPass:
         g_emb = rng.normal(size=(g_ids.size, 6))
         q_ids = np.concatenate([[0, 0, 0], g_ids[rng.integers(40, g_ids.size, size=50)]])
         q_emb = rng.normal(size=(q_ids.size, 6))
-        got = ranking_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=False)
+        got = ranking_metrics(q_emb, q_ids, g_emb, g_ids)
         assert got == lexsort_fraction_metrics(q_emb, q_ids, g_emb, g_ids)
         assert math.log2(40) + sum(math.log2(p) for p in range(1, 41)) > _EXACT_BITS
 
@@ -273,10 +259,10 @@ class TestRelevantPositions:
         }
         for i in range(600):
             case = POSITION_CASES[i % len(POSITION_CASES)]
-            keys, root, q_ids, g_ids = position_case(rng, case)
+            keys, q_ids, g_ids = position_case(rng, case)
             spare_rows = int(rng.integers(0, 3))
-            queries, positions = relevant_positions(keys, q_ids, g_ids, root, spare_rows)
-            distances = distances_of(keys, root)
+            queries, positions = relevant_positions(keys, q_ids, g_ids, spare_rows)
+            distances = distances_of(keys)
             ref_queries, ref_positions = blocked_pair_positions(distances, q_ids, g_ids)
             np.testing.assert_array_equal(queries, ref_queries)
             np.testing.assert_array_equal(positions, ref_positions)
@@ -292,9 +278,9 @@ class TestRelevantPositions:
         assert all(count > 0 for count in seen.values()), seen
 
     def test_tie_broken_by_gallery_index(self):
-        distances = np.array([[0.5, 0.2, 0.5, 0.5, 0.1]])
+        keys = np.array([[0.5, 0.2, 0.5, 0.5, 0.1]])
         gallery_ids = np.array([3, 1, 7, 7, 7])
-        queries, positions = relevant_positions(distances, np.array([7]), gallery_ids, root=False)
+        queries, positions = relevant_positions(keys, np.array([7]), gallery_ids)
         assert queries.tolist() == [0, 0, 0]
         assert positions.tolist() == [1, 4, 5]
 
@@ -306,7 +292,7 @@ class TestRelevantPositions:
         keys = np.array([[above, 4.0, 1.0, 9.0]])
         gallery_ids = np.array([8, 8, 2, 5])
         gallery_ids[relevant] = 5
-        queries, positions = relevant_positions(keys, np.array([5]), gallery_ids, root=True)
+        queries, positions = relevant_positions(keys, np.array([5]), gallery_ids)
         assert queries.tolist() == [0, 0]
         # item 0 is second by index though its key is the larger; item 1 third
         assert positions.tolist() == [2 + relevant, 4]
@@ -315,30 +301,27 @@ class TestRelevantPositions:
         # all three clip to 0, so they rank by gallery index, not by key
         keys = np.array([[-1e-16, -3e-16, 0.0, 2.0]])
         gallery_ids = np.array([0, 1, 0, 1])
-        _, positions = relevant_positions(keys, np.array([1]), gallery_ids, root=True)
+        _, positions = relevant_positions(keys, np.array([1]), gallery_ids)
         assert positions.tolist() == [2, 4]
 
     def test_all_distances_equal_rank_by_gallery_index(self):
         # every pair ties, and the 12 tied pairs outnumber the 3 queries
         gallery_ids = np.tile(np.arange(3), 4)
-        for root in (False, True):
-            keys = np.zeros((3, 12))
-            queries, positions = relevant_positions(keys, np.arange(3), gallery_ids, root)
-            assert queries.tolist() == [0] * 4 + [1] * 4 + [2] * 4
-            assert positions.tolist() == [1, 4, 7, 10, 2, 5, 8, 11, 3, 6, 9, 12]
+        queries, positions = relevant_positions(np.zeros((3, 12)), np.arange(3), gallery_ids)
+        assert queries.tolist() == [0] * 4 + [1] * 4 + [2] * 4
+        assert positions.tolist() == [1, 4, 7, 10, 2, 5, 8, 11, 3, 6, 9, 12]
 
     def test_no_queries_no_pairs(self):
         no_ids = np.array([], dtype=int)
-        queries, positions = relevant_positions(np.zeros((0, 4)), no_ids, np.arange(4), True)
+        queries, positions = relevant_positions(np.zeros((0, 4)), no_ids, np.arange(4))
         assert queries.size == positions.size == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("root", [False, True])
-    def test_nan_or_inf_key_rejected(self, bad, root):
+    def test_nan_or_inf_key_rejected(self, bad):
         # in a row with no relevant item, and away from its last column
         keys = np.array([[1.0, 2.0, 3.0], [bad, 2.0, 3.0]])
         with pytest.raises(ValueError, match="non-finite"):
-            relevant_positions(keys, np.array([0, 9]), np.array([0, 1, 2]), root)
+            relevant_positions(keys, np.array([0, 9]), np.array([0, 1, 2]))
 
     @pytest.mark.parametrize("relevant,position", [(1, 2), (3, 3)])
     def test_smaller_keys_at_the_same_distance_rank_by_gallery_index(self, relevant, position):
@@ -348,7 +331,7 @@ class TestRelevantPositions:
         keys = np.array([[-1.0, 0.0, 5.0, -3.0]])
         gallery_ids = np.array([4, 4, 4, 4])
         gallery_ids[relevant] = 7
-        _, positions = relevant_positions(keys, np.array([7]), gallery_ids, root=True)
+        _, positions = relevant_positions(keys, np.array([7]), gallery_ids)
         assert positions.tolist() == [position]
 
     def test_square_root_collisions_several_keys_below(self):
@@ -356,13 +339,12 @@ class TestRelevantPositions:
         above = np.nextafter(4.0, 5.0)
         keys = np.array([[4.0, 9.0, 4.0, above, 1.0, 4.0]])
         gallery_ids = np.array([0, 0, 0, 5, 0, 0])
-        _, positions = relevant_positions(keys, np.array([5]), gallery_ids, root=True)
+        _, positions = relevant_positions(keys, np.array([5]), gallery_ids)
         # 1.0 ranks first, then the distance-2.0 items by index: 0, 2, 3
         assert positions.tolist() == [4]
 
     @pytest.mark.parametrize("n_g", [0, 1, 2, 3, 4, 5, 8, 9, 64, 65, 256, 257])
-    @pytest.mark.parametrize("root", [False, True])
-    def test_every_rank_for_gallery_sizes_around_powers_of_two(self, n_g, root):
+    def test_every_rank_for_gallery_sizes_around_powers_of_two(self, n_g):
         # the whole gallery is relevant to every query, so each search meets
         # every count from 0 to G - 1: distinct keys, keys on a coarse grid, and
         # keys around 0 (negative squared keys clip to distance 0)
@@ -373,20 +355,20 @@ class TestRelevantPositions:
             rng.integers(-2, 2, size=n_g) * 0.5,
         ])
         ids = np.zeros(n_g, dtype=np.int64)
-        queries, positions = relevant_positions(keys, np.zeros(3, dtype=np.int64), ids, root)
-        ref_queries, ref_positions = blocked_pair_positions(distances_of(keys, root), np.zeros(3), ids)
+        queries, positions = relevant_positions(keys, np.zeros(3, dtype=np.int64), ids)
+        ref_queries, ref_positions = blocked_pair_positions(distances_of(keys), np.zeros(3), ids)
         np.testing.assert_array_equal(queries, ref_queries)
         np.testing.assert_array_equal(positions, ref_positions)
         assert positions.tolist() == list(range(1, n_g + 1)) * 3
 
     def test_minus_inf_squared_key_is_distance_zero(self):
         keys = np.array([[1.0, -np.inf, 4.0]])
-        queries, positions = relevant_positions(keys, np.array([2]), np.array([0, 1, 2]), root=True)
+        queries, positions = relevant_positions(keys, np.array([2]), np.array([0, 1, 2]))
         assert positions.tolist() == [3]
 
-    def assert_ranks(self, keys, query_ids, gallery_ids, root, expected):
-        queries, positions = relevant_positions(keys, query_ids, gallery_ids, root)
-        distances = distances_of(keys, root)
+    def assert_ranks(self, keys, query_ids, gallery_ids, expected):
+        queries, positions = relevant_positions(keys, query_ids, gallery_ids)
+        distances = distances_of(keys)
         ref_queries, ref_positions = blocked_pair_positions(distances, query_ids, gallery_ids)
         np.testing.assert_array_equal(queries, ref_queries)
         np.testing.assert_array_equal(positions, ref_positions)
@@ -407,31 +389,28 @@ class TestRelevantPositions:
         relevant, expected = (0, [2]) if side == "below" else (1, [3])
         gallery_ids = np.zeros(4, dtype=np.int64)
         gallery_ids[relevant] = 5
-        self.assert_ranks(keys, np.array([5]), gallery_ids, True, expected)
+        self.assert_ranks(keys, np.array([5]), gallery_ids, expected)
 
-    @pytest.mark.parametrize("root", [False, True])
-    def test_keys_that_share_one_float32_value(self, root):
+    def test_keys_that_share_one_float32_value(self):
         # 1 + 2^-40 and 1.0 round to the same float32 but differ as distances
         keys = np.array([[1.0 + 2.0**-40, 1.0, 0.5]])
         assert np.float32(keys[0, 0]) == np.float32(keys[0, 1])
-        self.assert_ranks(keys, np.array([7]), np.array([7, 7, 0]), root, [2, 3])
+        self.assert_ranks(keys, np.array([7]), np.array([7, 7, 0]), [2, 3])
 
-    @pytest.mark.parametrize("root", [False, True])
-    def test_finite_key_above_the_float32_range_beside_minus_inf(self, root):
+    def test_finite_key_above_the_float32_range_beside_minus_inf(self):
         # 1e300 and 3.5e38 both round to float32 +inf, and -inf stays -inf:
         # all rank, and none is the +inf that raises
         keys = np.array([[1e300, -np.inf, 2.0, 3.5e38]])
         with np.errstate(over="ignore"):
             assert np.isposinf(keys[0, [0, 3]].astype(np.float32)).all()
-        self.assert_ranks(keys, np.array([7]), np.full(4, 7), root, [1, 2, 3, 4])
+        self.assert_ranks(keys, np.array([7]), np.full(4, 7), [1, 2, 3, 4])
 
-    @pytest.mark.parametrize("root", [False, True])
-    def test_positive_keys_below_the_smallest_float32_subnormal(self, root):
+    def test_positive_keys_below_the_smallest_float32_subnormal(self):
         # all but 1.0 round to a float32 zero, though 3e-46 and 1e-46 are
-        # distinct distances above 0 and -1e-46 clips to 0 with root
+        # distinct distances above 0 and -1e-46 clips to 0
         keys = np.array([[3e-46, 1e-46, 0.0, -1e-46, 1.0]])
         assert not np.float32(3e-46)
-        self.assert_ranks(keys, np.array([7]), np.full(5, 7), root, [1, 2, 3, 4, 5])
+        self.assert_ranks(keys, np.array([7]), np.full(5, 7), [1, 2, 3, 4, 5])
 
 
 class TestRankingMetrics:
@@ -445,7 +424,7 @@ class TestRankingMetrics:
             q_ids = g_ids[rng.integers(0, n_g, size=n_q)]
             q_emb = rng.normal(size=(n_q, dim))
             g_emb = rng.normal(size=(n_g, dim))
-            m, cmc, n = ranking_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=False)
+            m, cmc, n = ranking_metrics(q_emb, q_ids, g_emb, g_ids)
             bm, bcmc = brute_force_metrics(q_emb, q_ids, g_emb, g_ids)
             assert abs(m - bm) < 1e-12
             for k in (1, 5, 10):
@@ -463,51 +442,31 @@ class TestRankingMetrics:
             else:
                 g_ids = rng.integers(0, max(1, n_g // 3), size=n_g)
             q_ids = g_ids[rng.integers(0, n_g, size=n_q)]
-            if case.startswith("ties"):
+            if case == "ties":
                 # a coarse integer grid forces many equal distances
                 q_emb = rng.integers(-1, 2, size=(q_ids.size, dim)).astype(float)
                 g_emb = rng.integers(-1, 2, size=(n_g, dim)).astype(float)
-                q_emb[~q_emb.any(axis=1), 0] = 1.0
-                g_emb[~g_emb.any(axis=1), 0] = 1.0
             else:
                 q_emb = rng.normal(size=(q_ids.size, dim))
                 g_emb = rng.normal(size=(n_g, dim))
-            cosine = case.endswith("cosine")
-            got = ranking_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=cosine)
-            assert got == lexsort_fraction_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=cosine)
+            got = ranking_metrics(q_emb, q_ids, g_emb, g_ids)
+            assert got == lexsort_fraction_metrics(q_emb, q_ids, g_emb, g_ids)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("cosine", [False, True])
-    def test_non_finite_distance_rejected(self, bad, cosine):
+    def test_non_finite_distance_rejected(self, bad):
         q_emb = np.ones((3, 2))
         q_emb[1, 0] = bad
         g_emb = np.eye(2)
         with pytest.raises(ValueError, match="non-finite"), np.errstate(invalid="ignore"):
-            ranking_metrics(q_emb, np.array([0, 1, 0]), g_emb, np.array([0, 1]), use_cosine=cosine)
+            ranking_metrics(q_emb, np.array([0, 1, 0]), g_emb, np.array([0, 1]))
 
-    @pytest.mark.parametrize("zero_queries,zero_gallery", [(1, 0), (0, 2), (2, 1)])
-    def test_cosine_rejects_zero_norm_embeddings(self, zero_queries, zero_gallery):
-        # raised before any division, which would warn (an error under this
-        # suite's filters) and then fail as a non-finite distance
-        q_emb, g_emb = np.ones((4, 3)), np.ones((5, 3))
-        q_emb[:zero_queries] = 0.0
-        g_emb[:zero_gallery] = 0.0
-        ids = np.zeros(5, dtype=np.int64)
-        match = f"{zero_queries} query and {zero_gallery} gallery embeddings have zero norm"
-        with pytest.raises(ValueError, match=match):
-            ranking_metrics(q_emb, ids[:4], g_emb, ids, use_cosine=True)
-        # Euclidean ranking has no direction to take
-        assert ranking_metrics(q_emb, ids[:4], g_emb, ids, use_cosine=False)[2] == 4
-
-    @pytest.mark.parametrize("cosine", [False, True])
-    def test_absent_query_identities_named_before_any_ranking(self, cosine):
+    def test_absent_query_identities_named_before_any_ranking(self):
         # a query without a relevant gallery item has no AP: the first five
-        # absent identities, ascending, each named once; the identity search
-        # comes before the cosine norms, which are zero here
+        # absent identities, ascending, each named once
         q_ids = np.array([9, 0, -4, 8, 9, 7, 1, 5, 6])
         match = r"^query identities \[-4, 5, 6, 7, 8\] absent from gallery$"
         with pytest.raises(ValueError, match=match):
-            ranking_metrics(np.zeros((9, 3)), q_ids, np.eye(3), np.array([0, 1, 1]), cosine)
+            ranking_metrics(np.zeros((9, 3)), q_ids, np.eye(3), np.array([0, 1, 1]))
 
     def test_left_neighbour_one_float32_step_below_across_a_rounding_midpoint(self):
         # the relevant item 0's squared key and item 1's are adjacent doubles on
@@ -521,7 +480,7 @@ class TestRankingMetrics:
         assert keys[:2].tolist() == [64.05920791625978, 64.05920791625977]
         assert np.float32(keys[0]) != np.float32(keys[1])
         assert np.sqrt(keys[0]) == np.sqrt(keys[1])
-        m, cmc, n = ranking_metrics(np.zeros((1, 2)), np.array([1]), g_emb, np.array([1, 2, 2]), False)
+        m, cmc, n = ranking_metrics(np.zeros((1, 2)), np.array([1]), g_emb, np.array([1, 2, 2]))
         assert (m, cmc[1], cmc[5], n) == (0.5, 0.0, 1.0, 1)
 
     def test_scale_invariance(self):
@@ -530,8 +489,8 @@ class TestRankingMetrics:
         g_emb = rng.normal(size=(40, 5))
         g_ids = rng.integers(0, 8, size=40)
         q_ids = g_ids[rng.integers(0, 40, size=10)]
-        base = ranking_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=False)
-        scaled = ranking_metrics(q_emb * 37.5, q_ids, g_emb * 37.5, g_ids, use_cosine=False)
+        base = ranking_metrics(q_emb, q_ids, g_emb, g_ids)
+        scaled = ranking_metrics(q_emb * 37.5, q_ids, g_emb * 37.5, g_ids)
         assert base[0] == scaled[0]
         assert base[1] == scaled[1]
 
@@ -544,11 +503,11 @@ class TestRankingMetrics:
             q_id = np.array([int(rng.integers(0, 5))])
             if not (g_ids == q_id[0]).any():
                 g_ids[0] = q_id[0]
-            before, *_ = ranking_metrics(q, q_id, g_emb, g_ids, use_cosine=False)
+            before, *_ = ranking_metrics(q, q_id, g_emb, g_ids)
             # plant an exact duplicate of the query with the right identity
             g2 = np.vstack([q, g_emb])
             ids2 = np.concatenate([[q_id[0]], g_ids])
-            after, *_ = ranking_metrics(q, q_id, g2, ids2, use_cosine=False)
+            after, *_ = ranking_metrics(q, q_id, g2, ids2)
             assert after >= before - 1e-12
 
     def test_random_embeddings_within_permutation_band(self):
@@ -559,11 +518,11 @@ class TestRankingMetrics:
         q_ids = np.arange(20)
         q_emb = rng.normal(size=(20, 6))
         g_emb = rng.normal(size=(n_g, 6))
-        observed, *_ = ranking_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=False)
+        observed, *_ = ranking_metrics(q_emb, q_ids, g_emb, g_ids)
         null = []
         for _ in range(200):
             shuffled = rng.permutation(g_ids)
-            null.append(ranking_metrics(q_emb, q_ids, g_emb, shuffled, use_cosine=False)[0])
+            null.append(ranking_metrics(q_emb, q_ids, g_emb, shuffled)[0])
         lo, hi = np.percentile(null, [2.5, 97.5])
         assert lo <= observed <= hi
 
@@ -581,15 +540,15 @@ def traced_peak(fn, *args, **kwargs):
 class TestBlockedRanking:
     """Queries are ranked in blocks of _BLOCK_ELEMENTS // G rows.
 
-    Embeddings are exact in floating point (an integer grid; scaled signed
-    axis vectors for cosine), so a block's distances equal the full
-    matrix's bit for bit and the reference may build the whole matrix.
+    Embeddings are exact in floating point (an integer grid), so a block's
+    distances equal the full matrix's bit for bit and the reference may
+    build the whole matrix.
     """
 
     N_G = 4096
     N_Q = 100
 
-    def case(self, seed, cosine):
+    def case(self, seed):
         rng = np.random.default_rng(seed)
         rows = _BLOCK_ELEMENTS // self.N_G
         assert self.N_Q > 2 * rows and self.N_Q % rows, "need >= 3 blocks, the last partial"
@@ -601,64 +560,55 @@ class TestBlockedRanking:
         q_ids = g_ids[rng.integers(0, self.N_G, size=self.N_Q)]
         q_ids[rows : 2 * rows] = 1000 + np.arange(rows)
         q_ids[rng.integers(2 * rows, self.N_Q, size=5)] = 2000
-        if cosine:
-            dim = 4
-            q_emb = np.zeros((self.N_Q, dim))
-            g_emb = np.zeros((self.N_G, dim))
-            for emb in (q_emb, g_emb):
-                axes = rng.integers(0, dim, size=len(emb))
-                emb[np.arange(len(emb)), axes] = rng.choice([-3.0, -1.0, 2.0, 4.0], size=len(emb))
-        else:
-            q_emb = rng.integers(-3, 4, size=(self.N_Q, 3)).astype(float)
-            g_emb = rng.integers(-3, 4, size=(self.N_G, 3)).astype(float)
+        q_emb = rng.integers(-3, 4, size=(self.N_Q, 3)).astype(float)
+        g_emb = rng.integers(-3, 4, size=(self.N_G, 3)).astype(float)
         return q_emb, q_ids, g_emb, g_ids
 
-    @pytest.mark.parametrize("cosine", [False, True])
-    def test_blocks_match_lexsort_reference(self, cosine):
+    def test_blocks_match_lexsort_reference(self):
         for seed in range(3):
-            q_emb, q_ids, g_emb, g_ids = self.case(seed, cosine)
+            q_emb, q_ids, g_emb, g_ids = self.case(seed)
             rows = _BLOCK_ELEMENTS // self.N_G
             pairs = np.add.reduceat((q_ids[:, None] == g_ids).sum(axis=1), range(0, self.N_Q, rows))
             assert pairs[1] == rows and len(set(pairs.tolist())) > 2
-            got = ranking_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=cosine)
-            assert got == lexsort_fraction_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=cosine)
+            got = ranking_metrics(q_emb, q_ids, g_emb, g_ids)
+            assert got == lexsort_fraction_metrics(q_emb, q_ids, g_emb, g_ids)
             assert got[2] == self.N_Q
 
     def test_each_block_keeps_its_own_queries(self):
         # each block's first query has the 50 items of identity 2000 and every
         # other query one item of its own: only the block offsets keep each
         # query's items with it
-        q_emb, _, g_emb, g_ids = self.case(3, False)
+        q_emb, _, g_emb, g_ids = self.case(3)
         rows = _BLOCK_ELEMENTS // self.N_G
         q_ids = 1000 + np.arange(self.N_Q) % rows
         q_ids[::rows] = 2000
-        got = ranking_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=False)
+        got = ranking_metrics(q_emb, q_ids, g_emb, g_ids)
         assert got == lexsort_fraction_metrics(q_emb, q_ids, g_emb, g_ids)
         assert got[2] == self.N_Q
 
     @pytest.mark.xfail(
+        raises=AssertionError,
         reason="the BLAS may round a 1-row block's product apart from the whole "
-        "matrix's, so cosines that tie only up to rounding rank by block shape",
+        "matrix's, so distances that tie only up to rounding rank by block shape",
         strict=False,
     )
-    def test_block_shape_keeps_ranks_of_rounded_cosine_ties(self, monkeypatch):
-        # normalized integer rows: query 1's cosines to gallery items 0, 1 and 3
-        # are equal in the whole product and round apart in a 1-row block
-        # (mAP 0.9861 against 1.0 with OpenBLAS 0.3.31)
-        q_emb = np.array([[1.0, 0, 0, 0], [2, 2, 1, 2]] + [[1.0, 0, 0, 0]] * 4)
-        q_ids = np.array([1] * 6)
-        g_emb = np.array([[1.0, 0, 0, 0], [1, 0, 0, 0], [2, 2, 0, -1], [1, 0, 0, 0]])
-        g_ids = np.array([1, 1, 0, 1])
+    def test_block_shape_keeps_ranks_of_rounded_distance_ties(self, monkeypatch):
+        # query 1 is at squared distance 44/49 from both gallery rows: the
+        # whole-matrix product rounds the two keys apart, a 1-row block leaves
+        # them tied and the tie goes to gallery index 0 (mAP 0.8333 against
+        # 0.6667 with OpenBLAS 0.3.31 on one thread)
+        q_emb = np.array([[0.0, 2, -1, 2], [3, 1, -2, 3], [2, -1, 2, -1]]) / 7
+        q_ids = np.array([1, 1, 1])
+        g_emb = np.array([[-3.0, -1, 0, 3], [-2, -2, 1, 2]]) / 7
+        g_ids = np.array([1, 0])
         monkeypatch.setattr(xmcl.metrics, "_BLOCK_ELEMENTS", 1)
-        got = ranking_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=True)
-        assert got == lexsort_fraction_metrics(q_emb, q_ids, g_emb, g_ids, use_cosine=True)
+        got = ranking_metrics(q_emb, q_ids, g_emb, g_ids)
+        assert got == lexsort_fraction_metrics(q_emb, q_ids, g_emb, g_ids)
 
     def test_no_queries_rejected(self):
-        _, _, g_emb, g_ids = self.case(0, False)
+        _, _, g_emb, g_ids = self.case(0)
         with pytest.raises(ValueError, match="no queries to rank"):
-            ranking_metrics(
-                np.zeros((0, 3)), np.array([], dtype=int), g_emb, g_ids, use_cosine=False
-            )
+            ranking_metrics(np.zeros((0, 3)), np.array([], dtype=int), g_emb, g_ids)
 
     @pytest.mark.parametrize("tied", [False, True])
     def test_peak_memory_below_one_distance_matrix(self, tied):
@@ -671,7 +621,7 @@ class TestBlockedRanking:
         ids = np.arange(n) // 4
         q_emb = np.zeros((n, 32)) if tied else rng.normal(size=(n, 32))
         g_emb = np.zeros((n, 32)) if tied else rng.normal(size=(n, 32))
-        _, peak = traced_peak(ranking_metrics, q_emb, ids, g_emb, ids, False)
+        _, peak = traced_peak(ranking_metrics, q_emb, ids, g_emb, ids)
         assert peak < 1.5 * 2 * 8 * _BLOCK_ELEMENTS, f"peak {peak / 2**20:.2f} MiB"
 
 
@@ -689,24 +639,16 @@ class TestEvaluate:
         )
         task = generate_synthetic_task(spec)
         state = init_encoder(EncoderConfig(input_dim=8, hidden_dims=(8,), embedding_dim=6, seed=0))
-        rec = evaluate(state, task, step=1, use_cosine=False, swap_direction=False)
+        rec = evaluate(state, task, step=1)
         assert rec.map == 100.0
         assert rec.r1 == 100.0
-
-    def test_swap_direction_runs(self):
-        task = generate_synthetic_task(
-            SynthSpec(task_id=0, latent_dim=4, feature_dim=8, num_train_ids=5, num_test_ids=4, seed=6)
-        )
-        state = init_encoder(EncoderConfig(input_dim=8, hidden_dims=(8,), embedding_dim=6, seed=0))
-        rec = evaluate(state, task, step=2, use_cosine=False, swap_direction=True)
-        assert rec.num_queries == len(task.gallery)
 
     def test_cmc_monotone(self):
         task = generate_synthetic_task(
             SynthSpec(task_id=0, latent_dim=4, feature_dim=8, num_train_ids=5, num_test_ids=6, seed=8)
         )
         state = init_encoder(EncoderConfig(input_dim=8, hidden_dims=(8,), embedding_dim=6, seed=1))
-        rec = evaluate(state, task, step=1, use_cosine=False, swap_direction=False)
+        rec = evaluate(state, task, step=1)
         assert rec.r1 <= rec.r5 <= rec.r10
         assert 0 <= rec.map <= 100
 
@@ -716,30 +658,27 @@ class TestEvaluate:
             SynthSpec(task_id=0, latent_dim=4, feature_dim=8, num_train_ids=5, num_test_ids=24, seed=3)
         )
         state = init_encoder(EncoderConfig(input_dim=8, hidden_dims=(8,), embedding_dim=6, seed=0))
-        rec = evaluate(state, task, step=1, use_cosine=False, swap_direction=False)
+        rec = evaluate(state, task, step=1)
         m, cmc, n = ranking_metrics(
             embed(state, task.query.features), task.query.ids,
-            embed(state, task.gallery.features), task.gallery.ids, False,
+            embed(state, task.gallery.features), task.gallery.ids,
         )
         assert rec.r10 < 100.0
         assert (rec.map, rec.r1, rec.r5, rec.r10, rec.num_queries) == (
             100.0 * m, 100.0 * cmc[1], 100.0 * cmc[5], 100.0 * cmc[10], n
         )
 
-    @pytest.mark.parametrize("swap", [False, True])
-    def test_query_ids_absent_from_gallery_are_named(self, swap):
+    def test_query_ids_absent_from_gallery_are_named(self):
         # the first five missing identities, ascending and without repeats
         def split(ids):
             return Split(np.zeros((len(ids), 8)), np.array(ids, dtype=np.int64), np.ones(len(ids), bool))
 
         queries, gallery = split([11, 7, 3, 9, 2, 1, 5, 7, 13]), split([2, 13, 2])
-        if swap:
-            queries, gallery = gallery, queries
         # unvalidated: a loaded task could not be built this way
         task = TaskDataset(0, train=split([]), query=queries, gallery=gallery)
         state = init_encoder(EncoderConfig(input_dim=8, hidden_dims=(8,), embedding_dim=6, seed=0))
         with pytest.raises(ValueError, match=r"^query identities \[1, 3, 5, 7, 9\] absent from gallery$"):
-            evaluate(state, task, step=0, use_cosine=False, swap_direction=swap)
+            evaluate(state, task, step=0)
 
 
 class TestAggregate:

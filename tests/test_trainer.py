@@ -490,9 +490,8 @@ class TestRunSequence:
         with pytest.raises(ValueError):
             run_sequence(cfg, master_seed=0)
 
-    def test_freeze_shared_on_replay_keeps_weights(self):
+    def test_replay_epoch_steps_the_shared_weights(self):
         import copy
-        import dataclasses
 
         from xmcl.data import generate_synthetic_task
         from xmcl.encoder import register_task_head
@@ -504,24 +503,17 @@ class TestRunSequence:
         register_task_head(exp.encoder, 1, len(task1.train_identities), seed=9)
         exp.head_ids[1] = task1.train.identities()
 
-        def run(epochs, freeze):
+        def run(epochs):
             e = copy.deepcopy(exp)
-            cfg = dataclasses.replace(mini_config(), freeze_shared_on_replay=freeze)
-            train_task(e, task1, cfg, range(epochs), np.random.default_rng(5), use_replay=True)
+            rng = np.random.default_rng(5)
+            train_task(e, task1, mini_config(), range(epochs), rng, use_replay=True)
             return e
 
-        # epoch 1 (1-based) trains new data, epoch 2 replays; frozen shared
-        # layers make the replay epoch a prototype-only update
-        after_new = run(epochs=1, freeze=True)
-        frozen = run(epochs=2, freeze=True)
-        unfrozen = run(epochs=2, freeze=False)
-        for a, b in zip(frozen.encoder.weights, after_new.encoder.weights):
-            assert a.tobytes() == b.tobytes()
-        assert frozen.encoder.heads[0].tobytes() != after_new.encoder.heads[0].tobytes()
-        assert any(
-            a.tobytes() != b.tobytes()
-            for a, b in zip(unfrozen.encoder.weights, after_new.encoder.weights)
-        )
+        # epoch 1 (1-based) trains new data, epoch 2 replays under task 0's head
+        after_new, after_replay = run(epochs=1), run(epochs=2)
+        assert after_replay.encoder.heads[0].tobytes() != after_new.encoder.heads[0].tobytes()
+        for a, b in zip(after_replay.encoder.weights, after_new.encoder.weights):
+            assert a.tobytes() != b.tobytes()
 
 
 def root_buffer(a: np.ndarray) -> np.ndarray:
