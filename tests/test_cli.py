@@ -850,10 +850,18 @@ class TestReport:
                 '{"steps": [], "warnings": ["ok", 3]}',
                 "report.json: malformed report (warnings must be str, got 3)",
             ),
+            (
+                '{"steps": [], "warnings": null}',
+                "report.json: malformed report (warnings must be tuple, got None)",
+            ),
+            (
+                '{"steps": [], "warnings": {"oops": 1}}',
+                "report.json: malformed report (warnings must be tuple, got {'oops': 1})",
+            ),
         ],
         ids=[
             "bad_report_json", "non_object", "no_steps", "no_records", "no_map", "non_numeric",
-            "nan_map", "string_warnings", "numeric_warning",
+            "nan_map", "string_warnings", "numeric_warning", "null_warnings", "object_warnings",
         ],
     )
     def test_broken_run_file_names_path_and_line(self, tmp_path, capsys, report, message):

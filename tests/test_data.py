@@ -215,6 +215,16 @@ class TestTaskFiles:
             load_task(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("value", [-1, -3, -(2**63)])
+    def test_negative_task_id_names_line(self, tmp_path, value):
+        # a task id seeds the task's generators, which take no negative entropy
+        row = '{{"task":{},"id":1,"modality":"sketch","split":"train","features":[1.0]}}'
+        path = tmp_path / "bad.jsonl"
+        path.write_text(row.format(0) + "\n" + row.format(value) + "\n")
+        with pytest.raises(TaskFileError, match=f"line 2: task must be >= 0, got {value}$") as err:
+            load_task(path)
+        assert err.value.line == 2
+
     def test_int64_extremes_load(self, tmp_path):
         row = '{{"task":0,"id":{},"modality":"{}","split":"{}","features":[1.0]}}'
         lo, hi = -(2**63), 2**63 - 1

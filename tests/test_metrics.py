@@ -247,6 +247,9 @@ class TestIntegerApPass:
         assert math.log2(40) + sum(math.log2(p) for p in range(1, 41)) > _EXACT_BITS
 
 
+GALLERY_SIZES = [0, 1, 2, 3, 4, 5, 8, 9, 64, 65, 256, 257]
+
+
 class TestRelevantPositions:
     def test_matches_blocked_pair_counter(self):
         rng = np.random.default_rng(11)
@@ -343,13 +346,25 @@ class TestRelevantPositions:
         # 1.0 ranks first, then the distance-2.0 items by index: 0, 2, 3
         assert positions.tolist() == [4]
 
-    @pytest.mark.parametrize("n_g", [0, 1, 2, 3, 4, 5, 8, 9, 64, 65, 256, 257])
+    @pytest.mark.parametrize("n_g", GALLERY_SIZES)
     def test_every_rank_for_gallery_sizes_around_powers_of_two(self, n_g):
+        self.assert_every_rank(n_g, 1.0)
+
+    @pytest.mark.parametrize("n_g", GALLERY_SIZES)
+    @pytest.mark.parametrize("scale", [2.0**-160, 2.0**130], ids=["float32_zero", "float32_inf"])
+    def test_every_rank_for_keys_past_float32_precision(self, n_g, scale):
+        # every key rounds to a float32 0 or to a float32 infinity, so no pair
+        # is settled by the search and every rank is recounted in float64, a
+        # few rows at a time
+        self.assert_every_rank(n_g, scale)
+
+    def assert_every_rank(self, n_g, scale):
         # the whole gallery is relevant to every query, so each search meets
         # every count from 0 to G - 1: distinct keys, keys on a coarse grid, and
-        # keys around 0 (negative squared keys clip to distance 0)
+        # keys around 0 (negative squared keys clip to distance 0); a power of
+        # two scales them exactly
         rng = np.random.default_rng(n_g)
-        keys = np.stack([
+        keys = scale * np.stack([
             rng.permutation(n_g).astype(float),
             rng.integers(0, 3, size=n_g).astype(float),
             rng.integers(-2, 2, size=n_g) * 0.5,

@@ -103,6 +103,16 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="label_smoothing"):
             ExperimentConfig(tasks=mini_specs(1), label_smoothing=smoothing)
 
+    @pytest.mark.parametrize(
+        "field", ["use_cosine_eval", "swap_eval_direction", "freeze_shared_on_replay"]
+    )
+    def test_removed_behaviour_switches_accept_only_false(self, field):
+        # Euclidean sketch-to-photo ranking and replay that steps the shared
+        # weights are the only behaviours
+        with pytest.raises(ValueError, match=f"^{field} must be false, got True$"):
+            ExperimentConfig(tasks=mini_specs(1), **{field: True})
+        assert getattr(ExperimentConfig(tasks=mini_specs(1), **{field: False}), field) is False
+
     def test_boundary_values_accepted(self):
         cfg = ExperimentConfig(tasks=mini_specs(1), triplet_margin=0.0, label_smoothing=0.0)
         assert cfg.triplet_margin == 0.0 and cfg.label_smoothing == 0.0
